@@ -31,9 +31,6 @@ namespace bench {
 //                       parallelism needs --islands > 1, since the paper's
 //                       dense mapping graph is one tgd-closure component)
 //   --islands=N         partition mappings into N disjoint relation islands
-//   --subs=K            sub-workers per shard (default 1 = classic pinned;
-//                       K > 1 = the optimistic intra-shard mode, for the
-//                       dense single-component workload sharding can't split)
 //   --chain=L           prepend an L-relation deterministic mapping chain
 //                       per island (dense single-component shape; default 0)
 //   --fan=F             RHS atoms per chain hop (default 1 = linear chain)
@@ -101,8 +98,6 @@ inline ExperimentConfig ParseFlagsOver(ExperimentConfig config, int argc,
       config.workers = static_cast<size_t>(intval("--workers=", 1, 1024));
     } else if (arg.rfind("--islands=", 0) == 0) {
       config.islands = static_cast<size_t>(intval("--islands=", 1, 1024));
-    } else if (arg.rfind("--subs=", 0) == 0) {
-      config.sub_workers = static_cast<size_t>(intval("--subs=", 1, 1024));
     } else if (arg.rfind("--chain=", 0) == 0) {
       config.chain_length =
           static_cast<size_t>(intval("--chain=", 0, kMaxCount));

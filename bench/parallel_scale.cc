@@ -12,20 +12,17 @@
 //  * graph="dense" — the one-big-component wall sharding cannot crack: a
 //    deterministic mapping chain (--chain/--fan) welds the whole schema
 //    into ONE component, so the pool collapses to a single shard lane and
-//    adding workers buys nothing. The curve instead sweeps sub-workers at
-//    1, 2, 4, ... — the intra-shard optimistic mode (read logging on,
-//    conflict probes, cascading aborts, per-component commit sequencer; see
-//    ccontrol/parallel/intra_shard.h) — against the single-pinned-worker
-//    arm. The JSON carries the mode's abort/redo/escalation counters so the
-//    optimism's cost is visible next to its throughput.
+//    adding workers buys nothing. The arm measures the serial engine
+//    against that one pinned worker: what zero-CC execution under the
+//    component lock buys over the optimistic protocol on the same stream.
 //
 // Throughput is committed updates per second (updates that failed their
-// step cap are not counted), so optimistic arms cannot look good by
-// burning work on ops that never commit.
+// step cap are not counted), so no arm can look good by burning work on
+// ops that never commit.
 //
 // Flags are fig_common's; the defaults here are scaled to a smoke run.
 // A full curve: parallel_scale --relations=64 --islands=8 --initial=4000
-//                              --updates=800 --workers=8 --subs=4 --runs=3
+//                              --updates=800 --workers=8 --runs=3
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -98,9 +95,8 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
         p.updates_per_second +=
             static_cast<double>(scheduler.stats().updates_completed);
       } else {
-        ParallelSchedulerOptions popts;
+        IngestOptions popts;
         popts.num_workers = p.workers;
-        popts.sub_workers = p.sub_workers;
         popts.max_steps_per_update = config.max_steps_per_update;
         popts.max_attempts_per_update = config.max_attempts_per_update;
         popts.agent_seed = config.seed + 31 * run;
@@ -111,18 +107,13 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
         p.aborts += static_cast<double>(stats.totals.aborts);
         p.cross_shard += static_cast<double>(stats.cross_shard_updates);
         p.escaped += static_cast<double>(stats.escaped_updates);
-        p.intra_aborts += static_cast<double>(stats.intra_shard_aborts);
-        p.intra_redos += static_cast<double>(stats.intra_shard_redos);
-        p.intra_escalations +=
-            static_cast<double>(stats.intra_shard_escalations);
         p.updates_per_second +=
             static_cast<double>(stats.totals.updates_completed);
       }
       p.seconds_per_run += Now() - start;
       if (verbose) {
-        std::fprintf(stderr, "[parallel_scale] run=%zu %s/%s w=%zu k=%zu done\n",
-                     run, p.graph.c_str(), p.engine.c_str(), p.workers,
-                     p.sub_workers);
+        std::fprintf(stderr, "[parallel_scale] run=%zu %s/%s w=%zu done\n",
+                     run, p.graph.c_str(), p.engine.c_str(), p.workers);
       }
     }
   }
@@ -152,7 +143,6 @@ int Run(int argc, char** argv) {
   defaults.seed = 1;
   defaults.islands = 8;
   defaults.workers = 4;
-  defaults.sub_workers = 4;   // sub-worker sweep top for the dense graph
   defaults.chain_length = 8;  // dense graph: 8-relation chain, linear
   defaults.fan_out = 1;
   bool verbose = false;
@@ -218,7 +208,7 @@ int Run(int argc, char** argv) {
   // A chain prefix (--chain) welds the schema into one tgd-closure
   // component; the random fill is generated with islands=1 on top, so the
   // graph stays dense. One component = one shard lane, so the worker axis
-  // is pinned at 1 and the sweep runs over sub-workers instead.
+  // is pinned at 1.
   Fixture dense;
   {
     Rng rng(config.seed ^ 0x5bf03635ULL);
@@ -245,10 +235,10 @@ int Run(int argc, char** argv) {
     ShardMap map(dense.db.num_relations(), dense.tgds, config.workers);
     std::printf(
         "dense graph:   relations=%zu mappings=%zu chain=%zu fan=%zu "
-        "components=%zu initial=%zu sub-worker sweep up to %zu\n",
+        "components=%zu initial=%zu\n",
         config.num_relations, config.num_mappings_total,
         mapping_opts.chain_length, config.fan_out, map.num_components(),
-        initial.total_tuples, config.sub_workers);
+        initial.total_tuples);
   }
   dense.first_point = points.size();
   {
@@ -256,19 +246,11 @@ int Run(int argc, char** argv) {
     serial.engine = "serial";
     serial.graph = "dense";
     points.push_back(serial);
-    for (size_t k = 1; k <= config.sub_workers; k *= 2) {
-      bench::ParallelScalePoint p;
-      p.engine = "parallel";
-      p.graph = "dense";
-      p.workers = 1;  // one component ⇒ one shard lane regardless
-      p.sub_workers = k;
-      points.push_back(p);
-    }
-    if (points.back().sub_workers != config.sub_workers) {
-      bench::ParallelScalePoint p = points.back();
-      p.sub_workers = config.sub_workers;
-      points.push_back(p);
-    }
+    bench::ParallelScalePoint pinned;
+    pinned.engine = "parallel";
+    pinned.graph = "dense";
+    pinned.workers = 1;  // one component ⇒ one shard lane regardless
+    points.push_back(pinned);
   }
   dense.num_points = points.size() - dense.first_point;
 
@@ -280,9 +262,6 @@ int Run(int argc, char** argv) {
     p.aborts /= static_cast<double>(config.runs);
     p.cross_shard /= static_cast<double>(config.runs);
     p.escaped /= static_cast<double>(config.runs);
-    p.intra_aborts /= static_cast<double>(config.runs);
-    p.intra_redos /= static_cast<double>(config.runs);
-    p.intra_escalations /= static_cast<double>(config.runs);
     // updates_per_second accumulated committed-update counts above; divide
     // by total measured time to get committed throughput.
     const double total_seconds =
@@ -290,9 +269,8 @@ int Run(int argc, char** argv) {
     p.updates_per_second =
         total_seconds > 0 ? p.updates_per_second / total_seconds : 0;
   }
-  std::printf("%8s %10s %8s %6s %12s %14s %10s %8s %12s\n", "graph", "engine",
-              "workers", "subs", "s/run", "committed/s", "speedup", "aborts",
-              "intra(a/r/e)");
+  std::printf("%8s %10s %8s %12s %14s %10s %8s\n", "graph", "engine",
+              "workers", "s/run", "committed/s", "speedup", "aborts");
   double serial_ups = 0;
   for (bench::ParallelScalePoint& p : points) {
     if (p.engine == "serial") serial_ups = p.updates_per_second;
@@ -300,11 +278,10 @@ int Run(int argc, char** argv) {
     // precedes its parallel arms in `points`).
     p.speedup_vs_serial =
         serial_ups > 0 ? p.updates_per_second / serial_ups : 0;
-    std::printf("%8s %10s %8zu %6zu %12.4f %14.1f %9.2fx %8.1f %4.0f/%4.0f/%4.0f\n",
-                p.graph.c_str(), p.engine.c_str(), p.workers, p.sub_workers,
+    std::printf("%8s %10s %8zu %12.4f %14.1f %9.2fx %8.1f\n",
+                p.graph.c_str(), p.engine.c_str(), p.workers,
                 p.seconds_per_run, p.updates_per_second, p.speedup_vs_serial,
-                p.aborts, p.intra_aborts, p.intra_redos,
-                p.intra_escalations);
+                p.aborts);
   }
 
   return bench::WriteParallelScaleJson("parallel_scale", config, points) ? 0

@@ -150,10 +150,10 @@ bool WriteParallelScaleJson(const std::string& name,
   }
   out << "{\n";
   out << "  \"name\": \"" << name << "\",\n";
-  // Version 4 adds per-arm stage latency summaries from the pipeline's
-  // metrics registry; 3 added zipf_theta to the config block (the skew
-  // axis matters now that plan costing is value-aware).
-  out << "  \"schema_version\": 4,\n";
+  // Version 5 drops the per-arm sub-worker count and intra-shard counters
+  // (one worker per shard); 4 added per-arm stage latency summaries from the
+  // pipeline's metrics registry; 3 added zipf_theta to the config block.
+  out << "  \"schema_version\": 5,\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
   out << "  \"config\": {\n";
@@ -173,15 +173,11 @@ bool WriteParallelScaleJson(const std::string& name,
     const ParallelScalePoint& p = points[i];
     out << "    {\"engine\": \"" << p.engine << "\", \"graph\": \""
         << p.graph << "\", \"workers\": " << p.workers
-        << ", \"sub_workers\": " << p.sub_workers
         << ", \"seconds_per_run\": " << p.seconds_per_run
         << ", \"updates_per_second\": " << p.updates_per_second
         << ", \"speedup_vs_serial\": " << p.speedup_vs_serial
         << ", \"aborts\": " << p.aborts << ", \"cross_shard\": "
         << p.cross_shard << ", \"escaped\": " << p.escaped
-        << ", \"intra_aborts\": " << p.intra_aborts
-        << ", \"intra_redos\": " << p.intra_redos
-        << ", \"intra_escalations\": " << p.intra_escalations
         << ",\n     \"stages\": ";
     WriteStagesJson(out, p.stages, "     ");
     out << "}" << (i + 1 < points.size() ? ",\n" : "\n");

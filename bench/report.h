@@ -52,33 +52,28 @@ std::vector<StageSummary> SummarizeStages(const obs::MetricsSnapshot& snap);
 struct ParallelScalePoint {
   std::string engine;  // "serial" or "parallel"
   // Workload shape the arm ran under: "islands" (disjoint components, the
-  // sharding regime) or "dense" (one tgd-closure component, the intra-shard
-  // regime).
+  // sharding regime) or "dense" (one tgd-closure component, which sharding
+  // cannot split).
   std::string graph = "islands";
-  size_t workers = 1;      // shard lanes (1 for the serial scheduler)
-  size_t sub_workers = 1;  // threads per shard (intra-shard mode when > 1)
+  size_t workers = 1;  // shard lanes (1 for the serial scheduler)
   double seconds_per_run = 0;
   double updates_per_second = 0;
   double speedup_vs_serial = 0;
   double aborts = 0;
   double cross_shard = 0;
   double escaped = 0;
-  // Intra-shard optimistic-mode counters (zero unless sub_workers > 1).
-  double intra_aborts = 0;
-  double intra_redos = 0;
-  double intra_escalations = 0;
   // Per-stage latency summaries from the arm's metrics registry,
   // accumulated over every measured run (empty for the serial engine,
   // which records no stage latencies).
   std::vector<StageSummary> stages;
 };
 
-// Writes BENCH_<name>.json for the scaling curve (schema_version 4: adds
-// the per-arm stage latency summaries; 3 added zipf_theta; 2 added the
-// graph tag, sub_workers and the intra-shard counters per arm): the
-// generator config, the host's hardware concurrency (a 1-CPU container
-// cannot show wall-clock parallel speedup, so readers need this to
-// interpret the curve), and one record per engine arm.
+// Writes BENCH_<name>.json for the scaling curve (schema_version 5: drops
+// the per-arm sub-worker count and intra-shard counters; 4 added the
+// per-arm stage latency summaries; 3 added zipf_theta; 2 added the graph
+// tag): the generator config, the host's hardware concurrency (a 1-CPU
+// container cannot show wall-clock parallel speedup, so readers need this
+// to interpret the curve), and one record per engine arm.
 bool WriteParallelScaleJson(const std::string& name,
                             const ExperimentConfig& config,
                             const std::vector<ParallelScalePoint>& points);

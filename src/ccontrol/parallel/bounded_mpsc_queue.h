@@ -29,10 +29,9 @@ enum class QueuePush {
 // time IS the system's backpressure signal, so the queue accounts it
 // (stall_seconds) along with the depth high-watermark.
 //
-// Historically single-consumer (one worker per shard inbox); the intra-shard
-// mode pops from K sub-workers concurrently, which the mutex-guarded
-// WaitPop/TryPop support as-is — "Mpsc" survives in the name for the
-// dominant single-consumer configuration, not as a constraint.
+// Single-consumer in use (one worker per shard inbox, one admission thread
+// on the cross lane), though the mutex-guarded WaitPop/TryPop would also
+// serve several consumers as-is.
 //
 // The pinned chase hot path never touches the queue mid-update — one pop
 // admits one whole update — so queue overhead is per-update, not per-step,

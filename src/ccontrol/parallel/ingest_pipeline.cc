@@ -17,7 +17,6 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
       // read the pre-seeded relations' owner-only statistics (shard_map.h).
       shard_map_(db->num_relations(), *tgds,
                  std::max<size_t>(options_.num_workers, 1), db),
-      component_locks_(shard_map_.num_components()),
       next_number_(options_.first_number),
       cross_inbox_(options_.inbox_capacity) {
   // Metrics plumbing before any thread exists: every stage below records
@@ -37,9 +36,8 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   // Component locks sit at the top of the lock hierarchy; their validator
   // key is the component id, whose ascending order is exactly the legal
   // multi-acquisition order (cross-shard batches).
-  for (size_t c = 0; c < component_locks_.size(); ++c) {
-    component_locks_[c].SetLockOrder(LockRank::kComponentLock, c);
-    component_locks_[c].SetMetrics(metrics_);
+  for (size_t c = 0; c < shard_map_.num_components(); ++c) {
+    component_locks_.emplace_back(LockRank::kComponentLock, c);
   }
   // Setup-time plan registration, single-threaded: recompile every
   // mapping's plan complement against the live database and register its
@@ -60,10 +58,6 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
 
   WorkerPoolOptions wopts;
   wopts.num_workers = options_.num_workers;
-  wopts.sub_workers = options_.sub_workers;
-  wopts.escalate_after = options_.intra_escalate_after;
-  wopts.max_attempts_per_update = options_.max_attempts_per_update;
-  wopts.intra_tracker = options_.tracker;
   wopts.max_steps_per_update = options_.max_steps_per_update;
   wopts.inbox_capacity = options_.inbox_capacity;
   wopts.agent_seed = options_.agent_seed;
@@ -288,8 +282,8 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
   // The held set is dynamic (footprint-sized), which thread-safety analysis
   // cannot express — std::unique_lock keeps the acquisition out of its
   // sight on purpose; the LockOrderValidator still checks the ascending
-  // component order at runtime through RwMutex::lock itself.
-  std::vector<std::unique_lock<RwMutex>> held;
+  // component order at runtime through Mutex::lock itself.
+  std::vector<std::unique_lock<Mutex>> held;
   held.reserve(components.size());
   for (uint32_t c : components) held.emplace_back(component_locks_[c]);
   // Declared after `held`, so both destructors run before the locks
@@ -400,15 +394,11 @@ ParallelStats IngestPipeline::Flush() {
 
   ParallelStats stats;
   stats.totals = pool_->MergedStats();
+  stats.pinned_updates = stats.totals.updates_completed;
   stats.totals.Merge(engine_stats_);
   stats.workers = pool_->num_workers();
   stats.components = shard_map_.num_components();
   stats.shards = shard_map_.num_shards();
-  stats.sub_workers = pool_->sub_workers_per_shard();
-  stats.pinned_updates = pool_->pinned_updates();
-  stats.intra_shard_aborts = pool_->IntraAborts();
-  stats.intra_shard_redos = pool_->IntraRedos();
-  stats.intra_shard_escalations = pool_->IntraEscalations();
   // Lifetime counters are a view over the metrics registry (deltas from
   // the construction-time baselines, in case the registry outlives us).
   stats.cross_shard_updates =
@@ -422,7 +412,6 @@ ParallelStats IngestPipeline::Flush() {
   stats.admission_stall_seconds =
       pool_->AdmissionStallSeconds() + cross_inbox_.stall_seconds();
   stats.shard_pinned = pool_->PinnedPerShard();
-  stats.sub_pinned = pool_->PinnedPerSub();
   return stats;
 }
 
@@ -473,20 +462,10 @@ void IngestPipeline::AppendDiagnostics(std::string* out) const {
     out->append(buf);
   }
   for (const auto& w : pool_->PhaseSnapshot()) {
-    snprintf(buf, sizeof(buf), "shard %u sub %u: op=%llu phase=%s\n",
-             w.shard, w.sub, static_cast<unsigned long long>(w.number),
+    snprintf(buf, sizeof(buf), "shard %u worker: op=%llu phase=%s\n",
+             w.shard, static_cast<unsigned long long>(w.number),
              WorkerPhaseName(w.phase));
     out->append(buf);
-  }
-  for (const auto& [shard, parked] : pool_->ParkedSnapshot()) {
-    snprintf(buf, sizeof(buf), "shard %u commit-sequencer parked:", shard);
-    out->append(buf);
-    for (uint64_t n : parked) {
-      snprintf(buf, sizeof(buf), " %llu",
-               static_cast<unsigned long long>(n));
-      out->append(buf);
-    }
-    out->append("\n");
   }
 }
 

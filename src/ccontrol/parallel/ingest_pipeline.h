@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "ccontrol/parallel/bounded_mpsc_queue.h"
-#include "ccontrol/parallel/rw_mutex.h"
 #include "ccontrol/parallel/shard_map.h"
 #include "ccontrol/parallel/worker_pool.h"
 #include "ccontrol/scheduler.h"
@@ -46,16 +46,6 @@ enum class CrossAdmission {
 struct IngestOptions {
   // Worker threads requested; effective count is min(this, components).
   size_t num_workers = 2;
-  // Sub-workers per shard. 1 = classic pinned execution (zero CC under the
-  // exclusive component lock). K > 1 = the intra-shard optimistic mode: K
-  // threads drain each shard inbox concurrently with full concurrency
-  // control per component — built for the dense mapping graph whose single
-  // hot component sharding cannot split. See WorkerPoolOptions.
-  size_t sub_workers = 1;
-  // Intra-shard mode: number of dooms an op survives before it escalates to the
-  // exclusive component lock (0 = escalate immediately; deterministic test
-  // mode). Ignored when sub_workers == 1.
-  size_t intra_escalate_after = 4;
   // Cascading-abort algorithm of the embedded cross-shard engine (pinned
   // updates never abort, so the tracker only matters across shards).
   TrackerKind tracker = TrackerKind::kCoarse;
@@ -63,8 +53,8 @@ struct IngestOptions {
   size_t max_attempts_per_update = 256;
   // First update number to assign (continues an external sequence).
   uint64_t first_number = 1;
-  // Per-sub-worker simulated users; see WorkerPoolOptions (pool agents use
-  // indexes [0, shards * sub_workers)). The cross-shard engine's agent is
+  // Per-worker simulated users; see WorkerPoolOptions (pool agents use
+  // indexes [0, shards)). The cross-shard engine's agent is
   // agent_factory(num_workers) when a factory is given.
   uint64_t agent_seed = 42;
   std::function<std::unique_ptr<FrontierAgent>(size_t)> agent_factory;
@@ -83,17 +73,14 @@ struct IngestOptions {
   // reports lifetime deltas in ParallelStats.
   obs::MetricsRegistry* metrics = nullptr;
   // Stall watchdog: if no op retires for this many milliseconds while work
-  // is in flight, dump per-shard inbox depths, per-worker op/phase, the
-  // commit-sequencer parked sets and (checked builds) every thread's
-  // held-lock stack to stderr. 0 disables (default: embedders opt in).
+  // is in flight, dump per-shard inbox depths, per-worker op/phase and
+  // (checked builds) every thread's held-lock stack to stderr. 0 disables
+  // (default: embedders opt in).
   uint64_t watchdog_deadline_ms = 0;
   // Abort the process after the first watchdog dump — turns a hung test
   // into a failing one (the tsan/asan serializability presets arm this).
   bool watchdog_fatal = false;
 };
-
-// Legacy spelling, kept so batch callers read naturally.
-using ParallelSchedulerOptions = IngestOptions;
 
 // Aggregated report of a pipeline's lifetime so far (SchedulerStats totals
 // merged across every worker and the cross-shard engine, plus partition-,
@@ -103,21 +90,12 @@ struct ParallelStats {
   uint64_t workers = 0;
   uint64_t components = 0;
   uint64_t shards = 0;
-  uint64_t sub_workers = 0;          // per shard (1 = classic pinned mode)
-  uint64_t pinned_updates = 0;       // ran on a shard worker (zero-CC when
-                                     // sub_workers == 1, optimistic CC when
-                                     // > 1)
+  uint64_t pinned_updates = 0;       // ran zero-CC on a shard worker
   uint64_t cross_shard_updates = 0;  // admitted through the footprint-lock
                                      // protocol into the serial engine
   uint64_t escaped_updates = 0;      // pinned/batch attempts re-routed
   uint64_t cross_batches = 0;        // ordered-lock engine runs
   uint64_t flushes = 0;              // Flush() barriers since construction
-  // Intra-shard optimistic mode (all zero when sub_workers == 1): ops
-  // doomed by a conflict probe or cascade, optimistic re-executions after a
-  // doom, and ops that fell back to the exclusive component lock.
-  uint64_t intra_shard_aborts = 0;
-  uint64_t intra_shard_redos = 0;
-  uint64_t intra_shard_escalations = 0;
   // Backpressure observability: deepest any shard inbox ever got (bounded
   // by inbox_capacity unless escapes re-queued past it) and the cumulative
   // producer time spent blocked on full inboxes.
@@ -125,44 +103,6 @@ struct ParallelStats {
   double admission_stall_seconds = 0;
   // Per-shard completed pinned counts — per-shard throughput attribution.
   std::vector<uint64_t> shard_pinned;
-  // Per-sub-worker completed pinned counts, flattened shard-major (shard 0
-  // subs first; sub_workers entries per shard). Collapses to shard_pinned
-  // when sub_workers == 1.
-  std::vector<uint64_t> sub_pinned;
-
-  // Folds another snapshot in (bench harnesses aggregate per-run stats):
-  // throughput counters add, structural fields take the max, vectors add
-  // element-wise (resized to the longer).
-  void Merge(const ParallelStats& other) {
-    totals.Merge(other.totals);
-    workers = std::max(workers, other.workers);
-    components = std::max(components, other.components);
-    shards = std::max(shards, other.shards);
-    sub_workers = std::max(sub_workers, other.sub_workers);
-    pinned_updates += other.pinned_updates;
-    cross_shard_updates += other.cross_shard_updates;
-    escaped_updates += other.escaped_updates;
-    cross_batches += other.cross_batches;
-    flushes = std::max(flushes, other.flushes);
-    intra_shard_aborts += other.intra_shard_aborts;
-    intra_shard_redos += other.intra_shard_redos;
-    intra_shard_escalations += other.intra_shard_escalations;
-    inbox_high_watermark =
-        std::max(inbox_high_watermark, other.inbox_high_watermark);
-    admission_stall_seconds += other.admission_stall_seconds;
-    if (shard_pinned.size() < other.shard_pinned.size()) {
-      shard_pinned.resize(other.shard_pinned.size(), 0);
-    }
-    for (size_t i = 0; i < other.shard_pinned.size(); ++i) {
-      shard_pinned[i] += other.shard_pinned[i];
-    }
-    if (sub_pinned.size() < other.sub_pinned.size()) {
-      sub_pinned.resize(other.sub_pinned.size(), 0);
-    }
-    for (size_t i = 0; i < other.sub_pinned.size(); ++i) {
-      sub_pinned[i] += other.sub_pinned[i];
-    }
-  }
 };
 
 // Producer-side outcome of IngestPipeline::Submit.
@@ -271,10 +211,9 @@ class IngestPipeline {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   // Appends the stall-diagnostic report: in-flight count, cross-lane and
-  // per-shard inbox depth/high-watermark, each sub-worker's current op
-  // number and phase, and the commit sequencers' parked sets. Callable
-  // from any thread (reads atomics and snapshot accessors); the watchdog
-  // dumps exactly this plus the held-lock stacks.
+  // per-shard inbox depth/high-watermark, and each worker's current op
+  // number and phase. Callable from any thread (reads atomics and snapshot
+  // accessors); the watchdog dumps exactly this plus the held-lock stacks.
   void AppendDiagnostics(std::string* out) const;
 
   // Initial operations of every committed update in final priority-number
@@ -290,10 +229,7 @@ class IngestPipeline {
   // must not submit or flush (the lock must stay a leaf here).
   template <typename Fn>
   auto WithComponentLock(RelationId rel, Fn&& fn) {
-    // Exclusive: under the intra-shard mode this also waits out (and,
-    // writer-priority, fences off) every optimistic attempt on the
-    // component, so fn observes fully committed state.
-    ExclusiveLock lock(component_locks_[shard_map_.ComponentOf(rel)]);
+    MutexLock lock(component_locks_[shard_map_.ComponentOf(rel)]);
     return fn();
   }
 
@@ -329,13 +265,10 @@ class IngestPipeline {
 
   ShardMap shard_map_;
   // One footprint lock per component, indexed by component id (== ascending
-  // representative relation id, the global acquisition order). Writer-
-  // priority read-write locks: intra-shard sub-workers hold their
-  // component's lock SHARED for an attempt's lifetime; cross-shard batches,
-  // escalated ops, WithComponentLock and the classic pinned path take it
-  // EXCLUSIVE (for a plain mutex workload the exclusive paths behave
-  // exactly like the old std::mutex protocol).
-  std::vector<RwMutex> component_locks_;
+  // representative relation id, the global acquisition order), ranked
+  // kComponentLock and keyed by that id for the lock-order validator. A
+  // deque, so each Mutex is constructed in place and never moves.
+  std::deque<Mutex> component_locks_;
   std::atomic<uint64_t> next_number_;
 
   // Admitted-but-not-retired ops; the Flush barrier.

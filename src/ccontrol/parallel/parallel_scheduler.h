@@ -20,15 +20,15 @@ namespace youtopia {
 // and cascades still happen deterministically), then escapes re-run
 // escalated — while still owning the worker pool for the scheduler's whole
 // lifetime: consecutive Drains reuse the same threads, plan views, arenas
-// and detectors. ParallelSchedulerOptions and ParallelStats are the
-// pipeline's own types (see ingest_pipeline.h).
+// and detectors. IngestOptions and ParallelStats are the pipeline's own
+// types (see ingest_pipeline.h).
 //
 // Threading contract: Submit may be called from any thread, but must not
 // race Drain; Drain runs on one thread at a time.
 class ParallelScheduler {
  public:
   ParallelScheduler(Database* db, const std::vector<Tgd>* tgds,
-                    ParallelSchedulerOptions options)
+                    IngestOptions options)
       : pipeline_(db, tgds,
                   [&options] {
                     options.cross_admission = CrossAdmission::kOnFlush;

@@ -6,48 +6,34 @@ namespace youtopia {
 
 WorkerPool::WorkerPool(Database* db, const std::vector<Tgd>& tgds,
                        const ShardMap* shards,
-                       std::vector<RwMutex>* component_locks,
+                       std::deque<Mutex>* component_locks,
                        std::atomic<uint64_t>* next_number,
                        WorkerPoolOptions options)
     : db_(db),
       shard_map_(shards),
       component_locks_(component_locks),
       next_number_(next_number),
-      options_(std::move(options)),
-      base_tgds_(tgds) {
+      options_(std::move(options)) {
   CHECK_EQ(component_locks_->size(), shard_map_->num_components());
   CHECK(options_.escape_sink != nullptr);
-  subs_per_shard_ = std::max<size_t>(1, options_.sub_workers);
-  intra_cc_.resize(shard_map_->num_components());
   // One shard lane per shard: the shard map already clamped the shard count
   // to min(requested workers, components).
   const size_t n = shard_map_->num_shards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Shard>(options_.inbox_capacity);
+    auto s = std::make_unique<Shard>(options_.inbox_capacity, tgds);
     s->inbox.SetMetrics(options_.metrics, obs::Gauge::kInboxDepth);
-    s->subs.reserve(subs_per_shard_);
-    for (size_t j = 0; j < subs_per_shard_; ++j) {
-      auto w = std::make_unique<SubWorker>(tgds);
-      const size_t agent_idx = i * subs_per_shard_ + j;
-      w->agent = options_.agent_factory
-                     ? options_.agent_factory(agent_idx)
-                     : std::make_unique<RandomAgent>(
-                           options_.agent_seed +
-                           0x9e3779b97f4a7c15ULL * (agent_idx + 1));
-      s->subs.push_back(std::move(w));
-    }
+    s->worker.agent = options_.agent_factory
+                          ? options_.agent_factory(i)
+                          : std::make_unique<RandomAgent>(
+                                options_.agent_seed +
+                                0x9e3779b97f4a7c15ULL * (i + 1));
     shards_.push_back(std::move(s));
   }
-  // Threads start only after the full structure is built: a sub-worker
-  // never touches another sub-worker's state, but the loop does take
-  // `this`.
+  // Threads start only after the full structure is built: a worker never
+  // touches another worker's state, but the loop does take `this`.
   for (auto& s : shards_) {
-    for (size_t j = 0; j < s->subs.size(); ++j) {
-      s->subs[j]->thread = std::thread(&WorkerPool::WorkerLoop, this, s.get(),
-                                       s->subs[j].get(),
-                                       static_cast<uint32_t>(j));
-    }
+    s->worker.thread = std::thread(&WorkerPool::WorkerLoop, this, s.get());
   }
 }
 
@@ -56,9 +42,7 @@ WorkerPool::~WorkerPool() { Shutdown(); }
 void WorkerPool::Shutdown() {
   for (auto& s : shards_) s->inbox.Close();
   for (auto& s : shards_) {
-    for (auto& w : s->subs) {
-      if (w->thread.joinable()) w->thread.join();
-    }
+    if (s->worker.thread.joinable()) s->worker.thread.join();
   }
 }
 
@@ -72,7 +56,7 @@ QueuePush WorkerPool::Submit(
   // retracts it.
   pending_.fetch_add(1, std::memory_order_acq_rel);
   const QueuePush result = shards_[shard]->inbox.Push(
-      PinnedItem{std::move(op), 0, obs::MonotonicNs()}, deadline);
+      PinnedItem{std::move(op), obs::MonotonicNs()}, deadline);
   if (result != QueuePush::kOk) {
     pending_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -107,7 +91,8 @@ void WorkerPool::Retire(bool retired) {
   if (retired && options_.on_op_retired) options_.on_op_retired();
 }
 
-void WorkerPool::WorkerLoop(Shard* s, SubWorker* w, uint32_t sub_slot) {
+void WorkerPool::WorkerLoop(Shard* s) {
+  Worker* w = &s->worker;
   PinnedItem item;
   while (s->inbox.WaitPop(&item)) {
     if (options_.metrics != nullptr && item.enqueue_ns != 0) {
@@ -115,276 +100,34 @@ void WorkerPool::WorkerLoop(Shard* s, SubWorker* w, uint32_t sub_slot) {
                                       obs::MonotonicNs() - item.enqueue_ns);
     }
     obs::TraceSpan op_span(obs::TraceName::kOp);
-    if (subs_per_shard_ > 1) {
-      // Intra-shard optimistic mode: retire accounting is per logical op,
-      // not per pop (an op parked in the commit sequencer retires when it
-      // commits; a doomed parked op cycles back through this inbox without
-      // ever double-retiring). RunOptimistic owns all of it.
-      RunOptimistic(w, sub_slot, std::move(item));
-    } else {
-      ++w->stats.updates_submitted;
-      const Attempt out = RunExclusive(w, sub_slot, std::move(item.op),
-                                       /*cc=*/nullptr, item.enqueue_ns);
-      Retire(out != Attempt::kEscaped);
-    }
+    ++w->stats.updates_submitted;
+    const Outcome out = RunExclusive(w, std::move(item.op), item.enqueue_ns);
+    Retire(out != Outcome::kEscaped);
     op_span.End();
     w->cur_number.store(0, std::memory_order_relaxed);
     w->cur_phase.store(WorkerPhase::kIdle, std::memory_order_relaxed);
   }
 }
 
-IntraComponentCc* WorkerPool::GetIntraCc(uint32_t component) {
-  MutexLock lock(intra_mu_);
-  auto& slot = intra_cc_[component];
-  if (slot == nullptr) {
-    IntraCcOptions copts;
-    copts.tracker = options_.intra_tracker;
-    copts.num_subs = subs_per_shard_;
-    copts.component_lock = &(*component_locks_)[component];
-    Shard* home = shards_[shard_map_->ShardOfComponent(component)].get();
-    // Doomed parked victims bounce back through the owning shard's inbox;
-    // the ForcePush lane because the caller holds component + latch + cc
-    // locks (see BoundedMpscQueue).
-    copts.requeue = [home](WriteOp op, uint32_t attempts) {
-      home->inbox.ForcePush(
-          PinnedItem{std::move(op), attempts, obs::MonotonicNs()});
-    };
-    copts.on_commit = [this] { Retire(true); };
-    copts.metrics = options_.metrics;
-    slot = std::make_unique<IntraComponentCc>(db_, base_tgds_,
-                                              std::move(copts));
-  }
-  return slot.get();
-}
-
-void WorkerPool::RunOptimistic(SubWorker* w, uint32_t sub_slot,
-                               PinnedItem item) {
-  const uint32_t component = shard_map_->ComponentOf(item.op.rel);
-  IntraComponentCc* cc = GetIntraCc(component);
-  if (item.attempts == 0) {
-    ++w->stats.updates_submitted;
-  } else {
-    // A doomed parked victim re-entering through the inbox: this pop IS its
-    // redo (the abort was already counted by the cc that doomed it).
-    ++w->intra_redos;
-  }
-
-  uint32_t attempts = item.attempts;
-  for (;;) {
-    if (attempts >= options_.escalate_after) {
-      // Optimism spent: run under the exclusive component lock, where
-      // nothing can doom the op. CommitEscalated retires a commit through
-      // the shared on_commit path; the other outcomes retire here.
-      ++w->intra_escalations;
-      obs::TraceInstant(obs::TraceName::kEscalate, attempts);
-      const Attempt out =
-          RunExclusive(w, sub_slot, item.op, cc, item.enqueue_ns);
-      if (out == Attempt::kFailed) Retire(true);
-      if (out == Attempt::kEscaped) Retire(false);
-      return;
-    }
-    if (attempts >= options_.max_attempts_per_update) {
-      // Only reachable when escalate_after > max_attempts_per_update.
-      ++w->stats.updates_failed;
-      Retire(true);
-      return;
-    }
-    const Attempt out = RunOptimisticAttempt(w, sub_slot, component, cc,
-                                             item.op, attempts,
-                                             item.enqueue_ns);
-    switch (out) {
-      case Attempt::kFinished:
-        return;  // parked or committed; retires through the sequencer
-      case Attempt::kFailed:
-        ++w->stats.updates_failed;
-        Retire(true);
-        return;
-      case Attempt::kEscaped:
-        // Mirror the classic path: the cross-shard engine re-counts the
-        // submission; the sink must not block (ForcePush lane) — unlike
-        // the classic path, no component lock is held here anymore.
-        --w->stats.updates_submitted;
-        ++w->stats.escaped_updates;
-        obs::TraceInstant(obs::TraceName::kEscape);
-        options_.escape_sink(item.op);
-        Retire(false);
-        return;
-      case Attempt::kDoomed:
-        ++attempts;
-        ++w->intra_redos;
-        obs::TraceInstant(obs::TraceName::kRedo, attempts);
-        break;  // redo locally under a fresh number
-    }
-  }
-}
-
-WorkerPool::Attempt WorkerPool::RunOptimisticAttempt(
-    SubWorker* w, uint32_t sub_slot, uint32_t component, IntraComponentCc* cc,
-    const WriteOp& op, uint32_t attempts, uint64_t enqueue_ns) {
-  // Shared for the whole attempt: an exclusive acquirer (cross-shard batch,
-  // escalated op, facade maintenance) therefore implies no attempt is in
-  // flight and — via the commit sequencer's floor — the component is fully
-  // committed. Writer priority in RwMutex bounds how long they wait.
-  // Acquired through the cc's accessor so the thread-safety analysis can
-  // match the hold against the REQUIRES_SHARED contracts below.
-  obs::ScopedLatency chase_latency(options_.metrics, obs::Stage::kChase);
-  obs::TraceSpan chase_span(obs::TraceName::kChase);
-  SharedLock comp_lock(cc->component_lock());
-  const uint64_t number = cc->Begin(next_number_);
-  chase_span.set_arg(number);
-  w->cur_number.store(number, std::memory_order_relaxed);
-
-  UpdateOptions uopts;
-  uopts.max_steps = options_.max_steps_per_update;
-  uopts.scratch_arena = &w->arena;
-  uopts.detector = &w->detector;
-  // Admission at COMPONENT granularity, as on the classic path.
-  uopts.allowed_relations = &shard_map_->ComponentRelations(component);
-  uopts.log_reads = true;  // the CC machinery consumes them on this path
-  uopts.replan_poller = &w->poller;
-  Update u(number, op, &w->tgds, uopts);
-
-  while (!u.finished()) {
-    StepResult res;
-    size_t registered = 0;
-    bool doomed = false;
-    bool cont = false;
-
-    // Phase 1 (storage shared): frontier processing.
-    w->cur_phase.store(WorkerPhase::kPrepare, std::memory_order_relaxed);
-    {
-      SharedLock latch_lock(cc->storage_latch());
-      if (cc->Doomed(number)) {
-        doomed = true;
-      } else {
-        cont = u.StepPrepare(db_, w->agent.get(), &res);
-        ++w->stats.total_steps;
-        if (cont) {
-          w->stats.read_queries +=
-              cc->RegisterReads(number, &res.reads, &registered);
-        }
-      }
-    }
-    if (doomed) {
-      cc->AbandonDoomed(number);
-      return Attempt::kDoomed;
-    }
-    if (!cont) break;  // step cap fired; the update is final
-
-    // Phase 2 (storage exclusive): apply the pending writes, probe them
-    // against the logged reads of higher-numbered updates.
-    w->cur_phase.store(WorkerPhase::kApply, std::memory_order_relaxed);
-    {
-      ExclusiveLock latch_lock(cc->storage_latch());
-      if (cc->Doomed(number)) {
-        doomed = true;
-      } else {
-        u.StepApply(db_, &res);
-        w->stats.physical_writes += res.writes.size();
-        if (u.escaped()) {
-          cc->SurrenderEscape(number);
-          return Attempt::kEscaped;
-        }
-        cc->OnWrites(number, res.writes);
-        w->stats.read_queries +=
-            cc->RegisterReads(number, &res.reads, &registered);
-      }
-    }
-    if (doomed) {
-      cc->AbandonDoomed(number);
-      return Attempt::kDoomed;
-    }
-
-    // Phase 3 (storage shared): violation detection, next violation.
-    w->cur_phase.store(WorkerPhase::kFinish, std::memory_order_relaxed);
-    {
-      SharedLock latch_lock(cc->storage_latch());
-      if (cc->Doomed(number)) {
-        doomed = true;
-      } else {
-        u.StepFinish(db_, &res);
-        w->stats.read_queries +=
-            cc->RegisterReads(number, &res.reads, &registered);
-      }
-    }
-    if (doomed) {
-      cc->AbandonDoomed(number);
-      return Attempt::kDoomed;
-    }
-  }
-
-  if (u.hit_step_cap()) {
-    return cc->FinishFailed(number) ? Attempt::kFailed : Attempt::kDoomed;
-  }
-  return cc->FinishOk(number, u.initial_op(), sub_slot, attempts,
-                      u.frontier_ops_performed(), enqueue_ns)
-             ? Attempt::kFinished
-             : Attempt::kDoomed;
-}
-
-WorkerPool::Attempt WorkerPool::RunExclusive(SubWorker* w, uint32_t sub_slot,
-                                             WriteOp op, IntraComponentCc* cc,
+WorkerPool::Outcome WorkerPool::RunExclusive(Worker* w, WriteOp op,
                                              uint64_t enqueue_ns) {
   // Footprint lock: an insert/delete chase stays within one component, so
   // the protocol degenerates to a single uncontended mutex unless a
-  // cross-shard admission — or, under the intra-shard mode, a sibling
-  // sub-worker's shared hold — currently covers this component. The number
-  // is claimed under the lock: execution order within a component is then
+  // cross-shard admission currently covers this component. The number is
+  // claimed under the lock: execution order within a component is then
   // number order, which makes the run serializable with every overlapping
   // cross-shard batch (MVTO visibility sees exactly the writes of
-  // lower-numbered, already-finished updates).
+  // lower-numbered, already-finished updates). The chase stage starts
+  // before the lock, so a wait behind a cross batch counts as chase time.
   const uint32_t component = shard_map_->ComponentOf(op.rel);
   obs::ScopedLatency chase_latency(options_.metrics, obs::Stage::kChase);
   obs::TraceSpan chase_span(obs::TraceName::kChase);
   w->cur_phase.store(WorkerPhase::kExclusive, std::memory_order_relaxed);
-  if (cc != nullptr) {
-    // Escalated intra-shard op: same lock object, but acquired through the
-    // cc's accessor so the analysis can check the quiescence and commit
-    // contracts against the exclusive hold.
-    ExclusiveLock lock(cc->component_lock());
-    // Exclusivity implies intra quiescence: every optimistic attempt holds
-    // the lock shared for its lifetime and the sequencer flushed on the
-    // last terminal transition.
-    cc->AssertQuiescent();
-    const uint64_t number =
-        next_number_->fetch_add(1, std::memory_order_relaxed);
-    chase_span.set_arg(number);
-    w->cur_number.store(number, std::memory_order_relaxed);
-    ZeroCcRun run = ChaseZeroCc(w, component, number, std::move(op));
-    if (run.attempt == Attempt::kFinished) {
-      cc->CommitEscalated(number, std::move(run.initial), sub_slot,
-                          run.frontier_ops);
-      if (options_.metrics != nullptr && enqueue_ns != 0) {
-        options_.metrics->RecordLatency(obs::Stage::kCommit,
-                                        obs::MonotonicNs() - enqueue_ns);
-      }
-    }
-    return run.attempt;
-  }
-  ExclusiveLock lock((*component_locks_)[component]);
+  MutexLock lock((*component_locks_)[component]);
   const uint64_t number = next_number_->fetch_add(1, std::memory_order_relaxed);
   chase_span.set_arg(number);
   w->cur_number.store(number, std::memory_order_relaxed);
-  ZeroCcRun run = ChaseZeroCc(w, component, number, std::move(op));
-  if (run.attempt == Attempt::kFinished) {
-    ++w->stats.updates_completed;
-    ++w->pinned;
-    w->stats.frontier_ops += run.frontier_ops;
-    w->committed.push_back({number, std::move(run.initial)});
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add(obs::Counter::kCommits);
-      if (enqueue_ns != 0) {
-        options_.metrics->RecordLatency(obs::Stage::kCommit,
-                                        obs::MonotonicNs() - enqueue_ns);
-      }
-    }
-    obs::TraceCommit(number);
-  }
-  return run.attempt;
-}
 
-WorkerPool::ZeroCcRun WorkerPool::ChaseZeroCc(SubWorker* w, uint32_t component,
-                                              uint64_t number, WriteOp op) {
   UpdateOptions uopts;
   uopts.max_steps = options_.max_steps_per_update;
   uopts.scratch_arena = &w->arena;
@@ -423,76 +166,37 @@ WorkerPool::ZeroCcRun WorkerPool::ChaseZeroCc(SubWorker* w, uint32_t component,
     ++w->stats.escaped_updates;
     obs::TraceInstant(obs::TraceName::kEscape, number);
     options_.escape_sink(u.initial_op());
-    return {Attempt::kEscaped, 0, WriteOp{}};
+    return Outcome::kEscaped;
   }
   if (u.hit_step_cap()) {
     ++w->stats.updates_failed;
-    return {Attempt::kFailed, 0, WriteOp{}};
+    return Outcome::kFailed;
   }
-  return {Attempt::kFinished, u.frontier_ops_performed(), u.initial_op()};
-}
-
-std::vector<IntraComponentCc*> WorkerPool::IntraCcSnapshot() const {
-  MutexLock lock(intra_mu_);
-  std::vector<IntraComponentCc*> out;
-  out.reserve(intra_cc_.size());
-  for (const auto& cc : intra_cc_) out.push_back(cc.get());
-  return out;
+  ++w->stats.updates_completed;
+  w->stats.frontier_ops += u.frontier_ops_performed();
+  w->committed.push_back({number, u.initial_op()});
+  if (options_.metrics != nullptr) {
+    options_.metrics->Add(obs::Counter::kCommits);
+    if (enqueue_ns != 0) {
+      options_.metrics->RecordLatency(obs::Stage::kCommit,
+                                      obs::MonotonicNs() - enqueue_ns);
+    }
+  }
+  obs::TraceCommit(number);
+  return Outcome::kCommitted;
 }
 
 SchedulerStats WorkerPool::MergedStats() const {
   SchedulerStats out;
-  for (const auto& s : shards_) {
-    for (const auto& w : s->subs) out.Merge(w->stats);
-  }
-  for (IntraComponentCc* cc : IntraCcSnapshot()) {
-    if (cc != nullptr) out.Merge(cc->StatsSnapshot());
-  }
+  for (const auto& s : shards_) out.Merge(s->worker.stats);
   return out;
-}
-
-uint64_t WorkerPool::pinned_updates() const {
-  uint64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const auto& w : s->subs) n += w->pinned;
-  }
-  for (IntraComponentCc* cc : IntraCcSnapshot()) {
-    if (cc == nullptr) continue;
-    for (uint64_t c : cc->SubCommitted()) n += c;
-  }
-  return n;
 }
 
 std::vector<uint64_t> WorkerPool::PinnedPerShard() const {
-  std::vector<uint64_t> out(shards_.size(), 0);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    for (const auto& w : shards_[i]->subs) out[i] += w->pinned;
-  }
-  const std::vector<IntraComponentCc*> ccs = IntraCcSnapshot();
-  for (size_t c = 0; c < ccs.size(); ++c) {
-    if (ccs[c] == nullptr) continue;
-    uint64_t n = 0;
-    for (uint64_t k : ccs[c]->SubCommitted()) n += k;
-    out[shard_map_->ShardOfComponent(static_cast<uint32_t>(c))] += n;
-  }
-  return out;
-}
-
-std::vector<uint64_t> WorkerPool::PinnedPerSub() const {
-  std::vector<uint64_t> out(shards_.size() * subs_per_shard_, 0);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    for (size_t j = 0; j < shards_[i]->subs.size(); ++j) {
-      out[i * subs_per_shard_ + j] += shards_[i]->subs[j]->pinned;
-    }
-  }
-  const std::vector<IntraComponentCc*> ccs = IntraCcSnapshot();
-  for (size_t c = 0; c < ccs.size(); ++c) {
-    if (ccs[c] == nullptr) continue;
-    const size_t shard = shard_map_->ShardOfComponent(static_cast<uint32_t>(c));
-    const std::vector<uint64_t> per_sub = ccs[c]->SubCommitted();
-    for (size_t j = 0; j < per_sub.size() && j < subs_per_shard_; ++j) {
-      out[shard * subs_per_shard_ + j] += per_sub[j];
-    }
+  std::vector<uint64_t> out;
+  out.reserve(shards_.size());
+  for (const auto& s : shards_) {
+    out.push_back(s->worker.stats.updates_completed);
   }
   return out;
 }
@@ -501,40 +205,12 @@ std::vector<std::pair<uint64_t, WriteOp>> WorkerPool::CommittedOpsWithNumbers()
     const {
   std::vector<std::pair<uint64_t, WriteOp>> out;
   for (const auto& s : shards_) {
-    for (const auto& w : s->subs) {
-      out.insert(out.end(), w->committed.begin(), w->committed.end());
-    }
-  }
-  for (IntraComponentCc* cc : IntraCcSnapshot()) {
-    if (cc != nullptr) cc->AppendCommitted(&out);
+    out.insert(out.end(), s->worker.committed.begin(),
+               s->worker.committed.end());
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
-}
-
-uint64_t WorkerPool::IntraAborts() const {
-  uint64_t n = 0;
-  for (IntraComponentCc* cc : IntraCcSnapshot()) {
-    if (cc != nullptr) n += cc->aborts();
-  }
-  return n;
-}
-
-uint64_t WorkerPool::IntraRedos() const {
-  uint64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const auto& w : s->subs) n += w->intra_redos;
-  }
-  return n;
-}
-
-uint64_t WorkerPool::IntraEscalations() const {
-  uint64_t n = 0;
-  for (const auto& s : shards_) {
-    for (const auto& w : s->subs) n += w->intra_escalations;
-  }
-  return n;
 }
 
 size_t WorkerPool::InboxHighWatermark() const {
@@ -554,15 +230,12 @@ double WorkerPool::AdmissionStallSeconds() const {
 std::vector<WorkerPool::WorkerPhaseInfo> WorkerPool::PhaseSnapshot() const {
   std::vector<WorkerPhaseInfo> out;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    for (size_t j = 0; j < shards_[i]->subs.size(); ++j) {
-      const SubWorker& w = *shards_[i]->subs[j];
-      WorkerPhaseInfo info;
-      info.shard = static_cast<uint32_t>(i);
-      info.sub = static_cast<uint32_t>(j);
-      info.number = w.cur_number.load(std::memory_order_relaxed);
-      info.phase = w.cur_phase.load(std::memory_order_relaxed);
-      out.push_back(info);
-    }
+    const Worker& w = shards_[i]->worker;
+    WorkerPhaseInfo info;
+    info.shard = static_cast<uint32_t>(i);
+    info.number = w.cur_number.load(std::memory_order_relaxed);
+    info.phase = w.cur_phase.load(std::memory_order_relaxed);
+    out.push_back(info);
   }
   return out;
 }
@@ -579,25 +252,9 @@ std::vector<WorkerPool::InboxInfo> WorkerPool::InboxSnapshot() const {
   return out;
 }
 
-std::vector<std::pair<uint32_t, std::vector<uint64_t>>>
-WorkerPool::ParkedSnapshot() const {
-  std::vector<std::pair<uint32_t, std::vector<uint64_t>>> out;
-  const std::vector<IntraComponentCc*> ccs = IntraCcSnapshot();
-  for (size_t c = 0; c < ccs.size(); ++c) {
-    if (ccs[c] == nullptr) continue;
-    std::vector<uint64_t> parked = ccs[c]->ParkedNumbers();
-    if (!parked.empty()) {
-      out.emplace_back(static_cast<uint32_t>(c), std::move(parked));
-    }
-  }
-  return out;
-}
-
 std::vector<std::thread::id> WorkerPool::ThreadIds() const {
   std::vector<std::thread::id> ids;
-  for (const auto& s : shards_) {
-    for (const auto& w : s->subs) ids.push_back(w->thread.get_id());
-  }
+  for (const auto& s : shards_) ids.push_back(s->worker.thread.get_id());
   return ids;
 }
 

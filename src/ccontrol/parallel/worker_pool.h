@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -12,38 +13,39 @@
 #include <vector>
 
 #include "ccontrol/parallel/bounded_mpsc_queue.h"
-#include "ccontrol/parallel/intra_shard.h"
-#include "ccontrol/parallel/rw_mutex.h"
 #include "ccontrol/parallel/shard_map.h"
 #include "ccontrol/scheduler.h"
 #include "core/agent.h"
 #include "core/update.h"
 #include "core/violation_detector.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
 #include "util/arena.h"
 #include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace youtopia {
 
-// Watchdog-visible execution phase of a sub-worker, published with relaxed
+// One shard-inbox entry: a pinned operation plus its inbox-entry timestamp
+// (MonotonicNs), the start of both its inbox-wait and its whole-op commit
+// latency.
+struct PinnedItem {
+  WriteOp op;
+  uint64_t enqueue_ns = 0;
+};
+
+// Watchdog-visible execution phase of a worker, published with relaxed
 // atomics on every transition (cheap enough for the hot path; the reader
 // is a diagnostic dump that tolerates tearing across workers).
 enum class WorkerPhase : uint8_t {
   kIdle = 0,   // parked on the inbox
-  kPrepare,    // optimistic phase 1: frontier processing (storage shared)
-  kApply,      // optimistic phase 2: apply + probe (storage exclusive)
-  kFinish,     // optimistic phase 3: violation detection (storage shared)
   kExclusive,  // zero-CC chase under the exclusive component lock
 };
 
 inline const char* WorkerPhaseName(WorkerPhase p) {
   switch (p) {
     case WorkerPhase::kIdle: return "idle";
-    case WorkerPhase::kPrepare: return "prepare";
-    case WorkerPhase::kApply: return "apply";
-    case WorkerPhase::kFinish: return "finish";
     case WorkerPhase::kExclusive: return "exclusive";
   }
   return "?";
@@ -53,35 +55,14 @@ struct WorkerPoolOptions {
   // Upper bound on shard lanes; the pool creates one lane per shard (at
   // most num_components, see ShardMap).
   size_t num_workers = 2;
-  // Sub-workers per shard. 1 = the classic pinned mode: one thread per
-  // shard, zero concurrency control under the exclusive component lock.
-  // K > 1 = the intra-shard optimistic mode: K threads drain each shard
-  // inbox concurrently, with full read-log/conflict-probe/dependency-
-  // tracker CC per component (see IntraComponentCc) and abort/redo as the
-  // backstop.
-  size_t sub_workers = 1;
-  // Intra-shard mode: optimistic attempts an op burns before it gives up
-  // and escalates to the exclusive component lock (where it runs zero-CC,
-  // like the classic pinned mode). 0 escalates immediately — every op runs
-  // under the exclusive lock, which serializes the shard again (useful as a
-  // deterministic test mode, useless for throughput).
-  size_t escalate_after = 4;
-  // Intra-shard livelock guard for pathological configs where
-  // escalate_after is set above it: an op doomed this many times without
-  // escalating is written off as failed.
-  size_t max_attempts_per_update = 256;
-  // Cascading-abort algorithm for the intra-shard mode (kPrecise is
-  // clamped to kCoarse, see IntraCcOptions).
-  TrackerKind intra_tracker = TrackerKind::kCoarse;
   size_t max_steps_per_update = 1u << 20;
   // Credit capacity of each shard inbox. A full inbox is the backpressure
   // signal: Submit blocks (or fast-fails) until the owning worker frees a
   // slot. Per-inbox, so one hot shard cannot starve admission to the rest.
   size_t inbox_capacity = 1024;
-  // Per-sub-worker simulated user: agent_factory(shard * sub_workers + sub)
-  // when supplied, else a RandomAgent derived from agent_seed and that
-  // index. Agents with per-call state (RandomAgent's RNG) must never be
-  // shared across threads.
+  // Per-worker simulated user: agent_factory(shard) when supplied, else a
+  // RandomAgent derived from agent_seed and the shard index. Agents with
+  // per-call state (RandomAgent's RNG) must never be shared across threads.
   uint64_t agent_seed = 42;
   std::function<std::unique_ptr<FrontierAgent>(size_t)> agent_factory;
   // Sink for surrendered escape ops. Invoked on the worker thread while the
@@ -90,18 +71,16 @@ struct WorkerPoolOptions {
   std::function<void(WriteOp)> escape_sink;
   // Invoked once per inbox op that retires on the pinned path — committed
   // or failed, NOT escaped (an escaped op stays logically in flight; the
-  // escape_sink carries it on). In the intra-shard mode a parked op retires
-  // at commit time, possibly from another sub-worker's thread and under the
-  // component's shared lock — the callback must not block. Optional.
+  // escape_sink carries it on). Runs on the worker thread after the
+  // component lock is released. Optional.
   std::function<void()> on_op_retired;
-  // Optional metrics sink threaded through the inboxes, component locks
-  // and intra-shard cc instances (inbox-wait/chase/commit histograms,
-  // doom-cause counters, depth gauges).
+  // Optional metrics sink threaded through the inboxes and workers
+  // (inbox-wait/chase/commit histograms, commit counter, depth gauges).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// The pinned execution engine of the sharded parallel chase: long-lived
-// threads per shard, each owning everything its hot path touches —
+// The pinned execution engine of the sharded parallel chase: one long-lived
+// thread per shard, owning everything its hot path touches —
 //   * a private copy of the tgd vector (the thread's *plan view*: adaptive
 //     re-planning swaps plans on the copy, never on a structure another
 //     thread reads; the copy is made once, at pool construction, and the
@@ -111,34 +90,24 @@ struct WorkerPoolOptions {
 //     pair amortizes across every update the thread runs, and
 //   * a FrontierAgent.
 // Each shard owns one bounded inbox (BoundedMpscQueue) the submission
-// threads route work into; its sub-workers park on it between ops instead
-// of exiting.
+// threads route work into; its worker parks on it between ops instead of
+// exiting.
 //
-// With sub_workers == 1 a shard's single thread drains the inbox one update
-// at a time: it takes the update's component lock exclusively, claims a
-// fresh global priority number, and runs the chase with concurrency control
-// switched off — serial execution per component plus disjointness across
-// components makes the run trivially serializable in number order.
+// A shard's worker drains the inbox one update at a time: it takes the
+// update's component lock, claims a fresh global priority number, and runs
+// the chase with concurrency control switched off — serial execution per
+// component plus disjointness across components makes the run trivially
+// serializable in number order.
 //
-// With sub_workers == K > 1 — the intra-shard optimistic mode, built for
-// the one-hot-component workload where sharding cannot help — K threads run
-// the shard's ops concurrently under the component lock held SHARED, with
-// the full optimistic protocol (read logging on, conflict probes, cascading
-// aborts, per-component commit sequencer) supplied by IntraComponentCc; see
-// there for the locking and commit-order arguments. Repeated dooms escalate
-// an op to the exclusive component lock, which degenerates to the classic
-// pinned mode for that op.
-//
-// Admission is scoped to the op's component either way: an update whose
-// chase would leave it (a unification replacing a cross-component null —
-// even one whose other occurrences live in a sibling component of the same
-// shard) is undone via its tracked writes and surrendered through the
-// escape sink for the cross-shard engine to re-run under the wider lock
-// set.
+// Admission is scoped to the op's component: an update whose chase would
+// leave it (a unification replacing a cross-component null — even one
+// whose other occurrences live in a sibling component of the same shard) is
+// undone via its tracked writes and surrendered through the escape sink for
+// the cross-shard engine to re-run under the wider lock set.
 class WorkerPool {
  public:
   WorkerPool(Database* db, const std::vector<Tgd>& tgds,
-             const ShardMap* shards, std::vector<RwMutex>* component_locks,
+             const ShardMap* shards, std::deque<Mutex>* component_locks,
              std::atomic<uint64_t>* next_number, WorkerPoolOptions options);
 
   WorkerPool(const WorkerPool&) = delete;
@@ -155,7 +124,6 @@ class WorkerPool {
   void Shutdown();
 
   size_t num_workers() const { return shards_.size(); }
-  size_t sub_workers_per_shard() const { return subs_per_shard_; }
 
   // Routes `op` (an insert or delete; null replacements are cross-shard by
   // definition) to the shard owning its relation, blocking on a full inbox
@@ -182,20 +150,11 @@ class WorkerPool {
 
   // The following aggregate across workers; call only while idle.
   SchedulerStats MergedStats() const;
-  uint64_t pinned_updates() const;
   // Per-shard completed pinned counts (throughput attribution).
   std::vector<uint64_t> PinnedPerShard() const;
-  // Per-sub-worker completed pinned counts, flattened shard-major (shard 0
-  // subs first). Equals PinnedPerShard() reshaped when sub_workers == 1.
-  std::vector<uint64_t> PinnedPerSub() const;
   // Committed (number, initial op) pairs of every worker, globally sorted
   // by number — the pinned half of the run's serialization order.
   std::vector<std::pair<uint64_t, WriteOp>> CommittedOpsWithNumbers() const;
-
-  // Intra-shard mode counters (zero when sub_workers == 1).
-  uint64_t IntraAborts() const;       // ops doomed by a conflict probe
-  uint64_t IntraRedos() const;        // optimistic re-executions after a doom
-  uint64_t IntraEscalations() const;  // ops that fell back to the excl. lock
 
   // Observability of the bounded inboxes; safe to call any time.
   size_t InboxHighWatermark() const;   // max depth any shard inbox reached
@@ -205,8 +164,7 @@ class WorkerPool {
 
   struct WorkerPhaseInfo {
     uint32_t shard = 0;
-    uint32_t sub = 0;
-    uint64_t number = 0;  // op number of the current attempt (0 = none)
+    uint64_t number = 0;  // number of the op in flight (0 = none)
     WorkerPhase phase = WorkerPhase::kIdle;
   };
   std::vector<WorkerPhaseInfo> PhaseSnapshot() const;
@@ -218,35 +176,25 @@ class WorkerPool {
   };
   std::vector<InboxInfo> InboxSnapshot() const;
 
-  // (component, parked numbers) for every component whose commit sequencer
-  // currently holds parked ops.
-  std::vector<std::pair<uint32_t, std::vector<uint64_t>>> ParkedSnapshot()
-      const;
-
   // Stable for the pool's lifetime — the regression axis for "Flush must
   // not recreate threads".
   std::vector<std::thread::id> ThreadIds() const;
 
  private:
-  // Per-thread execution state. One per shard classically; one per
-  // sub-worker in the intra-shard mode.
-  struct SubWorker {
-    explicit SubWorker(const std::vector<Tgd>& base_tgds)
+  // Per-thread execution state, one per shard.
+  struct Worker {
+    explicit Worker(const std::vector<Tgd>& base_tgds)
         : tgds(base_tgds), detector(&tgds, &arena) {}
 
     std::vector<Tgd> tgds;  // private plan view (copies share compiled
-                            // plans until this sub-worker replans)
+                            // plans until this worker replans)
     Arena arena;
     ViolationDetector detector;
     std::unique_ptr<FrontierAgent> agent;
     ReplanPoller poller;  // thread-persistent staleness watermark
 
     SchedulerStats stats;
-    uint64_t pinned = 0;  // commits on the zero-CC paths (K=1 / escalated
-                          // commits are attributed through the cc instead)
-    uint64_t intra_redos = 0;
-    uint64_t intra_escalations = 0;
-    std::vector<std::pair<uint64_t, WriteOp>> committed;  // zero-CC K=1 path
+    std::vector<std::pair<uint64_t, WriteOp>> committed;
     std::vector<std::pair<RelationId, RowId>> undo_scratch;
 
     // Watchdog-visible current work, published relaxed on transitions.
@@ -257,76 +205,33 @@ class WorkerPool {
   };
 
   struct Shard {
-    explicit Shard(size_t capacity) : inbox(capacity) {}
+    Shard(size_t capacity, const std::vector<Tgd>& tgds)
+        : inbox(capacity), worker(tgds) {}
     BoundedMpscQueue<PinnedItem> inbox;
-    std::vector<std::unique_ptr<SubWorker>> subs;
+    Worker worker;
   };
 
-  // Terminal state of one execution attempt.
-  enum class Attempt { kFinished, kFailed, kEscaped, kDoomed };
+  // Terminal state of one pinned op.
+  enum class Outcome { kCommitted, kFailed, kEscaped };
 
-  // The chase half of an exclusive (zero-CC) run. `initial` is only
-  // meaningful for kFinished — escapes route their op through the sink and
-  // failures leave their writes in place, both inside ChaseZeroCc.
-  struct ZeroCcRun {
-    Attempt attempt = Attempt::kFinished;
-    uint64_t frontier_ops = 0;
-    WriteOp initial;
-  };
-
-  void WorkerLoop(Shard* s, SubWorker* w, uint32_t sub_slot);
-  // Zero-CC execution under the exclusive component lock: the classic
-  // pinned path (cc == nullptr; commits into the sub-worker) and the
-  // escalated intra-shard path (cc != nullptr; commits through the cc).
-  // Never returns kDoomed (nothing can doom an exclusive holder).
-  // `enqueue_ns` is the op's inbox-entry stamp (0 = unknown) — the start
-  // of its whole-op commit latency.
-  Attempt RunExclusive(SubWorker* w, uint32_t sub_slot, WriteOp op,
-                       IntraComponentCc* cc, uint64_t enqueue_ns);
-  // Runs one chase to a terminal state with concurrency control off.
-  // Caller holds the op's component lock exclusively (the two RunExclusive
-  // branches acquire it through expressions the thread-safety analysis can
-  // check against their respective commit calls).
-  ZeroCcRun ChaseZeroCc(SubWorker* w, uint32_t component, uint64_t number,
-                        WriteOp op);
-  // Optimistic intra-shard execution: runs `item` to a terminal state,
-  // redoing locally on dooms and escalating after repeated ones. Handles
-  // its own retire accounting (commits retire via the cc's sequencer).
-  void RunOptimistic(SubWorker* w, uint32_t sub_slot, PinnedItem item);
-  // One optimistic attempt under the shared component lock.
-  Attempt RunOptimisticAttempt(SubWorker* w, uint32_t sub_slot,
-                               uint32_t component, IntraComponentCc* cc,
-                               const WriteOp& op, uint32_t attempts,
-                               uint64_t enqueue_ns);
-  IntraComponentCc* GetIntraCc(uint32_t component);
-  // Copies the per-component cc pointers out from under intra_mu_ (null
-  // where no intra traffic ever arrived). The aggregation methods iterate
-  // the copy with the registry lock RELEASED: the cc methods they call
-  // take the rank-2 cc mutex, which must never nest inside the rank-3
-  // registry leaf (the lock-order validator enforces this). Safe because
-  // entries are never destroyed before shutdown.
-  std::vector<IntraComponentCc*> IntraCcSnapshot() const;
+  void WorkerLoop(Shard* s);
+  // Runs `op` to a terminal state under its component lock with
+  // concurrency control off: commits are recorded, escapes are undone and
+  // routed through the sink, step-cap failures leave their writes in
+  // place. `enqueue_ns` is the op's inbox-entry stamp (0 = unknown) — the
+  // start of its whole-op commit latency.
+  Outcome RunExclusive(Worker* w, WriteOp op, uint64_t enqueue_ns);
   // Publishes one processed op to the idle/processed barriers; fires
   // on_op_retired when `retired`.
   void Retire(bool retired);
 
   Database* db_;
   const ShardMap* shard_map_;
-  std::vector<RwMutex>* component_locks_;
+  std::deque<Mutex>* component_locks_;
   std::atomic<uint64_t>* next_number_;
   WorkerPoolOptions options_;
-  size_t subs_per_shard_ = 1;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Intra-shard CC contexts, created lazily per component on first use (the
-  // mode targets the one-big-component regime; most components of a wide
-  // map never see intra traffic). Entries are never destroyed before
-  // shutdown; base_tgds_ is the stable copy they are built from.
-  std::vector<Tgd> base_tgds_;
-  mutable Mutex intra_mu_{LockRank::kLeaf};
-  std::vector<std::unique_ptr<IntraComponentCc>> intra_cc_
-      GUARDED_BY(intra_mu_);
 
   // Updates submitted but not yet fully processed; the idle barrier.
   std::atomic<size_t> pending_{0};

@@ -26,10 +26,9 @@ namespace youtopia {
 // Threading contract: NOT internally synchronized, and the const candidate
 // walks are NOT const-thread-safe — they reuse mutable scratch buffers
 // (order_scratch_ et al.) to keep steady-state steps allocation-free, so
-// two concurrent "readers" race on the scratch. Serial engines confine a
-// ReadLog to their thread; the intra-shard mode shares one per component
-// strictly under IntraComponentCc's cc mutex (it is one of the
-// GUARDED_BY(mu_) members there).
+// two concurrent "readers" race on the scratch. Every engine that logs
+// reads (the serial Scheduler, including the one a cross-shard batch
+// embeds) confines its ReadLog to the thread running it.
 class ReadLog {
  public:
   explicit ReadLog(const std::vector<Tgd>* tgds) : tgds_(tgds) {}

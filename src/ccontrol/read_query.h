@@ -32,8 +32,7 @@ enum class ReadQueryKind : uint8_t {
 };
 
 // Maps the read class an invalidating probe hit to its doom-cause counter
-// — one mapping shared by the serial engine's probe and the intra-shard
-// probes, so the cause taxonomy can never drift between them.
+// (the serial engine's probe records one per doomed reader).
 inline obs::Counter DoomCauseCounter(ReadQueryKind k) {
   switch (k) {
     case ReadQueryKind::kViolation:

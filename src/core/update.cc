@@ -126,8 +126,7 @@ void Update::StepApply(Database* db, StepResult* res) {
   // (earlier steps' writes are the caller's to undo). Null replacements
   // are then applied over the exact occurrence snapshots the check
   // validated — a re-read could see occurrences registered by another
-  // shard in between. Check and apply share this phase (and so, in the
-  // intra-shard mode, one exclusive latch hold).
+  // shard in between. Check and apply share this phase.
   std::vector<std::vector<TupleRef>> replace_occs;
   if (options_.allowed_relations != nullptr &&
       !WritesStayWithin(*db, writes, &replace_occs)) {

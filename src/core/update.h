@@ -124,11 +124,10 @@ class Update {
   // `agent` is consulted only when the update is at a frontier.
   StepResult Step(Database* db, FrontierAgent* agent);
 
-  // Phased execution of one chase step, for the intra-shard optimistic mode
-  // (ccontrol/parallel/): the storage-mutating middle phase is isolated so
-  // a sub-worker can hold its component's storage latch exclusively there
-  // and only there, and shared during the read-only phases. Step() is the
-  // composition of the three; serial callers should keep using it.
+  // One chase step split at its storage-mutating middle phase, so a caller
+  // can attribute time to frontier work, write application and violation
+  // detection separately (ytbench's traced interactive runs do). Step() is
+  // the composition of the three; every engine runs Step().
   //
   //   StepPrepare — step bookkeeping plus frontier processing (agent
   //     decisions; reads the database and the internally synchronized null
@@ -142,9 +141,7 @@ class Update {
   //     the next violation (read-only against the database). No-op when
   //     StepApply escaped.
   //
-  // res->reads accumulates across the phases in order, so a concurrency-
-  // control caller can register each phase's suffix of reads while still
-  // holding whatever latch that phase ran under.
+  // res->reads accumulates across the phases in order.
   bool StepPrepare(Database* db, FrontierAgent* agent, StepResult* res);
   void StepApply(Database* db, StepResult* res);
   void StepFinish(Database* db, StepResult* res);

@@ -218,9 +218,7 @@ Result<SchedulerStats> Youtopia::RunQueued(TrackerKind tracker) {
   for (WriteOp& op : queued_) scheduler.Submit(std::move(op));
   queued_.clear();
   scheduler.RunToCompletion();
-  next_number_ = std::max(next_number_, scheduler.stats().updates_submitted +
-                                            options.first_number +
-                                            scheduler.stats().aborts);
+  next_number_ = std::max(next_number_, scheduler.next_number());
   // The serial engine claimed numbers of its own; keep the standing
   // pipeline's sequence ahead of them.
   if (pipeline_) pipeline_->AdvanceNumberTo(next_number_);
@@ -230,11 +228,10 @@ Result<SchedulerStats> Youtopia::RunQueued(TrackerKind tracker) {
 // --- The standing ingest pipeline ------------------------------------------
 
 void Youtopia::EnsurePipeline(size_t workers, TrackerKind tracker,
-                              size_t inbox_capacity, size_t sub_workers) {
+                              size_t inbox_capacity) {
   pipeline_workers_ = std::max<size_t>(workers, 1);
   pipeline_tracker_ = tracker;
   pipeline_inbox_capacity_ = inbox_capacity;
-  pipeline_sub_workers_ = std::max<size_t>(sub_workers, 1);
   if (pipeline_) return;
   IngestOptions options;
   options.num_workers = pipeline_workers_;
@@ -242,7 +239,6 @@ void Youtopia::EnsurePipeline(size_t workers, TrackerKind tracker,
   options.first_number = next_number_;
   options.agent_seed = seed_;
   options.inbox_capacity = pipeline_inbox_capacity_;
-  options.sub_workers = pipeline_sub_workers_;
   options.cross_admission = CrossAdmission::kContinuous;
   options.metrics = &metrics_;
   options.watchdog_deadline_ms = pipeline_watchdog_ms_;
@@ -268,16 +264,14 @@ void Youtopia::SubmitBacklog() {
 }
 
 Status Youtopia::Start(size_t workers, TrackerKind tracker,
-                       size_t inbox_capacity, size_t sub_workers) {
+                       size_t inbox_capacity) {
   workers = std::max<size_t>(workers, 1);
-  sub_workers = std::max<size_t>(sub_workers, 1);
   if (pipeline_ && (pipeline_workers_ != workers ||
                     pipeline_tracker_ != tracker ||
-                    pipeline_inbox_capacity_ != inbox_capacity ||
-                    pipeline_sub_workers_ != sub_workers)) {
+                    pipeline_inbox_capacity_ != inbox_capacity)) {
     InvalidatePipeline();  // reconfiguration: flush, then rebuild below
   }
-  EnsurePipeline(workers, tracker, inbox_capacity, sub_workers);
+  EnsurePipeline(workers, tracker, inbox_capacity);
   SubmitBacklog();
   return Status::Ok();
 }
@@ -289,7 +283,7 @@ Status Youtopia::Stop() {
 
 Result<ParallelStats> Youtopia::Flush() {
   EnsurePipeline(pipeline_workers_, pipeline_tracker_,
-                 pipeline_inbox_capacity_, pipeline_sub_workers_);
+                 pipeline_inbox_capacity_);
   SubmitBacklog();
   const ParallelStats stats = pipeline_->Flush();
   next_number_ = std::max(next_number_, pipeline_->next_number());
@@ -299,7 +293,7 @@ Result<ParallelStats> Youtopia::Flush() {
 Status Youtopia::SubmitAsync(
     WriteOp op, const std::optional<std::chrono::nanoseconds>& timeout) {
   if (!pipeline_) {
-    // Stopped: buffer for the next Start/Flush/Drain. A buffer exerts no
+    // Stopped: buffer for the next Start/Flush. A buffer exerts no
     // backpressure, so the timeout does not apply.
     MutexLock lock(resolve_mu_);
     async_queued_.push_back(std::move(op));
@@ -384,12 +378,6 @@ Status Youtopia::ReplaceNullAsync(
     op = WriteOp::NullReplace(it->second, db_.InternConstant(constant));
   }
   return SubmitAsync(std::move(op), timeout);
-}
-
-Result<ParallelStats> Youtopia::Drain(size_t workers, TrackerKind tracker) {
-  RETURN_IF_ERROR(Start(workers, tracker, pipeline_inbox_capacity_,
-                        pipeline_sub_workers_));
-  return Flush();
 }
 
 Result<Youtopia::QueryAnswer> Youtopia::Query(

@@ -109,19 +109,15 @@ class Youtopia {
   // immediately, subject to the backpressure contract below — and Flush()
   // is the barrier. Starting an already-running pipeline is a no-op if the
   // configuration matches; otherwise the old pool flushes and a new one
-  // replaces it.
-  //
-  // `sub_workers` selects the shard execution mode: 1 (default) runs each
-  // shard on a single pinned thread with zero concurrency control; K > 1
-  // fans each shard inbox out to K sub-workers running the optimistic
-  // intra-shard protocol (read logging, conflict probes, cascading aborts,
-  // per-component commit sequencer — see ccontrol/parallel/intra_shard.h).
+  // replaces it. Each shard runs on one pinned thread with zero
+  // concurrency control; `tracker` is the cross-shard engine's
+  // cascading-abort algorithm.
   Status Start(size_t workers = 2, TrackerKind tracker = TrackerKind::kCoarse,
-               size_t inbox_capacity = 1024, size_t sub_workers = 1);
+               size_t inbox_capacity = 1024);
 
   // Flushes whatever was admitted, then tears the pipeline down (threads
   // join). No-op when not running. *Async calls made while stopped are
-  // buffered and execute on the next Flush()/Drain().
+  // buffered and execute on the next Start()/Flush().
   Status Stop();
 
   // Barrier: waits until every admitted async operation has retired and
@@ -158,20 +154,12 @@ class Youtopia {
                           std::optional<std::chrono::nanoseconds> timeout =
                               std::nullopt);
 
-  // Compatibility wrapper from the batch era, subsumed by Start/Flush:
-  // ensures the standing pipeline runs with this configuration (reusing
-  // the live pool — and its threads, plan views and arenas — when the
-  // configuration already matches), submits any buffered backlog, and
-  // flushes. The repository is quiescent again when this returns.
-  Result<ParallelStats> Drain(size_t workers = 2,
-                              TrackerKind tracker = TrackerKind::kCoarse);
-
   // --- Observability --------------------------------------------------------
 
   // Aggregated per-stage latency histograms (p50/p90/p99/max for inbox
-  // wait, admission, chase, conflict probe, commit, ...), doom-cause and
-  // throughput counters, and inbox-depth gauges, merged across every
-  // thread that recorded into this repository's registry — the standing
+  // wait, admission, chase, commit, ...), doom-cause and throughput
+  // counters, and inbox-depth gauges, merged across every thread that
+  // recorded into this repository's registry — the standing
   // pipeline's stages and the serial engines behind RunQueued. Callable
   // any time; exact at a quiescent point.
   obs::MetricsSnapshot MetricsSnapshot() { return metrics_.Snapshot(); }
@@ -194,9 +182,8 @@ class Youtopia {
   // pipelines keep their setting until recreated; 0 disables). When the
   // pipeline has admitted-but-unretired ops and none retires for
   // `deadline_ms`, the watchdog dumps per-shard inbox depths, per-worker
-  // op/phase, parked commit sequences and (checked builds) held-lock
-  // stacks to stderr; `fatal` additionally aborts, turning a hang into a
-  // failing test.
+  // op/phase and (checked builds) held-lock stacks to stderr; `fatal`
+  // additionally aborts, turning a hang into a failing test.
   void SetStallWatchdog(uint64_t deadline_ms, bool fatal = false) {
     pipeline_watchdog_ms_ = deadline_ms;
     pipeline_watchdog_fatal_ = fatal;
@@ -263,7 +250,7 @@ class Youtopia {
   // Creates the pipeline if it is not running (no-op otherwise) and
   // records the configuration for later lazy restarts.
   void EnsurePipeline(size_t workers, TrackerKind tracker,
-                      size_t inbox_capacity, size_t sub_workers);
+                      size_t inbox_capacity);
   // Flushes the pipeline and pulls its number sequence into next_number_.
   void QuiescePipeline();
   // QuiescePipeline + tear-down; schema/mapping changes call this because
@@ -301,7 +288,6 @@ class Youtopia {
   size_t pipeline_workers_ = 2;
   TrackerKind pipeline_tracker_ = TrackerKind::kCoarse;
   size_t pipeline_inbox_capacity_ = 1024;
-  size_t pipeline_sub_workers_ = 1;
   // Leaf lock: never held across pipeline Submit/WithComponentLock (the
   // *Async resolution scopes release it before routing the op).
   Mutex resolve_mu_{LockRank::kLeaf};

@@ -15,12 +15,9 @@ const char* StageName(Stage s) {
     case Stage::kAdmission: return "admission";
     case Stage::kAdmissionBarrier: return "admission_barrier";
     case Stage::kChase: return "chase";
-    case Stage::kConflictProbe: return "conflict_probe";
-    case Stage::kCommitPark: return "commit_park";
     case Stage::kCommit: return "commit";
     case Stage::kCrossBatch: return "cross_batch";
     case Stage::kCrossLockHold: return "cross_lock_hold";
-    case Stage::kWriterWait: return "writer_wait";
     case Stage::kProducerStall: return "producer_stall";
     case Stage::kCount: break;
   }

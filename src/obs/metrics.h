@@ -6,14 +6,13 @@
 // engine it embeds).
 //
 // Lock discipline (ROADMAP "Threading model"): recording runs on the
-// hottest paths of the concurrency stack — under component locks, the
-// storage latch, the cc mutex and the queue leaf mutexes — so it must
-// never rank against that hierarchy. Recording is wait-free after a
-// thread's first sample against a registry: every thread owns a private
-// block of relaxed atomics, and the only mutex (registration + snapshot
-// aggregation) is kUnranked — a terminal lock that never acquires anything
-// while held, invisible to the LockOrderValidator by the same rule as
-// RwMutex's internal mutex.
+// hottest paths of the concurrency stack — under component locks and the
+// queue leaf mutexes — so it must never rank against that hierarchy.
+// Recording is wait-free after a thread's first sample against a registry:
+// every thread owns a private block of relaxed atomics, and the only mutex
+// (registration + snapshot aggregation) is kUnranked — a terminal lock
+// that never acquires anything while held, invisible to the
+// LockOrderValidator.
 //
 // Histograms use power-of-two buckets: bucket 0 holds the value 0, bucket
 // i >= 1 holds values v with 2^(i-1) <= v < 2^i (i.e. bit-width i).
@@ -48,13 +47,10 @@ enum class Stage : uint8_t {
   kInboxWait,         // shard-inbox enqueue -> popped by a worker
   kAdmission,         // cross-lane enqueue -> its batch begins processing
   kAdmissionBarrier,  // pinned-watermark wait inside a cross batch
-  kChase,             // one chase attempt (optimistic or exclusive)
-  kConflictProbe,     // retroactive probe of a step's writes (OnWrites)
-  kCommitPark,        // FinishOk -> the commit floor reaches the op
+  kChase,             // one pinned chase, incl. its component-lock wait
   kCommit,            // whole-op latency: inbox/lane enqueue -> commit
   kCrossBatch,        // cross-shard batch: lock acquisition + engine run
   kCrossLockHold,     // ordered component-lock set held by a cross batch
-  kWriterWait,        // RwMutex writer blocked behind readers/writers
   kProducerStall,     // bounded-queue Push() blocked on a full inbox
   kCount,
 };
@@ -63,14 +59,14 @@ const char* StageName(Stage s);
 enum class Counter : uint8_t {
   kSubmitted = 0,     // ops admitted into the pipeline
   kRetired,           // ops retired (committed or failed) — progress axis
-  kCommits,           // commits across every engine (sequencer, zero-CC,
+  kCommits,           // commits across every engine (zero-CC workers,
                       // embedded serial engine)
   kCrossShardOps,     // ops routed through the cross-shard lane
   kEscapedOps,        // footprint escapes surrendered for re-routing
   kCrossBatches,      // ordered-lock engine runs
   // Doom/abort cause: which read class the invalidating probe hit
   // (ReadQueryKind order), plus cascade victims with no direct conflict.
-  // Shared by the intra-shard probes and the serial engine's.
+  // Recorded by the serial engine's probes.
   kDoomReadViolation,
   kDoomReadMoreSpecific,
   kDoomReadNullOccurrence,

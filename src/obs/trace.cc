@@ -12,16 +12,11 @@ const char* TraceNameStr(TraceName n) {
     case TraceName::kSubmit: return "submit";
     case TraceName::kOp: return "op";
     case TraceName::kChase: return "chase";
-    case TraceName::kConflictProbe: return "conflict_probe";
     case TraceName::kCommit: return "commit";
     case TraceName::kCrossBatch: return "cross_batch";
     case TraceName::kCrossLockHold: return "cross_lock_hold";
     case TraceName::kAdmissionBarrier: return "admission_barrier";
     case TraceName::kEngineRun: return "engine_run";
-    case TraceName::kWriterWait: return "writer_wait";
-    case TraceName::kDoom: return "doom";
-    case TraceName::kRedo: return "redo";
-    case TraceName::kEscalate: return "escalate";
     case TraceName::kEscape: return "escape";
     case TraceName::kAbort: return "abort";
     case TraceName::kCount: break;

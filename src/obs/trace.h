@@ -10,9 +10,8 @@
 // is one relaxed atomic load and a branch. When armed, recording an event
 // takes the owning thread's ring mutex — a terminal, uncontended-by-design
 // std-mutex (the only cross-thread acquirer is Dump/Clear), kept outside
-// the LockOrderValidator hierarchy like every other internal primitive
-// lock, so spans may be recorded under any combination of component,
-// latch, cc and leaf locks.
+// the LockOrderValidator hierarchy like every other obs lock, so spans may
+// be recorded under any combination of component and leaf locks.
 //
 // Compile-time kill switch: building with -DYOUTOPIA_TRACING=0 compiles
 // every call-site helper (TraceSpan, TraceInstant) to a true no-op; the
@@ -43,17 +42,12 @@ enum class TraceName : uint8_t {
   kSubmit = 0,        // producer-side Submit()
   kOp,                // one worker-side op, pop -> terminal state
   kChase,             // one chase attempt
-  kConflictProbe,     // OnWrites retroactive probe
   kCommit,            // commit point (args.op = final priority number)
   kCrossBatch,        // one cross-shard admission round
   kCrossLockHold,     // ordered component-lock set held
   kAdmissionBarrier,  // pinned-watermark wait
   kEngineRun,         // embedded serial engine RunToCompletion
-  kWriterWait,        // RwMutex writer blocked
   // Instants ("i").
-  kDoom,              // a probe doomed this op (args.op = victim number)
-  kRedo,              // optimistic re-execution after a doom
-  kEscalate,          // op fell back to the exclusive component lock
   kEscape,            // footprint escape surrendered for re-routing
   kAbort,             // serial-engine abort
   kCount,

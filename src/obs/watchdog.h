@@ -5,7 +5,7 @@
 // progress counter (committed/retired ops) and, when the counter freezes
 // for longer than the deadline WHILE work is in flight, writes a full
 // diagnostic snapshot to stderr — the owner's dump callback (inbox depths,
-// worker phases, parked commit set) plus, in checked builds, every
+// worker phases) plus, in checked builds, every
 // thread's held-lock stack from the LockOrderValidator. With `fatal` set
 // it then aborts, turning a silent CI hang into a loud, attributed crash
 // (the open SerializabilityTest heisenbug on the ROADMAP).

@@ -4,7 +4,7 @@
 // Runtime lock-order validator for the documented lock hierarchy
 // (ROADMAP "Threading model"):
 //
-//     component lock (0)  >  storage latch (1)  >  cc mutex (2)  >  leaf (3)
+//     component lock (0)  >  leaf (1)
 //
 // Locks must be acquired in strictly descending hierarchy order
 // (ascending rank number) per thread, with two refinements:
@@ -45,21 +45,18 @@
 namespace youtopia {
 
 // Lower numeric value = acquired earlier (outermost). Ranks mirror the
-// ROADMAP hierarchy; kUnranked locks are invisible to the validator
-// (used for mutexes internal to other synchronization primitives).
+// ROADMAP hierarchy; kUnranked locks are invisible to the validator (the
+// terminal observability mutexes, which never acquire anything while
+// held).
 enum class LockRank : uint8_t {
   kComponentLock = 0,
-  kStorageLatch = 1,
-  kCcMutex = 2,
-  kLeaf = 3,
+  kLeaf = 1,
   kUnranked = 255,
 };
 
 inline const char* LockRankName(LockRank r) {
   switch (r) {
     case LockRank::kComponentLock: return "component";
-    case LockRank::kStorageLatch: return "storage-latch";
-    case LockRank::kCcMutex: return "cc-mutex";
     case LockRank::kLeaf: return "leaf";
     case LockRank::kUnranked: return "unranked";
   }
@@ -136,7 +133,7 @@ inline ThreadEntry& MyEntry() {
   std::fprintf(stderr,
                "lock-order violation: %s (lock %p rank %u key %llu; "
                "innermost held rank %u key %llu); hierarchy is "
-               "component(0) > storage latch(1) > cc mutex(2) > leaf(3)\n",
+               "component(0) > leaf(1)\n",
                what, lock, static_cast<unsigned>(rank),
                static_cast<unsigned long long>(key),
                static_cast<unsigned>(held_rank),

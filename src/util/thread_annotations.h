@@ -53,8 +53,7 @@
 
 // Releases a capability regardless of whether it is held exclusively or
 // shared — the right dtor annotation for a guard that can hold either
-// (and for SharedLock: clang warns on releasing a shared hold through a
-// plain RELEASE).
+// (clang warns on releasing a shared hold through a plain RELEASE).
 #define RELEASE_GENERIC(...) \
   YT_THREAD_ANNOTATION_ATTRIBUTE__(release_generic_capability(__VA_ARGS__))
 

@@ -139,7 +139,7 @@ ExperimentResult ExperimentDriver::Run(bool verbose) {
                         .count();
           run_stats = scheduler.stats();
         } else {
-          ParallelSchedulerOptions popts;
+          IngestOptions popts;
           popts.num_workers = config_.workers;
           popts.tracker = kTrackers[t];
           popts.max_steps_per_update = config_.max_steps_per_update;

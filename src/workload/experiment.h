@@ -49,10 +49,6 @@ struct ExperimentConfig {
   // mapping graph, under which the parallel scheduler degenerates to one
   // shard.
   size_t islands = 1;
-  // Sub-workers per shard: 1 = classic pinned execution; K > 1 = the
-  // optimistic intra-shard mode (see ccontrol/parallel/intra_shard.h) —
-  // built for islands == 1, where sharding alone cannot parallelize.
-  size_t sub_workers = 1;
   // Deterministic chain-mapping prefix for the dense single-component
   // workload shape (MappingGenOptions::chain_length / fan_out).
   size_t chain_length = 0;

@@ -81,8 +81,7 @@ struct MappingGenOptions {
   // chains make every seed insert cascade through deep derivations, and
   // the shared relations weld the island into ONE tgd-closure component —
   // the dense single-component shape that relation-partitioned sharding
-  // cannot split and the intra-shard optimistic mode targets (see
-  // ccontrol/parallel/intra_shard.h and bench/parallel_scale.cc).
+  // cannot split (see bench/parallel_scale.cc's dense arm).
   size_t chain_length = 0;
   // RHS atoms per chain hop (breadth of each derivation; clamped to the
   // island edge). 1 = a pure linear chain.

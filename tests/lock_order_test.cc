@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ccontrol/parallel/rw_mutex.h"
 #include "util/lock_order.h"
 #include "util/mutex.h"
 
@@ -17,40 +16,32 @@ namespace {
 
 // The documented hierarchy, outermost to innermost, must pass untouched.
 TEST(LockOrderTest, FullHierarchyChainIsAccepted) {
-  RwMutex comp;
-  comp.SetLockOrder(LockRank::kComponentLock, 0);
-  RwMutex latch;
-  latch.SetLockOrder(LockRank::kStorageLatch);
-  Mutex cc{LockRank::kCcMutex};
+  Mutex comp(LockRank::kComponentLock, 0);
   Mutex leaf{LockRank::kLeaf};
   {
-    SharedLock c(comp);
-    SharedLock l(latch);
-    MutexLock m(cc);
+    MutexLock c(comp);
     MutexLock f(leaf);
-    EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 4u);
+    EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 2u);
   }
   EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 0u);
 }
 
 // Component locks stack when keys ascend — the cross-shard batch protocol.
 TEST(LockOrderTest, AscendingComponentStackingIsAccepted) {
-  RwMutex a, b, c;
-  a.SetLockOrder(LockRank::kComponentLock, 0);
-  b.SetLockOrder(LockRank::kComponentLock, 3);
-  c.SetLockOrder(LockRank::kComponentLock, 7);
-  ExclusiveLock la(a);
-  ExclusiveLock lb(b);
-  ExclusiveLock lc(c);
+  Mutex a(LockRank::kComponentLock, 0);
+  Mutex b(LockRank::kComponentLock, 3);
+  Mutex c(LockRank::kComponentLock, 7);
+  MutexLock la(a);
+  MutexLock lb(b);
+  MutexLock lc(c);
   EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 3u);
 }
 
 // The cross-batch path releases its ordered lock vector wholesale, which
 // is not LIFO; the validator must track identity, not stack position.
 TEST(LockOrderTest, NonLifoReleaseIsTracked) {
-  RwMutex a, b;
-  a.SetLockOrder(LockRank::kComponentLock, 0);
-  b.SetLockOrder(LockRank::kComponentLock, 1);
+  Mutex a(LockRank::kComponentLock, 0);
+  Mutex b(LockRank::kComponentLock, 1);
   a.lock();
   b.lock();
   a.unlock();  // out of LIFO order
@@ -59,37 +50,23 @@ TEST(LockOrderTest, NonLifoReleaseIsTracked) {
   EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 0u);
 }
 
-// Unranked locks (internal implementation mutexes) stay invisible.
+// Unranked locks (the terminal obs mutexes) stay invisible.
 TEST(LockOrderTest, UnrankedLocksAreInvisible) {
-  RwMutex unranked;  // default rank: kUnranked
-  ExclusiveLock l(unranked);
+  Mutex unranked{LockRank::kUnranked};
+  MutexLock l(unranked);
   EXPECT_EQ(LockOrderValidator::HeldCountForTest(), 0u);
 }
 
-// The acceptance-criteria inversion: taking a component lock while holding
-// a cc mutex reverses the hierarchy and must die before blocking.
-TEST(LockOrderDeathTest, ComponentLockAfterCcMutexAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        Mutex cc{LockRank::kCcMutex};
-        RwMutex comp;
-        comp.SetLockOrder(LockRank::kComponentLock, 0);
-        MutexLock inner(cc);
-        comp.lock();
-      },
-      "lock-order violation: rank inversion");
-}
-
-TEST(LockOrderDeathTest, LatchAfterLeafAborts) {
+// Taking a component lock while holding a leaf reverses the hierarchy and
+// must die before blocking.
+TEST(LockOrderDeathTest, ComponentLockAfterLeafAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
         Mutex leaf{LockRank::kLeaf};
-        RwMutex latch;
-        latch.SetLockOrder(LockRank::kStorageLatch);
+        Mutex comp(LockRank::kComponentLock, 0);
         MutexLock inner(leaf);
-        latch.lock_shared();
+        comp.lock();
       },
       "lock-order violation: rank inversion");
 }
@@ -105,27 +82,12 @@ TEST(LockOrderDeathTest, RecursiveAcquisitionAborts) {
       "lock-order violation: recursive acquisition");
 }
 
-// A shared hold re-entered exclusively is still a self-deadlock.
-TEST(LockOrderDeathTest, RecursiveRwAcquisitionAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        RwMutex comp;
-        comp.SetLockOrder(LockRank::kComponentLock, 0);
-        comp.lock_shared();
-        comp.lock();
-      },
-      "lock-order violation: recursive acquisition");
-}
-
 TEST(LockOrderDeathTest, DescendingComponentKeysAbort) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
-        RwMutex a;
-        RwMutex b;
-        a.SetLockOrder(LockRank::kComponentLock, 5);
-        b.SetLockOrder(LockRank::kComponentLock, 2);
+        Mutex a(LockRank::kComponentLock, 5);
+        Mutex b(LockRank::kComponentLock, 2);
         a.lock();
         b.lock();
       },
@@ -136,8 +98,7 @@ TEST(LockOrderDeathTest, ReleasingUnheldLockAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
-        RwMutex comp;
-        comp.SetLockOrder(LockRank::kComponentLock, 0);
+        Mutex comp(LockRank::kComponentLock, 0);
         LockOrderValidator::OnRelease(&comp, LockRank::kComponentLock);
       },
       "does not hold");

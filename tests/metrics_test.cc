@@ -150,9 +150,9 @@ TEST(MetricsRegistryTest, InterleavedRegistriesStaySeparate) {
 
 TEST(MetricsRegistryTest, ScopedLatencyRecordsAndNullIsSafe) {
   MetricsRegistry reg;
-  { ScopedLatency lat(&reg, Stage::kConflictProbe); }
-  { ScopedLatency lat(nullptr, Stage::kConflictProbe); }  // must not crash
-  EXPECT_EQ(reg.Snapshot().stage(Stage::kConflictProbe).total, 1u);
+  { ScopedLatency lat(&reg, Stage::kCrossBatch); }
+  { ScopedLatency lat(nullptr, Stage::kCrossBatch); }  // must not crash
+  EXPECT_EQ(reg.Snapshot().stage(Stage::kCrossBatch).total, 1u);
 }
 
 TEST(MetricsNamesTest, AllEnumeratorsHaveNames) {

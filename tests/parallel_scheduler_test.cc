@@ -130,7 +130,7 @@ void RunEquivalence(size_t islands, size_t workers) {
   par_fix.SeedChains();
   const std::vector<WriteOp> ops = par_fix.MakeWorkload(6);
   ASSERT_EQ(ops.size(), serial_ops.size());
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = workers;
   popts.agent_factory = MinContentFactory;
   ParallelScheduler parallel(&par_fix.db, &par_fix.tgds, popts);
@@ -212,7 +212,7 @@ TEST(ParallelSchedulerTest, CommittedOrderReplaysToIsomorphicInstance) {
   const std::vector<WriteOp> replay_interning = replay_fix.MakeWorkload(4);
   ASSERT_EQ(ops.size(), replay_interning.size());
 
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = k;
   popts.agent_factory = MinContentFactory;
   ParallelScheduler parallel(&fix.db, &tgds, popts);
@@ -286,7 +286,7 @@ struct CrossShardFixture {
 
 TEST(ParallelSchedulerTest, CrossShardConflictAbortsAndCascades) {
   CrossShardFixture fix;
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = 2;
   popts.tracker = TrackerKind::kCoarse;
   popts.agent_factory = MinContentFactory;
@@ -357,7 +357,7 @@ struct EscapeFixture {
 
 TEST(ParallelSchedulerTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
   EscapeFixture fix;
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
   ParallelScheduler parallel(&fix.db, &fix.tgds, popts);
@@ -394,7 +394,7 @@ TEST(ParallelSchedulerTest, InsertReferencingForeignNullClassifiesCrossShard) {
   // occurrence set under a single component lock, invisibly widening a
   // concurrent replacement's footprint.
   EscapeFixture fix;
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
   ParallelScheduler parallel(&fix.db, &fix.tgds, popts);
@@ -442,7 +442,7 @@ TEST(ParallelSchedulerTest, SiblingComponentOnSameShardStillEscapes) {
         WriteOp::Insert(g, {db.InternConstant("g" + std::to_string(i))}), 0);
   }
 
-  ParallelSchedulerOptions popts;
+  IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
   ParallelScheduler parallel(&db, &tgds, popts);

@@ -30,7 +30,7 @@ TEST(TraceTest, DisabledRecordsNothing) {
   t.Clear();
   {
     TraceSpan span(TraceName::kChase, 1);
-    TraceInstant(TraceName::kDoom, 2);
+    TraceInstant(TraceName::kAbort, 2);
     TraceCommit(3);
   }
   EXPECT_EQ(t.EventCountForTest(), 0u);
@@ -42,7 +42,7 @@ TEST(TraceTest, SpanInstantAndCommitRecordWhenEnabled) {
   t.Clear();
   {
     TraceSpan span(TraceName::kChase, 7);
-    TraceInstant(TraceName::kDoom, 8);
+    TraceInstant(TraceName::kAbort, 8);
   }
   TraceCommit(9);
   t.SetEnabled(false);
@@ -71,7 +71,7 @@ TEST(TraceTest, RingWrapsAndCountsDrops) {
   // Capacity applies to rings created after the call: record on a fresh
   // thread so its ring is born with the shrunken capacity.
   std::thread recorder([&t] {
-    for (uint64_t i = 0; i < 10; ++i) t.RecordInstant(TraceName::kRedo, i);
+    for (uint64_t i = 0; i < 10; ++i) t.RecordInstant(TraceName::kEscape, i);
   });
   recorder.join();
   t.SetEnabled(false);

@@ -92,12 +92,12 @@ TEST(WatchdogTest, DumpContainsOwnerDiagnosticsAndLockSection) {
   opts.progress = [] { return uint64_t{0}; };
   opts.name = "test-pipeline";
   opts.dump = [](std::string* out) {
-    out->append("shard 0 sub 1: op=42 phase=apply\n");
+    out->append("shard 1 worker: op=42 phase=exclusive\n");
   };
   StallWatchdog dog(std::move(opts));
   const std::string dump = dog.BuildDumpForTest();
   EXPECT_NE(dump.find("stall watchdog [test-pipeline]"), std::string::npos);
-  EXPECT_NE(dump.find("op=42 phase=apply"), std::string::npos);
+  EXPECT_NE(dump.find("op=42 phase=exclusive"), std::string::npos);
   EXPECT_NE(dump.find("held-lock stacks:"), std::string::npos);
 }
 
@@ -105,7 +105,7 @@ TEST(WatchdogTest, DumpContainsOwnerDiagnosticsAndLockSection) {
 TEST(WatchdogTest, DumpReportsHeldLocksOfOtherThreads) {
   // A thread parked while holding a ranked lock must show up in the dump —
   // the whole point of the watchdog on a deadlocked pipeline.
-  Mutex held_lock(LockRank::kCcMutex, /*order_key=*/5);
+  Mutex held_lock(LockRank::kLeaf, /*order_key=*/5);
   std::atomic<bool> locked{false}, release{false};
   std::thread holder([&] {
     MutexLock lock(held_lock);
@@ -119,7 +119,7 @@ TEST(WatchdogTest, DumpReportsHeldLocksOfOtherThreads) {
   opts.progress = [] { return uint64_t{0}; };
   StallWatchdog dog(std::move(opts));
   const std::string dump = dog.BuildDumpForTest();
-  EXPECT_NE(dump.find("rank=cc-mutex"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("rank=leaf"), std::string::npos) << dump;
   EXPECT_NE(dump.find("key=5"), std::string::npos) << dump;
 
   release.store(true);
@@ -135,7 +135,7 @@ TEST(WatchdogDeathTest, FatalStallDumpsPhasesAndAborts) {
   // with a cause attached.
   EXPECT_DEATH(
       {
-        Mutex held_lock(LockRank::kCcMutex, /*order_key=*/9);
+        Mutex held_lock(LockRank::kLeaf, /*order_key=*/9);
         std::atomic<bool> locked{false};
         std::thread holder([&] {
           MutexLock lock(held_lock);
@@ -154,7 +154,7 @@ TEST(WatchdogDeathTest, FatalStallDumpsPhasesAndAborts) {
         opts.fatal = true;
         opts.name = "death-test";
         opts.dump = [](std::string* out) {
-          out->append("shard 0 sub 0: op=77 phase=prepare\n");
+          out->append("shard 0 worker: op=77 phase=exclusive\n");
         };
         StallWatchdog dog(std::move(opts));
         dog.Start();
@@ -162,7 +162,7 @@ TEST(WatchdogDeathTest, FatalStallDumpsPhasesAndAborts) {
       },
       "no progress for 50 ms.*stuck at 123"
       "(.|\n)*stall watchdog \\[death-test\\]"
-      "(.|\n)*op=77 phase=prepare"
+      "(.|\n)*op=77 phase=exclusive"
       "(.|\n)*held-lock stacks:");
 }
 

@@ -104,11 +104,18 @@ TEST_F(YoutopiaTest, QueuedBatchRunsConcurrently) {
                                        "Syracuse"})
                     .ok());
   }
+  const uint64_t before = repo_.next_update_number();
   auto stats = repo_.RunQueued(TrackerKind::kPrecise);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->updates_completed, 8u);
   EXPECT_EQ(*repo_.Count("R"), 8u);
   EXPECT_TRUE(repo_.AllMappingsSatisfied());
+  // The facade's sequence continues exactly past the numbers the engine
+  // claimed: one per submit plus one per redo. No update was written off,
+  // so every abort was a redo.
+  ASSERT_EQ(stats->updates_failed, 0u);
+  EXPECT_EQ(repo_.next_update_number(),
+            before + stats->updates_submitted + stats->aborts);
 }
 
 TEST_F(YoutopiaTest, WeakAcyclicityReporting) {
@@ -122,7 +129,7 @@ TEST_F(YoutopiaTest, WeakAcyclicityReporting) {
 }
 
 TEST_F(YoutopiaTest, AsyncBatchDrainsInParallelAndStaysConsistent) {
-  // Two more islands disjoint from the A/T/R component give the drain
+  // Two more islands disjoint from the A/T/R component give the pipeline
   // something to actually shard.
   ASSERT_TRUE(repo_.CreateRelation("P", {"x"}).ok());
   ASSERT_TRUE(repo_.CreateRelation("Q", {"x", "y"}).ok());
@@ -134,7 +141,8 @@ TEST_F(YoutopiaTest, AsyncBatchDrainsInParallelAndStaysConsistent) {
     ASSERT_TRUE(
         repo_.InsertAsync("T", {"Winery", "co" + n, "Syracuse"}).ok());
   }
-  auto stats = repo_.Drain(/*workers=*/2);
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  auto stats = repo_.Flush();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->workers, 2u);
   EXPECT_EQ(stats->totals.updates_completed, 8u);
@@ -144,8 +152,8 @@ TEST_F(YoutopiaTest, AsyncBatchDrainsInParallelAndStaysConsistent) {
   EXPECT_EQ(*repo_.Count("Q"), 4u);
   EXPECT_EQ(*repo_.Count("R"), 4u);
   EXPECT_TRUE(repo_.AllMappingsSatisfied());
-  // The facade's numbering continues past the drained updates, so a serial
-  // insert after the drain gets a fresh number.
+  // The facade's numbering continues past the flushed updates, so a serial
+  // insert after the flush gets a fresh number.
   ASSERT_TRUE(repo_.Insert("A", {"Ithaca", "Gorges"}).ok());
   EXPECT_TRUE(repo_.AllMappingsSatisfied());
 }
@@ -155,7 +163,8 @@ TEST_F(YoutopiaTest, ReplaceNullAsyncRunsCrossShard) {
   ASSERT_TRUE(repo_.Insert("T", {"Winery", "?who", "Syracuse"}).ok());
   ASSERT_TRUE(repo_.ReplaceNullAsync("?who", "XYZ").ok());
   EXPECT_FALSE(repo_.ReplaceNullAsync("?unknown", "x").ok());
-  auto stats = repo_.Drain(/*workers=*/2);
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  auto stats = repo_.Flush();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->cross_shard_updates, 1u);
   EXPECT_EQ(stats->totals.updates_completed, 1u);
@@ -168,12 +177,13 @@ TEST_F(YoutopiaTest, ReplaceNullAsyncRunsCrossShard) {
 
 TEST_F(YoutopiaTest, AsyncInsertThenReplaceOfFreshNullInOneDrain) {
   // The replacement depends on occurrences the pinned insert registers in
-  // the same drain; the cross-shard batch must run after the pinned
+  // the same flush; the cross-shard batch must run after the pinned
   // backlog, or it would see an empty occurrence set and silently no-op.
   ASSERT_TRUE(repo_.Insert("A", {"Geneva", "Winery"}).ok());
   ASSERT_TRUE(repo_.InsertAsync("T", {"Winery", "?who", "Syracuse"}).ok());
   ASSERT_TRUE(repo_.ReplaceNullAsync("?who", "XYZ").ok());
-  auto stats = repo_.Drain(/*workers=*/2);
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  auto stats = repo_.Flush();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->totals.updates_completed, 2u);
   auto q = repo_.Query("T('Winery', co, s)", {"co"}, QuerySemantics::kCertain);
@@ -184,7 +194,7 @@ TEST_F(YoutopiaTest, AsyncInsertThenReplaceOfFreshNullInOneDrain) {
 }
 
 TEST_F(YoutopiaTest, StandingPipelineLifecycle) {
-  // Start brings the service up; *Async calls execute without a Drain; Flush
+  // Start brings the service up; *Async calls execute immediately; Flush
   // is only a barrier; Stop tears the pool down and async falls back to
   // buffering.
   EXPECT_FALSE(repo_.running());
