@@ -26,10 +26,11 @@ namespace bench {
 //   --relations=N       override relation count
 //   --mappings=a,b,c    override the mapping-count sweep
 //   --seed=N            RNG seed
-//   --workers=N         run through the sharded ParallelScheduler with N
-//                       workers (default 1 = the serial Scheduler; real
-//                       parallelism needs --islands > 1, since the paper's
-//                       dense mapping graph is one tgd-closure component)
+//   --workers=N         shard lanes of the ingest pipeline; parallel_scale
+//                       and streaming_ingest only (real parallelism needs
+//                       --islands > 1, since the paper's dense mapping graph
+//                       is one tgd-closure component). The figure harnesses
+//                       run the serial Scheduler and reject any N but 1.
 //   --islands=N         partition mappings into N disjoint relation islands
 //   --chain=L           prepend an L-relation deterministic mapping chain
 //                       per island (dense single-component shape; default 0)
@@ -43,9 +44,11 @@ namespace bench {
 //   --verbose           progress to stderr
 // Applies the command-line flags on top of `config` — callers seed it with
 // their harness's defaults, so passing one flag overrides one knob instead
-// of discarding the whole default shape.
+// of discarding the whole default shape. --workers above `max_workers` is a
+// bad value.
 inline ExperimentConfig ParseFlagsOver(ExperimentConfig config, int argc,
-                                       char** argv, bool* verbose) {
+                                       char** argv, bool* verbose,
+                                       long max_workers = 1024) {
   // Shared validated integer parsing: consumes one number from *p (advancing
   // it), rejecting junk, overflow and out-of-range values with exit(2).
   // Count-like flags use min_value 1 — a 0 would crash or hang deep in the
@@ -95,7 +98,8 @@ inline ExperimentConfig ParseFlagsOver(ExperimentConfig config, int argc,
       config.seed = static_cast<uint64_t>(
           intval("--seed=", 0, std::numeric_limits<long>::max()));
     } else if (arg.rfind("--workers=", 0) == 0) {
-      config.workers = static_cast<size_t>(intval("--workers=", 1, 1024));
+      config.workers =
+          static_cast<size_t>(intval("--workers=", 1, max_workers));
     } else if (arg.rfind("--islands=", 0) == 0) {
       config.islands = static_cast<size_t>(intval("--islands=", 1, 1024));
     } else if (arg.rfind("--chain=", 0) == 0) {
@@ -169,7 +173,8 @@ inline ExperimentConfig ParseFlags(int argc, char** argv, bool* verbose) {
   config.updates_per_run = 500;
   config.runs = 5;
   config.seed = 1;
-  return ParseFlagsOver(std::move(config), argc, argv, verbose);
+  return ParseFlagsOver(std::move(config), argc, argv, verbose,
+                        /*max_workers=*/1);
 }
 
 inline void PrintResult(const char* figure, const char* workload,

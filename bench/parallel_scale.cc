@@ -16,6 +16,10 @@
 //    against that one pinned worker: what zero-CC execution under the
 //    component lock buys over the optimistic protocol on the same stream.
 //
+// Each parallel arm run builds a fresh IngestPipeline, submits the whole
+// stream (workers start chasing as ops land) and ends at its Flush()
+// barrier and shutdown; construction and shutdown are inside the timing.
+//
 // Throughput is committed updates per second (updates that failed their
 // step cap are not counted), so no arm can look good by burning work on
 // ops that never commit.
@@ -29,7 +33,7 @@
 #include <vector>
 
 #include "bench/fig_common.h"
-#include "ccontrol/parallel/parallel_scheduler.h"
+#include "ccontrol/parallel/ingest_pipeline.h"
 #include "obs/metrics.h"
 
 namespace youtopia {
@@ -101,9 +105,11 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
         popts.max_attempts_per_update = config.max_attempts_per_update;
         popts.agent_seed = config.seed + 31 * run;
         popts.metrics = arm_metrics[pi - fx->first_point].get();
-        ParallelScheduler scheduler(&fx->db, &fx->tgds, popts);
-        for (const WriteOp& op : ops) scheduler.Submit(op);
-        const ParallelStats stats = scheduler.Drain();
+        IngestPipeline pipeline(&fx->db, &fx->tgds, popts);
+        for (const WriteOp& op : ops) {
+          CHECK(pipeline.Submit(op) == SubmitResult::kOk);
+        }
+        const ParallelStats stats = pipeline.Flush();
         p.aborts += static_cast<double>(stats.totals.aborts);
         p.cross_shard += static_cast<double>(stats.cross_shard_updates);
         p.escaped += static_cast<double>(stats.escaped_updates);

@@ -80,8 +80,8 @@ bool WriteExperimentJson(const std::string& name, const std::string& workload,
   out << "    \"runs\": " << config.runs << ",\n";
   out << "    \"seed\": " << config.seed << ",\n";
   out << "    \"zipf_theta\": " << config.zipf_theta << ",\n";
-  // Serial runs record workers = 1, so BENCH_ files from the sharded
-  // parallel scheduler are distinguishable from serial baselines.
+  // Always 1: the figure sweeps run the serial Scheduler (the key keeps
+  // the report schema stable).
   out << "    \"workers\": " << config.workers << ",\n";
   out << "    \"islands\": " << config.islands << "\n";
   out << "  },\n";

@@ -43,7 +43,7 @@ enum class QueuePush {
 // the consumer needs to make progress, so blocking there could deadlock.
 // Only user-facing admission takes the credit path. The queue mutex is a
 // leaf of the lock hierarchy for exactly that reason — ForcePush runs with
-// component, latch and cc locks held.
+// component locks held (a worker's own, or a cross batch's whole set).
 template <typename T>
 class BoundedMpscQueue {
  public:

@@ -8,6 +8,15 @@
 
 namespace youtopia {
 
+namespace {
+
+// Upper bound on cross-lane items admitted into one engine run: enough to
+// amortize lock acquisition and conflict tracking over a burst, small
+// enough that one batch never holds its footprint locks for long.
+constexpr size_t kMaxCrossBatch = 64;
+
+}  // namespace
+
 IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
                                IngestOptions options)
     : db_(db),
@@ -20,18 +29,13 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
       next_number_(options_.first_number),
       cross_inbox_(options_.inbox_capacity) {
   // Metrics plumbing before any thread exists: every stage below records
-  // into one registry (the embedder's or a pipeline-owned fallback), and
-  // the lifetime counters snapshot their baselines here so ParallelStats
-  // reports deltas even on a shared registry.
+  // into one registry (the embedder's or a pipeline-owned fallback).
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
   }
-  base_cross_ = metrics_->CounterValue(obs::Counter::kCrossShardOps);
-  base_escape_ = metrics_->CounterValue(obs::Counter::kEscapedOps);
-  base_batches_ = metrics_->CounterValue(obs::Counter::kCrossBatches);
   cross_inbox_.SetMetrics(metrics_, obs::Gauge::kCrossInboxDepth);
   // Component locks sit at the top of the lock hierarchy; their validator
   // key is the component id, whose ascending order is exactly the legal
@@ -70,10 +74,8 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
                                        std::move(wopts));
 
   // The admission thread starts last, once every structure it reads is
-  // live. kOnFlush mode starts none: the flushing thread plays its role.
-  if (options_.cross_admission == CrossAdmission::kContinuous) {
-    admission_thread_ = std::thread(&IngestPipeline::AdmissionLoop, this);
-  }
+  // live.
+  admission_thread_ = std::thread(&IngestPipeline::AdmissionLoop, this);
 
   // Watchdog last, once every structure its dump reads is live. Progress
   // axis is the retired-op counter: pinned commits, cross commits, failed
@@ -134,15 +136,7 @@ SubmitResult IngestPipeline::Submit(
     // whose Submit happened-before this one — and nothing newer.
     item.barrier = pinned_submitted_.load(std::memory_order_acquire);
     item.enqueue_ns = obs::MonotonicNs();
-    if (options_.cross_admission == CrossAdmission::kOnFlush) {
-      // No consumer runs between flushes in this mode — the cross lane is
-      // a staging queue, unbounded exactly like the legacy drain queue; a
-      // credit wait here would block until a Flush that can never start.
-      cross_inbox_.ForcePush(std::move(item));
-      result = QueuePush::kOk;
-    } else {
-      result = cross_inbox_.Push(std::move(item), deadline);
-    }
+    result = cross_inbox_.Push(std::move(item), deadline);
     if (result == QueuePush::kOk) {
       metrics_->Add(obs::Counter::kCrossShardOps);
     }
@@ -203,12 +197,11 @@ void IngestPipeline::AdmissionLoop() {
   while (cross_inbox_.WaitPop(&first)) {
     // Opportunistic batching: take whatever else is already queued, up to
     // the cap — one engine run amortizes lock acquisition and conflict
-    // tracking across the batch, exactly like a drain-time batch did.
+    // tracking across the batch.
     std::vector<CrossItem> items;
     items.push_back(std::move(first));
     CrossItem more;
-    while (items.size() < options_.max_cross_batch &&
-           cross_inbox_.TryPop(&more)) {
+    while (items.size() < kMaxCrossBatch && cross_inbox_.TryPop(&more)) {
       items.push_back(std::move(more));
     }
     ProcessCrossItems(std::move(items));
@@ -243,6 +236,8 @@ void IngestPipeline::ProcessCrossItems(std::vector<CrossItem> items) {
   }
   if (!normals.empty()) {
     const size_t n = normals.size();
+    // Counted before the retirement below publishes it to Flush.
+    engine_cross_ops_ += n;
     const size_t escapes = RunCrossShardBatch(std::move(normals),
                                               /*escalated=*/false);
     // Escapes were re-queued (a later loop iteration runs them escalated)
@@ -305,8 +300,8 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
   if (!escalated) sopts.allowed_relations = &allowed;
   // Reserve a number block large enough for every submit and every
   // possible abort-redo, claimed under the held locks. The number-order ==
-  // execution-order guarantee (Theorem 4.4) survives the move from
-  // drain-time to continuous admission because it never depended on
+  // execution-order guarantee (Theorem 4.4) holds while batches run
+  // concurrently with pinned traffic because it never depends on
   // quiescence, only on the locks: (a) any pinned update overlapping this
   // footprint either finished before we acquired its component's lock —
   // its number was claimed under that lock, so it is below this block and
@@ -347,42 +342,8 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
 }
 
 ParallelStats IngestPipeline::Flush() {
-  if (options_.cross_admission == CrossAdmission::kOnFlush) {
-    // Legacy drain semantics, on the flushing thread. Phase 1: the pinned
-    // backlog completes, which also lands every worker escape in the cross
-    // inbox. Phase 2: every queued cross op in ONE batch under the union
-    // footprint locks — batch-internal conflict behavior (retroactive
-    // aborts, cascades) is part of this mode's contract. Phase 3: the
-    // escalated batch (worker escapes + phase-2 escapes) under every lock.
-    pool_->WaitIdle();
-    std::vector<CrossItem> items;
-    CrossItem it;
-    while (cross_inbox_.TryPop(&it)) items.push_back(std::move(it));
-    std::vector<WriteOp> normals, escalated;
-    for (CrossItem& i : items) {
-      (i.escalated ? escalated : normals).push_back(std::move(i.op));
-    }
-    if (!normals.empty()) {
-      const size_t n = normals.size();
-      const size_t escapes = RunCrossShardBatch(std::move(normals),
-                                                /*escalated=*/false);
-      RetireOps(n - escapes);
-      while (cross_inbox_.TryPop(&it)) {
-        CHECK(it.escalated);
-        escalated.push_back(std::move(it.op));
-      }
-    }
-    if (!escalated.empty()) {
-      const size_t n = escalated.size();
-      RunCrossShardBatch(std::move(escalated), /*escalated=*/true);
-      RetireOps(n);
-      CHECK_EQ(cross_inbox_.size(), 0u);
-    }
-  }
-
-  // The barrier, in both modes: every admitted op has retired. In
-  // kContinuous mode this is the whole flush — the admission thread drains
-  // the cross lane on its own. Observing zero under flush_mu_
+  // The barrier: every admitted op has retired. The admission thread
+  // drains the cross lane on its own. Observing zero under flush_mu_
   // happens-after the retiring thread's stats writes (see RetireOps), so
   // the aggregation below reads quiescent state.
   {
@@ -397,16 +358,10 @@ ParallelStats IngestPipeline::Flush() {
   stats.pinned_updates = stats.totals.updates_completed;
   stats.totals.Merge(engine_stats_);
   stats.workers = pool_->num_workers();
-  stats.components = shard_map_.num_components();
-  stats.shards = shard_map_.num_shards();
-  // Lifetime counters are a view over the metrics registry (deltas from
-  // the construction-time baselines, in case the registry outlives us).
-  stats.cross_shard_updates =
-      metrics_->CounterValue(obs::Counter::kCrossShardOps) - base_cross_;
-  stats.escaped_updates =
-      metrics_->CounterValue(obs::Counter::kEscapedOps) - base_escape_;
-  stats.cross_batches =
-      metrics_->CounterValue(obs::Counter::kCrossBatches) - base_batches_;
+  stats.cross_shard_updates = engine_cross_ops_;
+  // Every worker escape and every engine escape is counted in its
+  // engine's stats and re-routed once through EnqueueEscape.
+  stats.escaped_updates = stats.totals.escaped_updates;
   stats.flushes = ++flushes_;
   stats.inbox_high_watermark = pool_->InboxHighWatermark();
   stats.admission_stall_seconds =

@@ -29,20 +29,6 @@
 
 namespace youtopia {
 
-// When the cross-shard engine admits its ordered-lock batches.
-enum class CrossAdmission {
-  // A dedicated admission thread runs batches continuously as cross-shard
-  // ops arrive — the standing-service mode the facade runs in. Each batch
-  // waits only for the pinned ops submitted BEFORE its ops (a per-op
-  // watermark), never for later traffic, so the pipeline keeps absorbing
-  // pinned load while replacements execute.
-  kContinuous,
-  // Cross-shard ops accumulate until Flush() runs them on the flushing
-  // thread after the whole pinned backlog — the legacy batch semantics the
-  // ParallelScheduler wrapper preserves for closed-loop replays.
-  kOnFlush,
-};
-
 struct IngestOptions {
   // Worker threads requested; effective count is min(this, components).
   size_t num_workers = 2;
@@ -62,15 +48,10 @@ struct IngestOptions {
   // cross-shard lane's). A full inbox blocks or fast-fails the submitter —
   // the backpressure contract of the async facade.
   size_t inbox_capacity = 1024;
-  // Upper bound on ops admitted into one continuous cross-shard engine run
-  // (kOnFlush batches are unbounded, as before).
-  size_t max_cross_batch = 64;
-  CrossAdmission cross_admission = CrossAdmission::kContinuous;
   // Metrics sink shared with the facade (stage histograms, counters,
   // gauges). nullptr = the pipeline owns a private registry; either way
-  // metrics() exposes it. Counters are cumulative over the registry's
-  // lifetime, so the pipeline snapshots baselines at construction and
-  // reports lifetime deltas in ParallelStats.
+  // metrics() exposes it. The registry serves monitoring only: it may be
+  // shared and reset, so ParallelStats never reads it.
   obs::MetricsRegistry* metrics = nullptr;
   // Stall watchdog: if no op retires for this many milliseconds while work
   // is in flight, dump per-shard inbox depths, per-worker op/phase and
@@ -82,19 +63,19 @@ struct IngestOptions {
   bool watchdog_fatal = false;
 };
 
-// Aggregated report of a pipeline's lifetime so far (SchedulerStats totals
-// merged across every worker and the cross-shard engine, plus partition-,
-// admission- and backpressure-level counters). Snapshotted by Flush().
+// Aggregated report of a pipeline's lifetime so far: SchedulerStats totals
+// merged across every worker and the cross-shard engine, plus admission-
+// and backpressure-level counts. Flush() assembles it from state the
+// pipeline owns (the workers' and the engine's own counts), never from the
+// metrics registry, so resetting or sharing the registry cannot skew it.
 struct ParallelStats {
   SchedulerStats totals;
   uint64_t workers = 0;
-  uint64_t components = 0;
-  uint64_t shards = 0;
   uint64_t pinned_updates = 0;       // ran zero-CC on a shard worker
   uint64_t cross_shard_updates = 0;  // admitted through the footprint-lock
                                      // protocol into the serial engine
   uint64_t escaped_updates = 0;      // pinned/batch attempts re-routed
-  uint64_t cross_batches = 0;        // ordered-lock engine runs
+                                     // (== totals.escaped_updates)
   uint64_t flushes = 0;              // Flush() barriers since construction
   // Backpressure observability: deepest any shard inbox ever got (bounded
   // by inbox_capacity unless escapes re-queued past it) and the cumulative
@@ -127,14 +108,13 @@ enum class SubmitResult {
 //     footprint-lock protocol: each batch acquires its components' locks in
 //     ascending representative-relation-id order, so it excludes exactly
 //     the overlapping shards while disjoint workers keep draining, and two
-//     admissions can never deadlock. In kContinuous mode a dedicated
-//     admission thread runs these batches as ops arrive; each cross op
-//     carries the pinned-submission watermark observed at its admission,
-//     and its batch waits until the pool has processed that many pinned
-//     ops — so a replacement sees every occurrence registered by pinned
-//     predecessors it was submitted after, without ever waiting on traffic
-//     submitted later (no quiescent point, no livelock under open-loop
-//     load).
+//     admissions can never deadlock. A dedicated admission thread runs
+//     these batches as ops arrive; each cross op carries the
+//     pinned-submission watermark observed at its admission, and its batch
+//     waits until the pool has processed that many pinned ops — so a
+//     replacement sees every occurrence registered by pinned predecessors
+//     it was submitted after, without ever waiting on traffic submitted
+//     later (no quiescent point, no livelock under open-loop load).
 //
 // Priority numbers come from one atomic counter, claimed under the
 // respective footprint locks, so number order and execution order agree
@@ -169,9 +149,10 @@ class IngestPipeline {
                           std::chrono::steady_clock::time_point>& deadline =
                           std::nullopt);
 
-  // Barrier: waits until every admitted op has retired (committed or
+  // Pure barrier: waits until every admitted op has retired (committed or
   // failed; escapes retire through their escalated re-run), then returns a
-  // snapshot of the pipeline's lifetime statistics. Under sustained
+  // snapshot of the pipeline's lifetime statistics. It runs no op itself:
+  // the workers and the admission thread do all execution. Under sustained
   // open-loop load from other threads this waits for the traffic admitted
   // at the moment the backlog empties — the usual barrier caveat.
   ParallelStats Flush();
@@ -283,26 +264,20 @@ class IngestPipeline {
   // re-routing ForcePushes — see BoundedMpscQueue).
   BoundedMpscQueue<CrossItem> cross_inbox_;
 
-  // The cross-shard engine's private plan view, agent and bookkeeping —
-  // touched only by the admission thread (kContinuous) or the flushing
-  // thread (kOnFlush), never both: kOnFlush starts no admission thread.
+  // The cross-shard engine's private plan view, agent and bookkeeping.
+  // The admission thread is their only owner; Flush() reads them after its
+  // barrier, which happens-after the last retirement (see RetireOps).
   std::vector<Tgd> engine_tgds_;
   std::unique_ptr<FrontierAgent> engine_agent_;
   SchedulerStats engine_stats_;
   std::vector<std::pair<uint64_t, WriteOp>> engine_committed_;
-  uint64_t flushes_ = 0;  // flusher-thread only
+  uint64_t engine_cross_ops_ = 0;  // non-escalated items admitted
+  uint64_t flushes_ = 0;           // flusher-thread only
 
   // The registry every stage records into; owned_metrics_ backs it when
-  // the embedder passed none. The cross/escape/batch lifetime counters
-  // that used to live here as atomics are now registry counters
-  // (kCrossShardOps / kEscapedOps / kCrossBatches); the baselines are
-  // their values at construction, so ParallelStats stays a view of THIS
-  // pipeline's lifetime even on a shared, longer-lived registry.
+  // the embedder passed none.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  uint64_t base_cross_ = 0;
-  uint64_t base_escape_ = 0;
-  uint64_t base_batches_ = 0;
 
   // Started after all execution threads, stopped first in Stop().
   std::unique_ptr<obs::StallWatchdog> watchdog_;
@@ -310,7 +285,7 @@ class IngestPipeline {
   bool stopped_ GUARDED_BY(flush_mu_) = false;
 
   std::unique_ptr<WorkerPool> pool_;  // before admission thread: it submits
-  std::thread admission_thread_;      // kContinuous only; started last
+  std::thread admission_thread_;      // started last
 };
 
 }  // namespace youtopia

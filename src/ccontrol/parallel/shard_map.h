@@ -21,7 +21,7 @@ namespace youtopia {
 // Components are therefore the unit of conflict admission — updates in
 // different components commute — and the unit of lock footprints for the
 // updates that do span components (null replacements, whose occurrence sets
-// are not bounded by any mapping; see ParallelScheduler).
+// are not bounded by any mapping; see IngestPipeline).
 //
 // Component ids ascend with their representative (minimum) relation id, so
 // acquiring component locks in component-id order IS the ordered

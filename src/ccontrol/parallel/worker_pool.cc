@@ -51,43 +51,26 @@ QueuePush WorkerPool::Submit(
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   CHECK(op.kind != WriteOp::Kind::kNullReplace);
   const uint32_t shard = shard_map_->ShardOfRelation(op.rel);
-  // pending_ rises before the push so a racing WaitIdle can never observe
-  // the op inside an inbox with the counter still at zero; a rejected push
-  // retracts it.
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  const QueuePush result = shards_[shard]->inbox.Push(
+  return shards_[shard]->inbox.Push(
       PinnedItem{std::move(op), obs::MonotonicNs()}, deadline);
-  if (result != QueuePush::kOk) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  return result;
-}
-
-void WorkerPool::WaitIdle() {
-  MutexLock lock(idle_mu_);
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    idle_cv_.Wait(idle_mu_);
-  }
 }
 
 void WorkerPool::WaitProcessedAtLeast(uint64_t count) {
   if (processed_.load(std::memory_order_acquire) >= count) return;
-  MutexLock lock(idle_mu_);
+  MutexLock lock(processed_mu_);
   while (processed_.load(std::memory_order_acquire) < count) {
-    idle_cv_.Wait(idle_mu_);
+    processed_cv_.Wait(processed_mu_);
   }
 }
 
 void WorkerPool::Retire(bool retired) {
-  // Publish under the barrier lock so neither WaitIdle nor a cross-batch
-  // WaitProcessedAtLeast can miss the wakeup between its predicate test and
-  // its sleep.
+  // Publish under the barrier lock so a cross-batch WaitProcessedAtLeast
+  // cannot miss the wakeup between its predicate test and its sleep.
   {
-    MutexLock lock(idle_mu_);
+    MutexLock lock(processed_mu_);
     processed_.fetch_add(1, std::memory_order_acq_rel);
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  idle_cv_.NotifyAll();
+  processed_cv_.NotifyAll();
   if (retired && options_.on_op_retired) options_.on_op_retired();
 }
 

@@ -133,10 +133,6 @@ class WorkerPool {
                    const std::optional<std::chrono::steady_clock::time_point>&
                        deadline = std::nullopt);
 
-  // Blocks until every submitted update has been fully processed and all
-  // workers are parked. Callers must not race further Submits against this.
-  void WaitIdle();
-
   // Blocks until at least `count` inbox ops have been processed (committed,
   // failed, or surrendered as escapes) since construction. The cross-shard
   // admission thread uses this as its per-batch barrier: a batch waits for
@@ -221,7 +217,7 @@ class WorkerPool {
   // place. `enqueue_ns` is the op's inbox-entry stamp (0 = unknown) — the
   // start of its whole-op commit latency.
   Outcome RunExclusive(Worker* w, WriteOp op, uint64_t enqueue_ns);
-  // Publishes one processed op to the idle/processed barriers; fires
+  // Publishes one processed op to the processed barrier; fires
   // on_op_retired when `retired`.
   void Retire(bool retired);
 
@@ -233,14 +229,12 @@ class WorkerPool {
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Updates submitted but not yet fully processed; the idle barrier.
-  std::atomic<size_t> pending_{0};
   // Inbox ops processed since construction; the cross-batch barrier.
   std::atomic<uint64_t> processed_{0};
-  // Barrier lock: the counters are atomics (lock-free readers), but their
-  // transitions publish under idle_mu_ so waiters can't miss a wakeup.
-  Mutex idle_mu_{LockRank::kLeaf};
-  CondVar idle_cv_;
+  // Barrier lock: the counter is atomic (lock-free readers), but its
+  // increments publish under processed_mu_ so waiters can't miss a wakeup.
+  Mutex processed_mu_{LockRank::kLeaf};
+  CondVar processed_cv_;
 };
 
 }  // namespace youtopia

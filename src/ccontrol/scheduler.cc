@@ -24,9 +24,9 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
   // time statistics-free plans), then build the composite indexes the
   // costed plans probe, so every chase step and retroactive conflict check
   // in this run executes its planned access paths instead of falling back
-  // to single-column probes. Skipped for embedded cross-shard engines,
-  // whose plan view was compiled at parallel-scheduler setup (registration
-  // would touch relations outside their footprint locks).
+  // to single-column probes. Skipped for the ingest pipeline's embedded
+  // cross-shard engines, whose plan view was compiled at pipeline setup
+  // (registration would touch relations outside their footprint locks).
   if (options_.register_plans) {
     for (const Tgd& tgd : *tgds_) {
       tgd.RecompilePlans(db_);
@@ -64,10 +64,6 @@ uint64_t Scheduler::Submit(WriteOp initial_op) {
 
 void Scheduler::RunToCompletion() {
   while (!ready_.empty()) {
-    if (stats_.total_steps >= options_.max_total_steps) {
-      stats_.hit_global_step_cap = true;
-      return;
-    }
     const size_t idx = ready_.front();
     ready_.pop_front();
     slots_[idx].queued = false;

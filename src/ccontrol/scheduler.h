@@ -29,8 +29,6 @@ struct SchedulerOptions {
   size_t max_steps_per_update = 1u << 20;
   // Livelock guard: an update aborted this many times is marked failed.
   size_t max_attempts_per_update = 256;
-  // Global safety valve.
-  uint64_t max_total_steps = UINT64_MAX;
   // First update number to assign (lets a caller continue a numbering
   // sequence started outside this scheduler).
   uint64_t first_number = 1;
@@ -41,7 +39,7 @@ struct SchedulerOptions {
   // Null: no restriction (the default serial behavior).
   const std::vector<bool>* allowed_relations = nullptr;
   // Whether construction recompiles every mapping's plans against `db` and
-  // registers their composite-index demands. The parallel scheduler turns
+  // registers their composite-index demands. The ingest pipeline turns
   // this off for its embedded cross-shard engine: registration touches
   // every relation, but the engine may only touch the relations its
   // footprint locks cover (its plan view was compiled at setup instead).
@@ -71,9 +69,8 @@ struct SchedulerStats {
   // Updates that left their shard-admission footprint (allowed_relations)
   // and were surrendered for re-routing; disjoint from aborts.
   uint64_t escaped_updates = 0;
-  bool hit_global_step_cap = false;
 
-  // Pool-level merge (the parallel scheduler sums worker-local and
+  // Pool-level merge (the ingest pipeline sums worker-local and
   // cross-shard engine stats into one report).
   void Merge(const SchedulerStats& other) {
     updates_submitted += other.updates_submitted;
@@ -87,7 +84,6 @@ struct SchedulerStats {
     direct_conflict_aborts += other.direct_conflict_aborts;
     cascading_abort_requests += other.cascading_abort_requests;
     escaped_updates += other.escaped_updates;
-    hit_global_step_cap = hit_global_step_cap || other.hit_global_step_cap;
   }
 };
 
@@ -106,12 +102,12 @@ struct SchedulerStats {
 //
 // Threading contract: a Scheduler is a SERIAL engine — no internal locking,
 // no GUARDED_BY annotations, because every member is confined to whichever
-// single thread is driving it. The parallel layer embeds one per worker
-// (and one in the cross-shard lane) and guarantees exclusivity externally:
-// a worker's engine runs only on that worker's thread, and the cross-shard
-// engine runs only while the admission thread holds the full ordered
-// component-lock set covering its footprint. Do not share an instance
-// across threads; share the Database under the lock protocol instead.
+// single thread is driving it. The ingest pipeline embeds one only in its
+// cross-shard lane (shard workers run Update directly) and guarantees
+// exclusivity externally: that engine runs only on the admission thread,
+// while it holds the full ordered component-lock set covering the batch's
+// footprint. Do not share an instance across threads; share the Database
+// under the lock protocol instead.
 class Scheduler {
  public:
   Scheduler(Database* db, const std::vector<Tgd>* tgds, FrontierAgent* agent,
@@ -146,8 +142,8 @@ class Scheduler {
   std::vector<WriteOp> CommittedOpsInOrder() const;
 
   // Initial operations, paired with their final committed numbers (the
-  // parallel scheduler interleaves several engines' committed ops by
-  // number to reconstruct the global serialization order).
+  // ingest pipeline interleaves its engines' committed ops by number to
+  // reconstruct the global serialization order).
   std::vector<std::pair<uint64_t, WriteOp>> CommittedOpsWithNumbers() const;
 
   // Initial operations of updates that escaped the allowed_relations

@@ -170,20 +170,18 @@ Result<UpdateReport> Youtopia::ReplaceNull(std::string_view null_name,
       WriteOp::NullReplace(it->second, db_.InternConstant(constant)));
 }
 
-Status Youtopia::QueueInsertInto(std::vector<WriteOp>* queue,
-                                 std::string_view relation,
-                                 const std::vector<std::string>& values) {
+Status Youtopia::QueueInsert(std::string_view relation,
+                             const std::vector<std::string>& values) {
   Result<RelationId> rel = db_.catalog().Find(relation);
   if (!rel.ok()) return rel.status();
   Result<TupleData> data = ResolveValues(*rel, values, /*allow_new_nulls=*/true);
   if (!data.ok()) return data.status();
-  queue->push_back(WriteOp::Insert(*rel, std::move(data).value()));
+  queued_.push_back(WriteOp::Insert(*rel, std::move(data).value()));
   return Status::Ok();
 }
 
-Status Youtopia::QueueDeleteInto(std::vector<WriteOp>* queue,
-                                 std::string_view relation,
-                                 const std::vector<std::string>& values) {
+Status Youtopia::QueueDelete(std::string_view relation,
+                             const std::vector<std::string>& values) {
   Result<RelationId> rel = db_.catalog().Find(relation);
   if (!rel.ok()) return rel.status();
   Result<TupleData> data =
@@ -194,18 +192,8 @@ Status Youtopia::QueueDeleteInto(std::vector<WriteOp>* queue,
     return Status::NotFound("no such tuple in '" + std::string(relation) +
                             "'");
   }
-  queue->push_back(WriteOp::Delete(*rel, *row));
+  queued_.push_back(WriteOp::Delete(*rel, *row));
   return Status::Ok();
-}
-
-Status Youtopia::QueueInsert(std::string_view relation,
-                             const std::vector<std::string>& values) {
-  return QueueInsertInto(&queued_, relation, values);
-}
-
-Status Youtopia::QueueDelete(std::string_view relation,
-                             const std::vector<std::string>& values) {
-  return QueueDeleteInto(&queued_, relation, values);
 }
 
 Result<SchedulerStats> Youtopia::RunQueued(TrackerKind tracker) {
@@ -239,7 +227,6 @@ void Youtopia::EnsurePipeline(size_t workers, TrackerKind tracker,
   options.first_number = next_number_;
   options.agent_seed = seed_;
   options.inbox_capacity = pipeline_inbox_capacity_;
-  options.cross_admission = CrossAdmission::kContinuous;
   options.metrics = &metrics_;
   options.watchdog_deadline_ms = pipeline_watchdog_ms_;
   options.watchdog_fatal = pipeline_watchdog_fatal_;

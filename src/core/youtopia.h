@@ -165,6 +165,8 @@ class Youtopia {
   obs::MetricsSnapshot MetricsSnapshot() { return metrics_.Snapshot(); }
 
   // Zeroes every histogram, counter and gauge (bench arms isolate runs).
+  // Flush()'s ParallelStats are counted by the pipeline itself and are not
+  // affected.
   void ResetMetrics() { metrics_.Reset(); }
 
   // Turns process-wide trace-span recording on or off. Off (the default)
@@ -239,13 +241,6 @@ class Youtopia {
   Result<TupleData> ResolveValues(RelationId rel,
                                   const std::vector<std::string>& values,
                                   bool allow_new_nulls);
-  // Shared bodies of Queue{Insert,Delete} and {Insert,Delete}Async.
-  Status QueueInsertInto(std::vector<WriteOp>* queue,
-                         std::string_view relation,
-                         const std::vector<std::string>& values);
-  Status QueueDeleteInto(std::vector<WriteOp>* queue,
-                         std::string_view relation,
-                         const std::vector<std::string>& values);
   UpdateReport RunSerial(WriteOp op);
   // Creates the pipeline if it is not running (no-op otherwise) and
   // records the configuration for later lazy restarts.

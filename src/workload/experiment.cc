@@ -41,7 +41,9 @@ double ExperimentResult::SlowdownOfPrecise(size_t mapping_index) const {
 }
 
 ExperimentDriver::ExperimentDriver(ExperimentConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {}
+    : config_(std::move(config)), rng_(config_.seed) {
+  CHECK_EQ(config_.workers, 1u);  // the sweep runs the serial Scheduler
+}
 
 void ExperimentDriver::BuildRepository(bool verbose,
                                        InitialDataReport* report) {
@@ -120,41 +122,20 @@ ExperimentResult ExperimentDriver::Run(bool verbose) {
         db_.RemoveVersionsAbove(0);  // rewind to the initial database
         // Same agent seed across trackers: all three algorithms replay
         // identical workloads with identical simulated-user behavior.
-        SchedulerStats run_stats;
-        double seconds = 0;
-        if (config_.workers <= 1) {
-          RandomAgent agent(config_.seed + 31 * run);
-          SchedulerOptions sched_opts;
-          sched_opts.tracker = kTrackers[t];
-          sched_opts.max_steps_per_update = config_.max_steps_per_update;
-          sched_opts.max_attempts_per_update =
-              config_.max_attempts_per_update;
-          Scheduler scheduler(&db_, &active, &agent, sched_opts);
-          for (const WriteOp& op : ops) scheduler.Submit(op);
+        RandomAgent agent(config_.seed + 31 * run);
+        SchedulerOptions sched_opts;
+        sched_opts.tracker = kTrackers[t];
+        sched_opts.max_steps_per_update = config_.max_steps_per_update;
+        sched_opts.max_attempts_per_update = config_.max_attempts_per_update;
+        Scheduler scheduler(&db_, &active, &agent, sched_opts);
+        for (const WriteOp& op : ops) scheduler.Submit(op);
 
-          const auto start = std::chrono::steady_clock::now();
-          scheduler.RunToCompletion();
-          seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-          run_stats = scheduler.stats();
-        } else {
-          IngestOptions popts;
-          popts.num_workers = config_.workers;
-          popts.tracker = kTrackers[t];
-          popts.max_steps_per_update = config_.max_steps_per_update;
-          popts.max_attempts_per_update = config_.max_attempts_per_update;
-          popts.agent_seed = config_.seed + 31 * run;
-          ParallelScheduler scheduler(&db_, &active, popts);
-          // Submission is part of the measured run: workers start chasing
-          // as soon as ops land in their inboxes.
-          const auto start = std::chrono::steady_clock::now();
-          for (const WriteOp& op : ops) scheduler.Submit(op);
-          run_stats = scheduler.Drain().totals;
-          seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        }
+        const auto start = std::chrono::steady_clock::now();
+        scheduler.RunToCompletion();
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        const SchedulerStats& run_stats = scheduler.stats();
         result.cells[mi][t].Accumulate(run_stats, seconds);
         if (verbose) {
           std::fprintf(

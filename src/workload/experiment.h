@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "ccontrol/parallel/parallel_scheduler.h"
 #include "ccontrol/scheduler.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
@@ -39,14 +38,15 @@ struct ExperimentConfig {
   double p_hot_value = 0.0;
   size_t hot_pool_ranks = 4;
 
-  // Execution engine: 1 = the serial Scheduler (the paper's setup); > 1 =
-  // the sharded ParallelScheduler with this many workers (effective
-  // parallelism is bounded by the schema's tgd-closure component count —
-  // see islands below and ccontrol/parallel/).
+  // Shard lanes for the ingest-pipeline harnesses (bench/parallel_scale,
+  // bench/streaming_ingest; effective parallelism is bounded by the
+  // schema's tgd-closure component count — see islands below and
+  // ccontrol/parallel/). ExperimentDriver always runs the serial Scheduler
+  // (the paper's setup) and requires 1.
   size_t workers = 1;
   // Partition mappings into this many disjoint relation islands
   // (MappingGenOptions::num_islands). 1 keeps the paper's dense connected
-  // mapping graph, under which the parallel scheduler degenerates to one
+  // mapping graph, under which the ingest pipeline degenerates to one
   // shard.
   size_t islands = 1;
   // Deterministic chain-mapping prefix for the dense single-component

@@ -42,7 +42,7 @@ struct MappingGenOptions {
   // (contiguous id blocks) and keep every mapping's relations within one
   // island, round-robining mappings across islands. With islands > 1 the
   // tgd-closure components stay disjoint, which is the workload shape the
-  // sharded parallel scheduler pins without cross-shard admission (see
+  // sharded ingest pipeline pins without cross-shard admission (see
   // ccontrol/parallel/ and bench/parallel_scale.cc). 1 = the paper's
   // unconstrained generator.
   size_t num_islands = 1;

@@ -1,4 +1,7 @@
-#include "ccontrol/parallel/parallel_scheduler.h"
+// Sharding behaviour of the standing IngestPipeline, driven with Submit +
+// Flush: byte-equivalence with the serial Scheduler on disjoint islands,
+// committed-order replay, cross-shard classification and escape re-routing.
+#include "ccontrol/parallel/ingest_pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,8 @@
 
 namespace youtopia {
 namespace {
+
+using testing_util::CrossShardFixture;
 
 std::unique_ptr<FrontierAgent> MinContentFactory(size_t) {
   return std::make_unique<MinContentAgent>();
@@ -109,8 +114,8 @@ struct Islands {
 };
 
 // Runs the workload through the serial Scheduler on one fixture and through
-// the ParallelScheduler on an identically built fixture; final instances
-// must match byte for byte and nothing may abort or escape.
+// an IngestPipeline on an identically built fixture; final instances must
+// match byte for byte and nothing may abort or escape.
 void RunEquivalence(size_t islands, size_t workers) {
   // Two identically built fixtures. Workloads are generated per fixture in
   // the same order so both symbol tables intern the same ids — WriteOps
@@ -133,12 +138,14 @@ void RunEquivalence(size_t islands, size_t workers) {
   IngestOptions popts;
   popts.num_workers = workers;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&par_fix.db, &par_fix.tgds, popts);
-  for (const WriteOp& op : ops) parallel.Submit(op);
-  const ParallelStats stats = parallel.Drain();
+  IngestPipeline pipeline(&par_fix.db, &par_fix.tgds, popts);
+  for (const WriteOp& op : ops) {
+    ASSERT_EQ(pipeline.Submit(op), SubmitResult::kOk);
+  }
+  const ParallelStats stats = pipeline.Flush();
 
   EXPECT_EQ(stats.workers, std::min<size_t>(workers, islands));
-  EXPECT_EQ(stats.components, islands);
+  EXPECT_EQ(pipeline.shard_map().num_components(), islands);
   EXPECT_EQ(stats.pinned_updates, ops.size());
   EXPECT_EQ(stats.cross_shard_updates, 0u);
   EXPECT_EQ(stats.escaped_updates, 0u);
@@ -151,15 +158,15 @@ void RunEquivalence(size_t islands, size_t workers) {
   EXPECT_EQ(DumpAll(serial_fix.db), DumpAll(par_fix.db));
 }
 
-TEST(ParallelSchedulerTest, TwoWorkersMatchSerialByteForByte) {
+TEST(IngestPipelineShardingTest, TwoWorkersMatchSerialByteForByte) {
   RunEquivalence(/*islands=*/2, /*workers=*/2);
 }
 
-TEST(ParallelSchedulerTest, FourWorkersMatchSerialByteForByte) {
+TEST(IngestPipelineShardingTest, FourWorkersMatchSerialByteForByte) {
   RunEquivalence(/*islands=*/4, /*workers=*/4);
 }
 
-TEST(ParallelSchedulerTest, MoreWorkersThanComponentsClampCleanly) {
+TEST(IngestPipelineShardingTest, MoreWorkersThanComponentsClampCleanly) {
   RunEquivalence(/*islands=*/2, /*workers=*/8);
 }
 
@@ -197,7 +204,7 @@ std::vector<Tgd> ExtendWithExistentialHop(Islands* fix) {
   return tgds;
 }
 
-TEST(ParallelSchedulerTest, CommittedOrderReplaysToIsomorphicInstance) {
+TEST(IngestPipelineShardingTest, CommittedOrderReplaysToIsomorphicInstance) {
   // Islands with an existential hop: the chase now mints fresh nulls, so
   // the guarantee is the serial scheduler's — replaying the committed ops
   // serially in final number order reproduces the instance up to null
@@ -215,15 +222,17 @@ TEST(ParallelSchedulerTest, CommittedOrderReplaysToIsomorphicInstance) {
   IngestOptions popts;
   popts.num_workers = k;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&fix.db, &tgds, popts);
-  for (const WriteOp& op : ops) parallel.Submit(op);
-  const ParallelStats stats = parallel.Drain();
+  IngestPipeline pipeline(&fix.db, &tgds, popts);
+  for (const WriteOp& op : ops) {
+    ASSERT_EQ(pipeline.Submit(op), SubmitResult::kOk);
+  }
+  const ParallelStats stats = pipeline.Flush();
   EXPECT_EQ(stats.totals.updates_completed, ops.size());
   EXPECT_TRUE(Satisfied(fix.db, tgds));
 
   MinContentAgent agent;
   uint64_t number = 1;
-  for (const WriteOp& op : parallel.CommittedOpsInOrder()) {
+  for (const WriteOp& op : pipeline.CommittedOpsInOrder()) {
     Update u(number++, op, &replay_tgds);
     u.RunToCompletion(&replay_fix.db, &agent);
   }
@@ -233,87 +242,35 @@ TEST(ParallelSchedulerTest, CommittedOrderReplaysToIsomorphicInstance) {
 
 // --- Cross-shard admission through the embedded serial engine ---------------
 
-// Two components: {Bb, Cc, Dd} tied by sigma (Bb & Cc -> exists Dd) plus the
-// standalone {E}. Nulls X, Y, Z each occur in one big-component tuple AND an
-// E tuple, so replacing any of them is a cross-shard update.
-struct CrossShardFixture {
-  Database db;
-  std::vector<Tgd> tgds;
-  RelationId bb, cc, dd, e;
-  Value x, y, z;
-  Value a, b, d;  // replacement targets, interned in fixture order so two
-                  // fixtures agree on every value id
-
-  CrossShardFixture() {
-    bb = *db.CreateRelation("Bb", {"x", "y"});
-    cc = *db.CreateRelation("Cc", {"y", "z"});
-    dd = *db.CreateRelation("Dd", {"x", "w"});
-    e = *db.CreateRelation("E", {"v"});
-    TgdParser parser(&db.catalog(), &db.symbols());
-    tgds.push_back(
-        *parser.ParseTgd("Bb(x, y) & Cc(y, z) -> exists w: Dd(x, w)"));
-    x = db.FreshNull();
-    y = db.FreshNull();
-    z = db.FreshNull();
-    a = db.InternConstant("a");
-    b = db.InternConstant("b");
-    d = db.InternConstant("d");
-    auto seed = [&](RelationId rel, TupleData data) {
-      db.Apply(WriteOp::Insert(rel, std::move(data)), 0);
-    };
-    const Value m = db.InternConstant("m");
-    const Value m3 = db.InternConstant("m3");
-    const Value c0 = db.InternConstant("c0");
-    const Value c1 = db.InternConstant("c1");
-    // u1's replace (X -> a) turns Cc(X, c0) into Cc(a, c0), completing the
-    // premise with Bb(m, a) — its repair later inserts Dd(m, _).
-    seed(bb, {m, a});
-    seed(cc, {x, c0});
-    // u2's replace (Y -> b) turns Bb(m, Y) into Bb(m, b); with Cc(b, c1)
-    // seeded this is an immediate violation whose answer u1's Dd insert
-    // then flips retroactively -> direct conflict, u2 aborts.
-    seed(bb, {m, y});
-    seed(cc, {b, c1});
-    // u3's replace (Z -> d) poses a sigma violation query after u2 wrote
-    // Bb, so u2's abort cascades a request to u3 (COARSE granularity).
-    seed(bb, {m3, z});
-    // The cross-component occurrences.
-    seed(e, {x});
-    seed(e, {y});
-    seed(e, {z});
-  }
-};
-
-TEST(ParallelSchedulerTest, CrossShardConflictAbortsAndCascades) {
+TEST(IngestPipelineShardingTest, CrossShardReplacementsCommitAndReplay) {
+  // The fixture's three replacements conflict when they share one engine
+  // batch (SchedulerTest.CrossShardConflictAbortsAndCascades pins that
+  // down). Under continuous admission they may land in one batch or
+  // several, so only the outcome is asserted: all three run through the
+  // cross lane, commit, and serialize in committed number order.
   CrossShardFixture fix;
   IngestOptions popts;
   popts.num_workers = 2;
   popts.tracker = TrackerKind::kCoarse;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&fix.db, &fix.tgds, popts);
-  parallel.Submit(WriteOp::NullReplace(fix.x, fix.a));
-  parallel.Submit(WriteOp::NullReplace(fix.y, fix.b));
-  parallel.Submit(WriteOp::NullReplace(fix.z, fix.d));
-  const ParallelStats stats = parallel.Drain();
+  IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
+  for (const WriteOp& op : fix.Replacements()) {
+    ASSERT_EQ(pipeline.Submit(op), SubmitResult::kOk);
+  }
+  const ParallelStats stats = pipeline.Flush();
 
   EXPECT_EQ(stats.cross_shard_updates, 3u);
   EXPECT_EQ(stats.pinned_updates, 0u);
   EXPECT_EQ(stats.totals.updates_completed, 3u);
-  // u1's late Dd insert retroactively invalidates u2's logged violation
-  // query; the abort cascades (COARSE) to u3, which read Bb after u2 wrote
-  // it.
-  EXPECT_GE(stats.totals.direct_conflict_aborts, 1u);
-  EXPECT_GE(stats.totals.aborts, 2u);
-  EXPECT_GE(stats.totals.cascading_abort_requests, 1u);
   EXPECT_TRUE(Satisfied(fix.db, fix.tgds));
 
-  // Serial replay in committed order reproduces the instance.
+  // Serial replay in committed order reproduces the instance. The replayed
+  // ops reference the same null/constant values because both fixtures
+  // intern in identical order.
   CrossShardFixture replay;
   MinContentAgent agent;
   uint64_t number = 1;
-  // The replayed ops reference the same null/constant values because both
-  // fixtures intern in identical order.
-  for (const WriteOp& op : parallel.CommittedOpsInOrder()) {
+  for (const WriteOp& op : pipeline.CommittedOpsInOrder()) {
     Update u(number++, op, &replay.tgds);
     u.RunToCompletion(&replay.db, &agent);
   }
@@ -355,16 +312,20 @@ struct EscapeFixture {
   }
 };
 
-TEST(ParallelSchedulerTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
+TEST(IngestPipelineShardingTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
   EscapeFixture fix;
   IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&fix.db, &fix.tgds, popts);
-  parallel.Submit(WriteOp::Insert(fix.p, {fix.m, fix.k}));
-  const ParallelStats stats = parallel.Drain();
+  IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
+  ASSERT_EQ(pipeline.Submit(WriteOp::Insert(fix.p, {fix.m, fix.k})),
+            SubmitResult::kOk);
+  const ParallelStats stats = pipeline.Flush();
 
-  EXPECT_GE(stats.escaped_updates, 1u);
+  // Exactly one escape: the pinned attempt. Its escalated re-run holds
+  // every component lock, so it cannot escape again.
+  EXPECT_EQ(stats.escaped_updates, 1u);
+  EXPECT_EQ(stats.totals.escaped_updates, 1u);
   EXPECT_EQ(stats.totals.updates_completed, 1u);
   // The escaped attempt's submission count is retracted when the op is
   // surrendered: one op submitted, one merged submission.
@@ -387,7 +348,8 @@ TEST(ParallelSchedulerTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
       fix.db.FindRowWithData(fix.p, {fix.m, fix.k}, kReadLatest).has_value());
 }
 
-TEST(ParallelSchedulerTest, InsertReferencingForeignNullClassifiesCrossShard) {
+TEST(IngestPipelineShardingTest,
+     InsertReferencingForeignNullClassifiesCrossShard) {
   // The complementary admission rule to the escape above: a user insert
   // whose values reference a null already occurring outside the target
   // component must not pin — pinned execution would grow the null's
@@ -397,18 +359,19 @@ TEST(ParallelSchedulerTest, InsertReferencingForeignNullClassifiesCrossShard) {
   IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&fix.db, &fix.tgds, popts);
+  IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
   // X occurs in Q (the {P,Q,R} component) and E; inserting it into P spans
   // both components.
-  parallel.Submit(WriteOp::Insert(fix.p, {fix.m, fix.x}));
-  const ParallelStats stats = parallel.Drain();
+  ASSERT_EQ(pipeline.Submit(WriteOp::Insert(fix.p, {fix.m, fix.x})),
+            SubmitResult::kOk);
+  const ParallelStats stats = pipeline.Flush();
   EXPECT_EQ(stats.cross_shard_updates, 1u);
   EXPECT_EQ(stats.pinned_updates, 0u);
   EXPECT_EQ(stats.totals.updates_completed, 1u);
   EXPECT_TRUE(Satisfied(fix.db, fix.tgds));
 }
 
-TEST(ParallelSchedulerTest, SiblingComponentOnSameShardStillEscapes) {
+TEST(IngestPipelineShardingTest, SiblingComponentOnSameShardStillEscapes) {
   // Admission must be scoped to the op's component — what the held lock
   // covers — not the worker's whole shard: a chase whose unification
   // reaches a null occurring in a sibling component co-located on the SAME
@@ -445,17 +408,19 @@ TEST(ParallelSchedulerTest, SiblingComponentOnSameShardStillEscapes) {
   IngestOptions popts;
   popts.num_workers = 2;
   popts.agent_factory = MinContentFactory;
-  ParallelScheduler parallel(&db, &tgds, popts);
-  ASSERT_EQ(parallel.shard_map().num_components(), 3u);
-  ASSERT_EQ(parallel.shard_map().ShardOfRelation(p),
-            parallel.shard_map().ShardOfRelation(e));
-  ASSERT_NE(parallel.shard_map().ComponentOf(p),
-            parallel.shard_map().ComponentOf(e));
+  IngestPipeline pipeline(&db, &tgds, popts);
+  ASSERT_EQ(pipeline.shard_map().num_components(), 3u);
+  ASSERT_EQ(pipeline.shard_map().ShardOfRelation(p),
+            pipeline.shard_map().ShardOfRelation(e));
+  ASSERT_NE(pipeline.shard_map().ComponentOf(p),
+            pipeline.shard_map().ComponentOf(e));
 
-  parallel.Submit(WriteOp::Insert(p, {m, k}));  // null-free: pins
-  const ParallelStats stats = parallel.Drain();
+  // Null-free: pins.
+  ASSERT_EQ(pipeline.Submit(WriteOp::Insert(p, {m, k})), SubmitResult::kOk);
+  const ParallelStats stats = pipeline.Flush();
   EXPECT_EQ(stats.cross_shard_updates, 0u);
-  EXPECT_GE(stats.escaped_updates, 1u);
+  EXPECT_EQ(stats.escaped_updates, 1u);
+  EXPECT_EQ(stats.totals.escaped_updates, 1u);
   EXPECT_EQ(stats.totals.updates_completed, 1u);
   EXPECT_TRUE(Satisfied(db, tgds));
   EXPECT_TRUE(db.FindRowWithData(q, {k, d}, kReadLatest).has_value());

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/isomorphism.h"
 #include "test_util.h"
 
 namespace youtopia {
 namespace {
 
+using testing_util::CrossShardFixture;
 using testing_util::Figure2;
 
 TEST(SchedulerTest, SingleUpdateRunsLikeSerialChase) {
@@ -213,6 +215,40 @@ TEST(SchedulerTest, FinalDatabaseSatisfiesMappingsUnderContention) {
   sched.RunToCompletion();
   EXPECT_EQ(sched.stats().updates_completed, 20u);
   EXPECT_TRUE(fig.Satisfied());
+}
+
+TEST(SchedulerTest, CrossShardConflictAbortsAndCascades) {
+  // The three null replacements the ingest pipeline routes to its
+  // cross-shard engine, run here as one deterministic batch: u1's late Dd
+  // insert retroactively invalidates u2's logged violation query, and the
+  // abort cascades (COARSE) to u3, which read Bb after u2 wrote it.
+  CrossShardFixture fix;
+  MinContentAgent agent;
+  SchedulerOptions opts;
+  opts.tracker = TrackerKind::kCoarse;
+  Scheduler sched(&fix.db, &fix.tgds, &agent, opts);
+  for (const WriteOp& op : fix.Replacements()) sched.Submit(op);
+  sched.RunToCompletion();
+
+  EXPECT_EQ(sched.stats().updates_completed, 3u);
+  EXPECT_GE(sched.stats().direct_conflict_aborts, 1u);
+  EXPECT_GE(sched.stats().aborts, 2u);
+  EXPECT_GE(sched.stats().cascading_abort_requests, 1u);
+  Snapshot snap(&fix.db, kReadLatest);
+  EXPECT_TRUE(ViolationDetector(&fix.tgds).SatisfiesAll(snap));
+
+  // Serial replay in committed order reproduces the instance. The replayed
+  // ops reference the same null/constant values because both fixtures
+  // intern in identical order.
+  CrossShardFixture replay;
+  MinContentAgent replay_agent;
+  uint64_t number = 1;
+  for (const WriteOp& op : sched.CommittedOpsInOrder()) {
+    Update u(number++, op, &replay.tgds);
+    u.RunToCompletion(&replay.db, &replay_agent);
+  }
+  EXPECT_TRUE(
+      DatabasesIsomorphic(fix.db, kReadLatest, replay.db, kReadLatest));
 }
 
 }  // namespace

@@ -87,6 +87,66 @@ struct Figure2 {
   }
 };
 
+// Two components: {Bb, Cc, Dd} tied by sigma (Bb & Cc -> exists Dd) plus the
+// standalone {E}. Nulls X, Y, Z each occur in one big-component tuple AND an
+// E tuple, so replacing any of them is a cross-shard update. Submitted in
+// one batch in the order X -> a, Y -> b, Z -> d, the three replacements
+// conflict: u1's late Dd insert retroactively invalidates u2's logged
+// violation query, and u2's abort cascades (COARSE) to u3.
+struct CrossShardFixture {
+  Database db;
+  std::vector<Tgd> tgds;
+  RelationId bb, cc, dd, e;
+  Value x, y, z;
+  Value a, b, d;  // replacement targets, interned in fixture order so two
+                  // fixtures agree on every value id
+
+  CrossShardFixture() {
+    bb = *db.CreateRelation("Bb", {"x", "y"});
+    cc = *db.CreateRelation("Cc", {"y", "z"});
+    dd = *db.CreateRelation("Dd", {"x", "w"});
+    e = *db.CreateRelation("E", {"v"});
+    TgdParser parser(&db.catalog(), &db.symbols());
+    tgds.push_back(
+        *parser.ParseTgd("Bb(x, y) & Cc(y, z) -> exists w: Dd(x, w)"));
+    x = db.FreshNull();
+    y = db.FreshNull();
+    z = db.FreshNull();
+    a = db.InternConstant("a");
+    b = db.InternConstant("b");
+    d = db.InternConstant("d");
+    auto seed = [&](RelationId rel, TupleData data) {
+      db.Apply(WriteOp::Insert(rel, std::move(data)), 0);
+    };
+    const Value m = db.InternConstant("m");
+    const Value m3 = db.InternConstant("m3");
+    const Value c0 = db.InternConstant("c0");
+    const Value c1 = db.InternConstant("c1");
+    // u1's replace (X -> a) turns Cc(X, c0) into Cc(a, c0), completing the
+    // premise with Bb(m, a) — its repair later inserts Dd(m, _).
+    seed(bb, {m, a});
+    seed(cc, {x, c0});
+    // u2's replace (Y -> b) turns Bb(m, Y) into Bb(m, b); with Cc(b, c1)
+    // seeded this is an immediate violation whose answer u1's Dd insert
+    // then flips retroactively -> direct conflict, u2 aborts.
+    seed(bb, {m, y});
+    seed(cc, {b, c1});
+    // u3's replace (Z -> d) poses a sigma violation query after u2 wrote
+    // Bb, so u2's abort cascades a request to u3 (COARSE granularity).
+    seed(bb, {m3, z});
+    // The cross-component occurrences.
+    seed(e, {x});
+    seed(e, {y});
+    seed(e, {z});
+  }
+
+  // The three conflicting replacements, in submission order.
+  std::vector<WriteOp> Replacements() const {
+    return {WriteOp::NullReplace(x, a), WriteOp::NullReplace(y, b),
+            WriteOp::NullReplace(z, d)};
+  }
+};
+
 }  // namespace testing_util
 }  // namespace youtopia
 

@@ -282,6 +282,26 @@ TEST_F(YoutopiaTest, ObservabilitySurfaceOnTheFacade) {
   EXPECT_EQ(repo_.MetricsSnapshot().counter(obs::Counter::kCommits), 0u);
 }
 
+TEST_F(YoutopiaTest, ResetMetricsLeavesPipelineStatsIntact) {
+  // Flush()'s ParallelStats are counted by the pipeline itself, not read
+  // off the shared registry: a restarted pipeline whose registry is reset
+  // after it started must still report exactly its own lifetime.
+  ASSERT_TRUE(repo_.Insert("T", {"Winery", "?who", "Syracuse"}).ok());
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  ASSERT_TRUE(repo_.ReplaceNullAsync("?who", "XYZ").ok());
+  ASSERT_TRUE(repo_.Flush().ok());
+  ASSERT_TRUE(repo_.Stop().ok());
+
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  repo_.ResetMetrics();
+  ASSERT_TRUE(repo_.InsertAsync("T", {"Winery", "co", "Syracuse"}).ok());
+  auto stats = repo_.Flush();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->cross_shard_updates, 0u);
+  EXPECT_EQ(stats->escaped_updates, 0u);
+  EXPECT_EQ(stats->totals.updates_completed, 1u);
+}
+
 TEST_F(YoutopiaTest, SchemaChangeInvalidatesTheStandingPipeline) {
   // The shard map and every worker's plan view are compiled against the
   // mapping set; AddMapping/CreateRelation must flush and rebuild.
