@@ -21,6 +21,7 @@ struct Fixture {
   std::vector<Tgd> tgds;
   RelationId a, t, r;
   WriteLog wlog;
+  PhysicalWrite first_logged;  // the write the single-check arms test
 
   explicit Fixture(size_t rows, size_t logged_writes) {
     a = *db.CreateRelation("A", {"location", "name"});
@@ -49,7 +50,9 @@ struct Fixture {
                               constant("co", rng.Uniform(64)),
                               constant("city", rng.Uniform(64))}),
           /*update_number=*/1 + i);
-      if (!w.empty()) wlog.Record(1 + i, w[0]);
+      if (w.empty()) continue;
+      if (first_logged.data.empty()) first_logged = w[0];
+      wlog.Record(1 + i, w[0]);
     }
   }
 
@@ -70,9 +73,8 @@ void BM_ConflictCheckViolationQuery(benchmark::State& state) {
   ConflictChecker checker(&fix.tgds);
   Snapshot snap(&fix.db, kReadLatest);
   const ReadQueryRecord q = fix.ViolationRead();
-  const WriteLog::Entry& e = fix.wlog.entries().front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, q));
+    benchmark::DoNotOptimize(checker.Conflicts(snap, fix.first_logged, q));
   }
 }
 BENCHMARK(BM_ConflictCheckViolationQuery)->Range(256, 16384);
@@ -87,10 +89,11 @@ void BM_ConflictCheckCorrectionQueries(benchmark::State& state) {
   const ReadQueryRecord more_specific = ReadQueryRecord::MoreSpecific(
       fix.t, {fix.db.InternConstant("name1"), n, n});
   const ReadQueryRecord occurrence = ReadQueryRecord::NullOccurrence(n);
-  const WriteLog::Entry& e = fix.wlog.entries().front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, more_specific));
-    benchmark::DoNotOptimize(checker.Conflicts(snap, e.write, occurrence));
+    benchmark::DoNotOptimize(
+        checker.Conflicts(snap, fix.first_logged, more_specific));
+    benchmark::DoNotOptimize(
+        checker.Conflicts(snap, fix.first_logged, occurrence));
   }
 }
 BENCHMARK(BM_ConflictCheckCorrectionQueries)->Range(256, 16384);

@@ -1,8 +1,9 @@
 // Microbenchmarks for the MVCC storage engine: insert/read throughput,
-// version-chain visibility resolution, index lookup vs full scan, and abort
-// undo cost.
+// version-chain visibility resolution, index lookup vs full scan, content
+// lookups on a skewed relation, and abort undo cost.
 #include <benchmark/benchmark.h>
 
+#include "query/specificity.h"
 #include "relational/database.h"
 #include "util/rng.h"
 
@@ -48,6 +49,58 @@ void BM_IndexLookup(benchmark::State& state) {
   benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_IndexLookup)->Range(1024, 65536);
+
+// A relation whose column 0 holds one hot value in every row, beside a
+// selective column 1 (distinct per row) and a 64-value column 2: the shape
+// where a content lookup that probed column 0 would re-verify every row.
+RelationId FillHotLeadingColumn(Database* db, size_t rows) {
+  const RelationId rel = *db->CreateRelation("R", {"a", "b", "c"});
+  for (size_t i = 0; i < rows; ++i) {
+    db->Apply(WriteOp::Insert(rel, {Value::Constant(0), Value::Constant(1 + i),
+                                    Value::Constant(1 + i % 64)}),
+              0);
+  }
+  return rel;
+}
+
+void BM_FindRowWithDataHotLeadingColumn(benchmark::State& state) {
+  // The set-semantics check every chase insert makes. Half the probes hit
+  // a stored tuple and half miss (a column-1 value no row holds).
+  Database db;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const RelationId rel = FillHotLeadingColumn(&db, n);
+  Rng rng(1);
+  size_t hits = 0;
+  for (auto _ : state) {
+    const uint64_t i = rng.Uniform(2 * n);
+    const TupleData probe{Value::Constant(0), Value::Constant(1 + i),
+                          Value::Constant(1 + i % 64)};
+    hits += db.FindRowWithData(rel, probe, kReadLatest).has_value() ? 1 : 0;
+  }
+  benchmark::DoNotOptimize(hits);
+}
+BENCHMARK(BM_FindRowWithDataHotLeadingColumn)->Range(1024, 65536);
+
+void BM_FindMoreSpecificRowsHotLeadingColumn(benchmark::State& state) {
+  // The chase's correction query (Section 4.2) on the same relation: the
+  // generated tuple has constants in the hot and the selective column and
+  // a labeled null in column 2.
+  Database db;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const RelationId rel = FillHotLeadingColumn(&db, n);
+  const Value null = db.FreshNull();
+  const Snapshot snap(&db, kReadLatest);
+  Rng rng(1);
+  std::vector<RowId> out;
+  for (auto _ : state) {
+    out.clear();
+    const TupleData probe{Value::Constant(0),
+                          Value::Constant(1 + rng.Uniform(2 * n)), null};
+    FindMoreSpecificRows(snap, rel, probe, /*exclude_equal=*/false, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_FindMoreSpecificRowsHotLeadingColumn)->Range(1024, 65536);
 
 void BM_VisibilityWithDeepVersionChains(benchmark::State& state) {
   // One row modified by many successive updates (null replacement chains);

@@ -1,5 +1,7 @@
 #include "ccontrol/dependency_tracker.h"
 
+#include <algorithm>
+
 #include "query/specificity.h"
 
 namespace youtopia {
@@ -21,26 +23,43 @@ void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
                                 const WriteLog& wlog) {
   if (kind_ == TrackerKind::kNaive) return;  // nothing tracked
 
+  // Fills writers_scratch_ with the distinct logged writers of `rels`.
+  auto gather_writers = [&](Span<const RelationId> rels) {
+    writers_scratch_.clear();
+    for (RelationId rel : rels) wlog.WritersOf(rel, &writers_scratch_);
+    std::sort(writers_scratch_.begin(), writers_scratch_.end());
+    writers_scratch_.erase(
+        std::unique(writers_scratch_.begin(), writers_scratch_.end()),
+        writers_scratch_.end());
+  };
+  // Links `writer` to `reader` if one of its writes hits; the rest of its
+  // writes could only link it again.
+  auto link_on_hit = [&](uint64_t writer, Span<const PhysicalWrite> writes,
+                         auto&& hits) {
+    if (writer >= reader) return;
+    for (const PhysicalWrite& w : writes) {
+      if (hits(w)) {
+        AddEdge(writer, reader);
+        return;
+      }
+    }
+  };
   for (const ReadQueryRecord& q : reads) {
     switch (q.kind) {
       case ReadQueryKind::kViolation: {
-        if (kind_ == TrackerKind::kCoarse) {
-          // Relation granularity: any writer of any relation of the tgd.
-          const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-          writers_scratch_.clear();
-          for (RelationId rel : tgd.all_relations()) {
-            wlog.WritersOf(rel, &writers_scratch_);
-          }
-          for (uint64_t writer : writers_scratch_) {
+        const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
+        gather_writers(tgd.all_relations());
+        for (uint64_t writer : writers_scratch_) {
+          if (kind_ == TrackerKind::kCoarse) {
+            // Relation granularity: any writer of any relation of the tgd.
             if (writer < reader) AddEdge(writer, reader);
-          }
-        } else {
-          // PRECISE: run the retroactive check against each logged write.
-          for (const WriteLog::Entry& e : wlog.entries()) {
-            if (e.update_number >= reader) continue;
-            if (checker_.Conflicts(snap, e.write, q)) {
-              AddEdge(e.update_number, reader);
-            }
+          } else {
+            // PRECISE: the retroactive check against each of the writer's
+            // writes (one outside the tgd's relations fails it at once).
+            link_on_hit(writer, wlog.WritesOf(writer),
+                        [&](const PhysicalWrite& w) {
+                          return checker_.Conflicts(snap, w, q);
+                        });
           }
         }
         break;
@@ -49,26 +68,28 @@ void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
       // dependencies straight off the in-memory write log, no database
       // access (Section 5.1.1).
       case ReadQueryKind::kMoreSpecific: {
-        for (const WriteLog::Entry& e : wlog.entries()) {
-          if (e.update_number >= reader) continue;
-          const PhysicalWrite& w = e.write;
-          if (w.rel != q.rel) continue;
-          const bool hits =
-              (!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
-              (!w.old_data.empty() && IsMoreSpecific(w.old_data, q.tuple));
-          if (hits) AddEdge(e.update_number, reader);
+        gather_writers(Span<const RelationId>(&q.rel, 1));
+        for (uint64_t writer : writers_scratch_) {
+          link_on_hit(writer, wlog.WritesOf(writer),
+                      [&](const PhysicalWrite& w) {
+                        return w.rel == q.rel &&
+                               ((!w.data.empty() &&
+                                 IsMoreSpecific(w.data, q.tuple)) ||
+                                (!w.old_data.empty() &&
+                                 IsMoreSpecific(w.old_data, q.tuple)));
+                      });
         }
         break;
       }
       case ReadQueryKind::kNullOccurrence: {
-        for (const WriteLog::Entry& e : wlog.entries()) {
-          if (e.update_number >= reader) continue;
-          const PhysicalWrite& w = e.write;
-          const bool hits =
-              (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
-              (!w.old_data.empty() && ContainsNull(w.old_data, q.null_value));
-          if (hits) AddEdge(e.update_number, reader);
-        }
+        wlog.ForEachUpdate([&](uint64_t writer,
+                               Span<const PhysicalWrite> writes) {
+          link_on_hit(writer, writes, [&](const PhysicalWrite& w) {
+            return (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
+                   (!w.old_data.empty() &&
+                    ContainsNull(w.old_data, q.null_value));
+          });
+        });
         break;
       }
     }

@@ -24,9 +24,9 @@ namespace youtopia {
 //               writer of any relation of sigma (relation granularity);
 //               correction queries are computed exactly from the in-memory
 //               write log (the paper's "easy case").
-//  * kPrecise — every logged write is tested with the full retroactive
-//               conflict check; only writes that actually change the query's
-//               answer create dependencies.
+//  * kPrecise — every logged write to the query's relations is tested with
+//               the full retroactive conflict check; only writes that
+//               actually change the query's answer create dependencies.
 enum class TrackerKind : uint8_t { kNaive = 0, kCoarse = 1, kPrecise = 2 };
 
 const char* TrackerKindName(TrackerKind kind);
@@ -61,9 +61,10 @@ class DependencyTracker {
   TrackerKind kind_;
   const std::vector<Tgd>* tgds_;
   ConflictChecker checker_;
-  // COARSE per-query writer set (a member so OnReads allocates nothing in
+  // Per-query writers, distinct: COARSE's edges, and the writers whose
+  // writes the exact checks visit (a member so OnReads allocates nothing in
   // steady state).
-  std::unordered_set<uint64_t> writers_scratch_;
+  std::vector<uint64_t> writers_scratch_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_of_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> writers_of_;
   std::unordered_set<uint64_t> empty_;

@@ -12,43 +12,60 @@ void ReadLog::Record(uint64_t update_number, ReadQueryRecord q) {
   // pay the full rehash here.
   const uint64_t fp =
       q.fingerprint != 0 ? q.fingerprint : ReadQueryFingerprint(q);
-  if (!seen_[update_number].insert(fp).second) return;  // duplicate query
-  const ReadQueryKind kind = q.kind;
-  const RelationId rel = q.rel;
-  const Value null_value = q.null_value;
-  const int tgd_id = q.tgd_id;
-  logs_[update_number].push_back(std::move(q));
+  UpdateLog& log = logs_[update_number];
+  // A fingerprint hit is a duplicate only if the full query matches: a
+  // query dropped on a mere collision would never be checked again.
+  for (auto [it, end] = log.by_fingerprint.equal_range(fp); it != end; ++it) {
+    if (SameReadQuery(log.queries[it->second], q)) return;  // duplicate
+  }
+  log.by_fingerprint.emplace(fp, log.queries.size());
   ++total_queries_;
-  switch (kind) {
+  switch (q.kind) {
     case ReadQueryKind::kViolation: {
-      const Tgd& tgd = (*tgds_)[static_cast<size_t>(tgd_id)];
+      const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
       for (RelationId r : tgd.all_relations()) {
         readers_by_relation_[r].insert(update_number);
       }
       break;
     }
     case ReadQueryKind::kMoreSpecific:
-      readers_by_relation_[rel].insert(update_number);
+      readers_by_relation_[q.rel].insert(update_number);
       break;
     case ReadQueryKind::kNullOccurrence:
-      readers_by_null_[null_value.id()].insert(update_number);
+      readers_by_null_[q.null_value.id()].insert(update_number);
       break;
   }
+  log.queries.push_back(std::move(q));
 }
 
 void ReadLog::EraseUpdate(uint64_t update_number) {
   auto it = logs_.find(update_number);
-  if (it != logs_.end()) {
-    total_queries_ -= it->second.size();
-    logs_.erase(it);
+  if (it == logs_.end()) return;
+  // Unregister from exactly the reader sets Record put the update in.
+  // Emptied sets stay: a recreated set would iterate in another order, and
+  // the candidate walk's order decides which doomed reader restarts first.
+  auto unregister = [&](auto& index, auto key) {
+    auto found = index.find(key);
+    if (found != index.end()) found->second.erase(update_number);
+  };
+  for (const ReadQueryRecord& q : it->second.queries) {
+    switch (q.kind) {
+      case ReadQueryKind::kViolation:
+        for (RelationId r :
+             (*tgds_)[static_cast<size_t>(q.tgd_id)].all_relations()) {
+          unregister(readers_by_relation_, r);
+        }
+        break;
+      case ReadQueryKind::kMoreSpecific:
+        unregister(readers_by_relation_, q.rel);
+        break;
+      case ReadQueryKind::kNullOccurrence:
+        unregister(readers_by_null_, q.null_value.id());
+        break;
+    }
   }
-  seen_.erase(update_number);
-  for (auto& [rel, readers] : readers_by_relation_) {
-    readers.erase(update_number);
-  }
-  for (auto& [null_id, readers] : readers_by_null_) {
-    readers.erase(update_number);
-  }
+  total_queries_ -= it->second.queries.size();
+  logs_.erase(it);
 }
 
 bool ReadLog::MayTouch(const ReadQueryRecord& q, const PhysicalWrite& w) const {

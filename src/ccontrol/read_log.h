@@ -21,7 +21,10 @@ namespace youtopia {
 //     more-specific queries their target relation;
 //   * by labeled null — null-occurrence queries.
 // Exact duplicates (chases re-pose the same violation query on every
-// revalidation) are deduplicated per update.
+// revalidation) are deduplicated per update, by fingerprint confirmed
+// against the full query (fingerprints can collide; a query dropped on a
+// collision would escape every later conflict check). EraseUpdate touches
+// only the reader sets the update's own queries registered it in.
 //
 // Threading contract: NOT internally synchronized, and the const candidate
 // walks are NOT const-thread-safe — they reuse mutable scratch buffers
@@ -125,7 +128,7 @@ class ReadLog {
       if (!visited_scratch_.insert(reader).second) return;
       auto it = logs_.find(reader);
       if (it == logs_.end()) return;
-      for (const ReadQueryRecord& q : it->second) {
+      for (const ReadQueryRecord& q : it->second.queries) {
         switch (q.kind) {
           case ReadQueryKind::kViolation: {
             const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
@@ -165,7 +168,7 @@ class ReadLog {
 
   const std::vector<ReadQueryRecord>* QueriesOf(uint64_t update_number) const {
     auto it = logs_.find(update_number);
-    return it == logs_.end() ? nullptr : &it->second;
+    return it == logs_.end() ? nullptr : &it->second.queries;
   }
 
   void EraseUpdate(uint64_t update_number);
@@ -210,8 +213,13 @@ class ReadLog {
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;
   mutable std::unordered_set<uint64_t> visited_scratch_;
-  std::unordered_map<uint64_t, std::vector<ReadQueryRecord>> logs_;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> seen_;
+  // One update's logged queries, in recording order, with their positions
+  // by fingerprint (Record's dedup).
+  struct UpdateLog {
+    std::vector<ReadQueryRecord> queries;
+    std::unordered_multimap<uint64_t, size_t> by_fingerprint;
+  };
+  std::unordered_map<uint64_t, UpdateLog> logs_;
   std::unordered_map<RelationId, std::unordered_set<uint64_t>>
       readers_by_relation_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_by_null_;

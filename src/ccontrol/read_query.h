@@ -70,10 +70,12 @@ struct ReadQueryRecord {
   Value null_value;
 
   // Identity hash used by the read log for per-update deduplication and by
-  // the violation detector to dedup re-posed queries within a batch. Filled
-  // by the factories (violation queries carry the shape half precompiled
-  // into their plan — see query/plan.h); 0 means "not computed" and makes
-  // consumers fall back to ReadQueryFingerprint below.
+  // the violation detector to dedup re-posed queries within a batch. Both
+  // confirm a hit against the full query (SameReadQuery's fields): distinct
+  // queries can share a fingerprint. Filled by the factories (violation
+  // queries carry the shape half precompiled into their plan — see
+  // query/plan.h); 0 means "not computed" and makes consumers fall back to
+  // ReadQueryFingerprint below.
   uint64_t fingerprint = 0;
 
   // Violation-query factory for callers holding a compiled plan: `fp` is
@@ -113,6 +115,23 @@ struct ReadQueryRecord {
     return r;
   }
 };
+
+// Full identity of a read query, the fields its fingerprint hashes. A
+// 64-bit fingerprint can collide, so a dedup that hits on the fingerprint
+// confirms the hit with this before treating two queries as one.
+inline bool SameReadQuery(const ReadQueryRecord& a, const ReadQueryRecord& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case ReadQueryKind::kViolation:
+      return a.tgd_id == b.tgd_id && a.pinned_on_lhs == b.pinned_on_lhs &&
+             a.atom_index == b.atom_index && a.pinned == b.pinned;
+    case ReadQueryKind::kMoreSpecific:
+      return a.rel == b.rel && a.tuple == b.tuple;
+    case ReadQueryKind::kNullOccurrence:
+      return a.null_value == b.null_value;
+  }
+  return false;
+}
 
 inline uint64_t ReadQueryFingerprint(const ReadQueryRecord& q) {
   switch (q.kind) {

@@ -211,9 +211,9 @@ void Scheduler::AbortOne(uint64_t number) {
 
   // Undo: unlink every version this attempt created (targeted via the
   // write log — no database scan) and forget its logs.
-  write_log_.ForEachEntryOf(number, [&](const PhysicalWrite& w) {
+  for (const PhysicalWrite& w : write_log_.WritesOf(number)) {
     db_->RemoveRowVersions(w.rel, w.row, number);
-  });
+  }
   write_log_.EraseUpdate(number);
   read_log_.EraseUpdate(number);
   tracker_.EraseUpdate(number);

@@ -1,6 +1,7 @@
 #include "core/update.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "query/specificity.h"
 
@@ -300,14 +301,16 @@ Update::ForwardRepair Update::GenerateForwardRepair(Database* db,
   pf.binding = v.binding;
 
   bool any_ambiguous = false;
-  std::vector<TupleData> generated;  // dedup within the firing
+  // Dedup within the firing, by (relation, content): equal values over
+  // different relations are different tuples.
+  std::vector<std::pair<RelationId, TupleData>> generated;
   for (const Atom& atom : tgd.rhs().atoms) {
     TupleData data = InstantiateAtom(atom, full);
-    if (std::find(generated.begin(), generated.end(), data) !=
-        generated.end()) {
+    if (std::find(generated.begin(), generated.end(),
+                  std::make_pair(atom.rel, data)) != generated.end()) {
       continue;  // duplicate RHS atom instantiation
     }
-    generated.push_back(data);
+    generated.emplace_back(atom.rel, data);
     // A tuple that exists verbatim already supplies this RHS atom.
     if (snap.Contains(atom.rel, data)) continue;
     FrontierTuple ft;

@@ -13,7 +13,6 @@ void ViolationDetector::AfterWrites(const Snapshot& snap,
   // one write, every (tgd, atom) poses a distinct query shape, so a
   // single-write batch — the common chase step — skips the bookkeeping.
   const bool dedup = writes.size() > 1;
-  if (dedup) posed_.clear();
   // Batch-wide duplicate base: a (tgd, assignment) surfaced by an earlier
   // write of the same step is not reported again.
   const size_t first_new = out->size();
@@ -34,6 +33,19 @@ void ViolationDetector::AfterWrites(const Snapshot& snap,
         break;
     }
   }
+  if (dedup) posed_.clear();
+}
+
+bool ViolationDetector::PoseOnce(uint64_t fp, const PosedQuery& q) const {
+  for (auto [it, end] = posed_.equal_range(fp); it != end; ++it) {
+    const PosedQuery& p = it->second;
+    if (p.tgd_id == q.tgd_id && p.pinned_on_lhs == q.pinned_on_lhs &&
+        p.atom_index == q.atom_index && *p.pinned == *q.pinned) {
+      return false;
+    }
+  }
+  posed_.emplace(fp, q);
+  return true;
 }
 
 void ViolationDetector::DetectInsertSide(
@@ -68,7 +80,11 @@ void ViolationDetector::DetectInsertSide(
       // An identical pinned query (same tgd, atom, content) already ran for
       // an earlier write of this batch; its answer — and its read record —
       // are the same.
-      if (dedup && !PoseOnce(fp)) continue;
+      if (dedup && !PoseOnce(fp, PosedQuery{static_cast<int>(t),
+                                            /*pinned_on_lhs=*/true, a,
+                                            &data})) {
+        continue;
+      }
       if (reads != nullptr) {
         reads->push_back(ReadQueryRecord::Violation(
             static_cast<int>(t), /*pinned_on_lhs=*/true, a, data, fp));
@@ -119,7 +135,11 @@ void ViolationDetector::DetectDeleteSide(
         fp = FinishViolationFingerprint(plan.shape_hash, static_cast<int>(t),
                                         old_data);
       }
-      if (dedup && !PoseOnce(fp)) continue;  // duplicate in this batch
+      if (dedup && !PoseOnce(fp, PosedQuery{static_cast<int>(t),
+                                            /*pinned_on_lhs=*/false, a,
+                                            &old_data})) {
+        continue;  // duplicate in this batch
+      }
       if (reads != nullptr) {
         reads->push_back(ReadQueryRecord::Violation(
             static_cast<int>(t), /*pinned_on_lhs=*/false, a, old_data, fp));

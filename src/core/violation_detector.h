@@ -2,7 +2,7 @@
 #define YOUTOPIA_CORE_VIOLATION_DETECTOR_H_
 
 #include <memory>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "ccontrol/read_query.h"
@@ -24,7 +24,8 @@ namespace youtopia {
 //
 // The write path is batched: AfterWrites pins a whole step's writes in one
 // pass, deduplicating identical pinned queries across the batch by their
-// plan-carried fingerprint before any evaluation, and builds each posed
+// plan-carried fingerprint (confirmed against the full query, since
+// fingerprints can collide) before any evaluation, and builds each posed
 // query's ReadQueryRecord exactly once (fused with detection). Queries are
 // intensional — identified by (tgd, atom, pinned content), not by row — so
 // two batch writes with equal content pose one query, mirroring the read
@@ -105,9 +106,19 @@ class ViolationDetector {
                         std::vector<Violation>* out,
                         std::vector<ReadQueryRecord>* reads) const;
 
-  // Batch-level pinned-query dedup: true the first time `fp` is posed in
-  // the current AfterWrites batch.
-  bool PoseOnce(uint64_t fp) const { return posed_.insert(fp).second; }
+  // A pinned violation query posed by the current batch. `pinned` points
+  // into the batch's writes, which outlive the AfterWrites call.
+  struct PosedQuery {
+    int tgd_id;
+    bool pinned_on_lhs;
+    size_t atom_index;
+    const TupleData* pinned;
+  };
+
+  // Batch-level pinned-query dedup: true the first time `q`, whose
+  // fingerprint is `fp`, is posed in the current AfterWrites batch. A
+  // fingerprint hit counts only if the full query matches too.
+  bool PoseOnce(uint64_t fp, const PosedQuery& q) const;
 
   const std::vector<Tgd>* tgds_;
   std::unique_ptr<Arena> owned_arena_;
@@ -118,9 +129,9 @@ class ViolationDetector {
   // enumeration's callback (evaluators are not reentrant).
   mutable Evaluator lhs_eval_;
   mutable Evaluator rhs_eval_;
-  // Fingerprints of the queries posed by the current batch (cleared per
-  // AfterWrites call; buckets amortize across the run).
-  mutable std::unordered_set<uint64_t> posed_;
+  // The queries posed by the current batch, by fingerprint (emptied when
+  // the batch ends; buckets amortize across the run).
+  mutable std::unordered_multimap<uint64_t, PosedQuery> posed_;
 };
 
 }  // namespace youtopia

@@ -1,23 +1,25 @@
 #include "query/specificity.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace youtopia {
 
 bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
   if (specific.size() != general.size()) return false;
-  std::unordered_map<Value, Value, ValueHash> f;
   for (size_t i = 0; i < general.size(); ++i) {
     const Value& g = general[i];
-    const Value& s = specific[i];
     if (g.is_constant()) {
       // f must be the identity on constants.
-      if (!(s == g)) return false;
+      if (!(specific[i] == g)) return false;
       continue;
     }
-    auto [it, inserted] = f.emplace(g, s);
-    if (!inserted && !(it->second == s)) return false;  // not a function
+    // f must be a function: the null's first position fixes its image.
+    // Tuples are a few columns wide, so scanning the earlier positions
+    // beats building a map on every call.
+    for (size_t j = 0; j < i; ++j) {
+      if (general[j] == g) {
+        if (!(specific[j] == specific[i])) return false;
+        break;
+      }
+    }
   }
   return true;
 }
@@ -25,31 +27,26 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
 void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
                           std::vector<RowId>* out) {
-  // If the tuple has a constant position, candidates must agree there
-  // (f is the identity on constants), so the column index applies.
-  int const_col = -1;
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (data[i].is_constant()) {
-      const_col = static_cast<int>(i);
-      break;
-    }
-  }
   auto consider = [&](RowId row, const TupleData& stored) {
     if (exclude_equal && stored == data) return;
     if (IsMoreSpecific(stored, data)) out->push_back(row);
   };
-  if (const_col >= 0) {
-    std::vector<RowId> candidates;  // deduped by CandidateRows
-    snap.CandidateRows(rel, static_cast<size_t>(const_col),
-                       data[static_cast<size_t>(const_col)], &candidates);
-    for (RowId row : candidates) {
-      const TupleData* stored = snap.VisibleData(rel, row);
-      if (stored != nullptr) consider(row, *stored);
-    }
-  } else {
+  // f is the identity on constants, so every answer agrees with `data` on
+  // its constant columns and sits in each of their buckets.
+  const auto probe = snap.db().relation(rel).SmallestContentBucket(
+      data, [&](size_t c) { return data[c].is_constant(); });
+  if (!probe.has_value()) {
     // All-null tuple: every row is a potential match; scan.
     snap.ForEachVisible(
         rel, [&](RowId row, const TupleData& stored) { consider(row, stored); });
+    return;
+  }
+  if (probe->candidates == 0) return;
+  std::vector<RowId> candidates;  // deduped and ascending (CandidateRows)
+  snap.CandidateRows(rel, probe->column, data[probe->column], &candidates);
+  for (RowId row : candidates) {
+    const TupleData* stored = snap.VisibleData(rel, row);
+    if (stored != nullptr) consider(row, *stored);
   }
 }
 

@@ -18,7 +18,9 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 // The paper's correction query "find any t' in R more specific than t":
 // appends every visible row of `rel` whose content is more specific than
 // `data` (excluding rows whose content is literally equal when
-// `exclude_equal` is set, used when the tuple itself is already stored).
+// `exclude_equal` is set, used when the tuple itself is already stored),
+// in ascending row order, each once. Re-verifies the smallest index bucket
+// among `data`'s constant columns; an all-null `data` scans the relation.
 void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
                           const TupleData& data, bool exclude_equal,
                           std::vector<RowId>* out);

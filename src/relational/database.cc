@@ -114,12 +114,19 @@ std::optional<RowId> Database::FindRowWithData(RelationId rel,
                                                uint64_t reader) const {
   CHECK_LT(rel, relations_.size());
   CHECK(!data.empty());
+  const VersionedRelation& relation = relations_[rel];
+  if (data.size() != relation.arity()) return std::nullopt;
+  // An equal tuple carries every value of `data`, so any column's bucket
+  // holds it; walk the smallest.
+  const auto probe =
+      relation.SmallestContentBucket(data, [](size_t) { return true; });
+  if (probe->candidates == 0) return std::nullopt;
   // Raw bucket walk: stops at the first verified hit, so duplicates are
   // cheaper to re-verify than to dedup (this runs on every set-semantics
   // insert).
   std::optional<RowId> found;
-  relations_[rel].ForEachCandidate(0, data[0], [&](RowId row) {
-    const TupleData* visible = relations_[rel].VisibleData(row, reader);
+  relation.ForEachCandidate(probe->column, data[probe->column], [&](RowId row) {
+    const TupleData* visible = relation.VisibleData(row, reader);
     if (visible != nullptr && *visible == data) {
       found = row;
       return false;

@@ -112,6 +112,9 @@ class Database {
   size_t RemoveVersionsAbove(uint64_t threshold);
 
   // Finds a row whose content visible to `reader` equals `data` exactly.
+  // Walks the smallest of the tuple's per-column index buckets and
+  // re-verifies each candidate; an empty bucket answers at once
+  // (VersionedRelation::SmallestContentBucket).
   std::optional<RowId> FindRowWithData(RelationId rel, const TupleData& data,
                                        uint64_t reader) const;
 

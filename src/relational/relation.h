@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -102,6 +103,10 @@ struct StatsSnapshot {
 //   * one per-column index, always present;
 //   * composite indexes over column sets, built lazily on demand
 //     (EnsureCompositeIndex) for the probes compiled query plans ask for.
+// Content lookups (exact match, more-specific match) carry no plan: they
+// probe whichever per-column bucket of the values they fix is smallest
+// (SmallestContentBucket), so one hot value cannot make them re-verify a
+// large share of the relation.
 // Removals (abort undo, experiment rewind) count the entries they strand;
 // past a threshold the indexes are rebuilt from the surviving versions.
 //
@@ -257,6 +262,34 @@ class VersionedRelation {
   // candidates a probe yields; lets an executor pick the cheapest probe
   // without copying buckets).
   size_t CandidateCount(size_t column, const Value& value) const;
+
+  // The bucket a content lookup walks. A lookup whose every answer must
+  // hold data[c] in column c, for each column c that `fixed(c)` selects
+  // (all columns for an exact match, the constant columns for a
+  // more-specific match), finds every answer in each of those columns'
+  // buckets, so it walks the smallest. The sweep stops at an empty bucket:
+  // every stored content version is indexed under each of its values, so
+  // an empty bucket is a definitive miss. Nullopt when `fixed` selects no
+  // column. `data` must have the relation's arity.
+  struct ContentProbe {
+    size_t column;
+    size_t candidates;  // CandidateCount(column, data[column])
+  };
+  template <typename Fixed>
+  std::optional<ContentProbe> SmallestContentBucket(const TupleData& data,
+                                                    Fixed&& fixed) const {
+    CHECK_EQ(data.size(), arity_);
+    std::optional<ContentProbe> best;
+    for (size_t c = 0; c < arity_; ++c) {
+      if (!fixed(c)) continue;
+      const size_t n = CandidateCount(c, data[c]);
+      if (!best.has_value() || n < best->candidates) {
+        best = ContentProbe{c, n};
+        if (n == 0) break;
+      }
+    }
+    return best;
+  }
 
   // Copy-free bucket iteration: invokes fn(row) for each candidate (may
   // repeat a row and include stale ones; return false to stop). For probes

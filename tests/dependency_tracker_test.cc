@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "query/specificity.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace youtopia {
 namespace {
@@ -140,6 +147,126 @@ TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
   // Erase the writer: everything gone.
   tracker.EraseUpdate(1);
   EXPECT_EQ(tracker.num_edges(), 0u);
+}
+
+TEST_F(DependencyTrackerTest, EdgesMatchReferenceScanOnRandomLogs) {
+  // The trackers walk only the writes the log's indexes name for a query
+  // (its relations' writers, numbered below the reader). A reference scan
+  // over every logged write must find exactly the same edges, for both
+  // trackers, on random logs with inserts, deletes, modifies and erases.
+  // Each reader poses one query, so no query's edges hide behind
+  // another's.
+  const std::vector<RelationId> rels{fig_.C, fig_.S, fig_.A, fig_.T,
+                                     fig_.R, fig_.V, fig_.E};
+  const std::vector<Value> constants{
+      fig_.Const("Geneva Winery"), fig_.Const("Geneva"), fig_.Const("XYZ"),
+      fig_.Const("Syracuse"), fig_.Const("Science Conf")};
+  constexpr uint64_t kWriters = 16;
+  size_t precise_violation_hits = 0;  // the fixture exercises PRECISE checks
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    auto tuple_for = [&](RelationId rel) {
+      TupleData t;
+      for (size_t c = 0; c < fig_.db.relation(rel).arity(); ++c) {
+        t.push_back(rng.Chance(0.1) ? (rng.Chance(0.5) ? fig_.x1 : fig_.x2)
+                                    : constants[rng.Uniform(constants.size())]);
+      }
+      return t;
+    };
+    WriteLog wlog;
+    std::vector<std::pair<uint64_t, PhysicalWrite>> all_writes;
+    for (int i = 0; i < 60; ++i) {
+      PhysicalWrite w;
+      w.rel = rels[rng.Uniform(rels.size())];
+      w.kind = static_cast<WriteKind>(rng.Uniform(3));
+      if (w.kind != WriteKind::kDelete) w.data = tuple_for(w.rel);
+      if (w.kind != WriteKind::kInsert) w.old_data = tuple_for(w.rel);
+      const uint64_t writer = 1 + rng.Uniform(kWriters);
+      wlog.Record(writer, w);
+      all_writes.push_back({writer, std::move(w)});
+    }
+    for (int i = 0; i < 3; ++i) {
+      const uint64_t gone = 1 + rng.Uniform(kWriters);
+      wlog.EraseUpdate(gone);
+      all_writes.erase(
+          std::remove_if(all_writes.begin(), all_writes.end(),
+                         [&](const auto& e) { return e.first == gone; }),
+          all_writes.end());
+    }
+
+    for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+      DependencyTracker tracker(kind, &fig_.tgds);
+      ConflictChecker checker(&fig_.tgds);
+      std::set<std::pair<uint64_t, uint64_t>> expected;  // (writer, reader)
+      for (uint64_t reader = 2; reader <= kWriters + 8; ++reader) {
+        const int tgd_id = static_cast<int>(rng.Uniform(fig_.tgds.size()));
+        const Tgd& tgd = fig_.tgds[static_cast<size_t>(tgd_id)];
+        ReadQueryRecord q;
+        switch (rng.Uniform(4)) {
+          case 0:
+          case 1: {
+            const bool lhs = rng.Chance(0.5);
+            const auto& atoms = lhs ? tgd.lhs().atoms : tgd.rhs().atoms;
+            const size_t atom = rng.Uniform(atoms.size());
+            q = ReadQueryRecord::Violation(tgd_id, lhs, atom,
+                                           tuple_for(atoms[atom].rel));
+            break;
+          }
+          case 2: {
+            const RelationId rel = rels[rng.Uniform(rels.size())];
+            q = ReadQueryRecord::MoreSpecific(rel, tuple_for(rel));
+            break;
+          }
+          default:
+            q = ReadQueryRecord::NullOccurrence(rng.Chance(0.5) ? fig_.x1
+                                                                : fig_.x2);
+        }
+        const Snapshot snap(&fig_.db, reader);
+        tracker.OnReads(snap, reader, {q}, wlog);
+        for (const auto& [writer, w] : all_writes) {
+          if (writer >= reader) continue;
+          bool hits = false;
+          switch (q.kind) {
+            case ReadQueryKind::kViolation: {
+              const auto& tgd_rels = tgd.all_relations();
+              hits = kind == TrackerKind::kCoarse
+                         ? std::find(tgd_rels.begin(), tgd_rels.end(),
+                                     w.rel) != tgd_rels.end()
+                         : checker.Conflicts(snap, w, q);
+              if (kind == TrackerKind::kPrecise && hits) {
+                ++precise_violation_hits;
+              }
+              break;
+            }
+            case ReadQueryKind::kMoreSpecific:
+              hits = w.rel == q.rel &&
+                     ((!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
+                      (!w.old_data.empty() &&
+                       IsMoreSpecific(w.old_data, q.tuple)));
+              break;
+            case ReadQueryKind::kNullOccurrence:
+              hits = (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
+                     (!w.old_data.empty() &&
+                      ContainsNull(w.old_data, q.null_value));
+              break;
+          }
+          if (hits) expected.insert({writer, reader});
+        }
+      }
+      for (uint64_t writer = 1; writer <= kWriters; ++writer) {
+        const auto& readers = tracker.ReadersOf(writer);
+        std::set<uint64_t> want;
+        for (const auto& [w, r] : expected) {
+          if (w == writer) want.insert(r);
+        }
+        EXPECT_EQ(std::set<uint64_t>(readers.begin(), readers.end()), want)
+            << TrackerKindName(kind) << " seed " << seed << " writer "
+            << writer;
+      }
+      EXPECT_EQ(tracker.num_edges(), expected.size());
+    }
+  }
+  EXPECT_GT(precise_violation_hits, 0u);
 }
 
 }  // namespace

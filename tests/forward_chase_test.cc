@@ -197,6 +197,28 @@ TEST(ForwardChaseTest, DeterministicStratumTerminates) {
   EXPECT_EQ(db.CountVisible(q, 1), 1u);
 }
 
+TEST(ForwardChaseTest, EqualRhsInstantiationsOverDifferentRelationsBothInsert) {
+  // S(x) -> T(x) & U(x): both RHS atoms instantiate to (c), but over
+  // different relations they are different tuples, so the firing must
+  // insert both rather than dedup them into one.
+  Database db;
+  const RelationId s = *db.CreateRelation("S", {"x"});
+  const RelationId t = *db.CreateRelation("T", {"x"});
+  const RelationId u = *db.CreateRelation("U", {"x"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  auto tgd = parser.ParseTgd("S(x) -> T(x) & U(x)");
+  ASSERT_TRUE(tgd.ok());
+  tgds.push_back(std::move(tgd).value());
+  ScriptedAgent agent;  // never consulted: the repair is deterministic
+  Update update(1, WriteOp::Insert(s, {db.InternConstant("c")}), &tgds);
+  update.RunToCompletion(&db, &agent);
+  EXPECT_TRUE(update.finished());
+  EXPECT_EQ(db.CountVisible(t, 1), 1u);
+  EXPECT_EQ(db.CountVisible(u, 1), 1u);
+  EXPECT_TRUE(ViolationDetector(&tgds).SatisfiesAll(Snapshot(&db, 1)));
+}
+
 TEST(ForwardChaseTest, FrontierProvenanceIdentifiesTgdAndWitness) {
   Figure2 fig;
   // Capture the provenance passed to the agent.

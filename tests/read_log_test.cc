@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <unordered_set>
+#include <vector>
 
+#include "ccontrol/conflict.h"
 #include "ccontrol/write_log.h"
 #include "test_util.h"
 
@@ -162,6 +167,32 @@ TEST_F(ReadLogTest, BatchWalksEachReaderLogOnce) {
   EXPECT_EQ(readers_seen.size(), 2u);
 }
 
+TEST_F(ReadLogTest, FingerprintCollisionKeepsBothQueries) {
+  // Record dedups by fingerprint, and distinct queries can share one. Two
+  // hand-built records with one fingerprint must both be logged, or a
+  // write that conflicts only with the second is never checked against it.
+  ReadQueryRecord first = ReadQueryRecord::MoreSpecific(fig_.C, fig_.Row({"NYC"}));
+  ReadQueryRecord second = ReadQueryRecord::MoreSpecific(
+      fig_.A, {fig_.Const("Geneva"), fig_.db.FreshNull()});
+  first.fingerprint = second.fingerprint = 42;
+  log_.Record(5, first);
+  log_.Record(5, second);
+  log_.Record(5, second);  // a true duplicate is still dropped
+  EXPECT_EQ(log_.total_queries(), 2u);
+
+  const PhysicalWrite w = Insert(fig_.A, fig_.Row({"Geneva", "Lakeside"}));
+  ConflictChecker checker(&fig_.tgds);
+  const Snapshot reader_snap(&fig_.db, 5);
+  ASSERT_FALSE(checker.Conflicts(reader_snap, w, first));
+  bool doomed = false;
+  log_.ForEachCandidate(w, /*writer=*/1,
+                        [&](uint64_t reader, const ReadQueryRecord& q) {
+                          doomed |= reader == 5 &&
+                                    checker.Conflicts(reader_snap, w, q);
+                        });
+  EXPECT_TRUE(doomed);
+}
+
 TEST_F(ReadLogTest, MultipleReadersSameRelation) {
   for (uint64_t u = 5; u < 10; ++u) {
     log_.Record(u, ReadQueryRecord::MoreSpecific(fig_.C,
@@ -182,7 +213,7 @@ TEST(WriteLogTest, RecordAndEraseMaintainWriterSets) {
   wlog.Record(1, w);
   wlog.Record(2, w);
   EXPECT_EQ(wlog.size(), 3u);
-  std::unordered_set<uint64_t> writers;
+  std::vector<uint64_t> writers;
   wlog.WritersOf(fig.T, &writers);
   EXPECT_EQ(writers.size(), 2u);
   wlog.EraseUpdate(1);
@@ -190,9 +221,98 @@ TEST(WriteLogTest, RecordAndEraseMaintainWriterSets) {
   writers.clear();
   wlog.WritersOf(fig.T, &writers);
   EXPECT_EQ(writers.size(), 1u);
-  size_t entries_of_2 = 0;
-  wlog.ForEachEntryOf(2, [&](const PhysicalWrite&) { ++entries_of_2; });
-  EXPECT_EQ(entries_of_2, 1u);
+  EXPECT_EQ(wlog.WritesOf(2).size(), 1u);
+}
+
+PhysicalWrite LoggedInsert(RelationId rel, TupleData data) {
+  PhysicalWrite w;
+  w.kind = WriteKind::kInsert;
+  w.rel = rel;
+  w.data = std::move(data);
+  return w;
+}
+
+// Updates 1 and 2 interleave; 1 writes T, A, T and 2 writes C.
+struct WriteLogFixture {
+  WriteLogFixture() {
+    wlog.Record(1, LoggedInsert(fig.T, fig.Row({"t1", "q", "s"})));
+    wlog.Record(2, LoggedInsert(fig.C, fig.Row({"c2"})));
+    wlog.Record(1, LoggedInsert(fig.A, fig.Row({"a1", "n"})));
+    wlog.Record(1, LoggedInsert(fig.T, fig.Row({"t1b", "q", "s"})));
+  }
+
+  // The first value of each of the update's writes, in log order.
+  std::vector<std::string> WritesOf(uint64_t update) {
+    std::vector<std::string> out;
+    for (const PhysicalWrite& w : wlog.WritesOf(update)) {
+      out.emplace_back(fig.db.symbols().Text(w.data[0]));
+    }
+    return out;
+  }
+
+  // WritesOf over the writers the relation index names for `rels`: the
+  // walk the trackers' exact checks make.
+  std::vector<std::string> WritesOfWritersOf(std::vector<RelationId> rels) {
+    std::vector<uint64_t> writers;
+    for (RelationId rel : rels) wlog.WritersOf(rel, &writers);
+    std::sort(writers.begin(), writers.end());
+    writers.erase(std::unique(writers.begin(), writers.end()), writers.end());
+    std::vector<std::string> out;
+    for (uint64_t writer : writers) {
+      for (const std::string& v : WritesOf(writer)) out.push_back(v);
+    }
+    return out;
+  }
+
+  Figure2 fig;
+  WriteLog wlog;
+};
+
+using Names = std::vector<std::string>;
+
+TEST(WriteLogTest, KeepsEachUpdatesWritesInLogOrder) {
+  WriteLogFixture f;
+  EXPECT_EQ(f.WritesOf(1), (Names{"t1", "a1", "t1b"}));
+  EXPECT_EQ(f.WritesOf(2), (Names{"c2"}));
+  EXPECT_TRUE(f.WritesOf(3).empty());
+  EXPECT_EQ(f.wlog.size(), 4u);
+
+  std::vector<uint64_t> updates;
+  size_t writes = 0;
+  f.wlog.ForEachUpdate([&](uint64_t update, Span<const PhysicalWrite> ws) {
+    updates.push_back(update);
+    writes += ws.size();
+  });
+  std::sort(updates.begin(), updates.end());
+  EXPECT_EQ(updates, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(writes, 4u);
+}
+
+TEST(WriteLogTest, RelationIndexNamesExactlyTheWriters) {
+  WriteLogFixture f;
+  Figure2& fig = f.fig;
+  // Update 1 wrote T and A, update 2 wrote C; a writer of two of the
+  // relations is named once.
+  EXPECT_EQ(f.WritesOfWritersOf({fig.T, fig.A}), (Names{"t1", "a1", "t1b"}));
+  EXPECT_EQ(f.WritesOfWritersOf({fig.A}), (Names{"t1", "a1", "t1b"}));
+  EXPECT_EQ(f.WritesOfWritersOf({fig.C, fig.V}), (Names{"c2"}));
+  EXPECT_EQ(f.WritesOfWritersOf({fig.T, fig.C}),
+            (Names{"t1", "a1", "t1b", "c2"}));
+  EXPECT_TRUE(f.WritesOfWritersOf({fig.V, fig.E}).empty());
+}
+
+TEST(WriteLogTest, EraseDropsOnlyThatUpdate) {
+  WriteLogFixture f;
+  Figure2& fig = f.fig;
+  f.wlog.EraseUpdate(1);
+  f.wlog.EraseUpdate(7);  // never logged: no-op
+  EXPECT_TRUE(f.WritesOf(1).empty());
+  EXPECT_TRUE(f.WritesOfWritersOf({fig.T, fig.A}).empty());
+  EXPECT_EQ(f.WritesOfWritersOf({fig.C}), (Names{"c2"}));
+  EXPECT_EQ(f.wlog.size(), 1u);
+  // A number logged again after its erase starts a fresh list.
+  f.wlog.Record(1, LoggedInsert(fig.A, fig.Row({"a1c", "n"})));
+  EXPECT_EQ(f.WritesOfWritersOf({fig.T, fig.A}), (Names{"a1c"}));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -148,6 +152,97 @@ TEST(FindMoreSpecificTest, RespectsVisibility) {
   Snapshot snap(&fig.db, 5);
   FindMoreSpecificRows(snap, fig.C, probe, false, &rows);
   EXPECT_EQ(rows.size(), 1u);  // only Syracuse remains
+}
+
+TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
+  // Property sweep: the index-driven content lookups (smallest bucket,
+  // early exit on an empty one) answer exactly what a scan of the visible
+  // rows answers. The relations have a hot leading column (the old
+  // column-0 probe's worst case), labeled nulls, null replacements that
+  // make rows equal, tombstones and writers of several numbers, and each
+  // is probed at several reader numbers.
+  size_t duplicate_probes = 0;  // probes equal to two or more visible rows
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    Database db;
+    const RelationId rel = *db.CreateRelation("R", {"a", "b", "c"});
+    std::vector<Value> nulls;
+    auto constant = [&] { return Value::Constant(1 + rng.Uniform(4)); };
+    auto value = [&](size_t column) {
+      if (column == 0 && rng.Chance(0.8)) return Value::Constant(0);
+      if (!nulls.empty() && rng.Chance(0.3)) {
+        return nulls[rng.Uniform(nulls.size())];
+      }
+      if (rng.Chance(0.15)) {
+        nulls.push_back(db.FreshNull());
+        return nulls.back();
+      }
+      return constant();
+    };
+    auto tuple = [&] {
+      TupleData t;
+      for (size_t c = 0; c < 3; ++c) t.push_back(value(c));
+      return t;
+    };
+    for (int op = 0; op < 250; ++op) {
+      const uint64_t writer = 1 + rng.Uniform(40);
+      const double pick = rng.UniformDouble();
+      if (pick < 0.6 || db.relation(rel).num_rows() == 0) {
+        db.Apply(WriteOp::Insert(rel, tuple()), writer);
+      } else if (pick < 0.8 && !nulls.empty()) {
+        const Value to = rng.Chance(0.7) ? constant()
+                                         : nulls[rng.Uniform(nulls.size())];
+        db.Apply(WriteOp::NullReplace(nulls[rng.Uniform(nulls.size())], to),
+                 writer);
+      } else {
+        db.Apply(WriteOp::Delete(rel, static_cast<RowId>(rng.Uniform(
+                                          db.relation(rel).num_rows()))),
+                 writer);
+      }
+    }
+
+    // Probes: every stored row's content at the probing reader, plus fresh
+    // tuples (some all-null, some over values no row holds).
+    for (uint64_t reader : {uint64_t{0}, uint64_t{7}, uint64_t{20},
+                            uint64_t{40}, kReadLatest}) {
+      const Snapshot snap(&db, reader);
+      std::vector<TupleData> probes;
+      snap.ForEachVisible(rel, [&](RowId, const TupleData& data) {
+        probes.push_back(data);
+      });
+      for (int i = 0; i < 40; ++i) probes.push_back(tuple());
+      probes.push_back({db.FreshNull(), db.FreshNull(), db.FreshNull()});
+      probes.push_back({Value::Constant(0), Value::Constant(99), value(2)});
+      for (const TupleData& probe : probes) {
+        std::vector<RowId> equal;
+        std::vector<RowId> more_specific;
+        std::vector<RowId> more_specific_unequal;
+        snap.ForEachVisible(rel, [&](RowId row, const TupleData& data) {
+          if (data == probe) equal.push_back(row);
+          if (IsMoreSpecific(data, probe)) {
+            more_specific.push_back(row);
+            if (!(data == probe)) more_specific_unequal.push_back(row);
+          }
+        });
+        duplicate_probes += equal.size() > 1 ? 1 : 0;
+        const std::optional<RowId> found =
+            db.FindRowWithData(rel, probe, reader);
+        ASSERT_EQ(found.has_value(), !equal.empty()) << "seed " << seed;
+        if (found.has_value()) {
+          EXPECT_NE(std::find(equal.begin(), equal.end(), *found),
+                    equal.end())
+              << "seed " << seed;
+        }
+        std::vector<RowId> out;
+        FindMoreSpecificRows(snap, rel, probe, /*exclude_equal=*/false, &out);
+        EXPECT_EQ(out, more_specific) << "seed " << seed;
+        out.clear();
+        FindMoreSpecificRows(snap, rel, probe, /*exclude_equal=*/true, &out);
+        EXPECT_EQ(out, more_specific_unequal) << "seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(duplicate_probes, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tgd/parser.h"
 
 namespace youtopia {
 namespace {
@@ -332,6 +333,41 @@ TEST(ViolationDetectorTest, SelfJoinWitness) {
   ASSERT_EQ(viols.size(), 1u);
   EXPECT_EQ(viols[0].witness[0], viols[0].witness[1]);
   (void)path;
+}
+
+TEST(ViolationDetectorTest, BatchPosesFingerprintCollidingQueriesBoth) {
+  // The batch dedups pinned queries by fingerprint, and 64-bit fingerprints
+  // collide: with tgd 0 pinned at LHS atom 0, the contents (2, 2) and
+  // (5, 63) hash alike. They are different queries with different
+  // violations, so a two-write step must pose and detect both.
+  Database db;
+  const RelationId r = *db.CreateRelation("R", {"a", "b"});
+  ASSERT_TRUE(db.CreateRelation("S", {"a", "b"}).ok());
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  auto tgd = parser.ParseTgd("R(x, y) -> S(x, y)");
+  ASSERT_TRUE(tgd.ok());
+  tgds.push_back(std::move(tgd).value());
+  const TupleData first{Value::Constant(2), Value::Constant(2)};
+  const TupleData second{Value::Constant(5), Value::Constant(63)};
+  const uint64_t shape = tgds[0].plans().lhs_pinned[0].shape_hash;
+  ASSERT_EQ(FinishViolationFingerprint(shape, 0, first),
+            FinishViolationFingerprint(shape, 0, second))
+      << "the fixture needs a fingerprint collision";
+
+  std::vector<PhysicalWrite> writes = db.Apply(WriteOp::Insert(r, first), 1);
+  const auto more = db.Apply(WriteOp::Insert(r, second), 1);
+  writes.insert(writes.end(), more.begin(), more.end());
+  ASSERT_EQ(writes.size(), 2u);
+
+  ViolationDetector detector(&tgds);
+  std::vector<Violation> viols;
+  std::vector<ReadQueryRecord> reads;
+  detector.AfterWrites(Snapshot(&db, 1), writes, &viols, &reads);
+  ASSERT_EQ(reads.size(), 2u);
+  EXPECT_EQ(reads[0].pinned, first);
+  EXPECT_EQ(reads[1].pinned, second);
+  EXPECT_EQ(viols.size(), 2u);
 }
 
 }  // namespace
