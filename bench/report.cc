@@ -110,6 +110,8 @@ bool WriteExperimentJson(const std::string& name, const std::string& workload,
           << ", \"per_update_seconds\": " << cell.per_update_seconds
           << ", \"updates_per_second\": " << updates_per_second
           << ", \"steps\": " << cell.steps << ", \"failed\": " << cell.failed
+          << ", \"tracker_writes_tested\": " << cell.tracker_writes_tested
+          << ", \"read_log_pairs_tested\": " << cell.read_log_pairs_tested
           << "}";
     }
   }

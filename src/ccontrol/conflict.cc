@@ -8,8 +8,37 @@
 
 namespace youtopia {
 
+ConflictChecker::PreparedQuery ConflictChecker::Prepare(
+    const ReadQueryRecord& q) const {
+  PreparedQuery p;
+  p.q = &q;
+  if (q.kind != ReadQueryKind::kViolation) return p;
+  CHECK_GE(q.tgd_id, 0);
+  const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
+  p.tgd = &tgd;
+  // Seed the binding from the query's own pinned tuple. A pin that no
+  // longer binds (defensive) conflicts with no write.
+  p.seed = Binding(tgd.num_vars());
+  if (q.pinned_on_lhs) {
+    CHECK_LT(q.atom_index, tgd.lhs().atoms.size());
+    p.can_bind = MatchAtom(tgd.lhs().atoms[q.atom_index], q.pinned, &p.seed);
+  } else {
+    CHECK_LT(q.atom_index, tgd.rhs().atoms.size());
+    Binding rhs_binding(tgd.num_vars());
+    p.can_bind =
+        MatchAtom(tgd.rhs().atoms[q.atom_index], q.pinned, &rhs_binding);
+    if (p.can_bind) {
+      for (VarId x : tgd.frontier_vars()) {
+        if (rhs_binding.IsBound(x)) p.seed.Set(x, rhs_binding.Get(x));
+      }
+    }
+  }
+  return p;
+}
+
 bool ConflictChecker::Conflicts(const Snapshot& snap, const PhysicalWrite& w,
-                                const ReadQueryRecord& q) const {
+                                PreparedQuery* p) const {
+  const ReadQueryRecord& q = *p->q;
   switch (q.kind) {
     case ReadQueryKind::kMoreSpecific: {
       if (w.rel != q.rel) return false;
@@ -33,18 +62,22 @@ bool ConflictChecker::Conflicts(const Snapshot& snap, const PhysicalWrite& w,
       return false;
     }
     case ReadQueryKind::kViolation:
-      return ViolationQueryConflicts(snap, w, q);
+      return ViolationQueryConflicts(snap, w, p);
   }
   return false;
 }
 
 bool ConflictChecker::ViolationQueryConflicts(const Snapshot& snap,
                                               const PhysicalWrite& w,
-                                              const ReadQueryRecord& q) const {
-  CHECK_GE(q.tgd_id, 0);
-  const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-  const auto& rels = tgd.all_relations();
+                                              PreparedQuery* p) const {
+  const auto& rels = p->tgd->all_relations();
   if (std::find(rels.begin(), rels.end(), w.rel) == rels.end()) return false;
+  if (!p->can_bind) return false;
+  // The residual query and its plans are fixed by (tgd, side, atom) and
+  // come from the memo, on the first write that gets this far.
+  if (p->residual == nullptr) {
+    p->residual = &ResidualFor(*p->tgd, *p->q, &snap.db());
+  }
 
   // Contents to test: a modification is conservatively a delete of the old
   // content followed by an insert of the new one.
@@ -56,11 +89,11 @@ bool ConflictChecker::ViolationQueryConflicts(const Snapshot& snap,
     // New LHS tuple: may create a witness — relevant only if the combined
     // match actually violates the tgd (NOT EXISTS refinement). New RHS
     // tuple: may complete an RHS match and remove a witness.
-    if (JoinsWithPin(snap, tgd, q, w.rel, w.data, /*on_lhs=*/true,
+    if (JoinsWithPin(snap, *p, w.rel, w.data, /*on_lhs=*/true,
                      /*require_rhs_unsatisfied=*/true)) {
       return true;
     }
-    if (JoinsWithPin(snap, tgd, q, w.rel, w.data, /*on_lhs=*/false,
+    if (JoinsWithPin(snap, *p, w.rel, w.data, /*on_lhs=*/false,
                      /*require_rhs_unsatisfied=*/false)) {
       return true;
     }
@@ -70,11 +103,11 @@ bool ConflictChecker::ViolationQueryConflicts(const Snapshot& snap,
     // witness may become violated. (The old database state is gone, so the
     // LHS-side check uses join satisfiability without the NOT EXISTS
     // refinement — a slight over-approximation.)
-    if (JoinsWithPin(snap, tgd, q, w.rel, w.old_data, /*on_lhs=*/true,
+    if (JoinsWithPin(snap, *p, w.rel, w.old_data, /*on_lhs=*/true,
                      /*require_rhs_unsatisfied=*/false)) {
       return true;
     }
-    if (JoinsWithPin(snap, tgd, q, w.rel, w.old_data, /*on_lhs=*/false,
+    if (JoinsWithPin(snap, *p, w.rel, w.old_data, /*on_lhs=*/false,
                      /*require_rhs_unsatisfied=*/false)) {
       return true;
     }
@@ -82,35 +115,19 @@ bool ConflictChecker::ViolationQueryConflicts(const Snapshot& snap,
   return false;
 }
 
-bool ConflictChecker::JoinsWithPin(const Snapshot& snap, const Tgd& tgd,
-                                   const ReadQueryRecord& q, RelationId rel,
+bool ConflictChecker::JoinsWithPin(const Snapshot& snap,
+                                   const PreparedQuery& p, RelationId rel,
                                    const TupleData& content, bool on_lhs,
                                    bool require_rhs_unsatisfied) const {
-  // Seed the binding from the query's own pinned tuple.
-  Binding seed(tgd.num_vars());
-  if (q.pinned_on_lhs) {
-    CHECK_LT(q.atom_index, tgd.lhs().atoms.size());
-    if (!MatchAtom(tgd.lhs().atoms[q.atom_index], q.pinned, &seed)) {
-      return false;  // the recorded query can no longer bind (defensive)
-    }
-  } else {
-    CHECK_LT(q.atom_index, tgd.rhs().atoms.size());
-    Binding rhs_binding(tgd.num_vars());
-    if (!MatchAtom(tgd.rhs().atoms[q.atom_index], q.pinned, &rhs_binding)) {
-      return false;
-    }
-    for (VarId x : tgd.frontier_vars()) {
-      if (rhs_binding.IsBound(x)) seed.Set(x, rhs_binding.Get(x));
-    }
-  }
-
+  const Tgd& tgd = *p.tgd;
+  const ReadQueryRecord& q = *p.q;
+  const Binding& seed = p.seed;
   // The query's pinned tuple is a *given* of the intensional query (it was
   // the tuple the reader had just written); it participates in the join
   // through the seed binding but is not required to be stored. When the
   // query is pinned on an LHS atom, that atom is therefore excluded from
-  // evaluation against the database. The residual query and its plans are
-  // fixed by (tgd, side, atom) and come from the memo.
-  const ResidualPlans& rp = ResidualFor(tgd, q, &snap.db());
+  // evaluation against the database.
+  const ResidualPlans& rp = *p.residual;
   const ConjunctiveQuery& residual_lhs = rp.residual;
 
   lhs_eval_.Reset(snap);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ccontrol/read_query.h"
+#include "query/binding.h"
 #include "query/evaluator.h"
 #include "query/plan_cache.h"
 #include "relational/database.h"
@@ -32,7 +33,14 @@ namespace youtopia {
 // completing an RHS match that removes one; deletions symmetrically; a
 // modification is conservatively treated as a delete followed by an insert
 // (Section 5).
+//
+// A check has a per-query part (Prepare) and a per-write part (Conflicts on
+// the prepared query). Callers that test one query against many writes —
+// the PRECISE tracker over a log prefix, the scheduler over a step's write
+// batch — prepare it once.
 class ConflictChecker {
+  struct ResidualPlans;
+
  public:
   // `arena` backs the evaluators' per-check scratch; the scheduler injects
   // the arena it resets once per scheduling step. Null means the checker
@@ -45,10 +53,34 @@ class ConflictChecker {
         lhs_eval_(Snapshot(nullptr, 0), arena_),
         rhs_eval_(Snapshot(nullptr, 0), arena_) {}
 
-  // True if `w` changes the answer to `q`. `snap` must carry the *reader's*
-  // visibility (the update that posed `q`).
+  // A read query readied for a run of writes: the part of a check that
+  // the query alone fixes, built once per query instead of once per write.
+  // For a violation query that is its tgd, the seed binding from the
+  // pinned tuple (or that the pin cannot bind, so no write conflicts), and
+  // the residual plans, taken from the memo when the first write reaches
+  // them. Correction queries need only the query. Refers to `q`, which
+  // must outlive it.
+  struct PreparedQuery {
+    const ReadQueryRecord* q = nullptr;
+    const Tgd* tgd = nullptr;
+    bool can_bind = false;
+    Binding seed;
+    const ResidualPlans* residual = nullptr;
+  };
+
+  PreparedQuery Prepare(const ReadQueryRecord& q) const;
+
+  // True if `w` changes the answer to the prepared query. `snap` must carry
+  // the *reader's* visibility (the update that posed the query).
   bool Conflicts(const Snapshot& snap, const PhysicalWrite& w,
-                 const ReadQueryRecord& q) const;
+                 PreparedQuery* p) const;
+
+  // A single check: prepares `q` for this write alone.
+  bool Conflicts(const Snapshot& snap, const PhysicalWrite& w,
+                 const ReadQueryRecord& q) const {
+    PreparedQuery p = Prepare(q);
+    return Conflicts(snap, w, &p);
+  }
 
   // Adaptive re-planning for the memoized residual plans: recompiles, in
   // place, every cached plan whose input relations drifted ~10x from the
@@ -84,15 +116,14 @@ class ConflictChecker {
   };
 
   bool ViolationQueryConflicts(const Snapshot& snap, const PhysicalWrite& w,
-                               const ReadQueryRecord& q) const;
+                               PreparedQuery* p) const;
 
-  // Can `content`, placed at some atom of `side` over `w.rel`, join into a
+  // Can `content`, placed at some atom of `side` over `rel`, join into a
   // match of the tgd's LHS consistent with the pinned binding? When
   // `require_rhs_unsatisfied` is set the match must additionally violate the
-  // tgd (the NOT EXISTS refinement).
-  bool JoinsWithPin(const Snapshot& snap, const Tgd& tgd,
-                    const ReadQueryRecord& q, RelationId rel,
-                    const TupleData& content, bool on_lhs,
+  // tgd (the NOT EXISTS refinement). `p` can bind and has its residual.
+  bool JoinsWithPin(const Snapshot& snap, const PreparedQuery& p,
+                    RelationId rel, const TupleData& content, bool on_lhs,
                     bool require_rhs_unsatisfied) const;
 
   const ResidualPlans& ResidualFor(const Tgd& tgd, const ReadQueryRecord& q,

@@ -18,48 +18,58 @@ const char* TrackerKindName(TrackerKind kind) {
   return "?";
 }
 
-void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
-                                const std::vector<ReadQueryRecord>& reads,
-                                const WriteLog& wlog) {
-  if (kind_ == TrackerKind::kNaive) return;  // nothing tracked
+size_t DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
+                                  const std::vector<ReadQueryRecord>& reads,
+                                  const WriteLog& wlog) {
+  if (kind_ == TrackerKind::kNaive) return 0;  // nothing tracked
 
-  // Fills writers_scratch_ with the distinct logged writers of `rels`.
-  auto gather_writers = [&](Span<const RelationId> rels) {
-    writers_scratch_.clear();
-    for (RelationId rel : rels) wlog.WritersOf(rel, &writers_scratch_);
-    std::sort(writers_scratch_.begin(), writers_scratch_.end());
-    writers_scratch_.erase(
-        std::unique(writers_scratch_.begin(), writers_scratch_.end()),
-        writers_scratch_.end());
-  };
-  // Links `writer` to `reader` if one of its writes hits; the rest of its
+  size_t tested = 0;
+  // Tests the entries of a log prefix against one query, skipping writers
+  // already linked for it: one hit links a writer, and the rest of its
   // writes could only link it again.
-  auto link_on_hit = [&](uint64_t writer, Span<const PhysicalWrite> writes,
-                         auto&& hits) {
-    if (writer >= reader) return;
-    for (const PhysicalWrite& w : writes) {
-      if (hits(w)) {
-        AddEdge(writer, reader);
-        return;
+  auto link_hits = [&](Span<const WriteLog::Entry> entries, auto&& hits) {
+    for (const WriteLog::Entry& e : entries) {
+      if (std::find(linked_scratch_.begin(), linked_scratch_.end(),
+                    e.writer) != linked_scratch_.end()) {
+        continue;
+      }
+      ++tested;
+      if (hits(e.write())) {
+        AddEdge(e.writer, reader);
+        linked_scratch_.push_back(e.writer);
       }
     }
   };
   for (const ReadQueryRecord& q : reads) {
+    linked_scratch_.clear();
     switch (q.kind) {
       case ReadQueryKind::kViolation: {
         const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-        gather_writers(tgd.all_relations());
-        for (uint64_t writer : writers_scratch_) {
-          if (kind_ == TrackerKind::kCoarse) {
-            // Relation granularity: any writer of any relation of the tgd.
-            if (writer < reader) AddEdge(writer, reader);
-          } else {
-            // PRECISE: the retroactive check against each of the writer's
-            // writes (one outside the tgd's relations fails it at once).
-            link_on_hit(writer, wlog.WritesOf(writer),
-                        [&](const PhysicalWrite& w) {
-                          return checker_.Conflicts(snap, w, q);
-                        });
+        if (kind_ == TrackerKind::kCoarse) {
+          // Relation granularity: every lower-numbered writer of any
+          // relation of the tgd, linked in writer order.
+          writers_scratch_.clear();
+          for (RelationId rel : tgd.all_relations()) {
+            for (const WriteLog::Entry& e : wlog.WritesTo(rel, reader)) {
+              if (writers_scratch_.empty() ||
+                  writers_scratch_.back() != e.writer) {
+                writers_scratch_.push_back(e.writer);
+              }
+            }
+          }
+          std::sort(writers_scratch_.begin(), writers_scratch_.end());
+          writers_scratch_.erase(
+              std::unique(writers_scratch_.begin(), writers_scratch_.end()),
+              writers_scratch_.end());
+          for (uint64_t writer : writers_scratch_) AddEdge(writer, reader);
+        } else {
+          // PRECISE: the retroactive check against each lower-numbered
+          // write to the tgd's relations.
+          ConflictChecker::PreparedQuery prepared = checker_.Prepare(q);
+          for (RelationId rel : tgd.all_relations()) {
+            link_hits(wlog.WritesTo(rel, reader), [&](const PhysicalWrite& w) {
+              return checker_.Conflicts(snap, w, &prepared);
+            });
           }
         }
         break;
@@ -67,33 +77,20 @@ void DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
       // Correction queries are the easy case for both algorithms: exact
       // dependencies straight off the in-memory write log, no database
       // access (Section 5.1.1).
-      case ReadQueryKind::kMoreSpecific: {
-        gather_writers(Span<const RelationId>(&q.rel, 1));
-        for (uint64_t writer : writers_scratch_) {
-          link_on_hit(writer, wlog.WritesOf(writer),
-                      [&](const PhysicalWrite& w) {
-                        return w.rel == q.rel &&
-                               ((!w.data.empty() &&
-                                 IsMoreSpecific(w.data, q.tuple)) ||
-                                (!w.old_data.empty() &&
-                                 IsMoreSpecific(w.old_data, q.tuple)));
-                      });
-        }
-        break;
-      }
-      case ReadQueryKind::kNullOccurrence: {
-        wlog.ForEachUpdate([&](uint64_t writer,
-                               Span<const PhysicalWrite> writes) {
-          link_on_hit(writer, writes, [&](const PhysicalWrite& w) {
-            return (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
-                   (!w.old_data.empty() &&
-                    ContainsNull(w.old_data, q.null_value));
-          });
+      case ReadQueryKind::kMoreSpecific:
+        link_hits(wlog.WritesTo(q.rel, reader), [&](const PhysicalWrite& w) {
+          return (!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
+                 (!w.old_data.empty() && IsMoreSpecific(w.old_data, q.tuple));
         });
         break;
-      }
+      case ReadQueryKind::kNullOccurrence:
+        // Every listed write carries the null: each test is a hit.
+        link_hits(wlog.WritesCarrying(q.null_value, reader),
+                  [](const PhysicalWrite&) { return true; });
+        break;
     }
   }
+  return tested;
 }
 
 const std::unordered_set<uint64_t>& DependencyTracker::ReadersOf(

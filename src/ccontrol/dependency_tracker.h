@@ -24,9 +24,14 @@ namespace youtopia {
 //               writer of any relation of sigma (relation granularity);
 //               correction queries are computed exactly from the in-memory
 //               write log (the paper's "easy case").
-//  * kPrecise — every logged write to the query's relations is tested with
+//  * kPrecise — the logged writes to the query's relations are tested with
 //               the full retroactive conflict check; only writes that
 //               actually change the query's answer create dependencies.
+//
+// Both trackers read only what can conflict: for a query of reader r, the
+// writes of updates numbered below r to the query's relations, or carrying
+// its null (the WriteLog's index prefixes), and none of a writer's writes
+// once one has linked it.
 enum class TrackerKind : uint8_t { kNaive = 0, kCoarse = 1, kPrecise = 2 };
 
 const char* TrackerKindName(TrackerKind kind);
@@ -42,10 +47,12 @@ class DependencyTracker {
 
   // Registers the read dependencies created by `reads`, which update
   // `reader` just performed against `snap`. `wlog` holds the writes of
-  // still-abortable updates.
-  void OnReads(const Snapshot& snap, uint64_t reader,
-               const std::vector<ReadQueryRecord>& reads,
-               const WriteLog& wlog);
+  // still-abortable updates. Returns how many logged writes it tested
+  // against a query (COARSE violation queries test none: they read the
+  // writers).
+  size_t OnReads(const Snapshot& snap, uint64_t reader,
+                 const std::vector<ReadQueryRecord>& reads,
+                 const WriteLog& wlog);
 
   // Updates that have a (direct) read dependency on `writer`. Meaningless
   // for kNaive (the scheduler cascades by number instead).
@@ -61,10 +68,11 @@ class DependencyTracker {
   TrackerKind kind_;
   const std::vector<Tgd>* tgds_;
   ConflictChecker checker_;
-  // Per-query writers, distinct: COARSE's edges, and the writers whose
-  // writes the exact checks visit (a member so OnReads allocates nothing in
-  // steady state).
+  // Per-query scratch, members so OnReads allocates nothing in steady
+  // state: COARSE's distinct writers, and the writers an exact check has
+  // already linked.
   std::vector<uint64_t> writers_scratch_;
+  std::vector<uint64_t> linked_scratch_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_of_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> writers_of_;
   std::unordered_set<uint64_t> empty_;

@@ -133,15 +133,19 @@ void Scheduler::StepOne(size_t slot_idx) {
   // queries of higher-numbered updates; invalidated readers abort. The
   // probe is batched over the whole write set: each candidate reader's log
   // is walked once per step — not once per write — and a doomed reader's
-  // remaining queries are skipped.
+  // remaining queries are skipped. The walk offers a query's writes back
+  // to back, so each query is prepared once for all of them.
   std::unordered_set<uint64_t>& direct = direct_scratch_;
   direct.clear();
   for (const PhysicalWrite& w : res.writes) write_log_.Record(number, w);
+  ConflictChecker::PreparedQuery prepared;
   read_log_.ForEachCandidateBatch(
       res.writes, number,
       [&](uint64_t reader, const ReadQueryRecord& q, const PhysicalWrite& w) {
+        ++stats_.read_log_pairs_tested;
+        if (prepared.q != &q) prepared = checker_.Prepare(q);
         Snapshot reader_snap(db_, reader);
-        if (!checker_.Conflicts(reader_snap, w, q)) return false;
+        if (!checker_.Conflicts(reader_snap, w, &prepared)) return false;
         if (options_.metrics != nullptr) {
           options_.metrics->Add(DoomCauseCounter(q.kind));
         }
@@ -152,7 +156,8 @@ void Scheduler::StepOne(size_t slot_idx) {
   // Register read dependencies for cascades, then move this step's records
   // into the read log (their tuple payloads change hands without copying).
   Snapshot own_snap(db_, number);
-  tracker_.OnReads(own_snap, number, res.reads, write_log_);
+  stats_.tracker_writes_tested +=
+      tracker_.OnReads(own_snap, number, res.reads, write_log_);
   for (ReadQueryRecord& q : res.reads) read_log_.Record(number, std::move(q));
 
   if (!direct.empty()) PerformAborts(direct);

@@ -70,6 +70,12 @@ struct SchedulerStats {
   // and were surrendered for re-routing; disjoint from aborts.
   uint64_t escaped_updates = 0;
 
+  // Retroactive-check work, deterministic: logged writes the dependency
+  // tracker tested against a read query, and (query, write) pairs the
+  // read-log batch walk handed to a conflict test.
+  uint64_t tracker_writes_tested = 0;
+  uint64_t read_log_pairs_tested = 0;
+
   // Pool-level merge (the ingest pipeline sums worker-local and
   // cross-shard engine stats into one report).
   void Merge(const SchedulerStats& other) {
@@ -84,6 +90,8 @@ struct SchedulerStats {
     direct_conflict_aborts += other.direct_conflict_aborts;
     cascading_abort_requests += other.cascading_abort_requests;
     escaped_updates += other.escaped_updates;
+    tracker_writes_tested += other.tracker_writes_tested;
+    read_log_pairs_tested += other.read_log_pairs_tested;
   }
 };
 

@@ -1,15 +1,77 @@
 #include "ccontrol/write_log.h"
 
+#include <algorithm>
+
 namespace youtopia {
+
+Span<const WriteLog::Entry> WriteLog::Below(const Index& index, uint64_t key,
+                                            uint64_t before) {
+  auto it = index.find(key);
+  if (it == index.end()) return {};
+  const std::vector<Entry>& entries = it->second;
+  const auto end = std::partition_point(
+      entries.begin(), entries.end(),
+      [&](const Entry& e) { return e.writer < before; });
+  return Span<const Entry>(entries.data(),
+                           static_cast<size_t>(end - entries.begin()));
+}
+
+template <typename Fn>
+void WriteLog::ForEachDistinctNull(const PhysicalWrite& w, Fn&& fn) {
+  nulls_scratch_.clear();
+  for (const TupleData* data : {&w.data, &w.old_data}) {
+    for (const Value& v : *data) {
+      if (!v.is_null() ||
+          std::find(nulls_scratch_.begin(), nulls_scratch_.end(), v.id()) !=
+              nulls_scratch_.end()) {
+        continue;
+      }
+      nulls_scratch_.push_back(v.id());
+      fn(v.id());
+    }
+  }
+}
+
+void WriteLog::Record(uint64_t update_number, const PhysicalWrite& w) {
+  std::vector<PhysicalWrite>& writes = writes_by_update_[update_number];
+  writes.push_back(w);
+  const Entry entry{update_number, &writes,
+                    static_cast<uint32_t>(writes.size() - 1)};
+  // After the writer's earlier writes, before any higher writer's.
+  auto list = [&](std::vector<Entry>& entries) {
+    entries.insert(std::partition_point(entries.begin(), entries.end(),
+                                        [&](const Entry& e) {
+                                          return e.writer <= update_number;
+                                        }),
+                   entry);
+  };
+  list(by_relation_[w.rel]);
+  ForEachDistinctNull(w, [&](uint64_t null_id) { list(by_null_[null_id]); });
+}
 
 void WriteLog::EraseUpdate(uint64_t update_number) {
   auto it = writes_by_update_.find(update_number);
   if (it == writes_by_update_.end()) return;
+  // The update's entries are one run of each list it entered; a list
+  // reached twice (two writes to one relation) has none left the second
+  // time, or is gone.
+  auto unlist = [&](Index& index, uint64_t key) {
+    auto found = index.find(key);
+    if (found == index.end()) return;
+    std::vector<Entry>& entries = found->second;
+    const auto lo = std::partition_point(
+        entries.begin(), entries.end(),
+        [&](const Entry& e) { return e.writer < update_number; });
+    const auto hi = std::partition_point(
+        lo, entries.end(),
+        [&](const Entry& e) { return e.writer == update_number; });
+    entries.erase(lo, hi);
+    if (entries.empty()) index.erase(found);
+  };
   for (const PhysicalWrite& w : it->second) {
-    auto rel_it = writers_by_relation_.find(w.rel);
-    if (rel_it != writers_by_relation_.end()) {
-      rel_it->second.erase(update_number);
-    }
+    unlist(by_relation_, w.rel);
+    ForEachDistinctNull(w,
+                        [&](uint64_t null_id) { unlist(by_null_, null_id); });
   }
   writes_by_update_.erase(it);
 }

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relational/tuple.h"
+#include "relational/value.h"
 #include "relational/write.h"
 #include "util/span.h"
 
@@ -14,21 +14,29 @@ namespace youtopia {
 
 // The in-memory log of writes performed by updates that may still be
 // aborted (Section 5.1). Each update's writes are kept together, in the
-// order it performed them, beside a relation -> writers index, so no
-// reader of the log walks all of it:
+// order it performed them, and two indexes list every logged write by the
+// relation it wrote and by each labeled null its old or new content
+// carries, so no reader of the log walks all of it:
 //   * abort undo and EraseUpdate touch one update's writes (WritesOf);
-//   * COARSE reads the writer sets (WritersOf);
-//   * the trackers' exact checks (PRECISE violation queries, more-specific
-//     queries) visit the writes of the updates WritersOf names for the
-//     query's relations.
+//   * a tracker checking a read query of reader r walks only the writes of
+//     updates numbered below r to the query's relations (WritesTo) or
+//     carrying its null (WritesCarrying): each index list is ordered by
+//     writer number, then log order, so those writes are a prefix of it.
 // An update stops paying once it commits (EraseUpdate is called by the
 // scheduler when every lower-numbered update has finished) or aborts.
 class WriteLog {
  public:
-  void Record(uint64_t update_number, const PhysicalWrite& w) {
-    writes_by_update_[update_number].push_back(w);
-    writers_by_relation_[w.rel].insert(update_number);
-  }
+  // One logged write in an index list: its writer, and the write itself,
+  // reached through the writer's list without a lookup.
+  struct Entry {
+    uint64_t writer;
+    const std::vector<PhysicalWrite>* writes;
+    uint32_t index;
+
+    const PhysicalWrite& write() const { return (*writes)[index]; }
+  };
+
+  void Record(uint64_t update_number, const PhysicalWrite& w);
 
   // The logged writes of `update_number`, in the order it performed them
   // (empty when it logged none). Valid until the log next changes.
@@ -38,32 +46,45 @@ class WriteLog {
     return it->second;
   }
 
-  // Invokes fn(update_number, writes) for every update with logged writes.
-  template <typename Fn>
-  void ForEachUpdate(Fn&& fn) const {
-    for (const auto& [update, writes] : writes_by_update_) {
-      fn(update, Span<const PhysicalWrite>(writes));
-    }
+  // The logged writes to `rel` by updates numbered below `before`, by
+  // writer number, then log order. Valid until the log next changes.
+  Span<const Entry> WritesTo(RelationId rel, uint64_t before) const {
+    return Below(by_relation_, rel, before);
   }
 
-  // Appends to `out` the updates (by number) that have written at least
-  // one tuple of `rel` — the COARSE tracker's dependency granularity.
-  void WritersOf(RelationId rel, std::vector<uint64_t>* out) const {
-    auto it = writers_by_relation_.find(rel);
-    if (it == writers_by_relation_.end()) return;
-    out->insert(out->end(), it->second.begin(), it->second.end());
+  // The logged writes whose old or new content carries labeled null
+  // `null`, by updates numbered below `before`, ordered like WritesTo. A
+  // write is listed once however often the null occurs in it.
+  Span<const Entry> WritesCarrying(const Value& null, uint64_t before) const {
+    return Below(by_null_, null.id(), before);
   }
 
-  // Drops every write of `update_number` (commit or abort).
+  // Drops every write of `update_number` (commit or abort), touching only
+  // the index lists its writes entered.
   void EraseUpdate(uint64_t update_number);
 
   // Logged writes across all updates (walks the per-update lists).
   size_t size() const;
 
  private:
+  // Index lists by relation id or null id.
+  using Index = std::unordered_map<uint64_t, std::vector<Entry>>;
+
+  static Span<const Entry> Below(const Index& index, uint64_t key,
+                                 uint64_t before);
+
+  // Calls fn(null id) once for each distinct labeled null of w's old and
+  // new content.
+  template <typename Fn>
+  void ForEachDistinctNull(const PhysicalWrite& w, Fn&& fn);
+
   std::unordered_map<uint64_t, std::vector<PhysicalWrite>> writes_by_update_;
-  std::unordered_map<RelationId, std::unordered_set<uint64_t>>
-      writers_by_relation_;
+  // Emptied lists are dropped (null ids are never reused, so kept null
+  // lists would pile up).
+  Index by_relation_;
+  Index by_null_;
+  // ForEachDistinctNull's dedup scratch.
+  std::vector<uint64_t> nulls_scratch_;
 };
 
 }  // namespace youtopia

@@ -19,6 +19,8 @@ void CellStats::Accumulate(const SchedulerStats& s, double seconds) {
   total_seconds += seconds;
   steps += static_cast<double>(s.total_steps);
   failed += static_cast<double>(s.updates_failed);
+  tracker_writes_tested += static_cast<double>(s.tracker_writes_tested);
+  read_log_pairs_tested += static_cast<double>(s.read_log_pairs_tested);
 }
 
 void CellStats::FinishAveraging() {
@@ -31,6 +33,8 @@ void CellStats::FinishAveraging() {
   total_seconds /= n;
   steps /= n;
   failed /= n;
+  tracker_writes_tested /= n;
+  read_log_pairs_tested /= n;
 }
 
 double ExperimentResult::SlowdownOfPrecise(size_t mapping_index) const {

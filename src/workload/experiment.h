@@ -74,6 +74,8 @@ struct CellStats {
   double total_seconds = 0;
   double steps = 0;
   double failed = 0;
+  double tracker_writes_tested = 0;
+  double read_log_pairs_tested = 0;
 
   void Accumulate(const SchedulerStats& s, double seconds);
   void FinishAveraging();

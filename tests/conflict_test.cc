@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace youtopia {
 namespace {
@@ -159,6 +160,67 @@ TEST_F(ConflictTest, ModifyTreatedAsDeletePlusInsert) {
   // The old content contained x1: conflicts even though the new content
   // does not.
   EXPECT_TRUE(checker_.Conflicts(snap, w, q));
+}
+
+TEST_F(ConflictTest, PreparedOnceAnswersLikePreparedPerWrite) {
+  // A violation query prepared once and tested against a run of writes
+  // must answer each write as a query prepared afresh for that write does
+  // (here by a second checker, so no memo or evaluator state is shared):
+  // the seed binding and the residual plans the prepared query takes on
+  // its first write carry over to the later writes.
+  TgdParser parser(&fig_.db.catalog(), &fig_.db.symbols());
+  // Pins on A(l, l) or E(c, c) with two different values cannot bind.
+  fig_.tgds.push_back(*parser.ParseTgd("A(l, l) & T(l, co, c) -> E(c, c)"));
+  ConflictChecker fresh(&fig_.tgds);
+  const std::vector<RelationId> rels{fig_.C, fig_.S, fig_.A, fig_.T,
+                                     fig_.R, fig_.V, fig_.E};
+  const std::vector<Value> constants{
+      fig_.Const("Geneva Winery"), fig_.Const("Geneva"), fig_.Const("XYZ"),
+      fig_.Const("Syracuse"), fig_.Const("Science Conf")};
+  const Snapshot snap(&fig_.db, kReadLatest);
+  size_t lhs_pins = 0, rhs_pins = 0, unbindable = 0, hits = 0, misses = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    auto tuple_for = [&](RelationId rel) {
+      TupleData t;
+      for (size_t c = 0; c < fig_.db.relation(rel).arity(); ++c) {
+        t.push_back(rng.Chance(0.1) ? (rng.Chance(0.5) ? fig_.x1 : fig_.x2)
+                                    : constants[rng.Uniform(constants.size())]);
+      }
+      return t;
+    };
+    for (int query = 0; query < 40; ++query) {
+      const int tgd_id = static_cast<int>(rng.Uniform(fig_.tgds.size()));
+      const Tgd& tgd = fig_.tgds[static_cast<size_t>(tgd_id)];
+      const bool lhs = rng.Chance(0.5);
+      const auto& atoms = lhs ? tgd.lhs().atoms : tgd.rhs().atoms;
+      const size_t atom = rng.Uniform(atoms.size());
+      const ReadQueryRecord q = ReadQueryRecord::Violation(
+          tgd_id, lhs, atom, tuple_for(atoms[atom].rel));
+      ConflictChecker::PreparedQuery prepared = checker_.Prepare(q);
+      ++(lhs ? lhs_pins : rhs_pins);
+      unbindable += prepared.can_bind ? 0 : 1;
+      for (int i = 0; i < 25; ++i) {
+        // Half the writes on the tgd's relations, half on any relation.
+        const auto& tgd_rels = tgd.all_relations();
+        PhysicalWrite w;
+        w.rel = rng.Chance(0.5) ? tgd_rels[rng.Uniform(tgd_rels.size())]
+                                : rels[rng.Uniform(rels.size())];
+        w.kind = static_cast<WriteKind>(rng.Uniform(3));
+        if (w.kind != WriteKind::kDelete) w.data = tuple_for(w.rel);
+        if (w.kind != WriteKind::kInsert) w.old_data = tuple_for(w.rel);
+        const bool want = fresh.Conflicts(snap, w, q);
+        EXPECT_EQ(checker_.Conflicts(snap, w, &prepared), want)
+            << "seed " << seed << " query " << query << " write " << i;
+        ++(want ? hits : misses);
+      }
+    }
+  }
+  EXPECT_GT(lhs_pins, 0u);
+  EXPECT_GT(rhs_pins, 0u);
+  EXPECT_GT(unbindable, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
 }
 
 }  // namespace

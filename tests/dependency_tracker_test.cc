@@ -149,9 +149,61 @@ TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
   EXPECT_EQ(tracker.num_edges(), 0u);
 }
 
+TEST_F(DependencyTrackerTest, TestsOnlyLowerNumberedWritesThatCanConflict) {
+  // Reader 10's queries are tested only against writes by updates below 10
+  // on the query's relations, or carrying its null. Writes off those
+  // relations or above the reader — and whole writers' logs, the way a
+  // walk by writer would test them — would raise the counts.
+  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds);
+  const Value n = fig_.x1;
+  wlog_.Record(1, Insert(fig_.C, fig_.Row({"Boston"})));
+  wlog_.Record(2, Insert(fig_.T, {fig_.Const("Nowhere"), n, fig_.Const("S")}));
+  wlog_.Record(3, Insert(fig_.T, fig_.Row({"Elsewhere", "Q", "S"})));
+  wlog_.Record(3, Insert(fig_.C, fig_.Row({"Albany"})));
+  wlog_.Record(4, Insert(fig_.R, fig_.Row({"Q", "Elsewhere", "Good"})));
+  wlog_.Record(6, Insert(fig_.V, {fig_.Const("Syracuse"), n}));
+  PhysicalWrite modify;
+  modify.kind = WriteKind::kModify;
+  modify.rel = fig_.E;
+  modify.data = {n, fig_.Const("Niagara Falls")};
+  modify.old_data = {n, fig_.Const("Geneva Winery")};
+  wlog_.Record(7, modify);
+  wlog_.Record(12, Insert(fig_.T, fig_.Row({"Other", "Q", "S"})));
+  wlog_.Record(12, Insert(fig_.C, fig_.Row({"Chicago"})));
+  wlog_.Record(12, Insert(fig_.E, {n, fig_.Const("X")}));
+  Snapshot snap(&fig_.db, kReadLatest);
+
+  // sigma3 (A, T, R) pinned on A(Geneva, Geneva Winery): the T writes of
+  // 2 and 3 and the R write of 4; none joins.
+  EXPECT_EQ(tracker.OnReads(snap, 10,
+                            {ReadQueryRecord::Violation(
+                                2, true, 0,
+                                fig_.Row({"Geneva", "Geneva Winery"}))},
+                            wlog_),
+            3u);
+  EXPECT_EQ(tracker.num_edges(), 0u);
+  // C(Ithaca): the C writes of 1 and 3; neither is more specific.
+  EXPECT_EQ(tracker.OnReads(snap, 10,
+                            {ReadQueryRecord::MoreSpecific(
+                                fig_.C, fig_.Row({"Ithaca"}))},
+                            wlog_),
+            2u);
+  EXPECT_EQ(tracker.num_edges(), 0u);
+  // Null n: the writes of 2, 6 and 7 carry it (7's modify, in both
+  // contents, once), and each links its writer.
+  EXPECT_EQ(tracker.OnReads(snap, 10, {ReadQueryRecord::NullOccurrence(n)},
+                            wlog_),
+            3u);
+  EXPECT_EQ(tracker.num_edges(), 3u);
+  for (uint64_t writer : {2, 6, 7}) {
+    EXPECT_EQ(tracker.ReadersOf(writer).count(10), 1u) << writer;
+  }
+}
+
 TEST_F(DependencyTrackerTest, EdgesMatchReferenceScanOnRandomLogs) {
   // The trackers walk only the writes the log's indexes name for a query
-  // (its relations' writers, numbered below the reader). A reference scan
+  // (on its relations or carrying its null, by writers numbered below the
+  // reader). A reference scan
   // over every logged write must find exactly the same edges, for both
   // trackers, on random logs with inserts, deletes, modifies and erases.
   // Each reader poses one query, so no query's edges hide behind

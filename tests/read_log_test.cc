@@ -6,6 +6,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ccontrol/conflict.h"
@@ -202,6 +203,17 @@ TEST_F(ReadLogTest, MultipleReadersSameRelation) {
   EXPECT_EQ(CountCandidates(Insert(fig_.C, fig_.Row({"NYC"})), 7), 2u);
 }
 
+// The distinct writers of `rel`, read off its index list.
+std::vector<uint64_t> WritersOf(const WriteLog& wlog, RelationId rel) {
+  std::vector<uint64_t> writers;
+  for (const WriteLog::Entry& e : wlog.WritesTo(rel, UINT64_MAX)) {
+    if (writers.empty() || writers.back() != e.writer) {
+      writers.push_back(e.writer);
+    }
+  }
+  return writers;
+}
+
 TEST(WriteLogTest, RecordAndEraseMaintainWriterSets) {
   Figure2 fig;
   WriteLog wlog;
@@ -213,13 +225,11 @@ TEST(WriteLogTest, RecordAndEraseMaintainWriterSets) {
   wlog.Record(1, w);
   wlog.Record(2, w);
   EXPECT_EQ(wlog.size(), 3u);
-  std::vector<uint64_t> writers;
-  wlog.WritersOf(fig.T, &writers);
+  std::vector<uint64_t> writers = WritersOf(wlog, fig.T);
   EXPECT_EQ(writers.size(), 2u);
   wlog.EraseUpdate(1);
   EXPECT_EQ(wlog.size(), 1u);
-  writers.clear();
-  wlog.WritersOf(fig.T, &writers);
+  writers = WritersOf(wlog, fig.T);
   EXPECT_EQ(writers.size(), 1u);
   EXPECT_EQ(wlog.WritesOf(2).size(), 1u);
 }
@@ -250,11 +260,12 @@ struct WriteLogFixture {
     return out;
   }
 
-  // WritesOf over the writers the relation index names for `rels`: the
-  // walk the trackers' exact checks make.
+  // WritesOf over the writers the relation lists name for `rels`.
   std::vector<std::string> WritesOfWritersOf(std::vector<RelationId> rels) {
     std::vector<uint64_t> writers;
-    for (RelationId rel : rels) wlog.WritersOf(rel, &writers);
+    for (RelationId rel : rels) {
+      for (uint64_t writer : WritersOf(wlog, rel)) writers.push_back(writer);
+    }
     std::sort(writers.begin(), writers.end());
     writers.erase(std::unique(writers.begin(), writers.end()), writers.end());
     std::vector<std::string> out;
@@ -262,6 +273,19 @@ struct WriteLogFixture {
       for (const std::string& v : WritesOf(writer)) out.push_back(v);
     }
     return out;
+  }
+
+  // fn(update, writes) for every update with logged writes, found through
+  // the relation lists.
+  template <typename Fn>
+  void ForEachUpdate(Fn&& fn) {
+    std::vector<uint64_t> updates;
+    for (RelationId rel = 0; rel < fig.db.num_relations(); ++rel) {
+      for (uint64_t writer : WritersOf(wlog, rel)) updates.push_back(writer);
+    }
+    std::sort(updates.begin(), updates.end());
+    updates.erase(std::unique(updates.begin(), updates.end()), updates.end());
+    for (uint64_t update : updates) fn(update, wlog.WritesOf(update));
   }
 
   Figure2 fig;
@@ -279,7 +303,7 @@ TEST(WriteLogTest, KeepsEachUpdatesWritesInLogOrder) {
 
   std::vector<uint64_t> updates;
   size_t writes = 0;
-  f.wlog.ForEachUpdate([&](uint64_t update, Span<const PhysicalWrite> ws) {
+  f.ForEachUpdate([&](uint64_t update, Span<const PhysicalWrite> ws) {
     updates.push_back(update);
     writes += ws.size();
   });
@@ -313,6 +337,124 @@ TEST(WriteLogTest, EraseDropsOnlyThatUpdate) {
   // A number logged again after its erase starts a fresh list.
   f.wlog.Record(1, LoggedInsert(fig.A, fig.Row({"a1c", "n"})));
   EXPECT_EQ(f.WritesOfWritersOf({fig.T, fig.A}), (Names{"a1c"}));
+}
+
+// (writer, first value) of each entry, in list order.
+using Listed = std::vector<std::pair<uint64_t, std::string>>;
+Listed ListOf(const Figure2& fig, Span<const WriteLog::Entry> entries) {
+  Listed out;
+  for (const WriteLog::Entry& e : entries) {
+    const PhysicalWrite& w = e.write();
+    const TupleData& content = w.data.empty() ? w.old_data : w.data;
+    out.emplace_back(e.writer, content[0].is_null()
+                                   ? "null"
+                                   : fig.db.symbols().Text(content[0]));
+  }
+  return out;
+}
+
+TEST(WriteLogTest, IndexListsRunInWriterThenLogOrder) {
+  Figure2 fig;
+  WriteLog wlog;
+  const Value n = fig.x1;
+  // Writer numbers out of log order, as when a restarted update logs under
+  // a fresh, higher number while lower-numbered updates still write.
+  wlog.Record(5, LoggedInsert(fig.T, {fig.Const("t5a"), n, fig.Const("s")}));
+  wlog.Record(2, LoggedInsert(fig.T, fig.Row({"t2a", "q", "s"})));
+  wlog.Record(9, LoggedInsert(fig.C, {n}));
+  wlog.Record(5, LoggedInsert(fig.T, fig.Row({"t5b", "q", "s"})));
+  wlog.Record(3, LoggedInsert(fig.T, {fig.Const("t3"), n, fig.Const("s")}));
+  wlog.Record(2, LoggedInsert(fig.T, {fig.Const("t2b"), n, fig.Const("s")}));
+
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.T, UINT64_MAX)),
+            (Listed{{2, "t2a"}, {2, "t2b"}, {3, "t3"}, {5, "t5a"},
+                    {5, "t5b"}}));
+  // Only the prefix below the reader.
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.T, 5)),
+            (Listed{{2, "t2a"}, {2, "t2b"}, {3, "t3"}}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.T, 3)),
+            (Listed{{2, "t2a"}, {2, "t2b"}}));
+  EXPECT_TRUE(wlog.WritesTo(fig.T, 2).empty());
+  EXPECT_TRUE(wlog.WritesTo(fig.C, 9).empty());
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.C, 10)), (Listed{{9, "null"}}));
+  EXPECT_TRUE(wlog.WritesTo(fig.V, UINT64_MAX).empty());
+
+  EXPECT_EQ(ListOf(fig, wlog.WritesCarrying(n, UINT64_MAX)),
+            (Listed{{2, "t2b"}, {3, "t3"}, {5, "t5a"}, {9, "null"}}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesCarrying(n, 5)),
+            (Listed{{2, "t2b"}, {3, "t3"}}));
+  EXPECT_TRUE(wlog.WritesCarrying(fig.x2, UINT64_MAX).empty());
+}
+
+TEST(WriteLogTest, NullListNamesEachCarryingWriteOnce) {
+  Figure2 fig;
+  WriteLog wlog;
+  const Value n = fig.x1;
+  const Value m = fig.x2;
+  // The null in both the old and the new content of a modify.
+  PhysicalWrite modify;
+  modify.kind = WriteKind::kModify;
+  modify.rel = fig.E;
+  modify.data = {n, fig.Const("Niagara Falls")};
+  modify.old_data = {n, fig.Const("Geneva Winery")};
+  wlog.Record(4, modify);
+  // Twice in one tuple, beside another null.
+  wlog.Record(1, LoggedInsert(fig.R, {n, m, n}));
+  // Only in the old content of a delete.
+  PhysicalWrite del;
+  del.kind = WriteKind::kDelete;
+  del.rel = fig.V;
+  del.old_data = {fig.Const("Syracuse"), n};
+  wlog.Record(3, del);
+  wlog.Record(2, LoggedInsert(fig.T, fig.Row({"t2", "q", "s"})));
+
+  Span<const WriteLog::Entry> carrying = wlog.WritesCarrying(n, UINT64_MAX);
+  ASSERT_EQ(carrying.size(), 3u);
+  EXPECT_EQ(carrying[0].writer, 1u);
+  EXPECT_EQ(carrying[1].writer, 3u);
+  EXPECT_EQ(carrying[2].writer, 4u);
+  // Each entry reaches its own write.
+  EXPECT_EQ(carrying[0].write().rel, fig.R);
+  EXPECT_EQ(carrying[1].write().kind, WriteKind::kDelete);
+  EXPECT_EQ(carrying[2].write().kind, WriteKind::kModify);
+  ASSERT_EQ(wlog.WritesCarrying(m, UINT64_MAX).size(), 1u);
+  EXPECT_EQ(wlog.WritesCarrying(m, UINT64_MAX)[0].writer, 1u);
+}
+
+TEST(WriteLogTest, EraseUnlistsOnlyThatUpdate) {
+  Figure2 fig;
+  WriteLog wlog;
+  const Value n = fig.x1;
+  for (uint64_t writer : {1, 2, 3}) {
+    const std::string tag = "t" + std::to_string(writer);
+    wlog.Record(writer, LoggedInsert(fig.T, {fig.Const(tag), n,
+                                             fig.Const("s")}));
+    wlog.Record(writer, LoggedInsert(fig.T, fig.Row({tag + "b", "q", "s"})));
+    wlog.Record(writer, LoggedInsert(fig.C, {n}));
+  }
+  wlog.EraseUpdate(2);
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.T, UINT64_MAX)),
+            (Listed{{1, "t1"}, {1, "t1b"}, {3, "t3"}, {3, "t3b"}}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.C, UINT64_MAX)),
+            (Listed{{1, "null"}, {3, "null"}}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesCarrying(n, UINT64_MAX)),
+            (Listed{{1, "t1"}, {1, "null"}, {3, "t3"}, {3, "null"}}));
+
+  wlog.EraseUpdate(1);
+  wlog.EraseUpdate(3);
+  EXPECT_TRUE(wlog.WritesTo(fig.T, UINT64_MAX).empty());
+  EXPECT_TRUE(wlog.WritesTo(fig.C, UINT64_MAX).empty());
+  EXPECT_TRUE(wlog.WritesCarrying(n, UINT64_MAX).empty());
+
+  // A number logged again after its erase starts fresh: its entries reach
+  // only the new writes.
+  wlog.Record(2, LoggedInsert(fig.T, {fig.Const("again"), n,
+                                      fig.Const("s")}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesTo(fig.T, UINT64_MAX)),
+            (Listed{{2, "again"}}));
+  EXPECT_EQ(ListOf(fig, wlog.WritesCarrying(n, UINT64_MAX)),
+            (Listed{{2, "again"}}));
+  EXPECT_EQ(wlog.WritesOf(2).size(), 1u);
 }
 
 }  // namespace
