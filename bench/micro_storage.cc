@@ -41,10 +41,8 @@ void BM_IndexLookup(benchmark::State& state) {
   }
   size_t hits = 0;
   for (auto _ : state) {
-    std::vector<RowId> rows;
-    db.relation(rel).CandidateRows(0, Value::Constant(rng.Uniform(256)),
-                                   &rows);
-    hits += rows.size();
+    hits +=
+        db.relation(rel).Bucket(0, Value::Constant(rng.Uniform(256))).size();
   }
   benchmark::DoNotOptimize(hits);
 }
@@ -137,25 +135,24 @@ void BM_CompositeIndexLookup(benchmark::State& state) {
              0);
   }
   db.mutable_relation(rel).EnsureCompositeIndex({0, 1});
+  const std::vector<size_t> columns{0, 1};
+  std::vector<Value> key(2);
   size_t hits = 0;
   for (auto _ : state) {
-    std::vector<RowId> rows;
-    db.relation(rel).CandidateRowsComposite(
-        {0, 1},
-        {Value::Constant(rng.Uniform(256)), Value::Constant(rng.Uniform(64))},
-        &rows);
-    hits += rows.size();
+    key[0] = Value::Constant(rng.Uniform(256));
+    key[1] = Value::Constant(rng.Uniform(64));
+    hits += db.relation(rel).CompositeBucket(columns, key)->size();
   }
   benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_CompositeIndexLookup)->Range(1024, 65536);
 
 void BM_IndexEntryDriftUnderAborts(benchmark::State& state) {
-  // The append-only indexes strand entries whenever an update's versions
-  // are removed (abort undo). Measures the removal + threshold-compaction
-  // cost and reports the drift the compaction pass reclaims.
+  // Undo of an aborted update that wrote half the base volume, row by row
+  // over its writes as the scheduler does. The exact indexes unlist every
+  // entry the aborted versions added, so drift_entries_after_undo (index
+  // entries after the undo minus before the aborted writes) must read 0.
   const size_t base_rows = static_cast<size_t>(state.range(0));
-  double drift_before = 0;
   double drift_after = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -167,26 +164,25 @@ void BM_IndexEntryDriftUnderAborts(benchmark::State& state) {
                0);
     }
     const size_t entries_live = db.relation(rel).IndexEntryCount();
-    // An aborting update writes half the base volume — enough strand to
-    // cross the threshold that triggers compaction on removal.
+    std::vector<PhysicalWrite> aborted;
     for (size_t i = 0; i < base_rows / 2; ++i) {
-      db.Apply(WriteOp::Insert(rel, {Value::Constant(i % 97),
-                                     Value::Constant(base_rows + i)}),
-               9);
+      for (PhysicalWrite& w :
+           db.Apply(WriteOp::Insert(rel, {Value::Constant(i % 97),
+                                          Value::Constant(base_rows + i)}),
+                    9)) {
+        aborted.push_back(std::move(w));
+      }
     }
-    drift_before +=
-        static_cast<double>(db.relation(rel).IndexEntryCount() - entries_live);
     state.ResumeTiming();
-    db.RemoveVersionsOf(9);  // triggers threshold compaction
+    for (const PhysicalWrite& w : aborted) {
+      db.RemoveRowVersions(w.rel, w.row, 9);
+    }
     state.PauseTiming();
-    drift_after +=
-        static_cast<double>(db.relation(rel).IndexEntryCount()) -
-        static_cast<double>(entries_live);
+    drift_after += static_cast<double>(db.relation(rel).IndexEntryCount()) -
+                   static_cast<double>(entries_live);
     state.ResumeTiming();
   }
-  state.counters["drift_entries_before_compact"] =
-      benchmark::Counter(drift_before, benchmark::Counter::kAvgIterations);
-  state.counters["drift_entries_after_compact"] =
+  state.counters["drift_entries_after_undo"] =
       benchmark::Counter(drift_after, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_IndexEntryDriftUnderAborts)->Range(1024, 16384);

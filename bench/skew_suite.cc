@@ -152,7 +152,7 @@ void BuildFixture(const std::string& graph, double theta, uint64_t seed,
                  "'K0' bucket=%zu\n",
                  graph.c_str(), theta, db.CountVisible(hot, kReadLatest),
                  db.CountVisible(mid, kReadLatest),
-                 db.relation(hot).CandidateCount(0, fx.pool[0]));
+                 db.relation(hot).Bucket(0, fx.pool[0]).size());
   }
 }
 

@@ -22,8 +22,7 @@ void Evaluator::EnsureScratch(size_t depths) const {
     // The owner reset the arena (start of a chase/scheduler step): every
     // frame's buffer was reclaimed. Element types are trivially
     // destructible, so dropping the dangling frames touches nothing.
-    static_assert(std::is_trivially_destructible_v<RowId> &&
-                      std::is_trivially_destructible_v<VarUndo>,
+    static_assert(std::is_trivially_destructible_v<VarUndo>,
                   "arena-backed scratch must not require destructors");
     scratch_.clear();
     scratch_epoch_ = arena->epoch();
@@ -134,9 +133,9 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
 
   // Candidate fetch per the planned access path, degrading gracefully when
   // a planned probe column is unbound at runtime or an index is missing.
-  bool probed = false;
-  bool any_bound_column = false;
-  scratch.candidates.clear();
+  // Buckets are read in place: nothing writes to the database while a
+  // match enumeration runs (see VersionedRelation::Bucket).
+  std::optional<Span<const RowId>> candidates;
   if (step.access == AccessPath::kCompositeIndex) {
     key.clear();
     for (size_t c : step.probe_columns) {
@@ -145,41 +144,28 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
       key.push_back(*v);
     }
     if (key.size() == step.probe_columns.size()) {
-      probed = relation.CandidateRowsComposite(step.probe_columns, key,
-                                               &scratch.candidates);
-      any_bound_column = true;
+      candidates = relation.CompositeBucket(step.probe_columns, key);
     }
   }
-  if (!probed) {
-    // Single-column path: probe the cheapest bound column, sized without
-    // copying any bucket.
-    size_t best_column = 0;
-    const Value* best_value = nullptr;
-    size_t best_count = 0;
+  if (!candidates.has_value()) {
+    // Single-column path: probe the smallest bucket among the bound columns.
     for (size_t c : step.probe_columns) {
       const Value* v = ProbeValue(atom.terms[c], binding);
       if (v == nullptr) continue;
-      const size_t count = relation.CandidateCount(c, *v);
-      if (best_value == nullptr || count < best_count) {
-        best_column = c;
-        best_value = v;
-        best_count = count;
+      const Span<const RowId> bucket = relation.Bucket(c, *v);
+      if (!candidates.has_value() || bucket.size() < candidates->size()) {
+        candidates = bucket;
       }
-      if (best_count == 0) break;  // no candidate can match
-    }
-    if (best_value != nullptr) {
-      any_bound_column = true;
-      probed = true;
-      if (best_count > 0) {
-        relation.CandidateRows(best_column, *best_value, &scratch.candidates);
-      }
+      if (candidates->empty()) break;  // no candidate can match
     }
   }
 
-  if (any_bound_column) {
-    for (RowId row : scratch.candidates) {
+  if (candidates.has_value()) {
+    for (RowId row : *candidates) {
+      // A listed row carries the value in some stored version, not
+      // necessarily in the one this reader sees.
       const TupleData* data = relation.VisibleData(row, snap_.reader());
-      if (data == nullptr) continue;  // stale index entry
+      if (data == nullptr) continue;
       ++rows_examined_;
       ++lifetime_rows_examined_;
       if (!try_row(row, *data)) {

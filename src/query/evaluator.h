@@ -38,11 +38,12 @@ using MatchCallback =
 // ConjunctiveQuery overloads compile a one-shot plan for ad-hoc queries
 // (user queries, tests).
 //
-// Per-depth scratch (candidate rows, binding-undo logs) lives in a bump
-// Arena. Long-lived owners with a step-shaped lifecycle (the chase, the
-// scheduler) inject a shared arena they Reset() once per step; the epoch
-// check at each execution notices the reset and rebuilds the scratch frames
-// from the rewound memory — a handful of pointer bumps, no malloc.
+// Per-depth scratch (binding-undo logs) lives in a bump Arena; candidate
+// rows are read in place from the index buckets. Long-lived owners with a
+// step-shaped lifecycle (the chase, the scheduler) inject a shared arena
+// they Reset() once per step; the epoch check at each execution notices the
+// reset and rebuilds the scratch frames from the rewound memory — a handful
+// of pointer bumps, no malloc.
 // Standalone evaluators (tests, ad-hoc queries) fall back to an internal
 // arena that is never reset and simply retains its high-water capacity.
 //
@@ -93,16 +94,14 @@ class Evaluator {
     bool was_bound;
   };
   // Reused buffers, one set per plan depth (sibling nodes at one depth reuse
-  // the same capacity instead of reallocating). Element buffers are arena
+  // the same capacity instead of reallocating). The undo log is arena
   // memory; the composite-probe key stays a std::vector because the index
   // buckets are keyed on std::vector<Value> (kept in key_scratch_, whose
   // capacity survives arena resets).
   struct StepScratch {
-    ArenaVector<RowId> candidates;
     ArenaVector<VarUndo> undo;
     explicit StepScratch(Arena* arena)
-        : candidates(ArenaAllocator<RowId>(arena)),
-          undo(ArenaAllocator<VarUndo>(arena)) {}
+        : undo(ArenaAllocator<VarUndo>(arena)) {}
   };
 
   Arena* ScratchArena() const {

@@ -63,11 +63,10 @@ double EstimateBoundColumn(const VersionedRelation& rel, const Term& term,
   const TopKSketch<Value, ValueHash>& sketch = rel.sketch(c);
   if (term.is_constant()) {
     // The probe value is known now: price its bucket. Tracked entries are
-    // exact bucket sizes (as of the last compaction, high-water since);
-    // an untracked value's bucket cannot exceed the sketch's minimum
-    // tracked count, so a cold constant in a skewed column stays cheap —
-    // the refinement the retired whole-column max_bucket nudge could not
-    // make.
+    // exact bucket sizes; an untracked value's bucket was at most the
+    // sketch's minimum tracked count when it last changed, so a cold
+    // constant in a skewed column stays cheap — the refinement the retired
+    // whole-column max_bucket nudge could not make.
     const double est = static_cast<double>(sketch.Estimate(term.constant()));
     return sketch.Tracks(term.constant()) ? est : std::min(uniform, est);
   }
@@ -76,7 +75,7 @@ double EstimateBoundColumn(const VersionedRelation& rel, const Term& term,
   // and then examines g rows, so the hot entries alone contribute
   // sum(g^2)/n expected rows; uniform covers the cold tail.
   double hot_expectation = 0;
-  sketch.ForEach([&](const Value&, uint64_t count, uint64_t) {
+  sketch.ForEach([&](const Value&, uint64_t count) {
     if (IsHotBucket(count, uniform)) {
       const double g = static_cast<double>(count);
       hot_expectation += g * g / std::max(1.0, n);

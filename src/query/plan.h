@@ -101,9 +101,10 @@ struct QueryPlan {
 // (VersionedRelation::sketch):
 //
 //   * constant term: the probe value is known at compile time, so the
-//     sketch prices that value — its tracked (exact-as-of-compaction)
-//     bucket when tracked, else at most the sketch's minimum tracked count
-//     (any untracked value's bucket is bounded by it). This replaces the
+//     sketch prices that value — its tracked bucket (exact: every bucket
+//     change reports its size) when tracked, else at most the sketch's
+//     minimum tracked count (an untracked value's bucket was bounded by it
+//     when the bucket last changed; see TopKSketch). This replaces the
 //     retired max_bucket nudge, which charged the one hot bucket to EVERY
 //     probe of a skewed column: a cold constant in a skewed column now
 //     keeps its cheap estimate, a hot one is charged its real bucket.

@@ -32,19 +32,18 @@ void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
     if (IsMoreSpecific(stored, data)) out->push_back(row);
   };
   // f is the identity on constants, so every answer agrees with `data` on
-  // its constant columns and sits in each of their buckets.
-  const auto probe = snap.db().relation(rel).SmallestContentBucket(
+  // its constant columns and is listed in each of their buckets.
+  const auto bucket = snap.db().relation(rel).SmallestContentBucket(
       data, [&](size_t c) { return data[c].is_constant(); });
-  if (!probe.has_value()) {
+  if (!bucket.has_value()) {
     // All-null tuple: every row is a potential match; scan.
     snap.ForEachVisible(
         rel, [&](RowId row, const TupleData& stored) { consider(row, stored); });
     return;
   }
-  if (probe->candidates == 0) return;
-  std::vector<RowId> candidates;  // deduped and ascending (CandidateRows)
-  snap.CandidateRows(rel, probe->column, data[probe->column], &candidates);
-  for (RowId row : candidates) {
+  // Read in place: the bucket is ascending and lists each row once, so
+  // each answer is reported once and in row order.
+  for (RowId row : *bucket) {
     const TupleData* stored = snap.VisibleData(rel, row);
     if (stored != nullptr) consider(row, *stored);
   }

@@ -91,15 +91,6 @@ std::vector<PhysicalWrite> Database::Apply(
   return out;
 }
 
-size_t Database::RemoveVersionsOf(uint64_t update_number) {
-  size_t removed = 0;
-  for (VersionedRelation& rel : relations_) {
-    removed += rel.RemoveVersionsOf(update_number);
-  }
-  NoteMutation(removed);
-  return removed;
-}
-
 size_t Database::RemoveVersionsAbove(uint64_t threshold) {
   size_t removed = 0;
   for (VersionedRelation& rel : relations_) {
@@ -117,23 +108,14 @@ std::optional<RowId> Database::FindRowWithData(RelationId rel,
   const VersionedRelation& relation = relations_[rel];
   if (data.size() != relation.arity()) return std::nullopt;
   // An equal tuple carries every value of `data`, so any column's bucket
-  // holds it; walk the smallest.
-  const auto probe =
-      relation.SmallestContentBucket(data, [](size_t) { return true; });
-  if (probe->candidates == 0) return std::nullopt;
-  // Raw bucket walk: stops at the first verified hit, so duplicates are
-  // cheaper to re-verify than to dedup (this runs on every set-semantics
-  // insert).
-  std::optional<RowId> found;
-  relation.ForEachCandidate(probe->column, data[probe->column], [&](RowId row) {
+  // lists it; walk the smallest, in place.
+  const Span<const RowId> bucket =
+      *relation.SmallestContentBucket(data, [](size_t) { return true; });
+  for (RowId row : bucket) {
     const TupleData* visible = relation.VisibleData(row, reader);
-    if (visible != nullptr && *visible == data) {
-      found = row;
-      return false;
-    }
-    return true;
-  });
-  return found;
+    if (visible != nullptr && *visible == data) return row;
+  }
+  return std::nullopt;
 }
 
 size_t Database::CountVisible(uint64_t reader) const {

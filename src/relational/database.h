@@ -59,7 +59,7 @@ class Database {
   }
 
   // Mutable access for index maintenance (plan registration builds the
-  // composite indexes its probes demand; compaction is also reachable here).
+  // composite indexes its probes demand).
   VersionedRelation& mutable_relation(RelationId id) {
     CHECK_LT(id, relations_.size());
     return relations_[id];
@@ -93,12 +93,9 @@ class Database {
       const WriteOp& op, uint64_t update_number,
       const std::vector<TupleRef>* replace_occurrences = nullptr);
 
-  // Removes every version created by `update_number` across all relations
-  // (abort undo). Returns the number of versions removed.
-  size_t RemoveVersionsOf(uint64_t update_number);
-
-  // Targeted abort undo for one row (callers track written rows, e.g. via
-  // the concurrency-control write log, to avoid a full database scan).
+  // Abort undo for one row: removes `update_number`'s versions of it.
+  // Callers undo row by row over the writes they made (the concurrency
+  // control's write log, a shard worker's step writes).
   size_t RemoveRowVersions(RelationId rel, RowId row, uint64_t update_number) {
     CHECK_LT(rel, relations_.size());
     const size_t removed = relations_[rel].RemoveVersionsOfRow(row, update_number);
@@ -112,8 +109,8 @@ class Database {
   size_t RemoveVersionsAbove(uint64_t threshold);
 
   // Finds a row whose content visible to `reader` equals `data` exactly.
-  // Walks the smallest of the tuple's per-column index buckets and
-  // re-verifies each candidate; an empty bucket answers at once
+  // Walks the smallest of the tuple's per-column index buckets in place and
+  // re-verifies each listed row; an empty bucket answers at once
   // (VersionedRelation::SmallestContentBucket).
   std::optional<RowId> FindRowWithData(RelationId rel, const TupleData& data,
                                        uint64_t reader) const;
@@ -184,24 +181,6 @@ class Snapshot {
   template <typename Fn>
   void ForEachVisible(RelationId rel, Fn&& fn) const {
     db_->relation(rel).ForEachVisible(reader_, std::forward<Fn>(fn));
-  }
-
-  void CandidateRows(RelationId rel, size_t column, const Value& value,
-                     std::vector<RowId>* out) const {
-    db_->relation(rel).CandidateRows(column, value, out);
-  }
-
-  size_t CandidateCount(RelationId rel, size_t column,
-                        const Value& value) const {
-    return db_->relation(rel).CandidateCount(column, value);
-  }
-
-  // False if the composite index over `columns` has not been built.
-  bool CandidateRowsComposite(RelationId rel,
-                              const std::vector<size_t>& columns,
-                              const std::vector<Value>& values,
-                              std::vector<RowId>* out) const {
-    return db_->relation(rel).CandidateRowsComposite(columns, values, out);
   }
 
   bool Contains(RelationId rel, const TupleData& data) const {

@@ -6,12 +6,6 @@
 namespace youtopia {
 namespace {
 
-// Auto-compaction threshold: rebuild once removals strand more entries than
-// a quarter of the live versions (plus slack so small relations never churn).
-bool ShouldCompact(size_t stale_removals, size_t live_versions) {
-  return stale_removals > 32 && stale_removals * 4 > live_versions;
-}
-
 // A requested (deferred) composite index materializes once the cheapest
 // single-column fallback for its column set can yield this many candidates
 // per probe (largest bucket among its columns). Below it, single-column
@@ -20,11 +14,34 @@ bool ShouldCompact(size_t stale_removals, size_t live_versions) {
 // this column set — precisely the skew a composite index exists to absorb.
 constexpr size_t kCompositeBuildBreakEven = 16;
 
-void SortUniqueSuffix(std::vector<RowId>* out, size_t start) {
-  std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
-  out->erase(std::unique(out->begin() + static_cast<ptrdiff_t>(start),
-                         out->end()),
-             out->end());
+// Lists `row` in the ascending `bucket`; false if it is already listed. A
+// new row appends (row ids grow); a modify of an older row inserts in order.
+bool ListRow(std::vector<RowId>& bucket, RowId row) {
+  if (bucket.empty() || bucket.back() < row) {
+    bucket.push_back(row);
+    return true;
+  }
+  const auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
+  if (*it == row) return false;
+  bucket.insert(it, row);
+  return true;
+}
+
+// Unlists `row` from the ascending `bucket`; false if it was not listed.
+bool UnlistRow(std::vector<RowId>& bucket, RowId row) {
+  const auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
+  if (it == bucket.end() || *it != row) return false;
+  bucket.erase(it);
+  return true;
+}
+
+// The key of `data` in a composite index over `columns`.
+std::vector<Value> CompositeKey(const std::vector<size_t>& columns,
+                                const TupleData& data) {
+  std::vector<Value> key;
+  key.reserve(columns.size());
+  for (size_t c : columns) key.push_back(data[c]);
+  return key;
 }
 
 // Finalizer for the hot-fingerprint fold (murmur3-style avalanche): the
@@ -130,13 +147,6 @@ const TupleData* VersionedRelation::VisibleData(RowId row,
   return &v->data;
 }
 
-size_t VersionedRelation::CandidateCount(size_t column,
-                                         const Value& value) const {
-  CHECK_LT(column, indexes_.size());
-  auto it = indexes_[column].find(value);
-  return it == indexes_[column].end() ? 0 : it->second.size();
-}
-
 VersionedRelation::CompositeIndex* VersionedRelation::FindOrRegisterComposite(
     const std::vector<size_t>& columns) {
   CHECK_GE(columns.size(), 2u);
@@ -198,6 +208,20 @@ bool VersionedRelation::HasCompositeIndex(
   return false;
 }
 
+std::optional<Span<const RowId>> VersionedRelation::CompositeBucket(
+    const std::vector<size_t>& columns,
+    const std::vector<Value>& values) const {
+  CHECK_EQ(columns.size(), values.size());
+  for (const CompositeIndex& index : composites_) {
+    if (index.columns != columns) continue;
+    if (!index.built) return std::nullopt;  // deferred: caller falls back
+    auto it = index.buckets.find(values);
+    if (it == index.buckets.end()) return Span<const RowId>();
+    return Span<const RowId>(it->second);
+  }
+  return std::nullopt;
+}
+
 size_t VersionedRelation::IndexEntryCount() const {
   size_t n = 0;
   for (const auto& idx : indexes_) {
@@ -209,50 +233,13 @@ size_t VersionedRelation::IndexEntryCount() const {
   return n;
 }
 
-void VersionedRelation::CompactIndexes() {
-  for (auto& idx : indexes_) idx.clear();
-  for (CompositeIndex& index : composites_) index.buckets.clear();
-  for (RowId row = 0; row < rows_.size(); ++row) {
-    for (const TupleVersion& v : rows_[row].versions) {
-      if (v.kind == WriteKind::kDelete) continue;
-      for (size_t c = 0; c < arity_; ++c) {
-        std::vector<RowId>& bucket = indexes_[c][v.data[c]];
-        if (bucket.empty() || bucket.back() != row) bucket.push_back(row);
-      }
-      for (CompositeIndex& index : composites_) {
-        if (index.built) IndexDataComposite(index, row, v.data);
-      }
-    }
-  }
-  // IndexData only guards against consecutive duplicates; a full rebuild can
-  // afford exact buckets.
-  for (auto& idx : indexes_) {
-    for (auto& [value, rows] : idx) SortUniqueSuffix(&rows, 0);
-  }
-  for (CompositeIndex& index : composites_) {
-    for (auto& [key, rows] : index.buckets) SortUniqueSuffix(&rows, 0);
-  }
-  // The rebuild dropped empty buckets and stranded entries, so the sketches
-  // are rebuilt exactly too: one exact-weight offer per surviving bucket
-  // (a pass over bucket headers, not rows) leaves every tracked entry an
-  // exact bucket size and max_bucket() the exact high-water mark.
-  for (size_t c = 0; c < arity_; ++c) {
-    sketches_[c].Clear();
-    for (const auto& [value, rows] : indexes_[c]) {
-      sketches_[c].OfferExact(value, rows.size());
-    }
-  }
-  RecomputeHotFingerprint();
-  stale_removals_ = 0;
-}
-
 uint64_t VersionedRelation::HotValueMass() const {
   const double n = static_cast<double>(visible_rows());
   uint64_t mass = 0;
   for (size_t c = 0; c < arity_; ++c) {
     const double uniform =
         n / static_cast<double>(std::max<size_t>(1, indexes_[c].size()));
-    sketches_[c].ForEach([&](const Value&, uint64_t count, uint64_t) {
+    sketches_[c].ForEach([&](const Value&, uint64_t count) {
       if (IsHotBucket(count, uniform)) mass += count;
     });
   }
@@ -266,7 +253,7 @@ void VersionedRelation::RecomputeHotFingerprint() {
   for (size_t c = 0; c < arity_; ++c) {
     const double uniform =
         n / static_cast<double>(std::max<size_t>(1, indexes_[c].size()));
-    sketches_[c].ForEach([&](const Value& v, uint64_t count, uint64_t) {
+    sketches_[c].ForEach([&](const Value& v, uint64_t count) {
       if (!IsHotBucket(count, uniform)) return;
       // Membership only, not counts: the fingerprint answers "did the hot
       // SET rotate" — growth of an already-hot value is cardinality drift,
@@ -278,77 +265,53 @@ void VersionedRelation::RecomputeHotFingerprint() {
   hot_fingerprint_.store(fp, std::memory_order_relaxed);
 }
 
-size_t VersionedRelation::RemoveVersionsOf(uint64_t update_number) {
+template <typename Removes>
+size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
+  Row& r = rows_[row];
+  std::vector<TupleVersion>& versions = r.versions;
   size_t removed = 0;
-  for (Row& row : rows_) {
-    auto new_end = std::remove_if(
-        row.versions.begin(), row.versions.end(),
-        [&](const TupleVersion& v) { return v.update_number == update_number; });
-    const size_t here = static_cast<size_t>(row.versions.end() - new_end);
-    if (here > 0) {
-      MutateTrackingLiveness(row, [&] {
-        row.versions.erase(new_end, row.versions.end());
-        RecomputeNewest(row);
-      });
-      removed += here;
+  MutateTrackingLiveness(r, [&] {
+    // Stable: the kept versions keep their order and the removed ones their
+    // content, which names the buckets to unlist the row from.
+    const auto cut = std::stable_partition(
+        versions.begin(), versions.end(),
+        [&](const TupleVersion& v) { return !removes(v); });
+    removed = static_cast<size_t>(versions.end() - cut);
+    if (removed == 0) return;
+    const Span<const TupleVersion> kept(
+        versions.data(), static_cast<size_t>(cut - versions.begin()));
+    for (auto it = cut; it != versions.end(); ++it) {
+      if (it->kind != WriteKind::kDelete) UnindexData(row, it->data, kept);
     }
-  }
+    versions.erase(cut, versions.end());
+    RecomputeNewest(r);
+  });
   num_versions_ -= removed;
-  NoteRemovals(removed);
   return removed;
 }
 
 size_t VersionedRelation::RemoveVersionsOfRow(RowId row,
                                               uint64_t update_number) {
   CHECK_LT(row, rows_.size());
-  auto& versions = rows_[row].versions;
-  auto new_end = std::remove_if(
-      versions.begin(), versions.end(),
-      [&](const TupleVersion& v) { return v.update_number == update_number; });
-  const size_t removed = static_cast<size_t>(versions.end() - new_end);
-  if (removed > 0) {
-    MutateTrackingLiveness(rows_[row], [&] {
-      versions.erase(new_end, versions.end());
-      RecomputeNewest(rows_[row]);
-    });
-  }
-  num_versions_ -= removed;
-  NoteRemovals(removed);
-  return removed;
+  return RemoveRowVersionsIf(row, [&](const TupleVersion& v) {
+    return v.update_number == update_number;
+  });
 }
 
 size_t VersionedRelation::RemoveVersionsAbove(uint64_t threshold) {
   size_t removed = 0;
-  for (Row& row : rows_) {
-    auto new_end = std::remove_if(
-        row.versions.begin(), row.versions.end(),
-        [&](const TupleVersion& v) { return v.update_number > threshold; });
-    const size_t here = static_cast<size_t>(row.versions.end() - new_end);
-    if (here > 0) {
-      MutateTrackingLiveness(row, [&] {
-        row.versions.erase(new_end, row.versions.end());
-        RecomputeNewest(row);
-      });
-      removed += here;
-    }
+  for (RowId row = 0; row < rows_.size(); ++row) {
+    removed += RemoveRowVersionsIf(row, [&](const TupleVersion& v) {
+      return v.update_number > threshold;
+    });
   }
-  num_versions_ -= removed;
-  NoteRemovals(removed);
   return removed;
 }
 
 void VersionedRelation::IndexData(RowId row, const TupleData& data) {
   for (size_t c = 0; c < arity_; ++c) {
     std::vector<RowId>& bucket = indexes_[c][data[c]];
-    // Avoid consecutive duplicates (common when a tuple is re-modified).
-    if (bucket.empty() || bucket.back() != row) {
-      bucket.push_back(row);
-      // The bucket size at insert time is this value's exact multiplicity,
-      // so the sketch entry for a tracked value is its exact bucket size —
-      // which makes max_bucket() (the sketch's max count) the same bucket
-      // high-water mark the retired per-column counter kept.
-      sketches_[c].OfferExact(data[c], bucket.size());
-    }
+    if (ListRow(bucket, row)) sketches_[c].Set(data[c], bucket.size());
   }
   if (++offers_since_fingerprint_ >= kHotFingerprintStride) {
     RecomputeHotFingerprint();
@@ -368,11 +331,35 @@ void VersionedRelation::IndexData(RowId row, const TupleData& data) {
 
 void VersionedRelation::IndexDataComposite(CompositeIndex& index, RowId row,
                                            const TupleData& data) {
-  std::vector<Value> key;
-  key.reserve(index.columns.size());
-  for (size_t c : index.columns) key.push_back(data[c]);
-  std::vector<RowId>& bucket = index.buckets[std::move(key)];
-  if (bucket.empty() || bucket.back() != row) bucket.push_back(row);
+  ListRow(index.buckets[CompositeKey(index.columns, data)], row);
+}
+
+void VersionedRelation::UnindexData(RowId row, const TupleData& data,
+                                    Span<const TupleVersion> kept) {
+  // Does a kept content version hold data's values in `columns`?
+  auto still_carried = [&](auto&& columns) {
+    for (const TupleVersion& v : kept) {
+      if (v.kind == WriteKind::kDelete) continue;
+      bool same = true;
+      for (size_t c : columns) same = same && v.data[c] == data[c];
+      if (same) return true;
+    }
+    return false;
+  };
+  for (size_t c = 0; c < arity_; ++c) {
+    if (still_carried(std::initializer_list<size_t>{c})) continue;
+    auto it = indexes_[c].find(data[c]);
+    // Not listed: an earlier removed version of the row held the same value.
+    if (it == indexes_[c].end() || !UnlistRow(it->second, row)) continue;
+    sketches_[c].Set(data[c], it->second.size());
+    if (it->second.empty()) indexes_[c].erase(it);
+  }
+  for (CompositeIndex& index : composites_) {
+    if (!index.built || still_carried(index.columns)) continue;
+    auto it = index.buckets.find(CompositeKey(index.columns, data));
+    if (it == index.buckets.end() || !UnlistRow(it->second, row)) continue;
+    if (it->second.empty()) index.buckets.erase(it);
+  }
 }
 
 void VersionedRelation::RecomputeNewest(Row& row) {
@@ -389,12 +376,6 @@ void VersionedRelation::RecomputeNewest(Row& row) {
       row.newest = static_cast<int32_t>(i);
     }
   }
-}
-
-void VersionedRelation::NoteRemovals(size_t removed) {
-  if (removed == 0) return;
-  stale_removals_ += removed;
-  if (ShouldCompact(stale_removals_, num_versions_)) CompactIndexes();
 }
 
 }  // namespace youtopia

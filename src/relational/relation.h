@@ -1,7 +1,6 @@
 #ifndef YOUTOPIA_RELATIONAL_RELATION_H_
 #define YOUTOPIA_RELATIONAL_RELATION_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -12,6 +11,7 @@
 #include "relational/tuple.h"
 #include "relational/value.h"
 #include "relational/write.h"
+#include "util/span.h"
 #include "util/topk_sketch.h"
 
 namespace youtopia {
@@ -70,14 +70,14 @@ struct CompositeKeyHash {
 
 // Live planner statistics for one relation, assembled in O(arity) from
 // counters the write path and the hash indexes already maintain — no pass
-// over rows or buckets. The per-column numbers describe the *index* state
-// (stale-tolerant: entries stranded by removals are counted until the next
-// compaction rebuilds the indexes exactly); `visible_rows` is exact under
-// newest-version visibility at all times.
+// over rows or buckets. The per-column numbers describe the exact index
+// state (distinct values carried by some stored content version, see
+// VersionedRelation); `visible_rows` is exact under newest-version
+// visibility at all times.
 struct StatsSnapshot {
   struct Column {
     size_t distinct_values = 0;  // buckets in the per-column hash index
-    size_t max_bucket = 0;       // largest bucket since the last compaction
+    size_t max_bucket = 0;       // largest tracked sketch count
   };
   size_t visible_rows = 0;  // rows whose newest version is not a tombstone
   size_t num_versions = 0;
@@ -97,18 +97,24 @@ struct StatsSnapshot {
 // resolves visibility without walking the chain.
 //
 // Rows are never physically removed; aborting an update unlinks its versions
-// (RemoveVersionsOf). Indexes come in two forms, both hash-based,
-// append-only and stale-tolerant (a candidate row must be re-verified
-// against the version visible to the reader):
+// row by row (RemoveVersionsOfRow). Indexes come in two forms, both
+// hash-based and exact at all times:
 //   * one per-column index, always present;
 //   * composite indexes over column sets, built lazily on demand
 //     (EnsureCompositeIndex) for the probes compiled query plans ask for.
+// The invariant: row r is listed in the bucket for (column c, value v)
+// exactly when one of r's stored insert or modify versions holds v in c
+// (a composite bucket likewise over its key). Delete versions stay
+// unindexed. Buckets are ascending and duplicate-free, and no empty bucket
+// is stored. A write lists its row; an undo unlists the row from each
+// bucket that no remaining content version carries. A listed row may
+// still be invisible to a given reader, or show it other content (the
+// carrying version is newer than the reader, superseded or tombstoned),
+// so probes re-verify each row against the version visible to the reader.
 // Content lookups (exact match, more-specific match) carry no plan: they
 // probe whichever per-column bucket of the values they fix is smallest
 // (SmallestContentBucket), so one hot value cannot make them re-verify a
 // large share of the relation.
-// Removals (abort undo, experiment rewind) count the entries they strand;
-// past a threshold the indexes are rebuilt from the surviving versions.
 //
 // Threading — the per-shard write ownership invariant: a relation has at
 // most one owner thread at a time (the shard worker its tgd-closure
@@ -121,11 +127,11 @@ struct StatsSnapshot {
 // without taking ownership; distinct_values()/max_bucket()/sketch() are
 // container reads and stay owner-only (the planner only ever costs relations
 // its own shard owns). The per-column heavy-hitter sketches follow exactly
-// the distinct_values() contract: maintained by the owner on the write path
-// (O(1) per insert, no lock, GUARDED_BY nothing — there is no capability to
-// name), readable only under ownership; the owner folds their hot set into
-// hot_fingerprint_ on a stride so foreign staleness polls can observe
-// hot-set rotation without touching the containers.
+// the distinct_values() contract: maintained by the owner on the write and
+// undo paths (O(1) per bucket change, no lock, GUARDED_BY nothing — there is
+// no capability to name), readable only under ownership; the owner folds
+// their hot set into hot_fingerprint_ on a stride so foreign staleness polls
+// can observe hot-set rotation without touching the containers.
 class VersionedRelation {
  public:
   explicit VersionedRelation(size_t arity);
@@ -136,7 +142,6 @@ class VersionedRelation {
   VersionedRelation(VersionedRelation&& other) noexcept
       : arity_(other.arity_),
         num_versions_(other.num_versions_),
-        stale_removals_(other.stale_removals_),
         visible_rows_(other.visible_rows_.load(std::memory_order_relaxed)),
         hot_fingerprint_(
             other.hot_fingerprint_.load(std::memory_order_relaxed)),
@@ -151,10 +156,9 @@ class VersionedRelation {
 
   // --- Statistics -----------------------------------------------------------
   //
-  // O(1) per call; maintained incrementally by the write path (see
-  // StatsSnapshot for staleness semantics). These feed the planner's cost
-  // model (query/plan.h), so they are on the plan-compilation path but never
-  // on the per-row execution path.
+  // O(1) per call; maintained incrementally by the write and undo paths.
+  // These feed the planner's cost model (query/plan.h), so they are on the
+  // plan-compilation path but never on the per-row execution path.
 
   // Rows whose newest version is not a tombstone (exact; the visibility any
   // sufficiently high-numbered reader sees). Safe to read from any thread
@@ -163,27 +167,27 @@ class VersionedRelation {
     return visible_rows_.load(std::memory_order_relaxed);
   }
 
-  // Buckets in the per-column hash index (distinct indexed values, counting
-  // values only stale entries still reference until compaction).
+  // Buckets in the per-column hash index: the distinct values some stored
+  // content version holds in the column (exact; no empty bucket is kept).
   size_t distinct_values(size_t column) const {
     CHECK_LT(column, indexes_.size());
     return indexes_[column].size();
   }
 
-  // Largest bucket of the column's index since the last compaction (an upper
-  // bound on what a single-column probe can yield). Derived from the
-  // column's heavy-hitter sketch — under exact-weight maintenance the
-  // sketch's max tracked count IS the bucket high-water mark, so there is no
-  // separate counter to keep in sync.
+  // The largest tracked count of the column's heavy-hitter sketch, i.e. the
+  // largest bucket among its tracked values. Tracked counts are exact bucket
+  // sizes, so there is no separate counter to keep in sync; an untracked
+  // bucket can exceed it once tracked buckets shrink (see TopKSketch).
   size_t max_bucket(size_t column) const {
     CHECK_LT(column, sketches_.size());
     return static_cast<size_t>(sketches_[column].max_count());
   }
 
   // The column's heavy-hitter sketch (owner-only, like distinct_values()).
-  // Entries are exact index-bucket sizes as of the last compaction,
-  // monotonically refreshed by the write path since; Estimate() upper-bounds
-  // any value's bucket. Feeds the planner's per-value probe charges.
+  // Every bucket growth and shrinkage reports the bucket's new size, so each
+  // tracked count equals its bucket size at all times; an untracked value's
+  // bucket was at most min_count() when it last changed. Feeds the
+  // planner's per-value probe charges.
   const TopKSketch<Value, ValueHash>& sketch(size_t column) const {
     CHECK_LT(column, sketches_.size());
     return sketches_[column];
@@ -243,66 +247,39 @@ class VersionedRelation {
     }
   }
 
-  // Appends to `out` the rows that may contain `value` in `column`. The
-  // result may contain stale rows (content no longer visible) but each row
-  // at most once per call, in ascending order. Templated over the output
-  // vector so executors can collect candidates into arena-backed scratch
-  // (util/arena.h) as well as plain std::vectors.
-  template <typename RowIdVec>
-  void CandidateRows(size_t column, const Value& value, RowIdVec* out) const {
+  // The rows listed under `value` in `column`'s index (ascending, each
+  // once; see the class comment's invariant), empty on a miss. The span
+  // points into the index: it is valid until the relation's next write,
+  // undo or composite-index registration, so a caller must finish iterating
+  // before any of those.
+  Span<const RowId> Bucket(size_t column, const Value& value) const {
     CHECK_LT(column, indexes_.size());
     auto it = indexes_[column].find(value);
-    if (it == indexes_[column].end()) return;
-    // A row re-modified with a repeated value appears multiple times in its
-    // bucket; dedup here so callers resolve each row's visibility once.
-    AppendDedupedSuffix(it->second, out);
+    if (it == indexes_[column].end()) return {};
+    return it->second;
   }
-
-  // Size of the `column` index bucket for `value` (an upper bound on the
-  // candidates a probe yields; lets an executor pick the cheapest probe
-  // without copying buckets).
-  size_t CandidateCount(size_t column, const Value& value) const;
 
   // The bucket a content lookup walks. A lookup whose every answer must
   // hold data[c] in column c, for each column c that `fixed(c)` selects
   // (all columns for an exact match, the constant columns for a
   // more-specific match), finds every answer in each of those columns'
-  // buckets, so it walks the smallest. The sweep stops at an empty bucket:
-  // every stored content version is indexed under each of its values, so
-  // an empty bucket is a definitive miss. Nullopt when `fixed` selects no
-  // column. `data` must have the relation's arity.
-  struct ContentProbe {
-    size_t column;
-    size_t candidates;  // CandidateCount(column, data[column])
-  };
+  // buckets, so it walks the smallest. The sweep stops at an empty bucket,
+  // a definitive miss. Nullopt when `fixed` selects no column. `data` must
+  // have the relation's arity. Valid as long as Bucket's spans are.
   template <typename Fixed>
-  std::optional<ContentProbe> SmallestContentBucket(const TupleData& data,
-                                                    Fixed&& fixed) const {
+  std::optional<Span<const RowId>> SmallestContentBucket(
+      const TupleData& data, Fixed&& fixed) const {
     CHECK_EQ(data.size(), arity_);
-    std::optional<ContentProbe> best;
+    std::optional<Span<const RowId>> best;
     for (size_t c = 0; c < arity_; ++c) {
       if (!fixed(c)) continue;
-      const size_t n = CandidateCount(c, data[c]);
-      if (!best.has_value() || n < best->candidates) {
-        best = ContentProbe{c, n};
-        if (n == 0) break;
+      const Span<const RowId> bucket = Bucket(c, data[c]);
+      if (!best.has_value() || bucket.size() < best->size()) {
+        best = bucket;
+        if (bucket.empty()) break;
       }
     }
     return best;
-  }
-
-  // Copy-free bucket iteration: invokes fn(row) for each candidate (may
-  // repeat a row and include stale ones; return false to stop). For probes
-  // that stop at the first verified hit, where CandidateRows' dedup pass
-  // would cost more than re-verifying a duplicate.
-  template <typename Fn>
-  void ForEachCandidate(size_t column, const Value& value, Fn&& fn) const {
-    CHECK_LT(column, indexes_.size());
-    auto it = indexes_[column].find(value);
-    if (it == indexes_[column].end()) return;
-    for (RowId row : it->second) {
-      if (!fn(row)) return;
-    }
   }
 
   // --- Composite indexes ----------------------------------------------------
@@ -326,53 +303,31 @@ class VersionedRelation {
   // True if the column set has been registered (built or still deferred).
   bool HasCompositeIndex(const std::vector<size_t>& columns) const;
 
-  // Probes the composite index over `columns` with `values` (parallel to
-  // `columns`). Returns false if no such index has been built; otherwise
-  // appends the candidate rows (stale-tolerant, deduplicated, ascending)
-  // and returns true. Templated like CandidateRows.
-  template <typename RowIdVec>
-  bool CandidateRowsComposite(const std::vector<size_t>& columns,
-                              const std::vector<Value>& values,
-                              RowIdVec* out) const {
-    CHECK_EQ(columns.size(), values.size());
-    for (const CompositeIndex& index : composites_) {
-      if (index.columns != columns) continue;
-      if (!index.built) return false;  // deferred: caller falls back
-      auto it = index.buckets.find(values);
-      if (it != index.buckets.end()) AppendDedupedSuffix(it->second, out);
-      return true;
-    }
-    return false;
-  }
+  // The composite bucket for `values` (parallel to `columns`), like Bucket:
+  // empty on a miss, valid until the next write, undo or registration.
+  // Nullopt while no index over `columns` is built (the caller falls back
+  // to a single-column probe).
+  std::optional<Span<const RowId>> CompositeBucket(
+      const std::vector<size_t>& columns,
+      const std::vector<Value>& values) const;
 
   size_t num_composite_indexes() const { return composites_.size(); }
 
-  // --- Diagnostics and maintenance -----------------------------------------
+  // --- Diagnostics and undo --------------------------------------------------
 
-  // Total entries across the per-column and composite indexes (for the
-  // storage microbenchmark's drift measurement).
+  // Total entries across the per-column and composite indexes (ytbench's
+  // index_entries_per_visible_row, the storage microbenchmark's undo check).
   size_t IndexEntryCount() const;
 
-  // Rebuilds every index from the surviving versions, dropping entries
-  // stranded by removed versions and duplicates within buckets. Cheap to
-  // call when nothing was removed; also triggered automatically once enough
-  // versions have been removed (see stale_removals_since_compaction()).
-  void CompactIndexes();
-
-  // Versions removed (abort undo / rewind) since the last compaction; their
-  // index entries are stale until CompactIndexes runs.
-  size_t stale_removals_since_compaction() const { return stale_removals_; }
-
-  // Removes every version created by `update_number` (abort undo). Returns
+  // Abort undo: removes `update_number`'s versions of one row and unlists
+  // the row from each bucket no remaining content version carries. Returns
   // the number of versions removed.
-  size_t RemoveVersionsOf(uint64_t update_number);
-
-  // Targeted abort undo: removes `update_number`'s versions of one row.
   size_t RemoveVersionsOfRow(RowId row, uint64_t update_number);
 
   // Removes every version created by updates numbered above `threshold`
   // (experiment reset: rewinds the relation to its pre-run state; rows
-  // created by removed versions remain as invisible orphans).
+  // created by removed versions remain as invisible orphans, unlisted from
+  // every index).
   size_t RemoveVersionsAbove(uint64_t threshold);
 
   // Total number of versions across all rows.
@@ -395,32 +350,29 @@ class VersionedRelation {
         buckets;
   };
 
-  // Copies `bucket` onto the tail of `out`, then sorts and uniques just that
-  // suffix (buckets may hold a row several times).
-  template <typename RowIdVec>
-  static void AppendDedupedSuffix(const std::vector<RowId>& bucket,
-                                  RowIdVec* out) {
-    const auto start =
-        static_cast<typename RowIdVec::difference_type>(out->size());
-    out->insert(out->end(), bucket.begin(), bucket.end());
-    std::sort(out->begin() + start, out->end());
-    out->erase(std::unique(out->begin() + start, out->end()), out->end());
-  }
-
   CompositeIndex* FindOrRegisterComposite(const std::vector<size_t>& columns);
   void BuildCompositeIndex(CompositeIndex& index);
   // Stats-driven break-even for deferred composite builds (see
   // RequestCompositeIndex).
   bool ShouldBuildComposite(const CompositeIndex& index) const;
+  // Lists `row` under each value of `data` (a content version being
+  // written) in every per-column and built composite index.
   void IndexData(RowId row, const TupleData& data);
   // Folds the currently-hot sketch entries into hot_fingerprint_. Called by
-  // the owner every kHotFingerprintStride IndexData calls and at
-  // CompactIndexes; O(arity * K).
+  // the owner every kHotFingerprintStride IndexData calls; O(arity * K).
   void RecomputeHotFingerprint();
   void IndexDataComposite(CompositeIndex& index, RowId row,
                           const TupleData& data);
+  // Unlists `row` from each bucket of `data` (a removed content version)
+  // that no version in `kept` carries.
+  void UnindexData(RowId row, const TupleData& data,
+                   Span<const TupleVersion> kept);
+  // The undo shared by RemoveVersionsOfRow and RemoveVersionsAbove: removes
+  // the row's versions `removes` selects, keeps the indexes exact and
+  // reconciles liveness and `newest`. Returns the number removed.
+  template <typename Removes>
+  size_t RemoveRowVersionsIf(RowId row, Removes&& removes);
   void RecomputeNewest(Row& row);
-  void NoteRemovals(size_t removed);
 
   // Newest-version visibility of a row (the quantity visible_rows_ counts).
   static bool NewestIsLive(const Row& row) {
@@ -453,19 +405,17 @@ class VersionedRelation {
   // not by clang's static analysis. See the class threading comment.
   size_t arity_;
   size_t num_versions_ = 0;
-  size_t stale_removals_ = 0;
   // The any-thread fields: relaxed atomics for foreign staleness polls.
   std::atomic<size_t> visible_rows_{0};
   std::atomic<uint64_t> hot_fingerprint_{0};
   // IndexData calls since the owner last folded the sketches into
   // hot_fingerprint_ (strided: see kHotFingerprintStride).
   size_t offers_since_fingerprint_ = 0;
-  // Per column: heavy-hitter sketch over indexed values (exact bucket sizes
-  // as of the last compaction, monotone high-water refresh since — see
-  // max_bucket()/sketch()).
+  // Per column: heavy-hitter sketch over indexed values, each tracked count
+  // an exact bucket size (see max_bucket()/sketch()).
   std::vector<TopKSketch<Value, ValueHash>> sketches_;
   std::vector<Row> rows_;
-  // One hash index per column: value -> candidate rows.
+  // One hash index per column: value -> rows carrying it (exact buckets).
   std::vector<std::unordered_map<Value, std::vector<RowId>, ValueHash>>
       indexes_;
   std::vector<CompositeIndex> composites_;

@@ -11,90 +11,73 @@
 
 namespace youtopia {
 
-// Fixed-capacity heavy-hitter sketch (space-saving family, Metwally et al.).
-// Tracks at most K (value, count, error) entries; everything is O(1) per
-// offer (the eviction scan is O(K) with K a small compile-time-ish constant,
-// which is O(1) for our purposes) and exact while the number of distinct
-// offered values is at most K.
+// Fixed-capacity heavy-hitter sketch over exact counts. The caller knows
+// each value's exact current count (for relation statistics: an index
+// bucket's size) and reports every change of it through Set; the sketch
+// keeps at most K (value, count) entries, which makes every operation O(K)
+// with K a small constant.
 //
-// Two maintenance modes share the entry table:
+// The contract:
 //
-//  - Offer(v): the classic space-saving increment. Unseen values at capacity
-//    displace the minimum entry and inherit its count as `error`, so for any
-//    tracked value  true_count <= count  and  count - error <= true_count,
-//    and any untracked value's true count is at most min_count().
-//
-//  - OfferExact(v, exact_count): a monotone refresh used when the caller
-//    already knows the value's exact current multiplicity (e.g. an index
-//    bucket size at insert time). Tracked entries keep the maximum exact
-//    count ever reported (error stays 0); at capacity a new value enters
-//    only when its exact count beats the current minimum. Under this mode
-//    max_count() equals the exact maximum multiplicity ever reported, and an
-//    untracked value's last reported count is at most min_count().
-//
-// Mixing modes on one sketch is legal but forfeits the exact-count reading
-// of OfferExact entries; VersionedRelation uses OfferExact exclusively and
-// rebuilds from scratch at compaction, so its entries are exact bucket
-// sizes as of the last rebuild, monotonically refreshed since.
+//  - A tracked entry's count is the count last reported for its value, so
+//    when every change is reported, tracked counts are exact at all times.
+//    A value reported at zero is dropped.
+//  - At capacity a newcomer enters only when its count beats the minimum
+//    tracked count, displacing the first minimum entry (first in slot
+//    order, so the entry set is deterministic for a fixed report order).
+//  - The weaker half: an untracked value's count was at most min_count()
+//    when it was last reported, but a tracked entry may have dropped below
+//    it since. So min_count() bounds an untracked value only as of that
+//    value's last report, and max_count() is the largest tracked count,
+//    not necessarily the largest count overall.
 //
 // Not thread-safe; ownership follows the containing structure's contract
 // (for relation statistics: owner-thread-only, like distinct_values()).
 template <typename T, typename Hash = std::hash<T>>
 class TopKSketch {
  public:
-  struct Entry {
-    T value;
-    uint64_t count = 0;  // upper bound on the true count (exact under
-                         // OfferExact-only maintenance)
-    uint64_t error = 0;  // max overestimate inherited at displacement
-  };
-
   explicit TopKSketch(size_t capacity) : capacity_(capacity) {
     CHECK(capacity_ > 0);
     entries_.reserve(capacity_);
     index_.reserve(capacity_ * 2);
   }
 
-  // Classic space-saving: count the value once.
-  void Offer(const T& value) {
+  // Reports that `value` now occurs exactly `count` times: raises or lowers
+  // a tracked entry, drops it at zero, and admits an untracked value while
+  // there is room or when it beats the minimum.
+  void Set(const T& value, uint64_t count) {
     auto it = index_.find(value);
     if (it != index_.end()) {
-      ++entries_[it->second].count;
+      if (count > 0) {
+        entries_[it->second].count = count;
+        return;
+      }
+      // Drop the entry; later slots shift down one, keeping slot order.
+      const size_t slot = it->second;
+      index_.erase(it);
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(slot));
+      for (size_t i = slot; i < entries_.size(); ++i) {
+        index_[entries_[i].value] = i;
+      }
       return;
     }
+    if (count == 0) return;
     if (entries_.size() < capacity_) {
-      Insert(value, /*count=*/1, /*error=*/0);
-      return;
-    }
-    // Displace the minimum entry; the newcomer inherits its count as the
-    // error bound (it may have occurred up to min times while untracked).
-    const size_t min_idx = MinIndex();
-    const uint64_t min = entries_[min_idx].count;
-    Replace(min_idx, value, /*count=*/min + 1, /*error=*/min);
-  }
-
-  // Exact-weight refresh: the caller asserts `value` currently occurs
-  // exactly `exact_count` times. Keeps the high-water mark per value.
-  void OfferExact(const T& value, uint64_t exact_count) {
-    auto it = index_.find(value);
-    if (it != index_.end()) {
-      Entry& e = entries_[it->second];
-      if (exact_count > e.count) e.count = exact_count;
-      return;
-    }
-    if (entries_.size() < capacity_) {
-      Insert(value, exact_count, /*error=*/0);
+      index_.emplace(value, entries_.size());
+      entries_.push_back(Entry{value, count});
       return;
     }
     const size_t min_idx = MinIndex();
-    if (exact_count > entries_[min_idx].count) {
-      Replace(min_idx, value, exact_count, /*error=*/0);
+    if (count > entries_[min_idx].count) {
+      index_.erase(entries_[min_idx].value);
+      index_.emplace(value, min_idx);
+      entries_[min_idx] = Entry{value, count};
     }
   }
 
-  // Upper-bound estimate of a value's count: its entry if tracked, else the
-  // ceiling any untracked value can hide under (min_count at capacity, 0
-  // below capacity — below capacity every offered value is tracked).
+  // A value's tracked count; for an untracked value, the ceiling it last
+  // fit under (min_count at capacity, 0 below it — see the class comment
+  // for why this bounds the count only as of the value's last report).
   uint64_t Estimate(const T& value) const {
     auto it = index_.find(value);
     if (it != index_.end()) return entries_[it->second].count;
@@ -103,72 +86,30 @@ class TopKSketch {
 
   bool Tracks(const T& value) const { return index_.count(value) > 0; }
 
+  // The largest tracked count (0 when empty).
   uint64_t max_count() const {
     uint64_t m = 0;
     for (const Entry& e : entries_) m = std::max(m, e.count);
     return m;
   }
 
-  // The smallest tracked count (0 when empty): at capacity, no untracked
-  // value's true count can exceed it.
+  // The smallest tracked count (0 when empty).
   uint64_t min_count() const { return MinCount(); }
 
   size_t size() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
   bool AtCapacity() const { return entries_.size() >= capacity_; }
 
-  void Clear() {
-    entries_.clear();
-    index_.clear();
-  }
-
-  // Fold another sketch in: shared values sum counts and errors, the union
-  // is re-truncated to the K largest (count ties broken by smaller error,
-  // then by this sketch's entry order followed by the other's — stable and
-  // deterministic for a fixed merge order). Errors of entries dropped at
-  // truncation are absorbed into nothing: the surviving counts remain upper
-  // bounds because each summand was one.
-  void Merge(const TopKSketch& other) {
-    std::vector<Entry> merged = entries_;
-    std::unordered_map<T, size_t, Hash> pos;
-    pos.reserve(merged.size() + other.entries_.size());
-    for (size_t i = 0; i < merged.size(); ++i) pos.emplace(merged[i].value, i);
-    for (const Entry& e : other.entries_) {
-      auto it = pos.find(e.value);
-      if (it != pos.end()) {
-        merged[it->second].count += e.count;
-        merged[it->second].error += e.error;
-      } else {
-        pos.emplace(e.value, merged.size());
-        merged.push_back(e);
-      }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Entry& a, const Entry& b) {
-                       if (a.count != b.count) return a.count > b.count;
-                       return a.error < b.error;
-                     });
-    if (merged.size() > capacity_) merged.resize(capacity_);
-    Clear();
-    for (const Entry& e : merged) Insert(e.value, e.count, e.error);
-  }
-
+  // Invokes fn(value, count) for each tracked entry, in slot order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Entry& e : entries_) fn(e.value, e.count, e.error);
+    for (const Entry& e : entries_) fn(e.value, e.count);
   }
 
  private:
-  void Insert(const T& value, uint64_t count, uint64_t error) {
-    index_.emplace(value, entries_.size());
-    entries_.push_back(Entry{value, count, error});
-  }
-
-  void Replace(size_t idx, const T& value, uint64_t count, uint64_t error) {
-    index_.erase(entries_[idx].value);
-    index_.emplace(value, idx);
-    entries_[idx] = Entry{value, count, error};
-  }
+  struct Entry {
+    T value;
+    uint64_t count = 0;
+  };
 
   size_t MinIndex() const {
     size_t best = 0;

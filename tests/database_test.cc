@@ -137,11 +137,6 @@ TEST_F(DatabaseTest, RemovalsAdvanceTheMutationSequence) {
   db_.RemoveRowVersions(rel_, writes[0].row, 5);
   EXPECT_GT(db_.next_seq(), seq);
 
-  db_.Apply(WriteOp::Insert(rel_, Row("e", "f")), 7);
-  seq = db_.next_seq();
-  db_.RemoveVersionsOf(7);
-  EXPECT_GT(db_.next_seq(), seq);
-
   db_.Apply(WriteOp::Insert(rel_, Row("g", "h")), 9);
   seq = db_.next_seq();
   db_.RemoveVersionsAbove(0);

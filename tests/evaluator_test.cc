@@ -212,10 +212,11 @@ TEST(EvaluatorTest, ExistsStopsScanningAfterFirstMatch) {
 }
 
 TEST(EvaluatorTest, DuplicateAndStaleIndexCandidatesYieldOneMatch) {
-  // A null replacement re-indexes a row's full content, so a row re-written
-  // with the same value in one column shows up twice in that column's
-  // bucket; a deleted row leaves stale entries behind. Recurse must dedupe
-  // and re-verify so each surviving row matches exactly once.
+  // A null replacement writes a row's full content again, but a row
+  // re-written with the same value in one column stays listed once in that
+  // column's bucket; a deleted row stays listed (its insert version still
+  // carries the value). The executor reads the bucket in place and
+  // re-verifies, so each surviving row matches exactly once.
   Database db;
   const RelationId r = *db.CreateRelation("R", {"a", "b"});
   const Value a = db.InternConstant("A");
@@ -225,15 +226,13 @@ TEST(EvaluatorTest, DuplicateAndStaleIndexCandidatesYieldOneMatch) {
   const auto w1 =
       db.Apply(WriteOp::Insert(r, {a, db.InternConstant("C")}), 0);  // row 1
   ASSERT_EQ(w1.size(), 1u);
-  db.Apply(WriteOp::NullReplace(x, b), 1);  // row 0 -> (A, B), re-indexed
-  db.Apply(WriteOp::Delete(r, w1[0].row), 2);  // row 1 -> stale entries
+  db.Apply(WriteOp::NullReplace(x, b), 1);  // row 0 -> (A, B), re-written
+  db.Apply(WriteOp::Delete(r, w1[0].row), 2);  // row 1 -> invisible at 2+
 
-  std::vector<RowId> candidates;
-  db.relation(r).CandidateRows(0, a, &candidates);
-  // The bucket holds row0 twice (re-indexed by the null replacement) plus
-  // the stale row1 entry; CandidateRows dedups per call, so row0 is
-  // visibility-resolved once, and only staleness is left to the caller.
-  EXPECT_EQ(candidates.size(), 2u);  // row0, row1 (stale)
+  // The bucket lists row0 once and row1, which the reader must re-verify.
+  const Span<const RowId> bucket = db.relation(r).Bucket(0, a);
+  EXPECT_EQ(std::vector<RowId>(bucket.begin(), bucket.end()),
+            (std::vector<RowId>{0, w1[0].row}));
 
   TgdParser parser(&db.catalog(), &db.symbols());
   auto q = parser.ParseQuery("R('A', y)");

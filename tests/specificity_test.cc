@@ -52,10 +52,10 @@ TEST(SpecificityTest, DifferentArityNeverComparable) {
 }
 
 TEST(SpecificityTest, DuplicateAndStaleIndexCandidatesReportRowOnce) {
-  // FindMoreSpecificRows fetches candidates through the append-only column
-  // index, which can hand back the same row twice (re-written same value)
-  // and rows that are no longer visible (deleted). Each surviving row must
-  // be reported exactly once.
+  // FindMoreSpecificRows reads a column bucket in place. The bucket lists
+  // a row re-written with the same value once, and still lists a deleted
+  // row (its insert version carries the value). Each surviving row must be
+  // reported exactly once.
   Database db;
   const RelationId r = *db.CreateRelation("R", {"a", "b"});
   const Value a = db.InternConstant("A");
@@ -66,17 +66,17 @@ TEST(SpecificityTest, DuplicateAndStaleIndexCandidatesReportRowOnce) {
   const auto w1 =
       db.Apply(WriteOp::Insert(r, {a, db.InternConstant("C")}), 0);  // row 1
   ASSERT_EQ(w1.size(), 1u);
-  db.Apply(WriteOp::NullReplace(x, b), 1);  // row 0 -> (A, B), re-indexed
-  db.Apply(WriteOp::Delete(r, w1[0].row), 2);  // row 1 -> stale entries
+  db.Apply(WriteOp::NullReplace(x, b), 1);  // row 0 -> (A, B), re-written
+  db.Apply(WriteOp::Delete(r, w1[0].row), 2);  // row 1 -> invisible at 2+
 
-  std::vector<RowId> candidates;
-  db.relation(r).CandidateRows(0, a, &candidates);
-  ASSERT_EQ(candidates.size(), 2u);  // row0 (deduped per call), row1 (stale)
+  const Span<const RowId> bucket = db.relation(r).Bucket(0, a);
+  ASSERT_EQ(std::vector<RowId>(bucket.begin(), bucket.end()),
+            (std::vector<RowId>{w0[0].row, w1[0].row}));
 
   Snapshot snap(&db, kReadLatest);
   std::vector<RowId> out;
   FindMoreSpecificRows(snap, r, {a, b}, /*exclude_equal=*/false, &out);
-  ASSERT_EQ(out.size(), 1u);  // row 0 exactly once, row 1 filtered as stale
+  ASSERT_EQ(out.size(), 1u);  // row 0 exactly once, row 1 filtered: deleted
   EXPECT_EQ(out[0], w0[0].row);
 }
 

@@ -56,9 +56,11 @@ TEST(UpdateTest, RestartResetsState) {
       fig.R, fig.Row({"XYZ", "Geneva Winery", "Great!"}), 0);
   Update update(1, WriteOp::Delete(fig.R, review_row), &fig.tgds);
   // Run one step (delete + violation detection), then abort and restart.
-  update.Step(&fig.db, &agent);
+  const StepResult res = update.Step(&fig.db, &agent);
   EXPECT_FALSE(update.finished());
-  fig.db.RemoveVersionsOf(1);  // scheduler's undo
+  for (const PhysicalWrite& w : res.writes) {  // the scheduler's undo
+    fig.db.RemoveRowVersions(w.rel, w.row, 1);
+  }
   update.Restart(9);
   EXPECT_EQ(update.number(), 9u);
   EXPECT_EQ(update.attempts(), 2u);
