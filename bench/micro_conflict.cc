@@ -5,6 +5,8 @@
 // database).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "ccontrol/conflict.h"
 #include "ccontrol/dependency_tracker.h"
 #include "ccontrol/read_log.h"
@@ -143,11 +145,16 @@ BENCHMARK(BM_DependencyComputation)
 // updates writing across many relations, a fifth of the writes carrying a
 // labeled null, read by an update numbered in the middle of them. Most
 // logged writes are on none of a query's relations and carry none of its
-// nulls, which is what the log's indexes skip.
+// nulls, which is what the log's indexes skip. The same updates also read:
+// each logs violation queries over the chained mappings R(i), R(i+1) ->
+// R(i+2) that span all 100 relations, one more-specific query and one
+// null-occurrence query, so a step's writes reach only a few of the read
+// log's queries.
 struct Section6Fixture {
   static constexpr size_t kRelations = 100;
   static constexpr uint64_t kWriters = 300;
   static constexpr size_t kWritesPerWriter = 4;
+  static constexpr size_t kViolationReadsPerReader = 6;
 
   Database db;
   std::vector<Tgd> tgds;
@@ -156,6 +163,8 @@ struct Section6Fixture {
   WriteLog wlog;
   std::vector<ReadQueryRecord> reads;  // one of each kind
   const uint64_t reader = kWriters / 2;
+  // Every writer's reads, indexed by number (slot 0 unused).
+  std::vector<std::vector<ReadQueryRecord>> reads_of;
 
   Section6Fixture() {
     for (size_t i = 0; i < kRelations; ++i) {
@@ -163,8 +172,14 @@ struct Section6Fixture {
           *db.CreateRelation("R" + std::to_string(i), {"a", "b", "c"}));
     }
     TgdParser parser(&db.catalog(), &db.symbols());
-    tgds.push_back(*parser.ParseTgd(
-        "R0(x, y, z) & R1(y, w, v) -> exists u: R2(x, w, u)"));
+    for (size_t i = 0; i < kRelations; ++i) {
+      auto rel = [&](size_t k) {
+        return "R" + std::to_string((i + k) % kRelations);
+      };
+      tgds.push_back(*parser.ParseTgd(rel(0) + "(x, y, z) & " + rel(1) +
+                                      "(y, w, v) -> exists u: " + rel(2) +
+                                      "(x, w, u)"));
+    }
     for (int i = 0; i < 32; ++i) nulls.push_back(db.FreshNull());
     Rng rng(6);
     auto tuple = [&](double p_null) {
@@ -196,6 +211,18 @@ struct Section6Fixture {
     reads.push_back(ReadQueryRecord::MoreSpecific(
         rels[1], {db.InternConstant("c1"), nulls[0], nulls[1]}));
     reads.push_back(ReadQueryRecord::NullOccurrence(nulls[2]));
+    reads_of.resize(kWriters + 1);
+    for (uint64_t u = 1; u <= kWriters; ++u) {
+      for (size_t k = 0; k < kViolationReadsPerReader; ++k) {
+        reads_of[u].push_back(ReadQueryRecord::Violation(
+            static_cast<int>(rng.Uniform(tgds.size())),
+            /*pinned_on_lhs=*/true, 0, tuple(0.07)));
+      }
+      reads_of[u].push_back(ReadQueryRecord::MoreSpecific(
+          rels[rng.Uniform(rels.size())], tuple(0.3)));
+      reads_of[u].push_back(
+          ReadQueryRecord::NullOccurrence(nulls[rng.Uniform(nulls.size())]));
+    }
   }
 };
 
@@ -215,6 +242,95 @@ void BM_DependencyComputationSection6(benchmark::State& state) {
   state.SetLabel(precise ? "PRECISE" : "COARSE");
 }
 BENCHMARK(BM_DependencyComputationSection6)->Arg(0)->Arg(1);
+
+void BM_ReadLogBatchWalkSection6(benchmark::State& state) {
+  // The scheduler's per-step walk: one writer's step (its logged writes)
+  // against every logged query of the 300 updates. state.range(0) is the
+  // writer's number; only readers above it are candidates.
+  Section6Fixture fix;
+  ReadLog rlog(&fix.tgds);
+  for (uint64_t u = 1; u <= Section6Fixture::kWriters; ++u) {
+    for (const ReadQueryRecord& q : fix.reads_of[u]) rlog.Record(u, q);
+  }
+  const uint64_t writer = static_cast<uint64_t>(state.range(0));
+  const Span<const PhysicalWrite> step = fix.wlog.WritesOf(writer);
+  size_t scanned = 0;
+  size_t pairs = 0;
+  for (auto _ : state) {
+    pairs = 0;
+    scanned = rlog.ForEachCandidateBatch(
+        step, writer,
+        [&](uint64_t, const ReadQueryRecord&, const PhysicalWrite&) {
+          ++pairs;
+          return false;
+        });
+    benchmark::DoNotOptimize(pairs);
+  }
+  // Brute force: the logged queries of readers above the writer that sit
+  // on a relation the step writes or carry a null its contents carry.
+  std::vector<RelationId> step_rels;
+  std::vector<Value> step_nulls;
+  for (const PhysicalWrite& w : step) {
+    step_rels.push_back(w.rel);
+    for (const TupleData* data : {&w.data, &w.old_data}) {
+      for (const Value& v : *data) {
+        if (v.is_null()) step_nulls.push_back(v);
+      }
+    }
+  }
+  auto has = [](const auto& v, const auto& x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
+  size_t reachable = 0;
+  for (uint64_t u = writer + 1; u <= Section6Fixture::kWriters; ++u) {
+    for (const ReadQueryRecord& q : *rlog.QueriesOf(u)) {
+      bool hit = false;
+      switch (q.kind) {
+        case ReadQueryKind::kViolation:
+          for (RelationId r :
+               fix.tgds[static_cast<size_t>(q.tgd_id)].all_relations()) {
+            hit |= has(step_rels, r);
+          }
+          break;
+        case ReadQueryKind::kMoreSpecific:
+          hit = has(step_rels, q.rel);
+          break;
+        case ReadQueryKind::kNullOccurrence:
+          hit = has(step_nulls, q.null_value);
+          break;
+      }
+      reachable += hit ? 1 : 0;
+    }
+  }
+  state.counters["queries_logged"] = static_cast<double>(rlog.total_queries());
+  state.counters["queries_scanned"] = static_cast<double>(scanned);
+  state.counters["queries_scanned_excess"] =
+      static_cast<double>(scanned) - static_cast<double>(reachable);
+  state.counters["pairs_offered"] = static_cast<double>(pairs);
+}
+BENCHMARK(BM_ReadLogBatchWalkSection6)->Arg(1)->Arg(150)->Arg(290);
+
+void BM_CoarseCascadeSection6(benchmark::State& state) {
+  // A COARSE cascade's per-member cost: ReadersOf over the Section-6 write
+  // log, after every update logged its writes and then posed its reads (so
+  // each reader's marks postdate the writes of every lower-numbered
+  // writer). state.range(0) is the aborted writer.
+  Section6Fixture fix;
+  DependencyTracker tracker(TrackerKind::kCoarse, &fix.tgds);
+  for (uint64_t u = 1; u <= Section6Fixture::kWriters; ++u) {
+    tracker.OnReads(Snapshot(&fix.db, u), u, fix.reads_of[u], fix.wlog);
+  }
+  const uint64_t writer = static_cast<uint64_t>(state.range(0));
+  std::vector<uint64_t> readers;
+  size_t marks = 0;
+  for (auto _ : state) {
+    marks = tracker.ReadersOf(writer, fix.wlog, &readers);
+    benchmark::DoNotOptimize(readers.data());
+  }
+  state.counters["marks_scanned"] = static_cast<double>(marks);
+  state.counters["readers"] = static_cast<double>(readers.size());
+}
+BENCHMARK(BM_CoarseCascadeSection6)->Arg(1)->Arg(150);
 
 }  // namespace
 }  // namespace youtopia

@@ -112,6 +112,9 @@ bool WriteExperimentJson(const std::string& name, const std::string& workload,
           << ", \"steps\": " << cell.steps << ", \"failed\": " << cell.failed
           << ", \"tracker_writes_tested\": " << cell.tracker_writes_tested
           << ", \"read_log_pairs_tested\": " << cell.read_log_pairs_tested
+          << ", \"read_log_queries_scanned\": "
+          << cell.read_log_queries_scanned
+          << ", \"cascade_marks_scanned\": " << cell.cascade_marks_scanned
           << "}";
     }
   }

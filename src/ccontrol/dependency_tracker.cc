@@ -46,22 +46,11 @@ size_t DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
       case ReadQueryKind::kViolation: {
         const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
         if (kind_ == TrackerKind::kCoarse) {
-          // Relation granularity: every lower-numbered writer of any
-          // relation of the tgd, linked in writer order.
-          writers_scratch_.clear();
+          // Relation granularity: mark when the reader read each relation
+          // of the tgd; ReadersOf links the writers logged before then.
           for (RelationId rel : tgd.all_relations()) {
-            for (const WriteLog::Entry& e : wlog.WritesTo(rel, reader)) {
-              if (writers_scratch_.empty() ||
-                  writers_scratch_.back() != e.writer) {
-                writers_scratch_.push_back(e.writer);
-              }
-            }
+            MarkRead(reader, rel, wlog.seq());
           }
-          std::sort(writers_scratch_.begin(), writers_scratch_.end());
-          writers_scratch_.erase(
-              std::unique(writers_scratch_.begin(), writers_scratch_.end()),
-              writers_scratch_.end());
-          for (uint64_t writer : writers_scratch_) AddEdge(writer, reader);
         } else {
           // PRECISE: the retroactive check against each lower-numbered
           // write to the tgd's relations.
@@ -93,13 +82,56 @@ size_t DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
   return tested;
 }
 
-const std::unordered_set<uint64_t>& DependencyTracker::ReadersOf(
-    uint64_t writer) const {
+size_t DependencyTracker::ReadersOf(uint64_t writer, const WriteLog& wlog,
+                                   std::vector<uint64_t>* readers) const {
+  readers->clear();
+  size_t scanned = 0;
+  if (!marks_.empty()) {
+    rels_scratch_.clear();
+    for (const PhysicalWrite& w : wlog.WritesOf(writer)) {
+      if (std::find(rels_scratch_.begin(), rels_scratch_.end(), w.rel) ==
+          rels_scratch_.end()) {
+        rels_scratch_.push_back(w.rel);
+      }
+    }
+    for (RelationId rel : rels_scratch_) {
+      auto it = marks_.find(rel);
+      if (it == marks_.end()) continue;
+      // The writer's first write to rel; a reader that read rel after it
+      // was logged depends on the writer.
+      const uint64_t first = wlog.WritesBy(writer, rel)[0].seq;
+      const std::vector<Mark>& marks = it->second;
+      for (auto m = std::partition_point(
+               marks.begin(), marks.end(),
+               [&](const Mark& mark) { return mark.reader <= writer; });
+           m != marks.end(); ++m) {
+        ++scanned;
+        if (m->seq > first) readers->push_back(m->reader);
+      }
+    }
+  }
   auto it = readers_of_.find(writer);
-  return it == readers_of_.end() ? empty_ : it->second;
+  if (it != readers_of_.end()) {
+    readers->insert(readers->end(), it->second.begin(), it->second.end());
+  }
+  return scanned;
 }
 
 void DependencyTracker::EraseUpdate(uint64_t update_number) {
+  // As a COARSE reader: drop its marks.
+  auto mit = marked_by_reader_.find(update_number);
+  if (mit != marked_by_reader_.end()) {
+    for (RelationId rel : mit->second) {
+      auto found = marks_.find(rel);
+      std::vector<Mark>& marks = found->second;
+      marks.erase(std::partition_point(marks.begin(), marks.end(),
+                                       [&](const Mark& m) {
+                                         return m.reader < update_number;
+                                       }));
+      if (marks.empty()) marks_.erase(found);
+    }
+    marked_by_reader_.erase(mit);
+  }
   // As a writer: drop its reader set.
   auto rit = readers_of_.find(update_number);
   if (rit != readers_of_.end()) {
@@ -107,7 +139,6 @@ void DependencyTracker::EraseUpdate(uint64_t update_number) {
       auto wit = writers_of_.find(reader);
       if (wit != writers_of_.end()) wit->second.erase(update_number);
     }
-    num_edges_ -= rit->second.size();
     readers_of_.erase(rit);
   }
   // As a reader: remove it from every writer's reader set.
@@ -115,9 +146,7 @@ void DependencyTracker::EraseUpdate(uint64_t update_number) {
   if (wit != writers_of_.end()) {
     for (uint64_t writer : wit->second) {
       auto r = readers_of_.find(writer);
-      if (r != readers_of_.end() && r->second.erase(update_number) > 0) {
-        --num_edges_;
-      }
+      if (r != readers_of_.end()) r->second.erase(update_number);
     }
     writers_of_.erase(wit);
   }
@@ -126,8 +155,21 @@ void DependencyTracker::EraseUpdate(uint64_t update_number) {
 void DependencyTracker::AddEdge(uint64_t writer, uint64_t reader) {
   if (readers_of_[writer].insert(reader).second) {
     writers_of_[reader].insert(writer);
-    ++num_edges_;
   }
+}
+
+void DependencyTracker::MarkRead(uint64_t reader, RelationId rel,
+                                 uint64_t seq) {
+  std::vector<Mark>& marks = marks_[rel];
+  auto it = std::partition_point(
+      marks.begin(), marks.end(),
+      [&](const Mark& m) { return m.reader < reader; });
+  if (it != marks.end() && it->reader == reader) {
+    it->seq = seq;  // the latest read decides
+    return;
+  }
+  marks.insert(it, Mark{reader, seq});
+  marked_by_reader_[reader].push_back(rel);
 }
 
 }  // namespace youtopia

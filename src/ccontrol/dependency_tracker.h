@@ -28,6 +28,14 @@ namespace youtopia {
 //               the full retroactive conflict check; only writes that
 //               actually change the query's answer create dependencies.
 //
+// COARSE stores no violation edges. Its violation queries only mark, per
+// relation, that the reader read it and when (the write log's sequence
+// number at the read; one mark per reader and relation, the latest).
+// ReadersOf(w) works the edges out when a cascade asks: a reader numbered
+// above w depends on w through relation R exactly when its mark on R is
+// later than w's first logged write to R. Correction queries, and
+// PRECISE's violation queries, store exact edges.
+//
 // Both trackers read only what can conflict: for a query of reader r, the
 // writes of updates numbered below r to the query's relations, or carrying
 // its null (the WriteLog's index prefixes), and none of a writer's writes
@@ -48,35 +56,49 @@ class DependencyTracker {
   // Registers the read dependencies created by `reads`, which update
   // `reader` just performed against `snap`. `wlog` holds the writes of
   // still-abortable updates. Returns how many logged writes it tested
-  // against a query (COARSE violation queries test none: they read the
-  // writers).
+  // against a query (COARSE violation queries test none: they only mark
+  // their relations).
   size_t OnReads(const Snapshot& snap, uint64_t reader,
                  const std::vector<ReadQueryRecord>& reads,
                  const WriteLog& wlog);
 
-  // Updates that have a (direct) read dependency on `writer`. Meaningless
-  // for kNaive (the scheduler cascades by number instead).
-  const std::unordered_set<uint64_t>& ReadersOf(uint64_t writer) const;
+  // Fills `readers` with the updates that have a (direct) read dependency
+  // on `writer`, whose writes `wlog` must still hold: first the COARSE
+  // readers of the relations `writer` wrote, then the stored edges. A
+  // reader may be named more than once. Returns how many relation marks it
+  // read. Meaningless for kNaive (the scheduler cascades by number
+  // instead).
+  size_t ReadersOf(uint64_t writer, const WriteLog& wlog,
+                   std::vector<uint64_t>* readers) const;
 
   void EraseUpdate(uint64_t update_number);
 
-  size_t num_edges() const { return num_edges_; }
-
  private:
+  // A COARSE reader's latest violation read of a relation: the write
+  // log's seq() when it read.
+  struct Mark {
+    uint64_t reader;
+    uint64_t seq;
+  };
+
   void AddEdge(uint64_t writer, uint64_t reader);
+  void MarkRead(uint64_t reader, RelationId rel, uint64_t seq);
 
   TrackerKind kind_;
   const std::vector<Tgd>* tgds_;
   ConflictChecker checker_;
-  // Per-query scratch, members so OnReads allocates nothing in steady
-  // state: COARSE's distinct writers, and the writers an exact check has
-  // already linked.
-  std::vector<uint64_t> writers_scratch_;
+  // Per-query scratch, a member so OnReads allocates nothing in steady
+  // state: the writers an exact check has already linked.
   std::vector<uint64_t> linked_scratch_;
+  // ReadersOf's distinct relations of the writer.
+  mutable std::vector<RelationId> rels_scratch_;
+  // COARSE marks by relation, ordered by reader, and the relations each
+  // reader marked (EraseUpdate's way back to them).
+  std::unordered_map<RelationId, std::vector<Mark>> marks_;
+  std::unordered_map<uint64_t, std::vector<RelationId>> marked_by_reader_;
+  // Stored edges, both directions.
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_of_;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> writers_of_;
-  std::unordered_set<uint64_t> empty_;
-  size_t num_edges_ = 0;
 };
 
 }  // namespace youtopia

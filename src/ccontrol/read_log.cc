@@ -20,68 +20,53 @@ void ReadLog::Record(uint64_t update_number, ReadQueryRecord q) {
   }
   log.by_fingerprint.emplace(fp, log.queries.size());
   ++total_queries_;
-  switch (q.kind) {
-    case ReadQueryKind::kViolation: {
-      const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-      for (RelationId r : tgd.all_relations()) {
-        readers_by_relation_[r].insert(update_number);
-      }
-      break;
-    }
-    case ReadQueryKind::kMoreSpecific:
-      readers_by_relation_[q.rel].insert(update_number);
-      break;
-    case ReadQueryKind::kNullOccurrence:
-      readers_by_null_[q.null_value.id()].insert(update_number);
-      break;
-  }
+  // After the reader's earlier entries, before any higher reader's.
+  const Entry entry{update_number, static_cast<uint32_t>(log.queries.size())};
+  ForEachListOf(q, [&](Index& index, uint64_t key) {
+    std::vector<Entry>& entries = index[key];
+    entries.insert(std::partition_point(entries.begin(), entries.end(),
+                                        [&](const Entry& e) {
+                                          return e.reader <= update_number;
+                                        }),
+                   entry);
+  });
   log.queries.push_back(std::move(q));
+}
+
+Span<const ReadLog::Entry> ReadLog::Above(const Index& index, uint64_t key,
+                                          uint64_t writer) {
+  auto it = index.find(key);
+  if (it == index.end()) return {};
+  const std::vector<Entry>& entries = it->second;
+  const auto begin = std::partition_point(
+      entries.begin(), entries.end(),
+      [&](const Entry& e) { return e.reader <= writer; });
+  return Span<const Entry>(entries.data() + (begin - entries.begin()),
+                           static_cast<size_t>(entries.end() - begin));
 }
 
 void ReadLog::EraseUpdate(uint64_t update_number) {
   auto it = logs_.find(update_number);
   if (it == logs_.end()) return;
-  // Unregister from exactly the reader sets Record put the update in.
-  // Emptied sets stay: a recreated set would iterate in another order, and
-  // the candidate walk's order decides which doomed reader restarts first.
-  auto unregister = [&](auto& index, auto key) {
-    auto found = index.find(key);
-    if (found != index.end()) found->second.erase(update_number);
-  };
+  // The update's entries are one run of each list it entered; a list
+  // reached again by a later query has none left, or is gone.
   for (const ReadQueryRecord& q : it->second.queries) {
-    switch (q.kind) {
-      case ReadQueryKind::kViolation:
-        for (RelationId r :
-             (*tgds_)[static_cast<size_t>(q.tgd_id)].all_relations()) {
-          unregister(readers_by_relation_, r);
-        }
-        break;
-      case ReadQueryKind::kMoreSpecific:
-        unregister(readers_by_relation_, q.rel);
-        break;
-      case ReadQueryKind::kNullOccurrence:
-        unregister(readers_by_null_, q.null_value.id());
-        break;
-    }
+    ForEachListOf(q, [&](Index& index, uint64_t key) {
+      auto found = index.find(key);
+      if (found == index.end()) return;
+      std::vector<Entry>& entries = found->second;
+      const auto lo = std::partition_point(
+          entries.begin(), entries.end(),
+          [&](const Entry& e) { return e.reader < update_number; });
+      const auto hi = std::partition_point(
+          lo, entries.end(),
+          [&](const Entry& e) { return e.reader == update_number; });
+      entries.erase(lo, hi);
+      if (entries.empty()) index.erase(found);
+    });
   }
   total_queries_ -= it->second.queries.size();
   logs_.erase(it);
-}
-
-bool ReadLog::MayTouch(const ReadQueryRecord& q, const PhysicalWrite& w) const {
-  switch (q.kind) {
-    case ReadQueryKind::kViolation: {
-      const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-      const auto& rels = tgd.all_relations();
-      return std::find(rels.begin(), rels.end(), w.rel) != rels.end();
-    }
-    case ReadQueryKind::kMoreSpecific:
-      return q.rel == w.rel;
-    case ReadQueryKind::kNullOccurrence:
-      return (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
-             (!w.old_data.empty() && ContainsNull(w.old_data, q.null_value));
-  }
-  return false;
 }
 
 }  // namespace youtopia

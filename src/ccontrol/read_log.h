@@ -15,16 +15,18 @@
 namespace youtopia {
 
 // Stores the read queries each live update has performed (Algorithm 4:
-// "store Q for future checks"), indexed so that a write can cheaply find the
-// candidate queries it might invalidate:
-//   * by relation — violation queries touch every relation of their tgd,
-//     more-specific queries their target relation;
-//   * by labeled null — null-occurrence queries.
-// Exact duplicates (chases re-pose the same violation query on every
-// revalidation) are deduplicated per update, by fingerprint confirmed
-// against the full query (fingerprints can collide; a query dropped on a
-// collision would escape every later conflict check). EraseUpdate touches
-// only the reader sets the update's own queries registered it in.
+// "store Q for future checks"), indexed so that a write reaches only the
+// queries it might invalidate. Two index lists name every logged query:
+//   * by relation — violation queries under every relation of their tgd,
+//     more-specific queries under their target relation;
+//   * by labeled null — null-occurrence queries under their null.
+// Each list is ordered by reader number, then by the query's position in
+// its reader's log, so the queries of readers numbered above a writer are
+// a suffix of it. Exact duplicates (chases re-pose the same violation
+// query on every revalidation) are deduplicated per update, by fingerprint
+// confirmed against the full query (fingerprints can collide; a query
+// dropped on a collision would escape every later conflict check).
+// EraseUpdate touches only the lists the update's own queries entered.
 //
 // Threading contract: NOT internally synchronized, and the const candidate
 // walks are NOT const-thread-safe — they reuse mutable scratch buffers
@@ -57,25 +59,23 @@ class ReadLog {
   }
 
   // Batched candidate walk over a whole chase step's write set, mirroring
-  // the detection side's batching (ViolationDetector::AfterWrites): a step's
-  // writes often reach the same readers, and the per-write walk above would
-  // re-scan each such reader's whole log once per write. Here every
-  // candidate reader is visited exactly once per call — its log scanned
-  // once — and each of its queries is tested only against the writes that
-  // can touch it (the batch is bucketed by relation up front, so a reader
-  // relevant to two of a hundred-write null-replace batch pays for two, not
-  // a hundred). fn(reader, q, w) is invoked for each candidate
-  // (query, write) combination; returning true stops visiting that reader
-  // entirely (the scheduler stops probing a reader the moment one conflict
-  // dooms it). Candidate discovery matches the single-write walk:
-  // relation-indexed queries via the writes' relations, null-occurrence
-  // queries via the distinct nulls of the writes' tuples, with readers
-  // reachable both ways visited once (tracked per call, since with several
-  // writes the relation pass no longer structurally covers the null pass).
+  // the detection side's batching (ViolationDetector::AfterWrites). The
+  // candidates are the queries listed, above `writer`, under a relation the
+  // batch writes or a labeled null its old or new contents carry; their
+  // list suffixes are merged by (reader, position), so each candidate is
+  // visited once and each reader's candidates in log order. Each query is
+  // offered only the writes that can touch it (the batch is bucketed by
+  // relation up front): a violation query the writes to each relation of
+  // its tgd, in the tgd's relation order; a more-specific query the writes
+  // to its relation; a null-occurrence query the writes carrying its null.
+  // fn(reader, q, w) is invoked for each such (query, write) combination;
+  // returning true skips that reader's remaining candidates (the scheduler
+  // stops probing a reader the moment one conflict dooms it). Returns how
+  // many logged queries it visited.
   template <typename Fn>
-  void ForEachCandidateBatch(Span<const PhysicalWrite> writes, uint64_t writer,
-                             Fn&& fn) const {
-    if (writes.empty()) return;
+  size_t ForEachCandidateBatch(Span<const PhysicalWrite> writes,
+                               uint64_t writer, Fn&& fn) const {
+    if (writes.empty()) return 0;
     // Bucket the batch: write indices sorted by relation (contiguous ranges
     // in order_scratch_), plus the null-carrying writes. All scratch
     // retains capacity — steady-state steps allocate nothing.
@@ -105,14 +105,38 @@ class ReadLog {
         null_write_scratch_.push_back(i);
       }
     }
+
+    // The candidates: each list's suffix above the writer. A single list is
+    // already in (reader, position) order; several are merged, and a
+    // violation query listed under two written relations is kept once.
+    candidates_scratch_.clear();
+    size_t lists = 0;
+    auto gather = [&](Span<const Entry> suffix) {
+      if (suffix.empty()) return;
+      ++lists;
+      candidates_scratch_.insert(candidates_scratch_.end(), suffix.begin(),
+                                 suffix.end());
+    };
+    for (const RelRange& r : range_scratch_) {
+      gather(Above(by_relation_, r.rel, writer));
+    }
+    for (const Value& v : nulls_scratch_) {
+      gather(Above(by_null_, v.id(), writer));
+    }
+    if (lists > 1) {
+      std::sort(candidates_scratch_.begin(), candidates_scratch_.end());
+      candidates_scratch_.erase(
+          std::unique(candidates_scratch_.begin(), candidates_scratch_.end()),
+          candidates_scratch_.end());
+    }
+
     auto find_range = [&](RelationId rel) -> const RelRange* {
       for (const RelRange& r : range_scratch_) {
         if (r.rel == rel) return &r;
       }
       return nullptr;
     };
-    // Offers every write of `range` to `q`; by construction those writes
-    // satisfy MayTouch's relation test for relation-indexed queries.
+    // Offers every write of `range` to `q`; true once fn dooms the reader.
     auto offer_range = [&](uint64_t reader, const ReadQueryRecord& q,
                            const RelRange* range) {
       if (range == nullptr) return false;
@@ -121,49 +145,43 @@ class ReadLog {
       }
       return false;
     };
-
-    visited_scratch_.clear();
-    auto visit_reader = [&](uint64_t reader) {
-      if (reader <= writer) return;
-      if (!visited_scratch_.insert(reader).second) return;
-      auto it = logs_.find(reader);
-      if (it == logs_.end()) return;
-      for (const ReadQueryRecord& q : it->second.queries) {
-        switch (q.kind) {
-          case ReadQueryKind::kViolation: {
-            const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
-            for (RelationId r : tgd.all_relations()) {
-              if (offer_range(reader, q, find_range(r))) return;
-            }
-            break;
+    auto offer = [&](uint64_t reader, const ReadQueryRecord& q) {
+      switch (q.kind) {
+        case ReadQueryKind::kViolation:
+          for (RelationId r :
+               (*tgds_)[static_cast<size_t>(q.tgd_id)].all_relations()) {
+            if (offer_range(reader, q, find_range(r))) return true;
           }
-          case ReadQueryKind::kMoreSpecific:
-            if (offer_range(reader, q, find_range(q.rel))) return;
-            break;
-          case ReadQueryKind::kNullOccurrence:
-            // MayTouch still decides whether this write carries *this*
-            // null; the bucket only prunes null-free writes.
-            for (uint32_t i : null_write_scratch_) {
-              if (MayTouch(q, writes[i]) && fn(reader, q, writes[i])) return;
+          return false;
+        case ReadQueryKind::kMoreSpecific:
+          return offer_range(reader, q, find_range(q.rel));
+        case ReadQueryKind::kNullOccurrence:
+          for (uint32_t i : null_write_scratch_) {
+            if (CarriesNull(writes[i], q.null_value) &&
+                fn(reader, q, writes[i])) {
+              return true;
             }
-            break;
-        }
+          }
+          return false;
       }
+      return false;
     };
-    for (const RelRange& r : range_scratch_) {
-      auto rel_it = readers_by_relation_.find(r.rel);
-      if (rel_it == readers_by_relation_.end()) continue;
-      for (uint64_t reader : rel_it->second) visit_reader(reader);
+
+    size_t visited = 0;
+    const std::vector<ReadQueryRecord>* queries = nullptr;
+    uint64_t reader = 0;
+    bool doomed = false;
+    for (const Entry& e : candidates_scratch_) {
+      if (queries == nullptr || e.reader != reader) {
+        reader = e.reader;
+        queries = &logs_.find(reader)->second.queries;
+        doomed = false;
+      }
+      if (doomed) continue;
+      ++visited;
+      doomed = offer(reader, (*queries)[e.pos]);
     }
-    // Null-occurrence queries are not relation-indexed; look up the distinct
-    // nulls across the whole batch. Readers the relation pass already
-    // visited are skipped by the per-call visited set, and a visited
-    // reader's null queries were already offered there, so nothing is lost.
-    for (const Value& v : nulls_scratch_) {
-      auto it = readers_by_null_.find(v.id());
-      if (it == readers_by_null_.end()) continue;
-      for (uint64_t reader : it->second) visit_reader(reader);
-    }
+    return visited;
   }
 
   const std::vector<ReadQueryRecord>* QueriesOf(uint64_t update_number) const {
@@ -176,15 +194,56 @@ class ReadLog {
   size_t total_queries() const { return total_queries_; }
 
  private:
-  // Fast pre-filter: can `w` possibly affect `q`?
-  bool MayTouch(const ReadQueryRecord& q, const PhysicalWrite& w) const;
+  // One logged query in an index list: its reader, and its position in the
+  // reader's log.
+  struct Entry {
+    uint64_t reader;
+    uint32_t pos;
+
+    bool operator<(const Entry& o) const {
+      return reader != o.reader ? reader < o.reader : pos < o.pos;
+    }
+    bool operator==(const Entry& o) const {
+      return reader == o.reader && pos == o.pos;
+    }
+  };
+  // Index lists by relation id or null id.
+  using Index = std::unordered_map<uint64_t, std::vector<Entry>>;
+
+  // The entries of `index[key]` whose reader is numbered above `writer`.
+  static Span<const Entry> Above(const Index& index, uint64_t key,
+                                 uint64_t writer);
+
+  // Calls fn(index, key) for each list `q` is listed in.
+  template <typename Fn>
+  void ForEachListOf(const ReadQueryRecord& q, Fn&& fn) {
+    switch (q.kind) {
+      case ReadQueryKind::kViolation:
+        for (RelationId r :
+             (*tgds_)[static_cast<size_t>(q.tgd_id)].all_relations()) {
+          fn(by_relation_, r);
+        }
+        break;
+      case ReadQueryKind::kMoreSpecific:
+        fn(by_relation_, q.rel);
+        break;
+      case ReadQueryKind::kNullOccurrence:
+        fn(by_null_, q.null_value.id());
+        break;
+    }
+  }
+
+  static bool CarriesNull(const PhysicalWrite& w, const Value& null_value) {
+    return (!w.data.empty() && ContainsNull(w.data, null_value)) ||
+           (!w.old_data.empty() && ContainsNull(w.old_data, null_value));
+  }
 
   // Appends `data`'s labeled nulls to nulls_scratch_, distinct only (the
   // same null may occur several times in one tuple, and in both the old and
-  // new content of a modify; dedup is O(1) per null via null_ids_scratch_,
-  // keyed like readers_by_null_). Returns whether `data` held any null at
-  // all — even an already-gathered one — so the batch walk classifies
-  // null-carrying writes in the same pass.
+  // new content of a modify; dedup is O(1) per null via null_ids_scratch_).
+  // Returns whether `data` held any null at all — even an already-gathered
+  // one — so the batch walk classifies null-carrying writes in the same
+  // pass.
   bool GatherNulls(const TupleData& data) const {
     bool saw_null = false;
     for (const Value& v : data) {
@@ -206,13 +265,13 @@ class ReadLog {
   // Candidate-walk scratch, members so the hot per-step path allocates
   // nothing in steady state: distinct nulls of the call's writes, write
   // indices sorted by relation with their per-relation ranges, the
-  // null-carrying write indices, and the readers already visited.
+  // null-carrying write indices, and the merged candidate entries.
   mutable std::vector<Value> nulls_scratch_;
   mutable std::unordered_set<uint64_t> null_ids_scratch_;
   mutable std::vector<uint32_t> order_scratch_;
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;
-  mutable std::unordered_set<uint64_t> visited_scratch_;
+  mutable std::vector<Entry> candidates_scratch_;
   // One update's logged queries, in recording order, with their positions
   // by fingerprint (Record's dedup).
   struct UpdateLog {
@@ -220,9 +279,10 @@ class ReadLog {
     std::unordered_multimap<uint64_t, size_t> by_fingerprint;
   };
   std::unordered_map<uint64_t, UpdateLog> logs_;
-  std::unordered_map<RelationId, std::unordered_set<uint64_t>>
-      readers_by_relation_;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_by_null_;
+  // Emptied lists are dropped (null ids are never reused, so kept null
+  // lists would pile up).
+  Index by_relation_;
+  Index by_null_;
   size_t total_queries_ = 0;
 };
 

@@ -104,8 +104,7 @@ void Scheduler::StepOne(size_t slot_idx) {
     // of restarting it here (a restart would escape again).
     slots_[slot_idx].escaped = true;
     ++stats_.escaped_updates;
-    direct_scratch_.clear();
-    direct_scratch_.insert(number);
+    direct_scratch_.assign(1, number);
     CascadeFrom(direct_scratch_);
     return;
   }
@@ -131,15 +130,16 @@ void Scheduler::StepOne(size_t slot_idx) {
 
   // Algorithm 4: the step's writes are checked against the stored read
   // queries of higher-numbered updates; invalidated readers abort. The
-  // probe is batched over the whole write set: each candidate reader's log
-  // is walked once per step — not once per write — and a doomed reader's
-  // remaining queries are skipped. The walk offers a query's writes back
-  // to back, so each query is prepared once for all of them.
-  std::unordered_set<uint64_t>& direct = direct_scratch_;
+  // probe is batched over the whole write set: it visits only the queries
+  // listed under the step's relations or nulls, each once per step — not
+  // once per write — and skips a doomed reader's remaining queries. The
+  // walk offers a query's writes back to back, so each query is prepared
+  // once for all of them.
+  std::vector<uint64_t>& direct = direct_scratch_;
   direct.clear();
   for (const PhysicalWrite& w : res.writes) write_log_.Record(number, w);
   ConflictChecker::PreparedQuery prepared;
-  read_log_.ForEachCandidateBatch(
+  stats_.read_log_queries_scanned += read_log_.ForEachCandidateBatch(
       res.writes, number,
       [&](uint64_t reader, const ReadQueryRecord& q, const PhysicalWrite& w) {
         ++stats_.read_log_pairs_tested;
@@ -149,7 +149,7 @@ void Scheduler::StepOne(size_t slot_idx) {
         if (options_.metrics != nullptr) {
           options_.metrics->Add(DoomCauseCounter(q.kind));
         }
-        direct.insert(reader);
+        direct.push_back(reader);
         return true;  // doomed: stop probing this reader
       });
 
@@ -163,28 +163,28 @@ void Scheduler::StepOne(size_t slot_idx) {
   if (!direct.empty()) PerformAborts(direct);
 }
 
-void Scheduler::PerformAborts(const std::unordered_set<uint64_t>& direct) {
+void Scheduler::PerformAborts(const std::vector<uint64_t>& direct) {
   stats_.direct_conflict_aborts += direct.size();
   CascadeFrom(direct);
 }
 
-void Scheduler::CascadeFrom(const std::unordered_set<uint64_t>& direct) {
+void Scheduler::CascadeFrom(const std::vector<uint64_t>& roots) {
   // Consolidate: close the root set under cascading dependencies. Each
   // update requested for abort purely by cascade (not in direct conflict
   // with the just-performed writes) counts once per consolidation — the
   // paper's "cascading abort requests" metric; the scheduler acts only on
   // the consolidated set.
-  std::unordered_set<uint64_t> marked(direct.begin(), direct.end());
-  std::deque<uint64_t> queue(direct.begin(), direct.end());
+  std::set<uint64_t> marked(roots.begin(), roots.end());
+  std::vector<uint64_t> pending(roots.begin(), roots.end());
   auto request = [&](uint64_t m) {
     if (marked.insert(m).second) {
-      ++stats_.cascading_abort_requests;  // m is never in `direct` here
-      queue.push_back(m);
+      ++stats_.cascading_abort_requests;  // m is never a root here
+      pending.push_back(m);
     }
   };
-  while (!queue.empty()) {
-    const uint64_t i = queue.front();
-    queue.pop_front();
+  while (!pending.empty()) {
+    const uint64_t i = pending.back();
+    pending.pop_back();
     if (tracker_.kind() == TrackerKind::kNaive) {
       // Strawman: request an abort of every live update numbered above i.
       for (auto it = active_numbers_.upper_bound(i);
@@ -196,15 +196,22 @@ void Scheduler::CascadeFrom(const std::unordered_set<uint64_t>& direct) {
         request(*it);
       }
     } else {
-      for (uint64_t m : tracker_.ReadersOf(i)) request(m);
+      stats_.cascade_marks_scanned +=
+          tracker_.ReadersOf(i, write_log_, &readers_scratch_);
+      for (uint64_t m : readers_scratch_) request(m);
     }
   }
 
-  if (options_.metrics != nullptr && marked.size() > direct.size()) {
+  if (options_.metrics != nullptr && marked.size() > roots.size()) {
     options_.metrics->Add(obs::Counter::kDoomCascade,
-                          marked.size() - direct.size());
+                          marked.size() - roots.size());
   }
-  for (uint64_t number : marked) AbortOne(number);
+  // Restart youngest first: the fresh numbers go out in descending order of
+  // the old ones, so the lowest-numbered member, always a root, restarts
+  // last and highest. A fixed rule, so the new numbers (and every count
+  // after them) depend on the closure alone, not on the order in which the
+  // read-log walk or the tracker found its members.
+  for (auto it = marked.rbegin(); it != marked.rend(); ++it) AbortOne(*it);
 }
 
 void Scheduler::AbortOne(uint64_t number) {

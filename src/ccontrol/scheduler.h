@@ -7,7 +7,6 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ccontrol/conflict.h"
@@ -71,10 +70,13 @@ struct SchedulerStats {
   uint64_t escaped_updates = 0;
 
   // Retroactive-check work, deterministic: logged writes the dependency
-  // tracker tested against a read query, and (query, write) pairs the
-  // read-log batch walk handed to a conflict test.
+  // tracker tested against a read query, (query, write) pairs the read-log
+  // batch walk handed to a conflict test, logged queries that walk visited,
+  // and relation marks COARSE read to close cascades.
   uint64_t tracker_writes_tested = 0;
   uint64_t read_log_pairs_tested = 0;
+  uint64_t read_log_queries_scanned = 0;
+  uint64_t cascade_marks_scanned = 0;
 
   // Pool-level merge (the ingest pipeline sums worker-local and
   // cross-shard engine stats into one report).
@@ -92,6 +94,8 @@ struct SchedulerStats {
     escaped_updates += other.escaped_updates;
     tracker_writes_tested += other.tracker_writes_tested;
     read_log_pairs_tested += other.read_log_pairs_tested;
+    read_log_queries_scanned += other.read_log_queries_scanned;
+    cascade_marks_scanned += other.cascade_marks_scanned;
   }
 };
 
@@ -103,8 +107,8 @@ struct SchedulerStats {
 // of higher-numbered updates; any invalidated reader is aborted, together —
 // per the configured DependencyTracker — with the updates that read from it.
 // Abort information is consolidated per scheduling round and executed once
-// control returns to the scheduler; aborted updates restart under a fresh
-// (highest) number, MVTO-style. An update commits — and its read/write logs
+// control returns to the scheduler; aborted updates restart under fresh
+// (highest) numbers, youngest first, MVTO-style. An update commits — and its read/write logs
 // are pruned — once every lower-numbered update has finished, since nothing
 // can invalidate it anymore.
 //
@@ -186,10 +190,11 @@ class Scheduler {
   };
 
   void StepOne(size_t slot_idx);
-  void PerformAborts(const std::unordered_set<uint64_t>& direct);
-  // Closes `roots` under cascading dependencies and aborts the closure
-  // (shared by direct-conflict aborts and footprint escapes).
-  void CascadeFrom(const std::unordered_set<uint64_t>& roots);
+  void PerformAborts(const std::vector<uint64_t>& direct);
+  // Closes `roots` (distinct numbers) under cascading dependencies and
+  // aborts the closure, youngest first (shared by direct-conflict aborts and
+  // footprint escapes).
+  void CascadeFrom(const std::vector<uint64_t>& roots);
   void AbortOne(uint64_t number);
   void TryCommit();
   void EnqueueSlot(size_t slot_idx);
@@ -207,9 +212,11 @@ class Scheduler {
   ReadLog read_log_;
   WriteLog write_log_;
   DependencyTracker tracker_;
-  // Per-step direct-conflict set, a member so StepOne allocates nothing in
-  // steady state.
-  std::unordered_set<uint64_t> direct_scratch_;
+  // Per-step doomed readers (each once), a member so StepOne allocates
+  // nothing in steady state.
+  std::vector<uint64_t> direct_scratch_;
+  // CascadeFrom's readers of one closure member.
+  std::vector<uint64_t> readers_scratch_;
 
   std::vector<Slot> slots_;
   std::unordered_map<uint64_t, size_t> slot_by_number_;

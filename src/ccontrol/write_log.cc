@@ -16,6 +16,20 @@ Span<const WriteLog::Entry> WriteLog::Below(const Index& index, uint64_t key,
                            static_cast<size_t>(end - entries.begin()));
 }
 
+Span<const WriteLog::Entry> WriteLog::WritesBy(uint64_t writer,
+                                               RelationId rel) const {
+  auto it = by_relation_.find(rel);
+  if (it == by_relation_.end()) return {};
+  const std::vector<Entry>& entries = it->second;
+  const auto lo = std::partition_point(
+      entries.begin(), entries.end(),
+      [&](const Entry& e) { return e.writer < writer; });
+  const auto hi = std::partition_point(
+      lo, entries.end(), [&](const Entry& e) { return e.writer == writer; });
+  return Span<const Entry>(entries.data() + (lo - entries.begin()),
+                           static_cast<size_t>(hi - lo));
+}
+
 template <typename Fn>
 void WriteLog::ForEachDistinctNull(const PhysicalWrite& w, Fn&& fn) {
   nulls_scratch_.clear();
@@ -35,7 +49,7 @@ void WriteLog::ForEachDistinctNull(const PhysicalWrite& w, Fn&& fn) {
 void WriteLog::Record(uint64_t update_number, const PhysicalWrite& w) {
   std::vector<PhysicalWrite>& writes = writes_by_update_[update_number];
   writes.push_back(w);
-  const Entry entry{update_number, &writes,
+  const Entry entry{update_number, next_seq_++, &writes,
                     static_cast<uint32_t>(writes.size() - 1)};
   // After the writer's earlier writes, before any higher writer's.
   auto list = [&](std::vector<Entry>& entries) {

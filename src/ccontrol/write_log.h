@@ -22,14 +22,19 @@ namespace youtopia {
 //     updates numbered below r to the query's relations (WritesTo) or
 //     carrying its null (WritesCarrying): each index list is ordered by
 //     writer number, then log order, so those writes are a prefix of it.
+// Every logged write is stamped with a log-wide sequence number, so "was
+// w's first write to R logged before this read?" is one comparison: the
+// first entry of w's run in R's list (WritesBy) against seq() at the read.
 // An update stops paying once it commits (EraseUpdate is called by the
 // scheduler when every lower-numbered update has finished) or aborts.
 class WriteLog {
  public:
-  // One logged write in an index list: its writer, and the write itself,
-  // reached through the writer's list without a lookup.
+  // One logged write in an index list: its writer, its sequence number,
+  // and the write itself, reached through the writer's list without a
+  // lookup.
   struct Entry {
     uint64_t writer;
+    uint64_t seq;
     const std::vector<PhysicalWrite>* writes;
     uint32_t index;
 
@@ -51,6 +56,14 @@ class WriteLog {
   Span<const Entry> WritesTo(RelationId rel, uint64_t before) const {
     return Below(by_relation_, rel, before);
   }
+
+  // The logged writes of `writer` to `rel`, in log order (empty when none).
+  // Valid until the log next changes.
+  Span<const Entry> WritesBy(uint64_t writer, RelationId rel) const;
+
+  // The sequence number the next logged write gets: every write logged so
+  // far has a lower one.
+  uint64_t seq() const { return next_seq_; }
 
   // The logged writes whose old or new content carries labeled null
   // `null`, by updates numbered below `before`, ordered like WritesTo. A
@@ -85,6 +98,7 @@ class WriteLog {
   Index by_null_;
   // ForEachDistinctNull's dedup scratch.
   std::vector<uint64_t> nulls_scratch_;
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace youtopia

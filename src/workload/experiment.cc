@@ -21,6 +21,9 @@ void CellStats::Accumulate(const SchedulerStats& s, double seconds) {
   failed += static_cast<double>(s.updates_failed);
   tracker_writes_tested += static_cast<double>(s.tracker_writes_tested);
   read_log_pairs_tested += static_cast<double>(s.read_log_pairs_tested);
+  read_log_queries_scanned +=
+      static_cast<double>(s.read_log_queries_scanned);
+  cascade_marks_scanned += static_cast<double>(s.cascade_marks_scanned);
 }
 
 void CellStats::FinishAveraging() {
@@ -35,6 +38,8 @@ void CellStats::FinishAveraging() {
   failed /= n;
   tracker_writes_tested /= n;
   read_log_pairs_tested /= n;
+  read_log_queries_scanned /= n;
+  cascade_marks_scanned /= n;
 }
 
 double ExperimentResult::SlowdownOfPrecise(size_t mapping_index) const {

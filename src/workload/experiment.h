@@ -76,6 +76,8 @@ struct CellStats {
   double failed = 0;
   double tracker_writes_tested = 0;
   double read_log_pairs_tested = 0;
+  double read_log_queries_scanned = 0;
+  double cascade_marks_scanned = 0;
 
   void Accumulate(const SchedulerStats& s, double seconds);
   void FinishAveraging();

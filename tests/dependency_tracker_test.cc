@@ -16,6 +16,24 @@ namespace {
 
 using testing_util::Figure2;
 
+// The distinct readers ReadersOf names for `writer`.
+std::set<uint64_t> Readers(const DependencyTracker& tracker, uint64_t writer,
+                           const WriteLog& wlog) {
+  std::vector<uint64_t> readers;
+  tracker.ReadersOf(writer, wlog, &readers);
+  return std::set<uint64_t>(readers.begin(), readers.end());
+}
+
+// The (writer, reader) edges ReadersOf names for writers 1..max_writer.
+size_t EdgeCount(const DependencyTracker& tracker, const WriteLog& wlog,
+                 uint64_t max_writer) {
+  size_t edges = 0;
+  for (uint64_t writer = 1; writer <= max_writer; ++writer) {
+    edges += Readers(tracker, writer, wlog).size();
+  }
+  return edges;
+}
+
 class DependencyTrackerTest : public ::testing::Test {
  protected:
   PhysicalWrite Insert(RelationId rel, TupleData data) {
@@ -38,8 +56,7 @@ TEST_F(DependencyTrackerTest, NaiveTracksNothing) {
                   {ReadQueryRecord::Violation(
                       2, true, 1, fig_.Row({"Geneva Winery", "Q", "S"}))},
                   wlog_);
-  EXPECT_EQ(tracker.num_edges(), 0u);
-  EXPECT_TRUE(tracker.ReadersOf(1).empty());
+  EXPECT_TRUE(Readers(tracker, 1, wlog_).empty());
 }
 
 TEST_F(DependencyTrackerTest, CoarseUsesRelationGranularity) {
@@ -54,8 +71,8 @@ TEST_F(DependencyTrackerTest, CoarseUsesRelationGranularity) {
                   {ReadQueryRecord::Violation(
                       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))},
                   wlog_);
-  EXPECT_EQ(tracker.ReadersOf(1).count(5), 1u);
-  EXPECT_EQ(tracker.ReadersOf(2).count(5), 0u);
+  EXPECT_EQ(Readers(tracker, 1, wlog_).count(5), 1u);
+  EXPECT_EQ(Readers(tracker, 2, wlog_).count(5), 0u);
 }
 
 TEST_F(DependencyTrackerTest, PreciseRequiresActualInfluence) {
@@ -68,8 +85,8 @@ TEST_F(DependencyTrackerTest, PreciseRequiresActualInfluence) {
                   {ReadQueryRecord::Violation(
                       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))},
                   wlog_);
-  EXPECT_EQ(tracker.ReadersOf(1).count(5), 1u);
-  EXPECT_EQ(tracker.ReadersOf(2).count(5), 0u);
+  EXPECT_EQ(Readers(tracker, 1, wlog_).count(5), 1u);
+  EXPECT_EQ(Readers(tracker, 2, wlog_).count(5), 0u);
 }
 
 TEST_F(DependencyTrackerTest, PreciseSubsetOfCoarse) {
@@ -90,13 +107,13 @@ TEST_F(DependencyTrackerTest, PreciseSubsetOfCoarse) {
   coarse.OnReads(snap, 9, reads, wlog_);
   precise.OnReads(snap, 9, reads, wlog_);
   for (uint64_t writer = 1; writer <= 4; ++writer) {
-    for (uint64_t reader : precise.ReadersOf(writer)) {
-      EXPECT_EQ(coarse.ReadersOf(writer).count(reader), 1u)
+    for (uint64_t reader : Readers(precise, writer, wlog_)) {
+      EXPECT_EQ(Readers(coarse, writer, wlog_).count(reader), 1u)
           << "PRECISE found a dependency COARSE missed (writer " << writer
           << ")";
     }
   }
-  EXPECT_LE(precise.num_edges(), coarse.num_edges());
+  EXPECT_LE(EdgeCount(precise, wlog_, 4), EdgeCount(coarse, wlog_, 4));
 }
 
 TEST_F(DependencyTrackerTest, CorrectionQueriesExactInBothModes) {
@@ -113,8 +130,8 @@ TEST_F(DependencyTrackerTest, CorrectionQueriesExactInBothModes) {
                     {ReadQueryRecord::MoreSpecific(fig_.C,
                                                    {fig_.Const("NYC")})},
                     wlog);
-    EXPECT_EQ(tracker.ReadersOf(1).count(9), 1u);
-    EXPECT_EQ(tracker.ReadersOf(2).count(9), 0u);
+    EXPECT_EQ(Readers(tracker, 1, wlog).count(9), 1u);
+    EXPECT_EQ(Readers(tracker, 2, wlog).count(9), 0u);
     (void)n;
   }
 }
@@ -128,7 +145,7 @@ TEST_F(DependencyTrackerTest, OnlyLowerNumberedWritersCount) {
                   {ReadQueryRecord::Violation(
                       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))},
                   wlog_);
-  EXPECT_TRUE(tracker.ReadersOf(7).empty());
+  EXPECT_TRUE(Readers(tracker, 7, wlog_).empty());
 }
 
 TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
@@ -139,14 +156,32 @@ TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))};
   tracker.OnReads(snap, 5, reads, wlog_);
   tracker.OnReads(snap, 6, reads, wlog_);
-  EXPECT_EQ(tracker.num_edges(), 2u);
+  EXPECT_EQ(Readers(tracker, 1, wlog_), (std::set<uint64_t>{5, 6}));
   // Erase the reader: writer's set shrinks.
   tracker.EraseUpdate(5);
-  EXPECT_EQ(tracker.num_edges(), 1u);
-  EXPECT_EQ(tracker.ReadersOf(1).count(5), 0u);
-  // Erase the writer: everything gone.
+  EXPECT_EQ(Readers(tracker, 1, wlog_), (std::set<uint64_t>{6}));
+  // Erase the writer, from the log and the tracker as the scheduler does:
+  // everything gone.
+  wlog_.EraseUpdate(1);
   tracker.EraseUpdate(1);
-  EXPECT_EQ(tracker.num_edges(), 0u);
+  EXPECT_TRUE(Readers(tracker, 1, wlog_).empty());
+}
+
+TEST_F(DependencyTrackerTest, CoarseLinksOnlyWritesLoggedBeforeTheRead) {
+  // Reader 5 reads sigma3's relations (A, T, R) before update 1 writes T:
+  // 5 read nothing 1 wrote, so no edge, until 5 reads the relations again.
+  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds);
+  Snapshot snap(&fig_.db, kReadLatest);
+  const std::vector<ReadQueryRecord> reads{ReadQueryRecord::Violation(
+      2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))};
+  tracker.OnReads(snap, 5, reads, wlog_);
+  wlog_.Record(1, Insert(fig_.T, fig_.Row({"Z", "Q", "S"})));
+  EXPECT_TRUE(Readers(tracker, 1, wlog_).empty());
+  tracker.OnReads(snap, 5, reads, wlog_);
+  EXPECT_EQ(Readers(tracker, 1, wlog_), (std::set<uint64_t>{5}));
+  // A later write of 1's to a relation 5 read leaves the edge in place.
+  wlog_.Record(1, Insert(fig_.A, fig_.Row({"Y", "Z"})));
+  EXPECT_EQ(Readers(tracker, 1, wlog_), (std::set<uint64_t>{5}));
 }
 
 TEST_F(DependencyTrackerTest, TestsOnlyLowerNumberedWritesThatCanConflict) {
@@ -181,40 +216,42 @@ TEST_F(DependencyTrackerTest, TestsOnlyLowerNumberedWritesThatCanConflict) {
                                 fig_.Row({"Geneva", "Geneva Winery"}))},
                             wlog_),
             3u);
-  EXPECT_EQ(tracker.num_edges(), 0u);
+  EXPECT_EQ(EdgeCount(tracker, wlog_, 12), 0u);
   // C(Ithaca): the C writes of 1 and 3; neither is more specific.
   EXPECT_EQ(tracker.OnReads(snap, 10,
                             {ReadQueryRecord::MoreSpecific(
                                 fig_.C, fig_.Row({"Ithaca"}))},
                             wlog_),
             2u);
-  EXPECT_EQ(tracker.num_edges(), 0u);
+  EXPECT_EQ(EdgeCount(tracker, wlog_, 12), 0u);
   // Null n: the writes of 2, 6 and 7 carry it (7's modify, in both
   // contents, once), and each links its writer.
   EXPECT_EQ(tracker.OnReads(snap, 10, {ReadQueryRecord::NullOccurrence(n)},
                             wlog_),
             3u);
-  EXPECT_EQ(tracker.num_edges(), 3u);
+  EXPECT_EQ(EdgeCount(tracker, wlog_, 12), 3u);
   for (uint64_t writer : {2, 6, 7}) {
-    EXPECT_EQ(tracker.ReadersOf(writer).count(10), 1u) << writer;
+    EXPECT_EQ(Readers(tracker, writer, wlog_).count(10), 1u) << writer;
   }
 }
 
 TEST_F(DependencyTrackerTest, EdgesMatchReferenceScanOnRandomLogs) {
   // The trackers walk only the writes the log's indexes name for a query
   // (on its relations or carrying its null, by writers numbered below the
-  // reader). A reference scan
-  // over every logged write must find exactly the same edges, for both
-  // trackers, on random logs with inserts, deletes, modifies and erases.
-  // Each reader poses one query, so no query's edges hide behind
-  // another's.
+  // reader), and COARSE works its violation edges out from relation marks
+  // at ReadersOf time. A reference that links, at each read, every writer
+  // then logged below the reader whose write hits the query must find
+  // exactly the same edges, for both trackers, on random interleavings of
+  // inserts, deletes and modifies, reads, and erases. An erased number is
+  // retired, as the scheduler never reuses one.
   const std::vector<RelationId> rels{fig_.C, fig_.S, fig_.A, fig_.T,
                                      fig_.R, fig_.V, fig_.E};
   const std::vector<Value> constants{
       fig_.Const("Geneva Winery"), fig_.Const("Geneva"), fig_.Const("XYZ"),
       fig_.Const("Syracuse"), fig_.Const("Science Conf")};
-  constexpr uint64_t kWriters = 16;
+  constexpr uint64_t kUpdates = 24;
   size_t precise_violation_hits = 0;  // the fixture exercises PRECISE checks
+  size_t coarse_late_writes = 0;      // writes logged after a reader's read
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     auto tuple_for = [&](RelationId rel) {
@@ -225,100 +262,123 @@ TEST_F(DependencyTrackerTest, EdgesMatchReferenceScanOnRandomLogs) {
       }
       return t;
     };
-    WriteLog wlog;
-    std::vector<std::pair<uint64_t, PhysicalWrite>> all_writes;
-    for (int i = 0; i < 60; ++i) {
-      PhysicalWrite w;
-      w.rel = rels[rng.Uniform(rels.size())];
-      w.kind = static_cast<WriteKind>(rng.Uniform(3));
-      if (w.kind != WriteKind::kDelete) w.data = tuple_for(w.rel);
-      if (w.kind != WriteKind::kInsert) w.old_data = tuple_for(w.rel);
-      const uint64_t writer = 1 + rng.Uniform(kWriters);
-      wlog.Record(writer, w);
-      all_writes.push_back({writer, std::move(w)});
-    }
-    for (int i = 0; i < 3; ++i) {
-      const uint64_t gone = 1 + rng.Uniform(kWriters);
-      wlog.EraseUpdate(gone);
-      all_writes.erase(
-          std::remove_if(all_writes.begin(), all_writes.end(),
-                         [&](const auto& e) { return e.first == gone; }),
-          all_writes.end());
-    }
-
-    for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
-      DependencyTracker tracker(kind, &fig_.tgds);
-      ConflictChecker checker(&fig_.tgds);
-      std::set<std::pair<uint64_t, uint64_t>> expected;  // (writer, reader)
-      for (uint64_t reader = 2; reader <= kWriters + 8; ++reader) {
-        const int tgd_id = static_cast<int>(rng.Uniform(fig_.tgds.size()));
-        const Tgd& tgd = fig_.tgds[static_cast<size_t>(tgd_id)];
-        ReadQueryRecord q;
-        switch (rng.Uniform(4)) {
-          case 0:
-          case 1: {
-            const bool lhs = rng.Chance(0.5);
-            const auto& atoms = lhs ? tgd.lhs().atoms : tgd.rhs().atoms;
-            const size_t atom = rng.Uniform(atoms.size());
-            q = ReadQueryRecord::Violation(tgd_id, lhs, atom,
-                                           tuple_for(atoms[atom].rel));
-            break;
-          }
-          case 2: {
-            const RelationId rel = rels[rng.Uniform(rels.size())];
-            q = ReadQueryRecord::MoreSpecific(rel, tuple_for(rel));
-            break;
-          }
-          default:
-            q = ReadQueryRecord::NullOccurrence(rng.Chance(0.5) ? fig_.x1
-                                                                : fig_.x2);
+    auto random_query = [&]() {
+      const int tgd_id = static_cast<int>(rng.Uniform(fig_.tgds.size()));
+      const Tgd& tgd = fig_.tgds[static_cast<size_t>(tgd_id)];
+      switch (rng.Uniform(4)) {
+        case 0:
+        case 1: {
+          const bool lhs = rng.Chance(0.5);
+          const auto& atoms = lhs ? tgd.lhs().atoms : tgd.rhs().atoms;
+          const size_t atom = rng.Uniform(atoms.size());
+          return ReadQueryRecord::Violation(tgd_id, lhs, atom,
+                                            tuple_for(atoms[atom].rel));
         }
-        const Snapshot snap(&fig_.db, reader);
-        tracker.OnReads(snap, reader, {q}, wlog);
-        for (const auto& [writer, w] : all_writes) {
-          if (writer >= reader) continue;
-          bool hits = false;
+        case 2: {
+          const RelationId rel = rels[rng.Uniform(rels.size())];
+          return ReadQueryRecord::MoreSpecific(rel, tuple_for(rel));
+        }
+        default:
+          return ReadQueryRecord::NullOccurrence(rng.Chance(0.5) ? fig_.x1
+                                                                 : fig_.x2);
+      }
+    };
+
+    WriteLog wlog;
+    DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds);
+    DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds);
+    ConflictChecker checker(&fig_.tgds);
+    std::vector<std::pair<uint64_t, PhysicalWrite>> logged;
+    std::set<uint64_t> retired;
+    // (writer, reader) per tracker.
+    std::set<std::pair<uint64_t, uint64_t>> want_coarse;
+    std::set<std::pair<uint64_t, uint64_t>> want_precise;
+    std::set<uint64_t> readers_so_far;
+    for (int op = 0; op < 240; ++op) {
+      const uint64_t u = 1 + rng.Uniform(kUpdates);
+      if (retired.count(u) > 0) continue;
+      const uint64_t dice = rng.Uniform(20);
+      if (dice < 9) {
+        PhysicalWrite w;
+        w.rel = rels[rng.Uniform(rels.size())];
+        w.kind = static_cast<WriteKind>(rng.Uniform(3));
+        if (w.kind != WriteKind::kDelete) w.data = tuple_for(w.rel);
+        if (w.kind != WriteKind::kInsert) w.old_data = tuple_for(w.rel);
+        for (uint64_t r : readers_so_far) coarse_late_writes += r > u ? 1 : 0;
+        wlog.Record(u, w);
+        logged.push_back({u, std::move(w)});
+      } else if (dice < 19) {
+        const ReadQueryRecord q = random_query();
+        const Snapshot snap(&fig_.db, u);
+        coarse.OnReads(snap, u, {q}, wlog);
+        precise.OnReads(snap, u, {q}, wlog);
+        readers_so_far.insert(u);
+        for (const auto& [writer, w] : logged) {
+          if (writer >= u) continue;
+          bool coarse_hit = false;
+          bool precise_hit = false;
           switch (q.kind) {
             case ReadQueryKind::kViolation: {
-              const auto& tgd_rels = tgd.all_relations();
-              hits = kind == TrackerKind::kCoarse
-                         ? std::find(tgd_rels.begin(), tgd_rels.end(),
-                                     w.rel) != tgd_rels.end()
-                         : checker.Conflicts(snap, w, q);
-              if (kind == TrackerKind::kPrecise && hits) {
-                ++precise_violation_hits;
-              }
+              const auto& tgd_rels =
+                  fig_.tgds[static_cast<size_t>(q.tgd_id)].all_relations();
+              coarse_hit = std::find(tgd_rels.begin(), tgd_rels.end(),
+                                     w.rel) != tgd_rels.end();
+              precise_hit = checker.Conflicts(snap, w, q);
+              precise_violation_hits += precise_hit ? 1 : 0;
               break;
             }
             case ReadQueryKind::kMoreSpecific:
-              hits = w.rel == q.rel &&
-                     ((!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
-                      (!w.old_data.empty() &&
-                       IsMoreSpecific(w.old_data, q.tuple)));
+              coarse_hit = precise_hit =
+                  w.rel == q.rel &&
+                  ((!w.data.empty() && IsMoreSpecific(w.data, q.tuple)) ||
+                   (!w.old_data.empty() &&
+                    IsMoreSpecific(w.old_data, q.tuple)));
               break;
             case ReadQueryKind::kNullOccurrence:
-              hits = (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
-                     (!w.old_data.empty() &&
-                      ContainsNull(w.old_data, q.null_value));
+              coarse_hit = precise_hit =
+                  (!w.data.empty() && ContainsNull(w.data, q.null_value)) ||
+                  (!w.old_data.empty() &&
+                   ContainsNull(w.old_data, q.null_value));
               break;
           }
-          if (hits) expected.insert({writer, reader});
+          if (coarse_hit) want_coarse.insert({writer, u});
+          if (precise_hit) want_precise.insert({writer, u});
+        }
+      } else {
+        // Commit or abort: the scheduler erases the number everywhere.
+        wlog.EraseUpdate(u);
+        coarse.EraseUpdate(u);
+        precise.EraseUpdate(u);
+        retired.insert(u);
+        logged.erase(
+            std::remove_if(logged.begin(), logged.end(),
+                           [&](const auto& e) { return e.first == u; }),
+            logged.end());
+        for (auto* want : {&want_coarse, &want_precise}) {
+          for (auto it = want->begin(); it != want->end();) {
+            it = it->first == u || it->second == u ? want->erase(it)
+                                                   : std::next(it);
+          }
         }
       }
-      for (uint64_t writer = 1; writer <= kWriters; ++writer) {
-        const auto& readers = tracker.ReadersOf(writer);
-        std::set<uint64_t> want;
-        for (const auto& [w, r] : expected) {
-          if (w == writer) want.insert(r);
+    }
+
+    for (const auto& [tracker, want] :
+         {std::make_pair(&coarse, &want_coarse),
+          std::make_pair(&precise, &want_precise)}) {
+      for (uint64_t writer = 1; writer <= kUpdates; ++writer) {
+        std::set<uint64_t> expected;
+        for (const auto& [w, r] : *want) {
+          if (w == writer) expected.insert(r);
         }
-        EXPECT_EQ(std::set<uint64_t>(readers.begin(), readers.end()), want)
-            << TrackerKindName(kind) << " seed " << seed << " writer "
-            << writer;
+        EXPECT_EQ(Readers(*tracker, writer, wlog), expected)
+            << TrackerKindName(tracker->kind()) << " seed " << seed
+            << " writer " << writer;
       }
-      EXPECT_EQ(tracker.num_edges(), expected.size());
     }
   }
   EXPECT_GT(precise_violation_hits, 0u);
+  EXPECT_GT(coarse_late_writes, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -12,6 +14,7 @@
 #include "ccontrol/conflict.h"
 #include "ccontrol/write_log.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace youtopia {
 namespace {
@@ -201,6 +204,159 @@ TEST_F(ReadLogTest, MultipleReadersSameRelation) {
   }
   EXPECT_EQ(CountCandidates(Insert(fig_.C, fig_.Row({"NYC"})), 1), 5u);
   EXPECT_EQ(CountCandidates(Insert(fig_.C, fig_.Row({"NYC"})), 7), 2u);
+}
+
+// One offer of a batch walk: the reader, the query's position in the
+// reader's log, and the write's index in the batch.
+using Offer = std::tuple<uint64_t, size_t, size_t>;
+using OffersByReader = std::map<uint64_t, std::vector<Offer>>;
+
+TEST_F(ReadLogTest, IndexedWalkMatchesWholeLogScanOnRandomLogs) {
+  // The reference is the whole-log walk the index lists replaced: every
+  // live reader above the writer, each of its queries in log order, each
+  // query offered the batch's writes that can touch it — a violation query
+  // the writes to each relation of its tgd (tgd relation order, then batch
+  // order), a more-specific query the writes to its relation, a
+  // null-occurrence query the writes carrying its null. The indexed walk
+  // must offer the same (reader, query, write) triples in the same order
+  // within each reader, stop a doomed reader at the same triple, and report
+  // the queries it visited.
+  const std::vector<RelationId> rels{fig_.C, fig_.S, fig_.A, fig_.T,
+                                     fig_.R, fig_.V, fig_.E};
+  const std::vector<Value> nulls{fig_.x1, fig_.x2, fig_.db.FreshNull(),
+                                 fig_.db.FreshNull()};
+  const std::vector<Value> constants{fig_.Const("Geneva"),
+                                     fig_.Const("Geneva Winery"),
+                                     fig_.Const("XYZ"), fig_.Const("Syracuse")};
+  constexpr uint64_t kReaders = 20;
+  size_t offers_seen = 0;
+  size_t dooms_seen = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    auto tuple_for = [&](RelationId rel) {
+      TupleData t;
+      for (size_t c = 0; c < fig_.db.relation(rel).arity(); ++c) {
+        t.push_back(rng.Chance(0.2) ? nulls[rng.Uniform(nulls.size())]
+                                    : constants[rng.Uniform(constants.size())]);
+      }
+      return t;
+    };
+    ReadLog log(&fig_.tgds);
+    std::set<uint64_t> readers;
+    for (int i = 0; i < 160; ++i) {
+      const uint64_t u = 1 + rng.Uniform(kReaders);
+      if (rng.Chance(0.04)) {
+        log.EraseUpdate(u);
+        readers.erase(u);
+        continue;
+      }
+      const int tgd_id = static_cast<int>(rng.Uniform(fig_.tgds.size()));
+      const Tgd& tgd = fig_.tgds[static_cast<size_t>(tgd_id)];
+      switch (rng.Uniform(3)) {
+        case 0: {
+          const bool lhs = rng.Chance(0.5);
+          const auto& atoms = lhs ? tgd.lhs().atoms : tgd.rhs().atoms;
+          const size_t atom = rng.Uniform(atoms.size());
+          log.Record(u, ReadQueryRecord::Violation(tgd_id, lhs, atom,
+                                                   tuple_for(atoms[atom].rel)));
+          break;
+        }
+        case 1: {
+          const RelationId rel = rels[rng.Uniform(rels.size())];
+          log.Record(u, ReadQueryRecord::MoreSpecific(rel, tuple_for(rel)));
+          break;
+        }
+        default:
+          log.Record(u, ReadQueryRecord::NullOccurrence(
+                            nulls[rng.Uniform(nulls.size())]));
+      }
+      readers.insert(u);
+    }
+    std::vector<PhysicalWrite> batch;
+    for (size_t n = 1 + rng.Uniform(6); batch.size() < n;) {
+      PhysicalWrite w;
+      w.rel = rels[rng.Uniform(rels.size())];
+      w.kind = static_cast<WriteKind>(rng.Uniform(3));
+      if (w.kind != WriteKind::kDelete) w.data = tuple_for(w.rel);
+      if (w.kind != WriteKind::kInsert) w.old_data = tuple_for(w.rel);
+      batch.push_back(std::move(w));
+    }
+    const uint64_t writer = 1 + rng.Uniform(kReaders);
+    auto carries = [](const PhysicalWrite& w, const Value& null_value) {
+      return ContainsNull(w.data, null_value) ||
+             ContainsNull(w.old_data, null_value);
+    };
+    // A fixed pseudo-random choice of the offers that doom their reader.
+    auto dooms = [](const Offer& o) {
+      return (std::get<0>(o) * 31 + std::get<1>(o) * 7 + std::get<2>(o)) %
+                 5 ==
+             0;
+    };
+
+    for (bool dooming : {false, true}) {
+      OffersByReader got;
+      const size_t visited = log.ForEachCandidateBatch(
+          batch, writer,
+          [&](uint64_t reader, const ReadQueryRecord& q,
+              const PhysicalWrite& w) {
+            const Offer o{reader,
+                          static_cast<size_t>(&q - log.QueriesOf(reader)->data()),
+                          static_cast<size_t>(&w - batch.data())};
+            got[reader].push_back(o);
+            return dooming && dooms(o);
+          });
+
+      OffersByReader want;
+      size_t want_visited = 0;
+      for (uint64_t reader : readers) {
+        if (reader <= writer) continue;
+        const std::vector<ReadQueryRecord>& queries = *log.QueriesOf(reader);
+        std::vector<Offer> offers;
+        bool doomed = false;
+        for (size_t pos = 0; pos < queries.size() && !doomed; ++pos) {
+          const ReadQueryRecord& q = queries[pos];
+          std::vector<size_t> offered;
+          auto to_rel = [&](RelationId rel) {
+            for (size_t k = 0; k < batch.size(); ++k) {
+              if (batch[k].rel == rel) offered.push_back(k);
+            }
+          };
+          switch (q.kind) {
+            case ReadQueryKind::kViolation:
+              for (RelationId rel :
+                   fig_.tgds[static_cast<size_t>(q.tgd_id)].all_relations()) {
+                to_rel(rel);
+              }
+              break;
+            case ReadQueryKind::kMoreSpecific:
+              to_rel(q.rel);
+              break;
+            case ReadQueryKind::kNullOccurrence:
+              for (size_t k = 0; k < batch.size(); ++k) {
+                if (carries(batch[k], q.null_value)) offered.push_back(k);
+              }
+              break;
+          }
+          if (!offered.empty()) ++want_visited;
+          for (size_t k : offered) {
+            const Offer o{reader, pos, k};
+            offers.push_back(o);
+            if (dooming && dooms(o)) {
+              doomed = true;
+              ++dooms_seen;
+              break;
+            }
+          }
+        }
+        offers_seen += offers.size();
+        if (!offers.empty()) want[reader] = std::move(offers);
+      }
+      EXPECT_EQ(got, want) << "seed " << seed << " dooming " << dooming;
+      EXPECT_EQ(visited, want_visited) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(offers_seen, 0u);
+  EXPECT_GT(dooms_seen, 0u);
 }
 
 // The distinct writers of `rel`, read off its index list.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "relational/isomorphism.h"
 #include "test_util.h"
 
@@ -180,6 +183,82 @@ TEST(SchedulerTest, AbortedUpdateRestartsWithHigherNumber) {
   const Update* redone = sched.FindUpdate(3);
   ASSERT_NE(redone, nullptr);
   EXPECT_GE(redone->attempts(), 2u);
+}
+
+// The final number each committed op's content was committed under, keyed
+// by the op's first value.
+std::map<std::string, uint64_t> CommittedNumbers(const Figure2& fig,
+                                                 const Scheduler& sched) {
+  std::map<std::string, uint64_t> numbers;
+  for (const auto& [number, op] : sched.CommittedOpsWithNumbers()) {
+    const std::string key =
+        op.data.empty() ? "delete"
+                        : std::string(fig.db.symbols().Text(op.data[1]));
+    numbers[key] = number;
+  }
+  return numbers;
+}
+
+TEST(SchedulerTest, CascadeRestartsYoungestFirst) {
+  // Example 3.1 under NAIVE with two bystanders: u1's late T delete dooms
+  // u2, and the cascade takes every live update above it, so the closure
+  // is {2, 3, 4}. The victims restart in descending number order: the
+  // youngest (4) takes the lowest fresh number, and the directly doomed u2
+  // the highest.
+  Figure2 fig;
+  ScriptedAgent agent;
+  agent.PushNegative({1});
+  SchedulerOptions opts;
+  opts.tracker = TrackerKind::kNaive;
+  Scheduler sched(&fig.db, &fig.tgds, &agent, opts);
+  const RowId review_row = *fig.db.FindRowWithData(
+      fig.R, fig.Row({"XYZ", "Geneva Winery", "Great!"}), 0);
+  sched.Submit(WriteOp::Delete(fig.R, review_row));
+  sched.Submit(WriteOp::Insert(fig.V, fig.Row({"Syracuse", "Math Conf"})));
+  sched.Submit(WriteOp::Insert(fig.A, fig.Row({"Ithaca", "Gorges"})));
+  sched.Submit(WriteOp::Insert(fig.A, fig.Row({"Ithaca", "Falls"})));
+  sched.RunToCompletion();
+  EXPECT_EQ(sched.stats().direct_conflict_aborts, 1u);
+  EXPECT_EQ(sched.stats().cascading_abort_requests, 2u);
+  EXPECT_EQ(sched.stats().aborts, 3u);
+  EXPECT_EQ(CommittedNumbers(fig, sched),
+            (std::map<std::string, uint64_t>{{"delete", 1},
+                                             {"Falls", 5},
+                                             {"Gorges", 6},
+                                             {"Math Conf", 7}}));
+  EXPECT_TRUE(fig.Satisfied());
+}
+
+TEST(SchedulerTest, RestartNumbersDependOnTheClosureAlone) {
+  // u1's late T delete dooms u2 and u3, which both derived an excursion
+  // from the doomed tour. The read-log walk finds them in ascending order;
+  // under every tracker the closure {2, 3} restarts youngest first all the
+  // same, so u3 takes 4 and u2 takes 5.
+  for (TrackerKind kind :
+       {TrackerKind::kNaive, TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    Figure2 fig;
+    ScriptedAgent agent;
+    agent.PushNegative({1});
+    SchedulerOptions opts;
+    opts.tracker = kind;
+    Scheduler sched(&fig.db, &fig.tgds, &agent, opts);
+    const RowId review_row = *fig.db.FindRowWithData(
+        fig.R, fig.Row({"XYZ", "Geneva Winery", "Great!"}), 0);
+    sched.Submit(WriteOp::Delete(fig.R, review_row));
+    sched.Submit(WriteOp::Insert(fig.V, fig.Row({"Syracuse", "Math Conf"})));
+    sched.Submit(WriteOp::Insert(fig.V, fig.Row({"Syracuse", "Bio Conf"})));
+    sched.RunToCompletion();
+    EXPECT_EQ(sched.stats().direct_conflict_aborts, 2u)
+        << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().aborts, 2u) << TrackerKindName(kind);
+    EXPECT_EQ(CommittedNumbers(fig, sched),
+              (std::map<std::string, uint64_t>{
+                  {"delete", 1}, {"Bio Conf", 4}, {"Math Conf", 5}}))
+        << TrackerKindName(kind);
+    EXPECT_FALSE(fig.Contains(fig.E, {"Math Conf", "Geneva Winery"}));
+    EXPECT_FALSE(fig.Contains(fig.E, {"Bio Conf", "Geneva Winery"}));
+    EXPECT_TRUE(fig.Satisfied());
+  }
 }
 
 TEST(SchedulerTest, ManyIndependentInsertsAllComplete) {
