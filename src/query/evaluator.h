@@ -95,9 +95,9 @@ class Evaluator {
   };
   // Reused buffers, one set per plan depth (sibling nodes at one depth reuse
   // the same capacity instead of reallocating). The undo log is arena
-  // memory; the composite-probe key stays a std::vector because the index
-  // buckets are keyed on std::vector<Value> (kept in key_scratch_, whose
-  // capacity survives arena resets).
+  // memory; the composite-probe key is the std::vector<Value> that
+  // VersionedRelation::CompositeBucket takes, which hashes it in place
+  // (kept in key_scratch_, whose capacity survives arena resets).
   struct StepScratch {
     ArenaVector<VarUndo> undo;
     explicit StepScratch(Arena* arena)

@@ -14,41 +14,11 @@ namespace {
 // this column set — precisely the skew a composite index exists to absorb.
 constexpr size_t kCompositeBuildBreakEven = 16;
 
-// Lists `row` in the ascending `bucket`; false if it is already listed. A
-// new row appends (row ids grow); a modify of an older row inserts in order.
-bool ListRow(std::vector<RowId>& bucket, RowId row) {
-  if (bucket.empty() || bucket.back() < row) {
-    bucket.push_back(row);
-    return true;
-  }
-  const auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
-  if (*it == row) return false;
-  bucket.insert(it, row);
-  return true;
-}
-
-// Unlists `row` from the ascending `bucket`; false if it was not listed.
-bool UnlistRow(std::vector<RowId>& bucket, RowId row) {
-  const auto it = std::lower_bound(bucket.begin(), bucket.end(), row);
-  if (it == bucket.end() || *it != row) return false;
-  bucket.erase(it);
-  return true;
-}
-
-// The key of `data` in a composite index over `columns`.
-std::vector<Value> CompositeKey(const std::vector<size_t>& columns,
-                                const TupleData& data) {
-  std::vector<Value> key;
-  key.reserve(columns.size());
-  for (size_t c : columns) key.push_back(data[c]);
-  return key;
-}
-
-// Finalizer for the hot-fingerprint fold (murmur3-style avalanche): the
-// per-entry inputs (column, value hash) are structured, so each must be
-// scrambled before the order-independent XOR combine or adjacent columns
-// would cancel.
-uint64_t MixFingerprint(uint64_t x) {
+// Murmur3's 64-bit finalizer (an avalanching bijection). The hot-fingerprint
+// fold's per-entry inputs (column, value hash) are structured, so each must
+// be scrambled before the order-independent XOR combine or adjacent columns
+// would cancel; composite keys scramble each packed value before folding it.
+uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
   x ^= x >> 33;
@@ -58,6 +28,19 @@ uint64_t MixFingerprint(uint64_t x) {
 }
 
 }  // namespace
+
+template <typename ValueAt>
+uint64_t VersionedRelation::CompositeKey(size_t n, ValueAt&& value) {
+  uint64_t key = n;
+  for (size_t i = 0; i < n; ++i) key = Mix64(key ^ Mix64(IndexKey(value(i))));
+  return key;
+}
+
+uint64_t VersionedRelation::CompositeKey(const std::vector<size_t>& columns,
+                                         const TupleData& data) {
+  return CompositeKey(columns.size(),
+                      [&](size_t i) { return data[columns[i]]; });
+}
 
 VersionedRelation::VersionedRelation(size_t arity) : arity_(arity) {
   CHECK_GT(arity, 0u);
@@ -215,21 +198,16 @@ std::optional<Span<const RowId>> VersionedRelation::CompositeBucket(
   for (const CompositeIndex& index : composites_) {
     if (index.columns != columns) continue;
     if (!index.built) return std::nullopt;  // deferred: caller falls back
-    auto it = index.buckets.find(values);
-    if (it == index.buckets.end()) return Span<const RowId>();
-    return Span<const RowId>(it->second);
+    return index.buckets.Find(
+        CompositeKey(values.size(), [&](size_t i) { return values[i]; }));
   }
   return std::nullopt;
 }
 
 size_t VersionedRelation::IndexEntryCount() const {
   size_t n = 0;
-  for (const auto& idx : indexes_) {
-    for (const auto& [value, rows] : idx) n += rows.size();
-  }
-  for (const CompositeIndex& index : composites_) {
-    for (const auto& [key, rows] : index.buckets) n += rows.size();
-  }
+  for (const RowBuckets& index : indexes_) n += index.entries();
+  for (const CompositeIndex& index : composites_) n += index.buckets.entries();
   return n;
 }
 
@@ -258,8 +236,8 @@ void VersionedRelation::RecomputeHotFingerprint() {
       // Membership only, not counts: the fingerprint answers "did the hot
       // SET rotate" — growth of an already-hot value is cardinality drift,
       // which the visible_rows stamp already catches.
-      fp ^= MixFingerprint((static_cast<uint64_t>(c) + 1) * 0x9E3779B97F4A7C15ull ^
-                           ValueHash{}(v));
+      fp ^= Mix64((static_cast<uint64_t>(c) + 1) * 0x9E3779B97F4A7C15ull ^
+                  ValueHash{}(v));
     });
   }
   hot_fingerprint_.store(fp, std::memory_order_relaxed);
@@ -310,8 +288,8 @@ size_t VersionedRelation::RemoveVersionsAbove(uint64_t threshold) {
 
 void VersionedRelation::IndexData(RowId row, const TupleData& data) {
   for (size_t c = 0; c < arity_; ++c) {
-    std::vector<RowId>& bucket = indexes_[c][data[c]];
-    if (ListRow(bucket, row)) sketches_[c].Set(data[c], bucket.size());
+    const size_t size = indexes_[c].Add(IndexKey(data[c]), row);
+    if (size != 0) sketches_[c].Set(data[c], size);
   }
   if (++offers_since_fingerprint_ >= kHotFingerprintStride) {
     RecomputeHotFingerprint();
@@ -331,34 +309,38 @@ void VersionedRelation::IndexData(RowId row, const TupleData& data) {
 
 void VersionedRelation::IndexDataComposite(CompositeIndex& index, RowId row,
                                            const TupleData& data) {
-  ListRow(index.buckets[CompositeKey(index.columns, data)], row);
+  index.buckets.Add(CompositeKey(index.columns, data), row);
 }
 
 void VersionedRelation::UnindexData(RowId row, const TupleData& data,
                                     Span<const TupleVersion> kept) {
-  // Does a kept content version hold data's values in `columns`?
-  auto still_carried = [&](auto&& columns) {
+  // Does a kept content version's data satisfy `same`?
+  auto kept_any = [&](auto&& same) {
     for (const TupleVersion& v : kept) {
-      if (v.kind == WriteKind::kDelete) continue;
-      bool same = true;
-      for (size_t c : columns) same = same && v.data[c] == data[c];
-      if (same) return true;
+      if (v.kind != WriteKind::kDelete && same(v.data)) return true;
     }
     return false;
   };
   for (size_t c = 0; c < arity_; ++c) {
-    if (still_carried(std::initializer_list<size_t>{c})) continue;
-    auto it = indexes_[c].find(data[c]);
+    if (kept_any([&](const TupleData& d) { return d[c] == data[c]; })) {
+      continue;
+    }
+    size_t size = 0;
     // Not listed: an earlier removed version of the row held the same value.
-    if (it == indexes_[c].end() || !UnlistRow(it->second, row)) continue;
-    sketches_[c].Set(data[c], it->second.size());
-    if (it->second.empty()) indexes_[c].erase(it);
+    if (!indexes_[c].Remove(IndexKey(data[c]), row, &size)) continue;
+    sketches_[c].Set(data[c], size);
   }
   for (CompositeIndex& index : composites_) {
-    if (!index.built || still_carried(index.columns)) continue;
-    auto it = index.buckets.find(CompositeKey(index.columns, data));
-    if (it == index.buckets.end() || !UnlistRow(it->second, row)) continue;
-    if (it->second.empty()) index.buckets.erase(it);
+    if (!index.built) continue;
+    const uint64_t key = CompositeKey(index.columns, data);
+    // Kept while a kept version's key hashes the same.
+    if (kept_any([&](const TupleData& d) {
+          return CompositeKey(index.columns, d) == key;
+        })) {
+      continue;
+    }
+    size_t size = 0;
+    index.buckets.Remove(key, row, &size);
   }
 }
 

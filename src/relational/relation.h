@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
+#include "relational/row_buckets.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 #include "relational/write.h"
@@ -58,16 +58,6 @@ struct TupleVersion {
   TupleData data;  // tuple content; for kDelete, the content being deleted
 };
 
-// Hashes the value list of a composite-index key.
-struct CompositeKeyHash {
-  size_t operator()(const std::vector<Value>& key) const {
-    size_t seed = key.size();
-    ValueHash vh;
-    for (const Value& v : key) HashCombine(seed, vh(v));
-    return seed;
-  }
-};
-
 // Live planner statistics for one relation, assembled in O(arity) from
 // counters the write path and the hash indexes already maintain — no pass
 // over rows or buckets. The per-column numbers describe the exact index
@@ -97,20 +87,27 @@ struct StatsSnapshot {
 // resolves visibility without walking the chain.
 //
 // Rows are never physically removed; aborting an update unlinks its versions
-// row by row (RemoveVersionsOfRow). Indexes come in two forms, both
-// hash-based and exact at all times:
-//   * one per-column index, always present;
+// row by row (RemoveVersionsOfRow). Indexes come in two forms, each one
+// open-addressing table from a 64-bit key to a bucket of rows (RowBuckets):
+//   * one per-column index, always present, keyed exactly: the value's id
+//     and kind packed into 64 bits (IndexKey), so distinct values never
+//     share a bucket;
 //   * composite indexes over column sets, built lazily on demand
-//     (EnsureCompositeIndex) for the probes compiled query plans ask for.
+//     (EnsureCompositeIndex) for the probes compiled query plans ask for,
+//     keyed by a 64-bit hash of the key's values (CompositeKey), so no
+//     insert or probe builds a key vector.
 // The invariant: row r is listed in the bucket for (column c, value v)
-// exactly when one of r's stored insert or modify versions holds v in c
-// (a composite bucket likewise over its key). Delete versions stay
+// exactly when one of r's stored insert or modify versions holds v in c,
+// and in a composite index's bucket for key hash h exactly when one of
+// those versions has a key that hashes to h. Delete versions stay
 // unindexed. Buckets are ascending and duplicate-free, and no empty bucket
 // is stored. A write lists its row; an undo unlists the row from each
-// bucket that no remaining content version carries. A listed row may
-// still be invisible to a given reader, or show it other content (the
-// carrying version is newer than the reader, superseded or tombstoned),
-// so probes re-verify each row against the version visible to the reader.
+// bucket that no remaining content version carries (for a composite, none
+// whose key hashes the same). A listed row may still be invisible to a
+// given reader, or show it other content (the carrying version is newer
+// than the reader, superseded or tombstoned), and a composite bucket may in
+// principle list a row whose different key collides, so probes re-verify
+// each row against the version visible to the reader.
 // Content lookups (exact match, more-specific match) carry no plan: they
 // probe whichever per-column bucket of the values they fix is smallest
 // (SmallestContentBucket), so one hot value cannot make them re-verify a
@@ -254,9 +251,7 @@ class VersionedRelation {
   // before any of those.
   Span<const RowId> Bucket(size_t column, const Value& value) const {
     CHECK_LT(column, indexes_.size());
-    auto it = indexes_[column].find(value);
-    if (it == indexes_[column].end()) return {};
-    return it->second;
+    return indexes_[column].Find(IndexKey(value));
   }
 
   // The bucket a content lookup walks. A lookup whose every answer must
@@ -304,9 +299,10 @@ class VersionedRelation {
   bool HasCompositeIndex(const std::vector<size_t>& columns) const;
 
   // The composite bucket for `values` (parallel to `columns`), like Bucket:
-  // empty on a miss, valid until the next write, undo or registration.
-  // Nullopt while no index over `columns` is built (the caller falls back
-  // to a single-column probe).
+  // empty on a miss, valid until the next write, undo or registration. It
+  // lists the rows whose key hashes like `values`, so the caller verifies
+  // each against the values. Nullopt while no index over `columns` is built
+  // (the caller falls back to a single-column probe).
   std::optional<Span<const RowId>> CompositeBucket(
       const std::vector<size_t>& columns,
       const std::vector<Value>& values) const;
@@ -345,10 +341,23 @@ class VersionedRelation {
   struct CompositeIndex {
     std::vector<size_t> columns;  // distinct, ascending
     bool built = false;           // deferred-build indexes probe as misses
-    std::unordered_map<std::vector<Value>, std::vector<RowId>,
-                       CompositeKeyHash>
-        buckets;
+    RowBuckets buckets;           // keyed by CompositeKey
   };
+
+  // The exact per-column index key of `value`: its id and kind packed into
+  // 64 bits. Symbol and null ids are counters; an id of 2^63 or more would
+  // alias another value's key, so it is refused.
+  static uint64_t IndexKey(const Value& value) {
+    CHECK_LT(value.id(), uint64_t{1} << 63);
+    return value.id() << 1 | static_cast<uint64_t>(value.kind());
+  }
+  // The composite index key of the values value(0), ..., value(n - 1): a
+  // 64-bit hash with each packed value avalanched before it is folded in.
+  template <typename ValueAt>
+  static uint64_t CompositeKey(size_t n, ValueAt&& value);
+  // The composite index key of `data`'s values in `columns`.
+  static uint64_t CompositeKey(const std::vector<size_t>& columns,
+                               const TupleData& data);
 
   CompositeIndex* FindOrRegisterComposite(const std::vector<size_t>& columns);
   void BuildCompositeIndex(CompositeIndex& index);
@@ -415,9 +424,9 @@ class VersionedRelation {
   // an exact bucket size (see max_bucket()/sketch()).
   std::vector<TopKSketch<Value, ValueHash>> sketches_;
   std::vector<Row> rows_;
-  // One hash index per column: value -> rows carrying it (exact buckets).
-  std::vector<std::unordered_map<Value, std::vector<RowId>, ValueHash>>
-      indexes_;
+  // One index per column: IndexKey(value) -> rows carrying it (exact
+  // buckets).
+  std::vector<RowBuckets> indexes_;
   std::vector<CompositeIndex> composites_;
 };
 

@@ -96,6 +96,59 @@ TEST(VersionedRelationTest, CandidateRowsFindsByColumn) {
   EXPECT_TRUE(rel.Bucket(1, Value::Constant(9)).empty());
 }
 
+TEST(VersionedRelationTest, ConstantAndNullOfOneIdNeverShareABucket) {
+  // Per-column keys pack the id and the kind exactly, so the constant and
+  // the labeled null with one id land in different buckets, also composite
+  // ones.
+  VersionedRelation rel(2);
+  rel.EnsureCompositeIndex({0, 1});
+  const std::vector<uint64_t> ids = {0, 1, 2, 1000};
+  for (uint64_t k : ids) {
+    rel.AppendInsertRow(0, 1, {Value::Constant(k), Value::Constant(k)});
+    rel.AppendInsertRow(0, 1, {Value::Null(k), Value::Null(k)});
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Value constant = Value::Constant(ids[i]);
+    const Value null = Value::Null(ids[i]);
+    const RowId constant_row = static_cast<RowId>(2 * i);
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(Rows(rel.Bucket(c, constant)),
+                (std::vector<RowId>{constant_row}))
+          << "column " << c << " id " << ids[i];
+      EXPECT_EQ(Rows(rel.Bucket(c, null)),
+                (std::vector<RowId>{constant_row + 1}))
+          << "column " << c << " id " << ids[i];
+    }
+    EXPECT_EQ(Rows(*rel.CompositeBucket({0, 1}, {constant, constant})),
+              (std::vector<RowId>{constant_row}));
+    EXPECT_EQ(Rows(*rel.CompositeBucket({0, 1}, {null, null})),
+              (std::vector<RowId>{constant_row + 1}));
+  }
+  EXPECT_EQ(rel.distinct_values(0), 8u);
+  EXPECT_EQ(rel.distinct_values(1), 8u);
+}
+
+TEST(VersionedRelationDeathTest, IdAtOrAbove2To63IsRefused) {
+  // An id of 2^63 or more would alias another value's per-column key.
+  const uint64_t too_big = uint64_t{1} << 63;
+  EXPECT_DEATH(
+      {
+        VersionedRelation rel(1);
+        rel.AppendInsertRow(0, 1, {Value::Null(too_big)});
+      },
+      "CHECK failed");
+  EXPECT_DEATH(
+      {
+        VersionedRelation rel(1);
+        rel.Bucket(0, Value::Constant(UINT64_MAX));
+      },
+      "CHECK failed");
+  VersionedRelation rel(1);
+  rel.AppendInsertRow(0, 1, {Value::Null(too_big - 1)});
+  EXPECT_EQ(Rows(rel.Bucket(0, Value::Null(too_big - 1))),
+            (std::vector<RowId>{0}));
+}
+
 TEST(VersionedRelationTest, IndexKeepsModifiedContentReachable) {
   VersionedRelation rel(1);
   const RowId row = rel.AppendInsertRow(0, 1, Row({10}));
