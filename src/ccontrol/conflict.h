@@ -2,7 +2,6 @@
 #define YOUTOPIA_CCONTROL_CONFLICT_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "relational/database.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 
 namespace youtopia {
 
@@ -42,16 +40,10 @@ class ConflictChecker {
   struct ResidualPlans;
 
  public:
-  // `arena` backs the evaluators' per-check scratch; the scheduler injects
-  // the arena it resets once per scheduling step. Null means the checker
-  // owns a private, never-reset arena (standalone checks, tests).
-  explicit ConflictChecker(const std::vector<Tgd>* tgds,
-                           Arena* arena = nullptr)
+  explicit ConflictChecker(const std::vector<Tgd>* tgds)
       : tgds_(tgds),
-        owned_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
-        arena_(arena != nullptr ? arena : owned_arena_.get()),
-        lhs_eval_(Snapshot(nullptr, 0), arena_),
-        rhs_eval_(Snapshot(nullptr, 0), arena_) {}
+        lhs_eval_(Snapshot(nullptr, 0)),
+        rhs_eval_(Snapshot(nullptr, 0)) {}
 
   // A read query readied for a run of writes: the part of a check that
   // the query alone fixes, built once per query instead of once per write.
@@ -130,8 +122,6 @@ class ConflictChecker {
                                    const Database* db) const;
 
   const std::vector<Tgd>* tgds_;
-  std::unique_ptr<Arena> owned_arena_;
-  Arena* arena_;
   // The residual LHS queries (a tgd's premise minus the recorded query's
   // pinned atom) are not known until a check runs; their handful of shapes
   // recur for every retroactive check, so they are compiled once and cached.

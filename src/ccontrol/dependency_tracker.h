@@ -46,10 +46,8 @@ const char* TrackerKindName(TrackerKind kind);
 
 class DependencyTracker {
  public:
-  // `arena` is forwarded to the internal ConflictChecker (see there).
-  DependencyTracker(TrackerKind kind, const std::vector<Tgd>* tgds,
-                    Arena* arena = nullptr)
-      : kind_(kind), tgds_(tgds), checker_(tgds, arena) {}
+  DependencyTracker(TrackerKind kind, const std::vector<Tgd>* tgds)
+      : kind_(kind), tgds_(tgds), checker_(tgds) {}
 
   TrackerKind kind() const { return kind_; }
 

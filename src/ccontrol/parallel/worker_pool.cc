@@ -113,14 +113,12 @@ WorkerPool::Outcome WorkerPool::RunExclusive(Worker* w, WriteOp op,
 
   UpdateOptions uopts;
   uopts.max_steps = options_.max_steps_per_update;
-  uopts.scratch_arena = &w->arena;
   uopts.detector = &w->detector;
   // Admission at COMPONENT granularity — exactly what the held lock
   // covers. A shard-wide bitmap would let a chase write (or replan over) a
   // sibling component of this shard whose lock a concurrent cross-shard
   // admission may hold.
   uopts.allowed_relations = &shard_map_->ComponentRelations(component);
-  uopts.log_reads = false;  // nothing consumes read records on this path
   uopts.replan_poller = &w->poller;
   Update u(number, std::move(op), &w->tgds, uopts);
 

@@ -22,7 +22,6 @@
 #include "obs/trace.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 #include "util/mutex.h"
 
 namespace youtopia {
@@ -86,8 +85,8 @@ struct WorkerPoolOptions {
 //     thread reads; the copy is made once, at pool construction, and the
 //     thread-persistent ReplanPoller watermark refreshes it in place across
 //     flush epochs),
-//   * a scratch Arena and a ViolationDetector whose non-reentrant evaluator
-//     pair amortizes across every update the thread runs, and
+//   * a ViolationDetector whose non-reentrant evaluator pair (and its
+//     scratch) amortizes across every update the thread runs, and
 //   * a FrontierAgent.
 // Each shard owns one bounded inbox (BoundedMpscQueue) the submission
 // threads route work into; its worker parks on it between ops instead of
@@ -180,11 +179,10 @@ class WorkerPool {
   // Per-thread execution state, one per shard.
   struct Worker {
     explicit Worker(const std::vector<Tgd>& base_tgds)
-        : tgds(base_tgds), detector(&tgds, &arena) {}
+        : tgds(base_tgds), detector(&tgds) {}
 
     std::vector<Tgd> tgds;  // private plan view (copies share compiled
                             // plans until this worker replans)
-    Arena arena;
     ViolationDetector detector;
     std::unique_ptr<FrontierAgent> agent;
     ReplanPoller poller;  // thread-persistent staleness watermark

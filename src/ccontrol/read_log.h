@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ccontrol/read_query.h"
@@ -97,7 +96,6 @@ class ReadLog {
       i = j;
     }
     nulls_scratch_.clear();
-    null_ids_scratch_.clear();
     null_write_scratch_.clear();
     for (uint32_t i = 0; i < writes.size(); ++i) {
       // Bitwise |: both sides must run (gathering must see old and new).
@@ -105,6 +103,13 @@ class ReadLog {
         null_write_scratch_.push_back(i);
       }
     }
+    // Distinct nulls only: the same null may occur several times in one
+    // tuple, in both the old and new content of a modify, and in several
+    // writes. (All are nulls, so Value's order is the id's.)
+    std::sort(nulls_scratch_.begin(), nulls_scratch_.end());
+    nulls_scratch_.erase(
+        std::unique(nulls_scratch_.begin(), nulls_scratch_.end()),
+        nulls_scratch_.end());
 
     // The candidates: each list's suffix above the writer. A single list is
     // already in (reader, position) order; several are merged, and a
@@ -238,18 +243,16 @@ class ReadLog {
            (!w.old_data.empty() && ContainsNull(w.old_data, null_value));
   }
 
-  // Appends `data`'s labeled nulls to nulls_scratch_, distinct only (the
-  // same null may occur several times in one tuple, and in both the old and
-  // new content of a modify; dedup is O(1) per null via null_ids_scratch_).
-  // Returns whether `data` held any null at all — even an already-gathered
-  // one — so the batch walk classifies null-carrying writes in the same
-  // pass.
+  // Appends `data`'s labeled nulls to nulls_scratch_ (duplicates
+  // included; the batch walk sorts and dedups them once). Returns whether
+  // `data` held any null, so the walk classifies null-carrying writes in
+  // the same pass.
   bool GatherNulls(const TupleData& data) const {
     bool saw_null = false;
     for (const Value& v : data) {
       if (!v.is_null()) continue;
       saw_null = true;
-      if (null_ids_scratch_.insert(v.id()).second) nulls_scratch_.push_back(v);
+      nulls_scratch_.push_back(v);
     }
     return saw_null;
   }
@@ -267,7 +270,6 @@ class ReadLog {
   // indices sorted by relation with their per-relation ranges, the
   // null-carrying write indices, and the merged candidate entries.
   mutable std::vector<Value> nulls_scratch_;
-  mutable std::unordered_set<uint64_t> null_ids_scratch_;
   mutable std::vector<uint32_t> order_scratch_;
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;

@@ -13,9 +13,9 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
       tgds_(tgds),
       agent_(agent),
       options_(options),
-      checker_(tgds, &arena_),
+      checker_(tgds),
       read_log_(tgds),
-      tracker_(options.tracker, tgds, &arena_),
+      tracker_(options.tracker, tgds),
       next_number_(options.first_number) {
   // Registration: unconditionally re-cost every tgd's plan complement
   // against the database this scheduler will run over (matching
@@ -40,16 +40,14 @@ uint64_t Scheduler::Submit(WriteOp initial_op) {
   UpdateOptions uopts;
   uopts.max_steps = options_.max_steps_per_update;
   uopts.allowed_relations = options_.allowed_relations;
-  // All updates chase out of the scheduler's arena (their steps are
-  // round-robined, never nested), so detection scratch warms up once per
-  // run instead of once per update. They likewise share one re-planning
-  // watermark: with private pollers every update would re-fire the tgd
-  // staleness sweep on its first step. (Separate from replan_poller_,
-  // which paces the conflict checker's residual sweep in StepOne —
-  // sharing one instance would make the two consumers steal each other's
-  // fires.)
+  // StepOne logs each step's reads and checks later writes against them.
+  uopts.log_reads = true;
+  // All updates share one re-planning watermark: with private pollers every
+  // update would re-fire the tgd staleness sweep on its first step.
+  // (Separate from replan_poller_, which paces the conflict checker's
+  // residual sweep in StepOne — sharing one instance would make the two
+  // consumers steal each other's fires.)
   uopts.replan_poller = &update_replan_poller_;
-  uopts.scratch_arena = &arena_;
   Slot slot;
   slot.update =
       std::make_unique<Update>(number, std::move(initial_op), tgds_, uopts);
@@ -83,12 +81,6 @@ void Scheduler::RunToCompletion() {
 }
 
 void Scheduler::StepOne(size_t slot_idx) {
-  // One scheduling step = one scratch generation for the conflict checks
-  // below (the update itself chases out of its own per-step arena). The
-  // rewind fires only after a step that spiked: steady-state steps allocate
-  // nothing, and an unconditional reset would rebuild the checkers' scratch
-  // every step for no reclaim.
-  arena_.ResetIfAbove(64 * 1024);
   progress_ticks_.fetch_add(1, std::memory_order_relaxed);
   Update* u = slots_[slot_idx].update.get();
   const uint64_t number = u->number();

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 
 namespace youtopia {
 
@@ -204,10 +203,6 @@ class Scheduler {
   FrontierAgent* agent_;
   SchedulerOptions options_;
 
-  // Scratch arena for the retroactive conflict checks (the checker's and
-  // tracker's evaluators allocate from it); reset once per scheduling step.
-  // Declared before its users.
-  Arena arena_;
   ConflictChecker checker_;
   ReadLog read_log_;
   WriteLog write_log_;

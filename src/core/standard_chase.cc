@@ -30,7 +30,6 @@ Result<StandardChase::Report> StandardChase::Run(uint64_t update_number,
   std::vector<Violation> found;
   while (!queue.empty()) {
     if (report.firings >= options.max_steps) return report;  // cap hit
-    arena_.ResetIfAbove(64 * 1024);  // reclaim only after a spiked firing
     // The standard chase is the fastest-growing workload in the system
     // (every violation fires immediately), so the detector's plans must
     // track the exploding cardinalities. Strided mutation-sequence poll,

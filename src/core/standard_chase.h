@@ -7,7 +7,6 @@
 #include "core/violation_detector.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 #include "util/status.h"
 
 namespace youtopia {
@@ -35,7 +34,7 @@ class StandardChase {
   };
 
   StandardChase(Database* db, const std::vector<Tgd>* tgds)
-      : db_(db), tgds_(tgds), detector_(tgds, &arena_) {}
+      : db_(db), tgds_(tgds), detector_(tgds) {}
 
   // Chases all current violations to completion on behalf of
   // `update_number`.
@@ -47,9 +46,6 @@ class StandardChase {
  private:
   Database* db_;
   const std::vector<Tgd>* tgds_;
-  // Per-firing scratch arena for the detector (declared before it; the
-  // detector holds a pointer). Reset once per chase firing in Run().
-  Arena arena_;
   ViolationDetector detector_;
   // Strided adaptive re-planning poll (see Run() and plan.h).
   ReplanPoller replan_poller_;

@@ -6,25 +6,14 @@
 #include "query/specificity.h"
 
 namespace youtopia {
-namespace {
-
-// Per-step scratch the chase keeps warm across steps; a step that bump-
-// allocates beyond this is a spike whose memory is reclaimed afterwards.
-constexpr size_t kStepArenaRetainBytes = 64 * 1024;
-
-}  // namespace
 
 Update::Update(uint64_t number, WriteOp initial_op,
                const std::vector<Tgd>* tgds, UpdateOptions options)
     : number_(number),
       initial_op_(std::move(initial_op)),
       tgds_(tgds),
-      owned_arena_(options.scratch_arena == nullptr ? std::make_unique<Arena>()
-                                                    : nullptr),
-      arena_(options.scratch_arena != nullptr ? options.scratch_arena
-                                              : owned_arena_.get()),
       owned_detector_(options.detector == nullptr
-                          ? std::make_unique<ViolationDetector>(tgds, arena_)
+                          ? std::make_unique<ViolationDetector>(tgds)
                           : nullptr),
       detector_(options.detector != nullptr ? options.detector
                                             : owned_detector_.get()),
@@ -56,10 +45,6 @@ StepResult Update::Step(Database* db, FrontierAgent* agent) {
 bool Update::StepPrepare(Database* db, FrontierAgent* agent, StepResult* res) {
   CHECK(!finished_);
   started_ = true;
-  // One chase step = one arena generation. Steady-state steps allocate
-  // nothing new (the detector's scratch retains capacity), so the rewind
-  // only fires after a step that actually spiked.
-  arena_->ResetIfAbove(kStepArenaRetainBytes);
   if (++steps_taken_ > options_.max_steps) {
     // Controlled nontermination: give up on this attempt but leave the
     // database consistent with a valid (incomplete) chase prefix.

@@ -15,7 +15,6 @@
 #include "relational/database.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 
 namespace youtopia {
 
@@ -23,7 +22,7 @@ namespace youtopia {
 // layer needs (Algorithm 2's reads and writes).
 struct StepResult {
   std::vector<PhysicalWrite> writes;
-  std::vector<ReadQueryRecord> reads;
+  std::vector<ReadQueryRecord> reads;  // empty unless UpdateOptions::log_reads
   bool awaiting_frontier = false;  // the step ended at a frontier request
   bool finished = false;
 };
@@ -33,11 +32,6 @@ struct UpdateOptions {
   // always-expand agent on cyclic mappings never terminates (by design,
   // Section 2.2), so callers driving such chases must bound them.
   size_t max_steps = 1u << 20;
-  // Scratch arena for the update's violation detection. Steps of different
-  // updates never nest, so a scheduler passes one arena to every update it
-  // drives and the scratch warms up once per run instead of once per
-  // update. Null: the update owns a private arena.
-  Arena* scratch_arena = nullptr;
   // Shared violation detector (and with it the non-reentrant evaluator
   // pair) — a shard worker passes the one it owns so evaluator scratch
   // amortizes across every update it runs. Must be constructed over the
@@ -51,11 +45,11 @@ struct UpdateOptions {
   // mappings inside the bitmap, so a pinned worker never touches a foreign
   // shard's plan or index state. Null: no restriction (serial behavior).
   const std::vector<bool>* allowed_relations = nullptr;
-  // Whether to build ReadQueryRecords for the step's reads. A pinned
-  // single-shard execution has no concurrency control consuming them, so
-  // the worker skips the per-query content copies and fingerprint hashes
-  // entirely.
-  bool log_reads = true;
+  // Whether to build ReadQueryRecords for the step's reads. Only an engine
+  // running concurrency control consumes them (the Scheduler sets it); a
+  // serial or pinned single-shard chase skips the per-query content copies
+  // and fingerprint hashes entirely.
+  bool log_reads = false;
   // Shared re-planning poll watermark. The facade passes its persistent
   // poller so back-to-back updates skip the per-step staleness poll
   // entirely until the database has actually mutated a full stride —
@@ -208,13 +202,8 @@ class Update {
   uint64_t number_;
   WriteOp initial_op_;
   const std::vector<Tgd>* tgds_;
-  // Step-scoped scratch arena for the detector's evaluators (shared with
-  // the scheduler when options.scratch_arena is set). The owned fallback is
-  // heap-held so arena_ survives moves of this Update.
-  std::unique_ptr<Arena> owned_arena_;
-  Arena* arena_;
   // Violation detector: worker-shared when options.detector is set, else
-  // owned (heap-held so detector_ survives moves, like the arena).
+  // owned (heap-held so detector_ survives moves of this Update).
   std::unique_ptr<ViolationDetector> owned_detector_;
   ViolationDetector* detector_;
   UpdateOptions options_;

@@ -36,72 +36,71 @@ void ViolationDetector::AfterWrites(const Snapshot& snap,
   if (dedup) posed_.clear();
 }
 
-bool ViolationDetector::PoseOnce(uint64_t fp, const PosedQuery& q) const {
-  for (auto [it, end] = posed_.equal_range(fp); it != end; ++it) {
-    const PosedQuery& p = it->second;
-    if (p.tgd_id == q.tgd_id && p.pinned_on_lhs == q.pinned_on_lhs &&
-        p.atom_index == q.atom_index && *p.pinned == *q.pinned) {
-      return false;
+bool ViolationDetector::Pose(const QueryPlan& plan, const PosedQuery& q,
+                             bool dedup,
+                             std::vector<ReadQueryRecord>* reads) const {
+  uint64_t fp = 0;
+  if (dedup || reads != nullptr) {
+    fp = FinishViolationFingerprint(plan.shape_hash, q.tgd_id, *q.pinned);
+  }
+  if (dedup) {
+    for (auto [it, end] = posed_.equal_range(fp); it != end; ++it) {
+      const PosedQuery& p = it->second;
+      if (p.tgd_id == q.tgd_id && p.pinned_on_lhs == q.pinned_on_lhs &&
+          p.atom_index == q.atom_index && *p.pinned == *q.pinned) {
+        return false;
+      }
+    }
+    posed_.emplace(fp, q);
+  }
+  if (reads != nullptr) {
+    reads->push_back(ReadQueryRecord::Violation(q.tgd_id, q.pinned_on_lhs,
+                                                q.atom_index, *q.pinned, fp));
+  }
+  return true;
+}
+
+void ViolationDetector::ReportOnce(int tgd_id, Violation::Kind kind,
+                                   const Binding& binding,
+                                   const std::vector<TupleRef>& witness,
+                                   size_t first_new,
+                                   std::vector<Violation>* out) const {
+  for (size_t i = first_new; i < out->size(); ++i) {
+    if ((*out)[i].tgd_id == tgd_id && (*out)[i].witness == witness &&
+        (*out)[i].binding == binding) {
+      return;
     }
   }
-  posed_.emplace(fp, q);
-  return true;
+  const Tgd& tgd = (*tgds_)[static_cast<size_t>(tgd_id)];
+  if (tgd.RhsSatisfiedUnder(binding, rhs_eval_)) return;
+  Violation v;
+  v.tgd_id = tgd_id;
+  v.kind = kind;
+  v.binding = binding;
+  v.witness = witness;
+  out->push_back(std::move(v));
 }
 
 void ViolationDetector::DetectInsertSide(
     RelationId rel, RowId row, const TupleData& data, size_t first_new,
     bool dedup, std::vector<Violation>* out,
     std::vector<ReadQueryRecord>* reads) const {
-  // Self-joins surface the same violating assignment once per pinned atom;
-  // keep each (tgd, assignment, witness) once. The witness rows are part of
-  // the identity: equal-content rows written by different updates can
-  // coexist under multiversion visibility, and repairs that act on rows
-  // (the backward chase) need one queue entry per witness.
-  auto is_duplicate = [&](int tgd_id, const Binding& binding,
-                          const std::vector<TupleRef>& witness) {
-    for (size_t i = first_new; i < out->size(); ++i) {
-      if ((*out)[i].tgd_id == tgd_id && (*out)[i].witness == witness &&
-          (*out)[i].binding == binding) {
-        return true;
-      }
-    }
-    return false;
-  };
   for (size_t t = 0; t < tgds_->size(); ++t) {
     const Tgd& tgd = (*tgds_)[t];
+    const int tgd_id = static_cast<int>(t);
     for (size_t a = 0; a < tgd.lhs().atoms.size(); ++a) {
       if (tgd.lhs().atoms[a].rel != rel) continue;
       const QueryPlan& plan = tgd.plans().lhs_pinned[a];
-      uint64_t fp = 0;
-      if (dedup || reads != nullptr) {
-        fp = FinishViolationFingerprint(plan.shape_hash, static_cast<int>(t),
-                                        data);
-      }
-      // An identical pinned query (same tgd, atom, content) already ran for
-      // an earlier write of this batch; its answer — and its read record —
-      // are the same.
-      if (dedup && !PoseOnce(fp, PosedQuery{static_cast<int>(t),
-                                            /*pinned_on_lhs=*/true, a,
-                                            &data})) {
+      if (!Pose(plan, PosedQuery{tgd_id, /*pinned_on_lhs=*/true, a, &data},
+                dedup, reads)) {
         continue;
-      }
-      if (reads != nullptr) {
-        reads->push_back(ReadQueryRecord::Violation(
-            static_cast<int>(t), /*pinned_on_lhs=*/true, a, data, fp));
       }
       AtomPin pin{a, row, &data};
       lhs_eval_.ForEachMatch(
           plan, Binding(tgd.num_vars()), &pin,
           [&](const Binding& binding, const std::vector<TupleRef>& rows) {
-            if (!is_duplicate(static_cast<int>(t), binding, rows) &&
-                !tgd.RhsSatisfiedUnder(binding, rhs_eval_)) {
-              Violation v;
-              v.tgd_id = static_cast<int>(t);
-              v.kind = Violation::Kind::kLhs;
-              v.binding = binding;
-              v.witness = rows;
-              out->push_back(std::move(v));
-            }
+            ReportOnce(tgd_id, Violation::Kind::kLhs, binding, rows,
+                       first_new, out);
             return true;
           });
     }
@@ -111,38 +110,17 @@ void ViolationDetector::DetectInsertSide(
 void ViolationDetector::DetectDeleteSide(
     RelationId rel, const TupleData& old_data, size_t first_new, bool dedup,
     std::vector<Violation>* out, std::vector<ReadQueryRecord>* reads) const {
-  // Same batch-wide (tgd, assignment, witness) dedup as the insert side:
-  // two deletes of alternative RHS witnesses surface the same violated
-  // premise with the same witness rows.
-  auto is_duplicate = [&](int tgd_id, const Binding& binding,
-                          const std::vector<TupleRef>& witness) {
-    for (size_t i = first_new; i < out->size(); ++i) {
-      if ((*out)[i].tgd_id == tgd_id && (*out)[i].witness == witness &&
-          (*out)[i].binding == binding) {
-        return true;
-      }
-    }
-    return false;
-  };
   for (size_t t = 0; t < tgds_->size(); ++t) {
     const Tgd& tgd = (*tgds_)[t];
+    const int tgd_id = static_cast<int>(t);
     for (size_t a = 0; a < tgd.rhs().atoms.size(); ++a) {
       const Atom& atom = tgd.rhs().atoms[a];
       if (atom.rel != rel) continue;
       const QueryPlan& plan = tgd.plans().lhs_delete[a];
-      uint64_t fp = 0;
-      if (dedup || reads != nullptr) {
-        fp = FinishViolationFingerprint(plan.shape_hash, static_cast<int>(t),
-                                        old_data);
-      }
-      if (dedup && !PoseOnce(fp, PosedQuery{static_cast<int>(t),
-                                            /*pinned_on_lhs=*/false, a,
-                                            &old_data})) {
-        continue;  // duplicate in this batch
-      }
-      if (reads != nullptr) {
-        reads->push_back(ReadQueryRecord::Violation(
-            static_cast<int>(t), /*pinned_on_lhs=*/false, a, old_data, fp));
+      if (!Pose(plan,
+                PosedQuery{tgd_id, /*pinned_on_lhs=*/false, a, &old_data},
+                dedup, reads)) {
+        continue;
       }
       // Bind the deleted tuple into the RHS atom; keep only frontier-variable
       // bindings when ranging over the LHS (existential bindings constrain
@@ -156,15 +134,8 @@ void ViolationDetector::DetectDeleteSide(
       lhs_eval_.ForEachMatch(
           plan, lhs_seed, nullptr,
           [&](const Binding& binding, const std::vector<TupleRef>& rows) {
-            if (!is_duplicate(static_cast<int>(t), binding, rows) &&
-                !tgd.RhsSatisfiedUnder(binding, rhs_eval_)) {
-              Violation v;
-              v.tgd_id = static_cast<int>(t);
-              v.kind = Violation::Kind::kRhs;
-              v.binding = binding;
-              v.witness = rows;
-              out->push_back(std::move(v));
-            }
+            ReportOnce(tgd_id, Violation::Kind::kRhs, binding, rows,
+                       first_new, out);
             return true;
           });
     }

@@ -1,7 +1,6 @@
 #ifndef YOUTOPIA_CORE_VIOLATION_DETECTOR_H_
 #define YOUTOPIA_CORE_VIOLATION_DETECTOR_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "relational/database.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
-#include "util/arena.h"
 #include "util/span.h"
 
 namespace youtopia {
@@ -34,16 +32,10 @@ namespace youtopia {
 // query shape, so no duplicate is possible.
 class ViolationDetector {
  public:
-  // When `arena` is null the detector owns a private arena for the
-  // evaluators' scratch; step-shaped owners (Update, StandardChase) inject
-  // the arena they Reset() once per chase step.
-  explicit ViolationDetector(const std::vector<Tgd>* tgds,
-                             Arena* arena = nullptr)
+  explicit ViolationDetector(const std::vector<Tgd>* tgds)
       : tgds_(tgds),
-        owned_arena_(arena == nullptr ? std::make_unique<Arena>() : nullptr),
-        arena_(arena != nullptr ? arena : owned_arena_.get()),
-        lhs_eval_(Snapshot(nullptr, 0), arena_),
-        rhs_eval_(Snapshot(nullptr, 0), arena_) {}
+        lhs_eval_(Snapshot(nullptr, 0)),
+        rhs_eval_(Snapshot(nullptr, 0)) {}
 
   // Appends the violations newly caused by the batch `writes`, as seen by
   // `snap`'s reader (which must already reflect every write of the batch).
@@ -115,14 +107,28 @@ class ViolationDetector {
     const TupleData* pinned;
   };
 
-  // Batch-level pinned-query dedup: true the first time `q`, whose
-  // fingerprint is `fp`, is posed in the current AfterWrites batch. A
-  // fingerprint hit counts only if the full query matches too.
-  bool PoseOnce(uint64_t fp, const PosedQuery& q) const;
+  // Whether the batch runs the violation query `q`, planned as `plan`:
+  // false when `dedup` is set and an identical query (same tgd, atom and
+  // pinned content) already ran for an earlier write of the batch, since
+  // its answer and its read record are the same. A fingerprint hit counts
+  // only if the full query matches too. A query that runs is logged to
+  // `reads` when that is set.
+  bool Pose(const QueryPlan& plan, const PosedQuery& q, bool dedup,
+            std::vector<ReadQueryRecord>* reads) const;
+
+  // Appends the violation (`tgd_id`, `binding`, `witness`) of `kind` to
+  // `out` if the binding leaves the tgd's RHS unsatisfied and no entry from
+  // `first_new` on already holds it. Self-joins surface the same violating
+  // assignment once per pinned atom, and two deletes of alternative RHS
+  // witnesses the same violated premise. The witness rows are part of the
+  // identity: equal-content rows written by different updates can coexist
+  // under multiversion visibility, and repairs that act on rows (the
+  // backward chase) need one queue entry per witness.
+  void ReportOnce(int tgd_id, Violation::Kind kind, const Binding& binding,
+                  const std::vector<TupleRef>& witness, size_t first_new,
+                  std::vector<Violation>* out) const;
 
   const std::vector<Tgd>* tgds_;
-  std::unique_ptr<Arena> owned_arena_;
-  Arena* arena_;
   // Long-lived evaluators, reset to the caller's snapshot per detection
   // call so their scratch buffers amortize across a whole chase. Two
   // instances because the NOT EXISTS probe runs inside the LHS

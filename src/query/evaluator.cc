@@ -16,21 +16,6 @@ const Value* ProbeValue(const Term& term, const Binding& binding) {
 
 }  // namespace
 
-void Evaluator::EnsureScratch(size_t depths) const {
-  Arena* arena = ScratchArena();
-  if (scratch_epoch_ != arena->epoch()) {
-    // The owner reset the arena (start of a chase/scheduler step): every
-    // frame's buffer was reclaimed. Element types are trivially
-    // destructible, so dropping the dangling frames touches nothing.
-    static_assert(std::is_trivially_destructible_v<VarUndo>,
-                  "arena-backed scratch must not require destructors");
-    scratch_.clear();
-    scratch_epoch_ = arena->epoch();
-  }
-  while (scratch_.size() < depths) scratch_.emplace_back(arena);
-  if (key_scratch_.size() < depths) key_scratch_.resize(depths);
-}
-
 bool Evaluator::ForEachMatch(const QueryPlan& plan, Binding binding,
                              const AtomPin* pin,
                              const MatchCallback& cb) const {
@@ -43,8 +28,10 @@ bool Evaluator::ForEachMatch(const QueryPlan& plan, Binding binding,
   rows_scratch_.assign(cq.atoms.size(), TupleRef{});
   std::vector<TupleRef>& rows = rows_scratch_;
   // Pre-size the per-depth scratch so recursion never reallocates the outer
-  // vector while inner frames hold references into it.
-  EnsureScratch(plan.steps.size());
+  // vectors while inner frames hold references into them.
+  const size_t depths = plan.steps.size();
+  if (undo_scratch_.size() < depths) undo_scratch_.resize(depths);
+  if (key_scratch_.size() < depths) key_scratch_.resize(depths);
 
   if (pin != nullptr) {
     CHECK(plan.pinned_atom.has_value());
@@ -105,16 +92,16 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
   const PlanStep& step = plan.steps[step_index];
   const Atom& atom = plan.query.atoms[step.atom_index];
   const VersionedRelation& relation = snap_.db().relation(atom.rel);
-  StepScratch& scratch = scratch_[step_index];
+  std::vector<VarUndo>& undo = undo_scratch_[step_index];
   std::vector<Value>& key = key_scratch_[step_index];
 
   // Record the pre-match bound state of this atom's variables once: each
   // try_row below restores the binding exactly, so the list is invariant
   // across the candidate loop.
-  scratch.undo.clear();
+  undo.clear();
   for (const Term& t : atom.terms) {
     if (t.is_variable()) {
-      scratch.undo.push_back(VarUndo{t.var(), binding.IsBound(t.var())});
+      undo.push_back(VarUndo{t.var(), binding.IsBound(t.var())});
     }
   }
   bool keep_going = true;
@@ -125,7 +112,7 @@ bool Evaluator::ExecuteStep(const QueryPlan& plan, size_t step_index,
       cont = ExecuteStep(plan, step_index + 1, binding, rows, cb);
     }
     // Undo exactly what MatchAtom bound (it may bind partially on failure).
-    for (const VarUndo& u : scratch.undo) {
+    for (const VarUndo& u : undo) {
       if (!u.was_bound) binding.Unset(u.var);
     }
     return cont;

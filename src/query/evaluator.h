@@ -2,14 +2,12 @@
 #define YOUTOPIA_QUERY_EVALUATOR_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "query/atom.h"
 #include "query/binding.h"
 #include "query/plan.h"
 #include "relational/database.h"
-#include "util/arena.h"
 
 namespace youtopia {
 
@@ -38,23 +36,18 @@ using MatchCallback =
 // ConjunctiveQuery overloads compile a one-shot plan for ad-hoc queries
 // (user queries, tests).
 //
-// Per-depth scratch (binding-undo logs) lives in a bump Arena; candidate
-// rows are read in place from the index buckets. Long-lived owners with a
-// step-shaped lifecycle (the chase, the scheduler) inject a shared arena
-// they Reset() once per step; the epoch check at each execution notices the
-// reset and rebuilds the scratch frames from the rewound memory — a handful
-// of pointer bumps, no malloc.
-// Standalone evaluators (tests, ad-hoc queries) fall back to an internal
-// arena that is never reset and simply retains its high-water capacity.
+// Per-depth scratch (binding-undo logs, composite-probe keys) is kept in
+// plain vectors that retain their capacity between executions, so a
+// long-lived evaluator (the violation detector's, the conflict checker's)
+// stops allocating once warm; candidate rows are read in place from the
+// index buckets.
 //
 // Not reentrant: the scratch frames are reused across executions, so a
 // callback must not invoke the same Evaluator instance again (nested
-// queries construct their own, as all call sites do). Two evaluators may
-// share one arena — allocation only bumps, never rewinds, mid-step.
+// queries construct their own, as all call sites do).
 class Evaluator {
  public:
-  explicit Evaluator(const Snapshot& snap, Arena* arena = nullptr)
-      : snap_(snap), arena_(arena) {}
+  explicit Evaluator(const Snapshot& snap) : snap_(snap) {}
 
   // Retargets the evaluator to another snapshot, keeping the scratch
   // buffers. Long-lived owners (the violation detector, the conflict
@@ -93,42 +86,20 @@ class Evaluator {
     VarId var;
     bool was_bound;
   };
-  // Reused buffers, one set per plan depth (sibling nodes at one depth reuse
-  // the same capacity instead of reallocating). The undo log is arena
-  // memory; the composite-probe key is the std::vector<Value> that
-  // VersionedRelation::CompositeBucket takes, which hashes it in place
-  // (kept in key_scratch_, whose capacity survives arena resets).
-  struct StepScratch {
-    ArenaVector<VarUndo> undo;
-    explicit StepScratch(Arena* arena)
-        : undo(ArenaAllocator<VarUndo>(arena)) {}
-  };
-
-  Arena* ScratchArena() const {
-    if (arena_ == nullptr) {
-      if (owned_arena_ == nullptr) owned_arena_ = std::make_unique<Arena>();
-      arena_ = owned_arena_.get();
-    }
-    return arena_;
-  }
-
-  // Discards frames invalidated by an arena reset and guarantees one frame
-  // per plan depth.
-  void EnsureScratch(size_t depths) const;
 
   bool ExecuteStep(const QueryPlan& plan, size_t step_index, Binding& binding,
                    std::vector<TupleRef>& rows, const MatchCallback& cb) const;
 
   Snapshot snap_;  // by value: a (database pointer, reader) pair
-  mutable Arena* arena_;
-  mutable std::unique_ptr<Arena> owned_arena_;  // fallback; heap-allocated so
-                                                // arena_ survives moves
   mutable size_t rows_examined_ = 0;
   mutable uint64_t lifetime_rows_examined_ = 0;
   mutable std::vector<TupleRef> rows_scratch_;
-  mutable std::vector<StepScratch> scratch_;
+  // Reused buffers, one per plan depth (sibling nodes at one depth reuse
+  // the same capacity instead of reallocating): the binding-undo log, and
+  // the composite-probe key, the std::vector<Value> that
+  // VersionedRelation::CompositeBucket hashes in place.
+  mutable std::vector<std::vector<VarUndo>> undo_scratch_;
   mutable std::vector<std::vector<Value>> key_scratch_;
-  mutable uint64_t scratch_epoch_ = 0;
 };
 
 }  // namespace youtopia

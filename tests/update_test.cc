@@ -22,10 +22,12 @@ TEST(UpdateTest, PositiveAndNegativeClassification) {
 
 TEST(UpdateTest, StepReportsWritesAndReads) {
   Figure2 fig;
+  UpdateOptions opts;
+  opts.log_reads = true;
   Update update(1,
                 WriteOp::Insert(fig.T, fig.Row({"Niagara Falls", "ABC",
                                                 "Toronto"})),
-                &fig.tgds);
+                &fig.tgds, opts);
   ScriptedAgent agent;
   StepResult first = update.Step(&fig.db, &agent);
   EXPECT_EQ(first.writes.size(), 1u);
@@ -37,6 +39,24 @@ TEST(UpdateTest, StepReportsWritesAndReads) {
   EXPECT_EQ(second.writes[0].rel, fig.R);
   EXPECT_TRUE(second.finished);
   EXPECT_TRUE(update.finished());
+}
+
+TEST(UpdateTest, DefaultOptionsLogNoReads) {
+  // Only an engine running concurrency control consumes read records, and
+  // it opts in; a default (serial) update builds none.
+  Figure2 fig;
+  Update update(1,
+                WriteOp::Insert(fig.T, fig.Row({"Niagara Falls", "ABC",
+                                                "Toronto"})),
+                &fig.tgds);
+  ScriptedAgent agent;
+  StepResult first = update.Step(&fig.db, &agent);
+  EXPECT_EQ(first.writes.size(), 1u);
+  EXPECT_TRUE(first.reads.empty());
+  StepResult second = update.Step(&fig.db, &agent);
+  EXPECT_EQ(second.writes.size(), 1u);
+  EXPECT_TRUE(second.reads.empty());
+  EXPECT_TRUE(second.finished);
 }
 
 TEST(UpdateTest, NoOpInsertFinishesImmediately) {

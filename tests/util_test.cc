@@ -4,57 +4,12 @@
 #include <set>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/rng.h"
 #include "util/span.h"
 #include "util/status.h"
 
 namespace youtopia {
 namespace {
-
-TEST(ArenaTest, AllocatesAlignedAndTracksBytes) {
-  Arena arena(/*first_block_bytes=*/64);
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(arena.bytes_allocated(), 11u);
-}
-
-TEST(ArenaTest, GrowsBeyondFirstBlockAndServesLargeRequests) {
-  Arena arena(/*first_block_bytes=*/32);
-  // Larger than any block so far: must still succeed.
-  int* big = arena.AllocateArray<int>(1000);
-  big[999] = 7;
-  EXPECT_EQ(big[999], 7);
-  EXPECT_GE(arena.num_blocks(), 1u);
-}
-
-TEST(ArenaTest, ResetRetainsBlocksAndBumpsEpoch) {
-  Arena arena(/*first_block_bytes=*/64);
-  for (int i = 0; i < 100; ++i) arena.AllocateArray<uint64_t>(16);
-  const size_t blocks_before = arena.num_blocks();
-  const uint64_t epoch_before = arena.epoch();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.epoch(), epoch_before + 1);
-  // Re-filling to the previous high-water mark must not grow new blocks.
-  for (int i = 0; i < 100; ++i) arena.AllocateArray<uint64_t>(16);
-  EXPECT_EQ(arena.num_blocks(), blocks_before);
-}
-
-TEST(ArenaTest, ArenaVectorGrowsAndSurvivesResetCycle) {
-  Arena arena;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    ArenaVector<uint32_t> v{ArenaAllocator<uint32_t>(&arena)};
-    for (uint32_t i = 0; i < 500; ++i) v.push_back(i);
-    EXPECT_EQ(v.size(), 500u);
-    EXPECT_EQ(v[499], 499u);
-    // The vector must be dropped before the arena it lives in is rewound.
-    v = ArenaVector<uint32_t>{ArenaAllocator<uint32_t>(&arena)};
-    arena.Reset();
-  }
-}
 
 TEST(SpanTest, ViewsVectorsAndSubranges) {
   std::vector<int> v{1, 2, 3, 4};
