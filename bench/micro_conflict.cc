@@ -126,8 +126,10 @@ void BM_DependencyComputation(benchmark::State& state) {
   // logged write is on one of the query's relations.
   const bool precise = state.range(1) != 0;
   Fixture fix(2048, static_cast<size_t>(state.range(0)));
+  ConflictChecker checker(&fix.tgds);
   DependencyTracker tracker(
-      precise ? TrackerKind::kPrecise : TrackerKind::kCoarse, &fix.tgds);
+      precise ? TrackerKind::kPrecise : TrackerKind::kCoarse, &fix.tgds,
+      &checker);
   Snapshot snap(&fix.db, kReadLatest);
   const std::vector<ReadQueryRecord> reads{fix.ViolationRead()};
   const uint64_t reader = 1u << 20;
@@ -229,8 +231,10 @@ struct Section6Fixture {
 void BM_DependencyComputationSection6(benchmark::State& state) {
   const bool precise = state.range(0) != 0;
   Section6Fixture fix;
+  ConflictChecker checker(&fix.tgds);
   DependencyTracker tracker(
-      precise ? TrackerKind::kPrecise : TrackerKind::kCoarse, &fix.tgds);
+      precise ? TrackerKind::kPrecise : TrackerKind::kCoarse, &fix.tgds,
+      &checker);
   Snapshot snap(&fix.db, fix.reader);
   size_t tested = 0;
   for (auto _ : state) {
@@ -316,7 +320,8 @@ void BM_CoarseCascadeSection6(benchmark::State& state) {
   // each reader's marks postdate the writes of every lower-numbered
   // writer). state.range(0) is the aborted writer.
   Section6Fixture fix;
-  DependencyTracker tracker(TrackerKind::kCoarse, &fix.tgds);
+  ConflictChecker checker(&fix.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fix.tgds, &checker);
   for (uint64_t u = 1; u <= Section6Fixture::kWriters; ++u) {
     tracker.OnReads(Snapshot(&fix.db, u), u, fix.reads_of[u], fix.wlog);
   }

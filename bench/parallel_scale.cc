@@ -11,7 +11,7 @@
 //
 //  * graph="dense" — the one-big-component wall sharding cannot crack: a
 //    deterministic mapping chain (--chain/--fan) welds the whole schema
-//    into ONE component, so the pool collapses to a single shard lane and
+//    into ONE component, so the pipeline collapses to a single shard lane and
 //    adding workers buys nothing. The arm measures the serial engine
 //    against that one pinned worker: what zero-CC execution under the
 //    component lock buys over the optimistic protocol on the same stream.

@@ -54,10 +54,10 @@ size_t DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
         } else {
           // PRECISE: the retroactive check against each lower-numbered
           // write to the tgd's relations.
-          ConflictChecker::PreparedQuery prepared = checker_.Prepare(q);
+          ConflictChecker::PreparedQuery prepared = checker_->Prepare(q);
           for (RelationId rel : tgd.all_relations()) {
             link_hits(wlog.WritesTo(rel, reader), [&](const PhysicalWrite& w) {
-              return checker_.Conflicts(snap, w, &prepared);
+              return checker_->Conflicts(snap, w, &prepared);
             });
           }
         }

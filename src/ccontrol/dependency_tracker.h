@@ -46,8 +46,14 @@ const char* TrackerKindName(TrackerKind kind);
 
 class DependencyTracker {
  public:
-  DependencyTracker(TrackerKind kind, const std::vector<Tgd>* tgds)
-      : kind_(kind), tgds_(tgds), checker_(tgds) {}
+  // PRECISE runs its retroactive checks on `checker`, which must outlive
+  // the tracker. The Scheduler passes its own, so one residual-plan cache
+  // serves both the read-log walk and the tracker: the walk's re-planning
+  // sweep reaches every plan, and the checker's rows_examined() counts
+  // both. Sharing is safe because the two never check at the same time.
+  DependencyTracker(TrackerKind kind, const std::vector<Tgd>* tgds,
+                    const ConflictChecker* checker)
+      : kind_(kind), tgds_(tgds), checker_(checker) {}
 
   TrackerKind kind() const { return kind_; }
 
@@ -84,7 +90,7 @@ class DependencyTracker {
 
   TrackerKind kind_;
   const std::vector<Tgd>* tgds_;
-  ConflictChecker checker_;
+  const ConflictChecker* checker_;
   // Per-query scratch, a member so OnReads allocates nothing in steady
   // state: the writers an exact check has already linked.
   std::vector<uint64_t> linked_scratch_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "core/update.h"
 #include "query/plan.h"
 
 namespace youtopia {
@@ -45,8 +46,8 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   }
   // Setup-time plan registration, single-threaded: recompile every
   // mapping's plan complement against the live database and register its
-  // composite-index demands once. The worker plan views and the engine
-  // view copied below share these compiled complements until their own
+  // composite-index demands once. The engine view and the worker plan
+  // views copied below share these compiled complements until their own
   // adaptive re-planning diverges them; no engine recompiles at
   // construction again (Scheduler runs with register_plans off).
   for (const Tgd& tgd : *tgds_) {
@@ -60,21 +61,27 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
           : std::make_unique<RandomAgent>(options_.agent_seed ^
                                           0xc2b2ae3d27d4eb4fULL);
 
-  WorkerPoolOptions wopts;
-  wopts.num_workers = options_.num_workers;
-  wopts.max_steps_per_update = options_.max_steps_per_update;
-  wopts.inbox_capacity = options_.inbox_capacity;
-  wopts.agent_seed = options_.agent_seed;
-  wopts.agent_factory = options_.agent_factory;
-  wopts.escape_sink = [this](WriteOp op) { EnqueueEscape(std::move(op)); };
-  wopts.on_op_retired = [this] { RetireOps(1); };
-  wopts.metrics = metrics_;
-  pool_ = std::make_unique<WorkerPool>(db_, *tgds_, &shard_map_,
-                                       &component_locks_, &next_number_,
-                                       std::move(wopts));
+  // One lane per shard: the shard map already clamped the shard count to
+  // min(requested workers, components). Workers start only once every
+  // lane is built: a worker touches only its own lane, but the loop takes
+  // `this`.
+  const size_t num_shards = shard_map_.num_shards();
+  shards_.reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    auto s = std::make_unique<Shard>(options_.inbox_capacity, *tgds_);
+    s->inbox.SetMetrics(metrics_, obs::Gauge::kInboxDepth);
+    s->agent = options_.agent_factory
+                   ? options_.agent_factory(i)
+                   : std::make_unique<RandomAgent>(
+                         options_.agent_seed + 0x9e3779b97f4a7c15ULL * (i + 1));
+    shards_.push_back(std::move(s));
+  }
+  for (auto& s : shards_) {
+    s->thread = std::thread(&IngestPipeline::WorkerLoop, this, s.get());
+  }
 
-  // The admission thread starts last, once every structure it reads is
-  // live.
+  // The admission thread starts after the workers, once every structure
+  // it reads is live.
   admission_thread_ = std::thread(&IngestPipeline::AdmissionLoop, this);
 
   // Watchdog last, once every structure its dump reads is live. Progress
@@ -131,7 +138,7 @@ SubmitResult IngestPipeline::Submit(
   if (ClassifiesCross(op)) {
     CrossItem item;
     item.op = std::move(op);
-    // The watermark: this op's batch will wait until the pool has
+    // The watermark: this op's batch will wait until the workers have
     // processed at least this many pinned ops — i.e. every pinned update
     // whose Submit happened-before this one — and nothing newer.
     item.barrier = pinned_submitted_.load(std::memory_order_acquire);
@@ -141,10 +148,12 @@ SubmitResult IngestPipeline::Submit(
       metrics_->Add(obs::Counter::kCrossShardOps);
     }
   } else {
-    result = pool_->Submit(std::move(op), deadline);
+    const uint32_t shard = shard_map_.ShardOfRelation(op.rel);
+    result = shards_[shard]->inbox.Push(
+        PinnedItem{std::move(op), obs::MonotonicNs()}, deadline);
     // Counted only on success, and only after the push: the watermark must
-    // never exceed what the pool will eventually process, or a cross batch
-    // could wait forever on a rejected submission.
+    // never exceed what the workers will eventually process, or a cross
+    // batch could wait forever on a rejected submission.
     if (result == QueuePush::kOk) {
       pinned_submitted_.fetch_add(1, std::memory_order_acq_rel);
     }
@@ -154,10 +163,10 @@ SubmitResult IngestPipeline::Submit(
       metrics_->Add(obs::Counter::kSubmitted);
       return SubmitResult::kOk;
     case QueuePush::kWouldBlock:
-      RetireOps(1);
+      Retire(1, 0);
       return SubmitResult::kWouldBlock;
     case QueuePush::kClosed:
-      RetireOps(1);
+      Retire(1, 0);
       return SubmitResult::kShutdown;
   }
   CHECK(false);
@@ -178,18 +187,107 @@ void IngestPipeline::EnqueueEscape(WriteOp op) {
   cross_inbox_.ForcePush(std::move(item));
 }
 
-void IngestPipeline::RetireOps(uint64_t n) {
-  if (n == 0) return;
-  metrics_->Add(obs::Counter::kRetired, n);
+void IngestPipeline::Retire(uint64_t ops, uint64_t pinned) {
+  if (ops > 0) metrics_->Add(obs::Counter::kRetired, ops);
   {
-    // Under flush_mu_ so a flusher between its predicate test and its sleep
-    // cannot miss the wakeup, and so everything written before this retire
-    // (engine stats, committed lists) is visible to a flusher that observes
-    // the zero.
-    MutexLock lock(flush_mu_);
-    in_flight_.fetch_sub(n, std::memory_order_acq_rel);
+    MutexLock lock(retire_mu_);
+    in_flight_.fetch_sub(ops, std::memory_order_acq_rel);
+    pinned_processed_.fetch_add(pinned, std::memory_order_acq_rel);
   }
-  flush_cv_.NotifyAll();
+  retire_cv_.NotifyAll();
+}
+
+void IngestPipeline::WorkerLoop(Shard* s) {
+  PinnedItem item;
+  while (s->inbox.WaitPop(&item)) {
+    if (item.enqueue_ns != 0) {
+      metrics_->RecordLatency(obs::Stage::kInboxWait,
+                              obs::MonotonicNs() - item.enqueue_ns);
+    }
+    obs::TraceSpan op_span(obs::TraceName::kOp);
+    ++s->stats.updates_submitted;
+    const bool retired = RunPinned(s, std::move(item.op), item.enqueue_ns);
+    // Idle before the op retires, so a dump taken after Flush() returns
+    // shows every worker idle.
+    s->cur_number.store(0, std::memory_order_relaxed);
+    s->exclusive.store(false, std::memory_order_relaxed);
+    // An escaped op counts toward the watermark but stays in flight: its
+    // re-run on the cross lane retires it.
+    Retire(retired ? 1 : 0, 1);
+    op_span.End();
+  }
+}
+
+bool IngestPipeline::RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns) {
+  // Footprint lock: an insert/delete chase stays within one component, so
+  // the protocol degenerates to a single uncontended mutex unless a
+  // cross-shard admission currently covers this component. The number is
+  // claimed under the lock: execution order within a component is then
+  // number order, which makes the run serializable with every overlapping
+  // cross-shard batch (MVTO visibility sees exactly the writes of
+  // lower-numbered, already-finished updates). The chase stage starts
+  // before the lock, so a wait behind a cross batch counts as chase time.
+  const uint32_t component = shard_map_.ComponentOf(op.rel);
+  obs::ScopedLatency chase_latency(metrics_, obs::Stage::kChase);
+  obs::TraceSpan chase_span(obs::TraceName::kChase);
+  s->exclusive.store(true, std::memory_order_relaxed);
+  MutexLock lock(component_locks_[component]);
+  const uint64_t number = next_number_.fetch_add(1, std::memory_order_relaxed);
+  chase_span.set_arg(number);
+  s->cur_number.store(number, std::memory_order_relaxed);
+
+  UpdateOptions uopts;
+  uopts.max_steps = options_.max_steps_per_update;
+  uopts.detector = &s->detector;
+  // Admission at COMPONENT granularity — exactly what the held lock
+  // covers. A shard-wide bitmap would let a chase write (or replan over) a
+  // sibling component of this shard whose lock a concurrent cross-shard
+  // admission may hold.
+  uopts.allowed_relations = &shard_map_.ComponentRelations(component);
+  uopts.replan_poller = &s->poller;
+  Update u(number, std::move(op), &s->tgds, uopts);
+
+  s->undo_scratch.clear();
+  while (!u.finished()) {
+    StepResult res = u.Step(db_, s->agent.get());
+    ++s->stats.total_steps;
+    s->stats.physical_writes += res.writes.size();
+    for (const PhysicalWrite& pw : res.writes) {
+      s->undo_scratch.push_back({pw.rel, pw.row});
+    }
+  }
+
+  if (u.escaped()) {
+    // The chase reached a null whose occurrences leave this component.
+    // Undo the attempt's writes (all within the locked component, newest
+    // first) and surrender the initial operation to the cross-shard
+    // engine — which re-counts the submission, so retract this worker's
+    // count to keep merged updates_submitted equal to the ops actually
+    // submitted.
+    for (auto it = s->undo_scratch.rbegin(); it != s->undo_scratch.rend();
+         ++it) {
+      db_->RemoveRowVersions(it->first, it->second, number);
+    }
+    --s->stats.updates_submitted;
+    ++s->stats.escaped_updates;
+    obs::TraceInstant(obs::TraceName::kEscape, number);
+    EnqueueEscape(u.initial_op());
+    return false;
+  }
+  if (u.hit_step_cap()) {
+    ++s->stats.updates_failed;
+    return true;
+  }
+  ++s->stats.updates_completed;
+  s->stats.frontier_ops += u.frontier_ops_performed();
+  s->committed.push_back({number, u.initial_op()});
+  metrics_->Add(obs::Counter::kCommits);
+  if (enqueue_ns != 0) {
+    metrics_->RecordLatency(obs::Stage::kCommit,
+                            obs::MonotonicNs() - enqueue_ns);
+  }
+  obs::TraceCommit(number);
+  return true;
 }
 
 void IngestPipeline::AdmissionLoop() {
@@ -220,7 +318,12 @@ void IngestPipeline::ProcessCrossItems(std::vector<CrossItem> items) {
     obs::ScopedLatency barrier_latency(metrics_,
                                        obs::Stage::kAdmissionBarrier);
     obs::TraceSpan barrier_span(obs::TraceName::kAdmissionBarrier, barrier);
-    pool_->WaitProcessedAtLeast(barrier);
+    if (pinned_processed_.load(std::memory_order_acquire) < barrier) {
+      MutexLock lock(retire_mu_);
+      while (pinned_processed_.load(std::memory_order_acquire) < barrier) {
+        retire_cv_.Wait(retire_mu_);
+      }
+    }
   }
 
   // Admission latency per op: cross-lane enqueue until its batch starts
@@ -242,12 +345,12 @@ void IngestPipeline::ProcessCrossItems(std::vector<CrossItem> items) {
                                               /*escalated=*/false);
     // Escapes were re-queued (a later loop iteration runs them escalated)
     // and stay in flight.
-    RetireOps(n - escapes);
+    Retire(n - escapes, 0);
   }
   if (!escalated.empty()) {
     const size_t n = escalated.size();
     RunCrossShardBatch(std::move(escalated), /*escalated=*/true);
-    RetireOps(n);  // nothing escapes an escalated run
+    Retire(n, 0);  // nothing escapes an escalated run
   }
 }
 
@@ -343,51 +446,57 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
 
 ParallelStats IngestPipeline::Flush() {
   // The barrier: every admitted op has retired. The admission thread
-  // drains the cross lane on its own. Observing zero under flush_mu_
-  // happens-after the retiring thread's stats writes (see RetireOps), so
-  // the aggregation below reads quiescent state.
+  // drains the cross lane on its own. Observing zero under retire_mu_
+  // happens-after the retiring thread's stats writes (see Retire), so the
+  // aggregation below reads quiescent state.
   {
-    MutexLock lock(flush_mu_);
+    MutexLock lock(retire_mu_);
     while (in_flight_.load(std::memory_order_acquire) != 0 && !stopped_) {
-      flush_cv_.Wait(flush_mu_);
+      retire_cv_.Wait(retire_mu_);
     }
   }
 
   ParallelStats stats;
-  stats.totals = pool_->MergedStats();
+  for (const auto& s : shards_) {
+    stats.totals.Merge(s->stats);
+    stats.shard_pinned.push_back(s->stats.updates_completed);
+    stats.inbox_high_watermark = std::max<uint64_t>(
+        stats.inbox_high_watermark, s->inbox.high_watermark());
+    stats.admission_stall_seconds += s->inbox.stall_seconds();
+  }
   stats.pinned_updates = stats.totals.updates_completed;
   stats.totals.Merge(engine_stats_);
-  stats.workers = pool_->num_workers();
+  stats.workers = shards_.size();
   stats.cross_shard_updates = engine_cross_ops_;
   // Every worker escape and every engine escape is counted in its
   // engine's stats and re-routed once through EnqueueEscape.
   stats.escaped_updates = stats.totals.escaped_updates;
   stats.flushes = ++flushes_;
-  stats.inbox_high_watermark = pool_->InboxHighWatermark();
-  stats.admission_stall_seconds =
-      pool_->AdmissionStallSeconds() + cross_inbox_.stall_seconds();
-  stats.shard_pinned = pool_->PinnedPerShard();
+  stats.admission_stall_seconds += cross_inbox_.stall_seconds();
   return stats;
 }
 
 void IngestPipeline::Stop() {
   {
-    MutexLock lock(flush_mu_);
+    MutexLock lock(retire_mu_);
     if (stopped_) return;
     stopped_ = true;
   }
-  flush_cv_.NotifyAll();
+  retire_cv_.NotifyAll();
   // Watchdog first: the shutdown drain below can legitimately take longer
   // than a stall deadline, and a fatal watchdog must never fire on it.
   if (watchdog_ != nullptr) watchdog_->Stop();
   // Shutdown order is what keeps "already admitted ops still drain" true:
-  // the pinned lane closes and joins first, so every worker escape has
-  // reached the cross inbox before it closes; the admission thread then
-  // drains the remaining cross backlog (escapes it produces itself re-enter
-  // before its next WaitPop, so it always sees them) and exits on
-  // closed-and-empty. Blocked producers on either lane fail with kClosed as
-  // soon as the close lands.
-  pool_->Shutdown();
+  // the pinned lanes close and join first (each worker drains its backlog),
+  // so every worker escape has reached the cross inbox before it closes;
+  // the admission thread then drains the remaining cross backlog (escapes
+  // it produces itself re-enter before its next WaitPop, so it always sees
+  // them) and exits on closed-and-empty. Blocked producers on either lane
+  // fail with kClosed as soon as the close lands.
+  for (auto& s : shards_) s->inbox.Close();
+  for (auto& s : shards_) {
+    if (s->thread.joinable()) s->thread.join();
+  }
   cross_inbox_.Close();
   if (admission_thread_.joinable()) admission_thread_.join();
 }
@@ -410,25 +519,34 @@ void IngestPipeline::AppendDiagnostics(std::string* out) const {
                pinned_submitted_.load(std::memory_order_acquire)),
            cross_inbox_.size());
   out->append(buf);
-  for (const auto& ib : pool_->InboxSnapshot()) {
+  for (size_t i = 0; i < shards_.size(); ++i) {
     snprintf(buf, sizeof(buf),
-             "shard %u inbox: depth=%zu high-watermark=%zu\n", ib.shard,
-             ib.depth, ib.high_watermark);
+             "shard %zu inbox: depth=%zu high-watermark=%zu\n", i,
+             shards_[i]->inbox.size(), shards_[i]->inbox.high_watermark());
     out->append(buf);
   }
-  for (const auto& w : pool_->PhaseSnapshot()) {
-    snprintf(buf, sizeof(buf), "shard %u worker: op=%llu phase=%s\n",
-             w.shard, static_cast<unsigned long long>(w.number),
-             WorkerPhaseName(w.phase));
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& s = *shards_[i];
+    snprintf(buf, sizeof(buf), "shard %zu worker: op=%llu phase=%s\n", i,
+             static_cast<unsigned long long>(
+                 s.cur_number.load(std::memory_order_relaxed)),
+             s.exclusive.load(std::memory_order_relaxed) ? "exclusive"
+                                                         : "idle");
     out->append(buf);
   }
 }
 
+std::vector<std::thread::id> IngestPipeline::WorkerThreadIds() const {
+  std::vector<std::thread::id> ids;
+  for (const auto& s : shards_) ids.push_back(s->thread.get_id());
+  return ids;
+}
+
 std::vector<WriteOp> IngestPipeline::CommittedOpsInOrder() const {
-  std::vector<std::pair<uint64_t, WriteOp>> numbered =
-      pool_->CommittedOpsWithNumbers();
-  numbered.insert(numbered.end(), engine_committed_.begin(),
-                  engine_committed_.end());
+  std::vector<std::pair<uint64_t, WriteOp>> numbered = engine_committed_;
+  for (const auto& s : shards_) {
+    numbered.insert(numbered.end(), s->committed.begin(), s->committed.end());
+  }
   std::sort(numbered.begin(), numbered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<WriteOp> out;

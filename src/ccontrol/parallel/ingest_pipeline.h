@@ -16,9 +16,9 @@
 
 #include "ccontrol/parallel/bounded_mpsc_queue.h"
 #include "ccontrol/parallel/shard_map.h"
-#include "ccontrol/parallel/worker_pool.h"
 #include "ccontrol/scheduler.h"
 #include "core/agent.h"
+#include "core/violation_detector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -39,8 +39,10 @@ struct IngestOptions {
   size_t max_attempts_per_update = 256;
   // First update number to assign (continues an external sequence).
   uint64_t first_number = 1;
-  // Per-worker simulated users; see WorkerPoolOptions (pool agents use
-  // indexes [0, shards)). The cross-shard engine's agent is
+  // Per-worker simulated users: shard i's worker gets agent_factory(i)
+  // when a factory is given, else a RandomAgent derived from agent_seed and
+  // i. Agents with per-call state (RandomAgent's RNG) must never be shared
+  // across threads. The cross-shard engine's agent is
   // agent_factory(num_workers) when a factory is given.
   uint64_t agent_seed = 42;
   std::function<std::unique_ptr<FrontierAgent>(size_t)> agent_factory;
@@ -99,8 +101,8 @@ enum class SubmitResult {
 //   * Single-shard updates (inserts and deletes — their tgd-closure
 //     footprint is exactly one component) are pinned to the worker owning
 //     that component's shard and run to completion with no concurrency
-//     control on the hot path (WorkerPool; workers park on their bounded
-//     inbox between ops).
+//     control on the hot path (one thread per shard, parked on the shard's
+//     bounded inbox between ops; see RunPinned).
 //   * Cross-shard updates (null replacements, whose occurrence footprints
 //     span any set of components; plus pinned attempts that escaped their
 //     shard mid-chase) run through the existing serial Scheduler — read
@@ -111,7 +113,7 @@ enum class SubmitResult {
 //     admissions can never deadlock. A dedicated admission thread runs
 //     these batches as ops arrive; each cross op carries the
 //     pinned-submission watermark observed at its admission, and its batch
-//     waits until the pool has processed that many pinned ops — so a
+//     waits until the workers have processed that many pinned ops — so a
 //     replacement sees every occurrence registered by pinned predecessors
 //     it was submitted after, without ever waiting on traffic submitted
 //     later (no quiescent point, no livelock under open-loop load).
@@ -172,7 +174,7 @@ class IngestPipeline {
 
   // Claims one priority number from the pipeline's sequence — the facade
   // runs serial (non-pipeline) updates at a quiescent point and keeps the
-  // global numbering shared with the standing pool.
+  // global numbering shared with the standing pipeline.
   uint64_t ClaimNumber() {
     return next_number_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -183,9 +185,7 @@ class IngestPipeline {
 
   // Stable worker thread ids — the "Flush must not recreate threads"
   // regression axis.
-  std::vector<std::thread::id> WorkerThreadIds() const {
-    return pool_->ThreadIds();
-  }
+  std::vector<std::thread::id> WorkerThreadIds() const;
 
   // The metrics registry every stage of this pipeline records into (the
   // one passed in IngestOptions, or the pipeline-owned fallback).
@@ -215,6 +215,44 @@ class IngestPipeline {
   }
 
  private:
+  // One shard-inbox entry: a pinned op plus its inbox-entry timestamp
+  // (MonotonicNs), the start of both its inbox wait and its whole-op commit
+  // latency.
+  struct PinnedItem {
+    WriteOp op;
+    uint64_t enqueue_ns = 0;
+  };
+
+  // One shard lane: its bounded inbox and the worker thread that drains
+  // it, with everything the worker's hot path touches. Between Flush()
+  // barriers only the worker touches `tgds` through `undo_scratch`.
+  struct Shard {
+    Shard(size_t capacity, const std::vector<Tgd>& base_tgds)
+        : inbox(capacity), tgds(base_tgds), detector(&tgds) {}
+
+    BoundedMpscQueue<PinnedItem> inbox;
+    // The worker's private plan view: adaptive re-planning swaps plans on
+    // this copy, never on a structure another thread reads. Copies share
+    // compiled plans until the worker replans; `poller` keeps its
+    // staleness watermark across flush epochs.
+    std::vector<Tgd> tgds;
+    // Its non-reentrant evaluator pair and their scratch amortize across
+    // every update the worker runs.
+    ViolationDetector detector;
+    std::unique_ptr<FrontierAgent> agent;
+    ReplanPoller poller;
+    SchedulerStats stats;
+    std::vector<std::pair<uint64_t, WriteOp>> committed;
+    std::vector<std::pair<RelationId, RowId>> undo_scratch;
+    // Watchdog-visible current work, published relaxed on transitions (the
+    // dump tolerates tearing across workers): the number of the op in
+    // flight (0 = none) and whether the worker has asked for its component
+    // lock ("exclusive" with op 0 is a worker waiting on that lock).
+    std::atomic<uint64_t> cur_number{0};
+    std::atomic<bool> exclusive{false};
+    std::thread thread;  // started after every lane is built
+  };
+
   // One admission-lane item: the op, the pinned-submission watermark its
   // batch must wait for, and whether it re-runs escalated (all locks).
   struct CrossItem {
@@ -227,6 +265,15 @@ class IngestPipeline {
   };
 
   bool ClassifiesCross(const WriteOp& op) const;
+  // A shard's worker: runs the inbox's ops one at a time until the inbox
+  // is closed and empty.
+  void WorkerLoop(Shard* s);
+  // Runs `op` to a terminal state under its component lock with
+  // concurrency control off: commits are recorded, escapes are undone and
+  // re-routed through EnqueueEscape, step-cap failures leave their writes
+  // in place. Returns false iff the op escaped (it stays in flight).
+  // `enqueue_ns` is the op's inbox-entry stamp (0 = unknown).
+  bool RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns);
   void AdmissionLoop();
   // Runs one admission round: `items` split into a normal batch (union
   // footprint locks) and an escalated batch (every lock), in that order.
@@ -234,11 +281,14 @@ class IngestPipeline {
   // Runs `ops` through an embedded serial Scheduler under the ordered
   // footprint locks; escalated batches hold every component lock and run
   // unrestricted (nothing can escape twice). Returns how many ops escaped
-  // (they were re-queued through the escape sink and stay in flight).
+  // (they were re-queued through EnqueueEscape and stay in flight).
   size_t RunCrossShardBatch(std::vector<WriteOp> ops, bool escalated);
+  // Re-routes an escaped op to the cross lane. Never blocks: callers may
+  // hold component locks.
   void EnqueueEscape(WriteOp op);
-  // Marks `n` admitted ops retired and wakes Flush when the count zeroes.
-  void RetireOps(uint64_t n);
+  // Publishes `ops` admitted ops as retired and `pinned` inbox ops as
+  // processed, with one lock and one wake-up for both barriers.
+  void Retire(uint64_t ops, uint64_t pinned);
 
   Database* db_;
   const std::vector<Tgd>* tgds_;
@@ -252,10 +302,21 @@ class IngestPipeline {
   std::deque<Mutex> component_locks_;
   std::atomic<uint64_t> next_number_;
 
-  // Admitted-but-not-retired ops; the Flush barrier.
+  // The retirement barrier. Both counts below change under retire_mu_,
+  // except Submit's increment of in_flight_, which never ends a wait. So a
+  // waiter between its predicate test and its sleep cannot miss a wake-up,
+  // and a waiter that sees its count happens-after everything the retiring
+  // thread wrote before it (stats, committed lists). Flush() waits for
+  // in_flight_ to reach 0; the admission thread waits for
+  // pinned_processed_ to reach its batch's watermark.
+  Mutex retire_mu_{LockRank::kLeaf};
+  CondVar retire_cv_;
+  // Admitted ops not yet retired (committed or failed; an escaped op stays
+  // in flight until its re-run retires).
   std::atomic<uint64_t> in_flight_{0};
-  Mutex flush_mu_{LockRank::kLeaf};
-  CondVar flush_cv_;
+  // Inbox ops the workers have processed: committed, failed or escaped.
+  std::atomic<uint64_t> pinned_processed_{0};
+  bool stopped_ GUARDED_BY(retire_mu_) = false;
 
   // Pinned ops admitted so far — the watermark cross ops capture.
   std::atomic<uint64_t> pinned_submitted_{0};
@@ -266,7 +327,7 @@ class IngestPipeline {
 
   // The cross-shard engine's private plan view, agent and bookkeeping.
   // The admission thread is their only owner; Flush() reads them after its
-  // barrier, which happens-after the last retirement (see RetireOps).
+  // barrier, which happens-after the last retirement (see Retire).
   std::vector<Tgd> engine_tgds_;
   std::unique_ptr<FrontierAgent> engine_agent_;
   SchedulerStats engine_stats_;
@@ -282,10 +343,9 @@ class IngestPipeline {
   // Started after all execution threads, stopped first in Stop().
   std::unique_ptr<obs::StallWatchdog> watchdog_;
 
-  bool stopped_ GUARDED_BY(flush_mu_) = false;
-
-  std::unique_ptr<WorkerPool> pool_;  // before admission thread: it submits
-  std::thread admission_thread_;      // started last
+  // One lane per shard (the shard map clamps the count to the components).
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::thread admission_thread_;  // started after the workers
 };
 
 }  // namespace youtopia

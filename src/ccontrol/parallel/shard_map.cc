@@ -45,13 +45,12 @@ ShardMap::ShardMap(size_t num_relations, const std::vector<Tgd>& tgds,
   // Component ids in ascending-representative order: scanning relations in
   // id order meets each root at its minimum member first.
   component_of_.assign(num_relations, 0);
-  std::vector<uint64_t> component_weight;
+  std::vector<uint64_t> component_weight;  // component -> balance weight
   std::vector<int64_t> id_of_root(num_relations, -1);
   for (uint32_t r = 0; r < num_relations; ++r) {
     const uint32_t root = Find(parent, r);
     if (id_of_root[root] < 0) {
-      id_of_root[root] = static_cast<int64_t>(representative_.size());
-      representative_.push_back(root);
+      id_of_root[root] = static_cast<int64_t>(component_weight.size());
       component_weight.push_back(0);
     }
     const auto c = static_cast<uint32_t>(id_of_root[root]);
@@ -72,15 +71,15 @@ ShardMap::ShardMap(size_t num_relations, const std::vector<Tgd>& tgds,
   // Deterministic (ties resolve to the lower component/shard id), so every
   // run of a given schema+mapping set pins the same work to the same
   // workers.
-  const size_t shard_count =
-      std::min(std::max<size_t>(num_shards, 1), representative_.size());
-  shard_of_.assign(representative_.size(), 0);
-  std::vector<uint32_t> order(representative_.size());
+  const size_t num_components = component_weight.size();
+  num_shards_ = std::min(std::max<size_t>(num_shards, 1), num_components);
+  shard_of_.assign(num_components, 0);
+  std::vector<uint32_t> order(num_components);
   for (uint32_t c = 0; c < order.size(); ++c) order[c] = c;
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return component_weight[a] > component_weight[b];
   });
-  std::vector<size_t> load(shard_count, 0);
+  std::vector<size_t> load(num_shards_, 0);
   for (uint32_t c : order) {
     const size_t shard =
         std::min_element(load.begin(), load.end()) - load.begin();
@@ -88,12 +87,9 @@ ShardMap::ShardMap(size_t num_relations, const std::vector<Tgd>& tgds,
     load[shard] += component_weight[c];
   }
 
-  shard_relations_.assign(shard_count,
-                          std::vector<bool>(num_relations, false));
-  component_relations_.assign(representative_.size(),
+  component_relations_.assign(num_components,
                               std::vector<bool>(num_relations, false));
   for (uint32_t r = 0; r < num_relations; ++r) {
-    shard_relations_[shard_of_[component_of_[r]]][r] = true;
     component_relations_[component_of_[r]][r] = true;
   }
 }

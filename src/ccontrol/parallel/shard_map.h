@@ -51,8 +51,8 @@ class ShardMap {
   static constexpr uint64_t kHotMassWeight = 4;
 
   size_t num_relations() const { return component_of_.size(); }
-  size_t num_components() const { return representative_.size(); }
-  size_t num_shards() const { return shard_relations_.size(); }
+  size_t num_components() const { return shard_of_.size(); }
+  size_t num_shards() const { return num_shards_; }
 
   uint32_t ComponentOf(RelationId rel) const {
     CHECK_LT(rel, component_of_.size());
@@ -68,21 +68,9 @@ class ShardMap {
     return ShardOfComponent(ComponentOf(rel));
   }
 
-  // The component's minimum relation id (the lock-order key).
-  RelationId RepresentativeOf(uint32_t component) const {
-    CHECK_LT(component, representative_.size());
-    return representative_[component];
-  }
-
-  // Per-relation membership bitmap of one shard (a worker's owned set).
-  const std::vector<bool>& ShardRelations(uint32_t shard) const {
-    CHECK_LT(shard, shard_relations_.size());
-    return shard_relations_[shard];
-  }
-
   // Per-relation membership bitmap of one component. This — not the
-  // shard bitmap — is the admission guard for a pinned update: the update
-  // holds exactly its component's footprint lock, so writing (or
+  // shard's relation set — is the admission guard for a pinned update: the
+  // update holds exactly its component's footprint lock, so writing (or
   // replanning over) a sibling component of the same shard would race a
   // cross-shard admission that holds that sibling's lock.
   const std::vector<bool>& ComponentRelations(uint32_t component) const {
@@ -102,11 +90,11 @@ class ShardMap {
       const std::vector<uint32_t>& components) const;
 
  private:
-  std::vector<uint32_t> component_of_;    // relation -> component
-  std::vector<RelationId> representative_;  // component -> min relation
-  std::vector<uint32_t> shard_of_;          // component -> shard
-  std::vector<std::vector<bool>> shard_relations_;  // shard -> membership
-  std::vector<std::vector<bool>> component_relations_;  // component -> same
+  std::vector<uint32_t> component_of_;  // relation -> component
+  std::vector<uint32_t> shard_of_;      // component -> shard
+  // component -> per-relation membership
+  std::vector<std::vector<bool>> component_relations_;
+  size_t num_shards_ = 0;
 };
 
 }  // namespace youtopia

@@ -15,7 +15,7 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
       options_(options),
       checker_(tgds),
       read_log_(tgds),
-      tracker_(options.tracker, tgds),
+      tracker_(options.tracker, tgds, &checker_),
       next_number_(options.first_number) {
   // Registration: unconditionally re-cost every tgd's plan complement
   // against the database this scheduler will run over (matching

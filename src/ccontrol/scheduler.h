@@ -77,7 +77,7 @@ struct SchedulerStats {
   uint64_t read_log_queries_scanned = 0;
   uint64_t cascade_marks_scanned = 0;
 
-  // Pool-level merge (the ingest pipeline sums worker-local and
+  // Pipeline-level merge (the ingest pipeline sums worker-local and
   // cross-shard engine stats into one report).
   void Merge(const SchedulerStats& other) {
     updates_submitted += other.updates_submitted;
@@ -139,7 +139,8 @@ class Scheduler {
 
   // Rows examined across the run: every slot's violation-detector traffic
   // (each serial-engine update owns its detector) plus the retroactive
-  // conflict checker's. The planner-quality metric bench/skew_suite gates
+  // conflict checker's, which runs both the read-log walk's checks and the
+  // PRECISE tracker's. The planner-quality metric bench/skew_suite gates
   // on — wall time measures the machine, rows measure the plans.
   uint64_t TotalRowsExamined() const;
 

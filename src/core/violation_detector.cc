@@ -1,5 +1,7 @@
 #include "core/violation_detector.h"
 
+#include <algorithm>
+
 namespace youtopia {
 
 void ViolationDetector::AfterWrites(const Snapshot& snap,
@@ -44,14 +46,17 @@ bool ViolationDetector::Pose(const QueryPlan& plan, const PosedQuery& q,
     fp = FinishViolationFingerprint(plan.shape_hash, q.tgd_id, *q.pinned);
   }
   if (dedup) {
-    for (auto [it, end] = posed_.equal_range(fp); it != end; ++it) {
+    auto it = std::lower_bound(
+        posed_.begin(), posed_.end(), fp,
+        [](const auto& entry, uint64_t key) { return entry.first < key; });
+    for (; it != posed_.end() && it->first == fp; ++it) {
       const PosedQuery& p = it->second;
       if (p.tgd_id == q.tgd_id && p.pinned_on_lhs == q.pinned_on_lhs &&
           p.atom_index == q.atom_index && *p.pinned == *q.pinned) {
         return false;
       }
     }
-    posed_.emplace(fp, q);
+    posed_.insert(it, {fp, q});
   }
   if (reads != nullptr) {
     reads->push_back(ReadQueryRecord::Violation(q.tgd_id, q.pinned_on_lhs,

@@ -1,7 +1,8 @@
 #ifndef YOUTOPIA_CORE_VIOLATION_DETECTOR_H_
 #define YOUTOPIA_CORE_VIOLATION_DETECTOR_H_
 
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ccontrol/read_query.h"
@@ -135,9 +136,10 @@ class ViolationDetector {
   // enumeration's callback (evaluators are not reentrant).
   mutable Evaluator lhs_eval_;
   mutable Evaluator rhs_eval_;
-  // The queries posed by the current batch, by fingerprint (emptied when
-  // the batch ends; buckets amortize across the run).
-  mutable std::unordered_multimap<uint64_t, PosedQuery> posed_;
+  // The queries posed by the current batch, sorted by fingerprint. Emptied
+  // when the batch ends but keeps its capacity, so a detector allocates
+  // here only when a batch poses more queries than any batch before it.
+  mutable std::vector<std::pair<uint64_t, PosedQuery>> posed_;
 };
 
 }  // namespace youtopia

@@ -100,7 +100,7 @@ class Youtopia {
   // the given cascading-abort algorithm and returns the run's statistics.
   Result<SchedulerStats> RunQueued(TrackerKind tracker);
 
-  // --- The standing ingest pipeline (sharded worker-pool service) -----------
+  // --- The standing ingest pipeline (one worker per shard) ------------------
 
   // Brings up the standing ingest service (see ccontrol/parallel/): worker
   // threads park on bounded per-shard inboxes for the repository's
@@ -108,7 +108,7 @@ class Youtopia {
   // continuously. While it runs, *Async calls feed it directly — executing
   // immediately, subject to the backpressure contract below — and Flush()
   // is the barrier. Starting an already-running pipeline is a no-op if the
-  // configuration matches; otherwise the old pool flushes and a new one
+  // configuration matches; otherwise the old pipeline flushes and a new one
   // replaces it. Each shard runs on one pinned thread with zero
   // concurrency control; `tracker` is the cross-shard engine's
   // cascading-abort algorithm.

@@ -45,11 +45,13 @@ class DependencyTrackerTest : public ::testing::Test {
   }
 
   Figure2 fig_;
+  // The trackers' checker, as a Scheduler shares its own with its tracker.
+  ConflictChecker checker_{&fig_.tgds};
   WriteLog wlog_;
 };
 
 TEST_F(DependencyTrackerTest, NaiveTracksNothing) {
-  DependencyTracker tracker(TrackerKind::kNaive, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kNaive, &fig_.tgds, &checker_);
   wlog_.Record(1, Insert(fig_.T, fig_.Row({"Geneva Winery", "Q", "S"})));
   Snapshot snap(&fig_.db, kReadLatest);
   tracker.OnReads(snap, 5,
@@ -60,7 +62,7 @@ TEST_F(DependencyTrackerTest, NaiveTracksNothing) {
 }
 
 TEST_F(DependencyTrackerTest, CoarseUsesRelationGranularity) {
-  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds, &checker_);
   // Update 1 wrote T (in sigma3's relations); update 2 wrote V (not).
   wlog_.Record(1, Insert(fig_.T, fig_.Row({"Z", "Q", "S"})));
   wlog_.Record(2, Insert(fig_.V, fig_.Row({"Z", "Q"})));
@@ -76,7 +78,7 @@ TEST_F(DependencyTrackerTest, CoarseUsesRelationGranularity) {
 }
 
 TEST_F(DependencyTrackerTest, PreciseRequiresActualInfluence) {
-  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds, &checker_);
   // Update 1's T write joins with Geneva Winery; update 2's does not.
   wlog_.Record(1, Insert(fig_.T, fig_.Row({"Geneva Winery", "Q", "S"})));
   wlog_.Record(2, Insert(fig_.T, fig_.Row({"Elsewhere", "Q", "S"})));
@@ -89,10 +91,30 @@ TEST_F(DependencyTrackerTest, PreciseRequiresActualInfluence) {
   EXPECT_EQ(Readers(tracker, 2, wlog_).count(5), 0u);
 }
 
+TEST_F(DependencyTrackerTest, PreciseChecksCountInTheSharedCheckersRows) {
+  // A PRECISE check runs on the checker the tracker was given, so the
+  // rows its residual plans examine count in that checker's
+  // rows_examined(), which Scheduler::TotalRowsExamined reports. Update
+  // 1's R row completes sigma3's RHS for the seeded T(Geneva Winery, XYZ,
+  // Syracuse): the check finds that T row through the residual plan.
+  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds, &checker_);
+  wlog_.Record(1, Insert(fig_.R, fig_.Row({"XYZ", "Geneva Winery", "Fine"})));
+  Snapshot snap(&fig_.db, kReadLatest);
+  const uint64_t before = checker_.rows_examined();
+  EXPECT_EQ(tracker.OnReads(snap, 5,
+                            {ReadQueryRecord::Violation(
+                                2, true, 0,
+                                fig_.Row({"Geneva", "Geneva Winery"}))},
+                            wlog_),
+            1u);
+  EXPECT_EQ(Readers(tracker, 1, wlog_).count(5), 1u);
+  EXPECT_GT(checker_.rows_examined(), before);
+}
+
 TEST_F(DependencyTrackerTest, PreciseSubsetOfCoarse) {
   // On identical inputs, PRECISE's dependency set is contained in COARSE's.
-  DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds);
-  DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds);
+  DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds, &checker_);
+  DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds, &checker_);
   wlog_.Record(1, Insert(fig_.T, fig_.Row({"Geneva Winery", "Q", "S"})));
   wlog_.Record(2, Insert(fig_.T, fig_.Row({"Elsewhere", "Q", "S"})));
   wlog_.Record(3, Insert(fig_.A, fig_.Row({"Geneva", "Geneva Winery"})));
@@ -119,7 +141,7 @@ TEST_F(DependencyTrackerTest, PreciseSubsetOfCoarse) {
 TEST_F(DependencyTrackerTest, CorrectionQueriesExactInBothModes) {
   // Correction-query dependencies are computed exactly regardless of mode.
   for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
-    DependencyTracker tracker(kind, &fig_.tgds);
+    DependencyTracker tracker(kind, &fig_.tgds, &checker_);
     WriteLog wlog;
     wlog.Record(1, Insert(fig_.C, fig_.Row({"NYC"})));
     wlog.Record(2, Insert(fig_.C, fig_.Row({"Boston"})));
@@ -137,7 +159,7 @@ TEST_F(DependencyTrackerTest, CorrectionQueriesExactInBothModes) {
 }
 
 TEST_F(DependencyTrackerTest, OnlyLowerNumberedWritersCount) {
-  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds, &checker_);
   wlog_.Record(7, Insert(fig_.T, fig_.Row({"Z", "Q", "S"})));
   Snapshot snap(&fig_.db, kReadLatest);
   // Reader 5 < writer 7: no dependency (7's writes are invisible to 5).
@@ -149,7 +171,7 @@ TEST_F(DependencyTrackerTest, OnlyLowerNumberedWritersCount) {
 }
 
 TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
-  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds, &checker_);
   wlog_.Record(1, Insert(fig_.T, fig_.Row({"Z", "Q", "S"})));
   Snapshot snap(&fig_.db, kReadLatest);
   const std::vector<ReadQueryRecord> reads{ReadQueryRecord::Violation(
@@ -170,7 +192,7 @@ TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
 TEST_F(DependencyTrackerTest, CoarseLinksOnlyWritesLoggedBeforeTheRead) {
   // Reader 5 reads sigma3's relations (A, T, R) before update 1 writes T:
   // 5 read nothing 1 wrote, so no edge, until 5 reads the relations again.
-  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kCoarse, &fig_.tgds, &checker_);
   Snapshot snap(&fig_.db, kReadLatest);
   const std::vector<ReadQueryRecord> reads{ReadQueryRecord::Violation(
       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}))};
@@ -189,7 +211,7 @@ TEST_F(DependencyTrackerTest, TestsOnlyLowerNumberedWritesThatCanConflict) {
   // on the query's relations, or carrying its null. Writes off those
   // relations or above the reader — and whole writers' logs, the way a
   // walk by writer would test them — would raise the counts.
-  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds);
+  DependencyTracker tracker(TrackerKind::kPrecise, &fig_.tgds, &checker_);
   const Value n = fig_.x1;
   wlog_.Record(1, Insert(fig_.C, fig_.Row({"Boston"})));
   wlog_.Record(2, Insert(fig_.T, {fig_.Const("Nowhere"), n, fig_.Const("S")}));
@@ -285,8 +307,8 @@ TEST_F(DependencyTrackerTest, EdgesMatchReferenceScanOnRandomLogs) {
     };
 
     WriteLog wlog;
-    DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds);
-    DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds);
+    DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds, &checker_);
+    DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds, &checker_);
     ConflictChecker checker(&fig_.tgds);
     std::vector<std::pair<uint64_t, PhysicalWrite>> logged;
     std::set<uint64_t> retired;

@@ -306,6 +306,41 @@ TEST(IngestPipelineTest, WorkerThreadsSurviveConsecutiveFlushes) {
   EXPECT_EQ(stats.totals.updates_failed, 0u);
 }
 
+TEST(IngestPipelineTest, DiagnosticsAfterFlushShowEveryShardIdle) {
+  // The watchdog dump, taken at a Flush() barrier: nothing in flight, one
+  // inbox line and one idle worker line per shard.
+  Islands fix(2);
+  IngestOptions opts;
+  opts.num_workers = 2;
+  opts.agent_factory = MinContentFactory;
+  IngestPipeline pipeline(&fix.db, &fix.tgds, opts);
+  ASSERT_EQ(pipeline.shard_map().num_shards(), 2u);
+  for (size_t i = 0; i < fix.A.size(); ++i) {
+    ASSERT_EQ(pipeline.Submit(WriteOp::Insert(fix.A[i], fix.Row({"x", "y"}))),
+              SubmitResult::kOk);
+  }
+  pipeline.Flush();
+
+  std::string dump;
+  pipeline.AppendDiagnostics(&dump);
+  auto count = [&dump](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = dump.find(needle); at != std::string::npos;
+         at = dump.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(dump.rfind("in-flight ops: 0,", 0), 0u) << dump;
+  EXPECT_EQ(count(" inbox: "), 2u) << dump;
+  EXPECT_EQ(count(" worker: "), 2u) << dump;
+  for (int shard = 0; shard < 2; ++shard) {
+    const std::string prefix = "shard " + std::to_string(shard);
+    EXPECT_EQ(count(prefix + " inbox: depth=0 "), 1u) << dump;
+    EXPECT_EQ(count(prefix + " worker: op=0 phase=idle\n"), 1u) << dump;
+  }
+}
+
 TEST(IngestPipelineTest, ConcurrentProducersMatchSerialExecution) {
   // 4 producer threads hammer a 4-island pipeline through tiny inboxes
   // (capacity 2 — constant blocking), then the final instance must equal a

@@ -23,17 +23,28 @@ TEST(ShardMapTest, Figure2SplitsIntoTwoComponents) {
   EXPECT_EQ(map.ComponentOf(fig.A), map.ComponentOf(fig.E));
   EXPECT_NE(map.ComponentOf(fig.C), map.ComponentOf(fig.A));
   // Component ids ascend with their representative (minimum) relation ids —
-  // the lock-order key.
-  EXPECT_LT(map.RepresentativeOf(0), map.RepresentativeOf(1));
-  EXPECT_EQ(map.RepresentativeOf(map.ComponentOf(fig.C)), fig.C);
+  // the lock-order key: scanning relations in id order meets component c
+  // first after components 0..c-1. C is the minimum of its component.
+  uint32_t next_new = 0;
+  for (RelationId r = 0; r < fig.db.num_relations(); ++r) {
+    const uint32_t c = map.ComponentOf(r);
+    EXPECT_LE(c, next_new) << "relation " << r;
+    if (c == next_new) ++next_new;
+    if (c == map.ComponentOf(fig.C)) {
+      EXPECT_GE(r, fig.C);
+    }
+  }
+  EXPECT_EQ(next_new, map.num_components());
   // Different components land on different shards here (2 and 2).
   EXPECT_NE(map.ShardOfRelation(fig.C), map.ShardOfRelation(fig.T));
-  // Shard membership bitmaps partition the relations.
-  size_t owned = 0;
-  for (uint32_t s = 0; s < map.num_shards(); ++s) {
-    for (bool b : map.ShardRelations(s)) owned += b ? 1 : 0;
+  // The shards partition the relations: every relation lies on one shard,
+  // and no shard is empty.
+  std::vector<size_t> owned(map.num_shards(), 0);
+  for (RelationId r = 0; r < fig.db.num_relations(); ++r) {
+    ASSERT_LT(map.ShardOfRelation(r), map.num_shards());
+    ++owned[map.ShardOfRelation(r)];
   }
-  EXPECT_EQ(owned, fig.db.num_relations());
+  for (size_t n : owned) EXPECT_GT(n, 0u);
 }
 
 TEST(ShardMapTest, InsertAndDeleteFootprintsAreTheirComponent) {
@@ -133,7 +144,9 @@ TEST(ShardMapTest, UnmappedRelationsAreSingletonComponents) {
   EXPECT_EQ(map.num_shards(), 2u);
   // Greedy balance: three unit components over two shards -> loads 2 and 1.
   size_t shard0 = 0;
-  for (bool b : map.ShardRelations(0)) shard0 += b ? 1 : 0;
+  for (RelationId r = 0; r < db.num_relations(); ++r) {
+    shard0 += map.ShardOfRelation(r) == 0 ? 1 : 0;
+  }
   EXPECT_TRUE(shard0 == 1 || shard0 == 2);
 }
 

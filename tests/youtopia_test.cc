@@ -195,14 +195,14 @@ TEST_F(YoutopiaTest, AsyncInsertThenReplaceOfFreshNullInOneDrain) {
 
 TEST_F(YoutopiaTest, StandingPipelineLifecycle) {
   // Start brings the service up; *Async calls execute immediately; Flush
-  // is only a barrier; Stop tears the pool down and async falls back to
+  // is only a barrier; Stop tears the pipeline down and async falls back to
   // buffering.
   EXPECT_FALSE(repo_.running());
   ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
   EXPECT_TRUE(repo_.running());
 
   ASSERT_TRUE(repo_.Insert("A", {"Geneva", "Winery"}).ok());
-  EXPECT_TRUE(repo_.running());  // serial ops quiesce but keep the pool
+  EXPECT_TRUE(repo_.running());  // serial ops quiesce but keep the pipeline
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(repo_.InsertAsync(
                         "T", {"Winery", "co" + std::to_string(i), "Syracuse"})
