@@ -147,7 +147,7 @@ bool ConflictChecker::JoinsWithPin(const Snapshot& snap,
             (!require_rhs_unsatisfied || !tgd.RhsSatisfiedUnder(binding, rhs_eval));
       } else {
         AtomPin pin{a, /*row=*/0, &content};
-        eval.ForEachMatch(*rp.pinned_at[a], seed, &pin,
+        eval.ForEachMatch(rp.pinned_at[a], seed, &pin,
                           [&](const Binding& match,
                               const std::vector<TupleRef>&) {
                             if (!require_rhs_unsatisfied ||
@@ -167,7 +167,7 @@ bool ConflictChecker::JoinsWithPin(const Snapshot& snap,
         return !require_rhs_unsatisfied || !tgd.RhsSatisfiedUnder(seed, rhs_eval);
       }
       bool found = false;
-      eval.ForEachMatch(*rp.full, seed, nullptr,
+      eval.ForEachMatch(rp.full, seed, nullptr,
                         [&](const Binding& match, const std::vector<TupleRef>&) {
                           if (!require_rhs_unsatisfied ||
                               !tgd.RhsSatisfiedUnder(match, rhs_eval)) {
@@ -198,8 +198,7 @@ bool ConflictChecker::JoinsWithPin(const Snapshot& snap,
       }
     }
     if (!consistent) continue;
-    if (residual_lhs.empty() ||
-        eval.Exists(*rp.rhs_combined[a], combined)) {
+    if (residual_lhs.empty() || eval.Exists(rp.rhs_combined[a], combined)) {
       return true;
     }
   }
@@ -239,19 +238,38 @@ const ConflictChecker::ResidualPlans& ConflictChecker::ResidualFor(
     rp.pinned_at.reserve(rp.residual.atoms.size());
     for (size_t a = 0; a < rp.residual.atoms.size(); ++a) {
       rp.pinned_at.push_back(
-          &residual_plans_.Get(rp.residual, rp.seed_mask, a, db));
+          Planner::Compile(rp.residual, rp.seed_mask, a, db));
     }
-    rp.full =
-        &residual_plans_.Get(rp.residual, rp.seed_mask, std::nullopt, db);
+    rp.full = Planner::Compile(rp.residual, rp.seed_mask, std::nullopt, db);
     rp.rhs_combined.reserve(tgd.rhs().atoms.size());
     for (const Atom& atom : tgd.rhs().atoms) {
-      rp.rhs_combined.push_back(&residual_plans_.Get(
+      rp.rhs_combined.push_back(Planner::Compile(
           rp.residual,
           rp.seed_mask | (Planner::MaskOfAtom(atom) & frontier_mask),
           std::nullopt, db));
     }
   }
   return residual_memo_.emplace(key, std::move(rp)).first->second;
+}
+
+size_t ConflictChecker::MaybeReplan(Database* db) const {
+  CHECK(db != nullptr);
+  for (auto& [key, rp] : residual_memo_) {
+    if (rp.indexes_registered) continue;
+    rp.ForEachPlan([&](QueryPlan& plan) { EnsurePlanIndexes(db, plan); });
+    rp.indexes_registered = true;
+  }
+  size_t replanned = 0;
+  for (auto& [key, rp] : residual_memo_) {
+    rp.ForEachPlan([&](QueryPlan& plan) {
+      if (!PlanIsStale(plan, *db)) return;
+      plan = Planner::Compile(plan.query, plan.seed_bound_mask,
+                              plan.pinned_atom, db);
+      EnsurePlanIndexes(db, plan);
+      ++replanned;
+    });
+  }
+  return replanned;
 }
 
 }  // namespace youtopia

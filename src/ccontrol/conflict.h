@@ -8,7 +8,7 @@
 #include "ccontrol/read_query.h"
 #include "query/binding.h"
 #include "query/evaluator.h"
-#include "query/plan_cache.h"
+#include "query/plan.h"
 #include "relational/database.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
@@ -74,12 +74,15 @@ class ConflictChecker {
     return Conflicts(snap, w, &p);
   }
 
-  // Adaptive re-planning for the memoized residual plans: recompiles, in
-  // place, every cached plan whose input relations drifted ~10x from the
-  // cardinalities it was costed at (addresses memoized in ResidualPlans
-  // stay valid — see PlanCache::Refresh). The scheduler polls this
-  // periodically; cheap when nothing is stale. Returns plans recompiled.
-  size_t MaybeReplan(Database* db) const { return residual_plans_.Refresh(db); }
+  // Adaptive re-planning for the memoized residual plans, polled on the
+  // scheduler's strided sweep. First the memo entries compiled since the
+  // last sweep register their composite-index demands on `db` (a check
+  // sees the database as const). Then every plan whose input relations
+  // drifted ~10x from the cardinalities it was costed at (see PlanIsStale)
+  // is recompiled where it stands, so PreparedQuery pointers stay valid,
+  // and registers its demands. Cheap when nothing is new or stale. Returns
+  // the number of plans recompiled.
+  size_t MaybeReplan(Database* db) const;
 
   // Rows examined by this checker's evaluators across its lifetime (the
   // retroactive-check share of a run's row traffic; same contract as
@@ -93,18 +96,29 @@ class ConflictChecker {
   // Everything about a recorded violation query's residual premise that is
   // fixed by (tgd, pinned side, pinned atom): the residual query (the LHS
   // minus the pinned atom for LHS pins, the whole LHS for RHS pins), the
-  // statically known seed profile, and the compiled plans for every way
-  // JoinsWithPin executes it. Memoized under an integer key so a check
-  // neither copies atoms nor rehashes query shapes.
+  // statically known seed profile, and the plans for every way JoinsWithPin
+  // executes it, compiled against the database of the first check that
+  // reaches the entry. Memoized under an integer key so a check neither
+  // copies atoms nor rehashes query shapes.
   struct ResidualPlans {
     ConjunctiveQuery residual;
     uint64_t seed_mask = 0;
     // Per residual atom: residual pinned there (empty residual -> empty).
-    std::vector<const QueryPlan*> pinned_at;
-    // Residual under the seed profile alone (null iff residual is empty).
-    const QueryPlan* full = nullptr;
+    std::vector<QueryPlan> pinned_at;
+    // Residual under the seed profile alone (no steps iff residual is
+    // empty).
+    QueryPlan full;
     // Per RHS atom a: residual under seed + atom a's frontier variables.
-    std::vector<const QueryPlan*> rhs_combined;
+    std::vector<QueryPlan> rhs_combined;
+    // Whether MaybeReplan has registered the plans' composite indexes.
+    bool indexes_registered = false;
+
+    template <typename Fn>
+    void ForEachPlan(Fn&& fn) {
+      for (QueryPlan& plan : pinned_at) fn(plan);
+      fn(full);
+      for (QueryPlan& plan : rhs_combined) fn(plan);
+    }
   };
 
   bool ViolationQueryConflicts(const Snapshot& snap, const PhysicalWrite& w,
@@ -122,12 +136,9 @@ class ConflictChecker {
                                    const Database* db) const;
 
   const std::vector<Tgd>* tgds_;
-  // The residual LHS queries (a tgd's premise minus the recorded query's
-  // pinned atom) are not known until a check runs; their handful of shapes
-  // recur for every retroactive check, so they are compiled once and cached.
-  mutable PlanCache residual_plans_;
-  // (tgd, side, atom) -> prebuilt residual + plan pointers into
-  // residual_plans_ (whose entries are stable for the cache's lifetime).
+  // (tgd, side, atom) -> residual and its plans. The mappings fix the
+  // handful of residuals every retroactive check runs, so each is compiled
+  // once; node-based, so PreparedQuery's pointer into it stays valid.
   mutable std::unordered_map<uint32_t, ResidualPlans> residual_memo_;
   // Long-lived evaluators, reset per check (two: the NOT EXISTS probe runs
   // inside the LHS enumeration's callback, and evaluators are not

@@ -47,7 +47,7 @@ const char* TrackerKindName(TrackerKind kind);
 class DependencyTracker {
  public:
   // PRECISE runs its retroactive checks on `checker`, which must outlive
-  // the tracker. The Scheduler passes its own, so one residual-plan cache
+  // the tracker. The Scheduler passes its own, so one residual-plan memo
   // serves both the read-log walk and the tracker: the walk's re-planning
   // sweep reaches every plan, and the checker's rows_examined() counts
   // both. Sharing is safe because the two never check at the same time.

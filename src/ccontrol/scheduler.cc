@@ -13,6 +13,7 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
       tgds_(tgds),
       agent_(agent),
       options_(options),
+      detector_(tgds),
       checker_(tgds),
       read_log_(tgds),
       tracker_(options.tracker, tgds, &checker_),
@@ -40,6 +41,7 @@ uint64_t Scheduler::Submit(WriteOp initial_op) {
   UpdateOptions uopts;
   uopts.max_steps = options_.max_steps_per_update;
   uopts.allowed_relations = options_.allowed_relations;
+  uopts.detector = &detector_;
   // StepOne logs each step's reads and checks later writes against them.
   uopts.log_reads = true;
   // All updates share one re-planning watermark: with private pollers every
@@ -324,12 +326,6 @@ size_t Scheduler::num_failed() const {
   size_t n = 0;
   for (const Slot& slot : slots_) n += slot.failed ? 1 : 0;
   return n;
-}
-
-uint64_t Scheduler::TotalRowsExamined() const {
-  uint64_t rows = checker_.rows_examined();
-  for (const Slot& slot : slots_) rows += slot.update->rows_examined();
-  return rows;
 }
 
 }  // namespace youtopia

@@ -15,6 +15,7 @@
 #include "ccontrol/write_log.h"
 #include "core/agent.h"
 #include "core/update.h"
+#include "core/violation_detector.h"
 #include "obs/metrics.h"
 #include "relational/database.h"
 #include "tgd/tgd.h"
@@ -137,12 +138,14 @@ class Scheduler {
   const SchedulerStats& stats() const { return stats_; }
   Database* db() { return db_; }
 
-  // Rows examined across the run: every slot's violation-detector traffic
-  // (each serial-engine update owns its detector) plus the retroactive
-  // conflict checker's, which runs both the read-log walk's checks and the
-  // PRECISE tracker's. The planner-quality metric bench/skew_suite gates
-  // on — wall time measures the machine, rows measure the plans.
-  uint64_t TotalRowsExamined() const;
+  // Rows examined across the run: the violation detector every update
+  // shares plus the retroactive conflict checker, which runs both the
+  // read-log walk's checks and the PRECISE tracker's. The planner-quality
+  // metric bench/skew_suite gates on — wall time measures the machine,
+  // rows measure the plans.
+  uint64_t TotalRowsExamined() const {
+    return detector_.rows_examined() + checker_.rows_examined();
+  }
 
   // Introspection for tests: the update currently (or finally) registered
   // under `number`, if any.
@@ -204,6 +207,9 @@ class Scheduler {
   FrontierAgent* agent_;
   SchedulerOptions options_;
 
+  // One detector for every update: they step one at a time, and a
+  // detector carries nothing from one call to the next.
+  ViolationDetector detector_;
   ConflictChecker checker_;
   ReadLog read_log_;
   WriteLog write_log_;

@@ -33,9 +33,12 @@ struct UpdateOptions {
   // Section 2.2), so callers driving such chases must bound them.
   size_t max_steps = 1u << 20;
   // Shared violation detector (and with it the non-reentrant evaluator
-  // pair) — a shard worker passes the one it owns so evaluator scratch
-  // amortizes across every update it runs. Must be constructed over the
-  // same tgd vector as the update. Null: the update owns a private one.
+  // pair and the batch dedup's vector): each engine — a shard worker, a
+  // Scheduler, the facade's serial updates, GenerateInitialData — passes
+  // the one it owns, so that scratch amortizes across every update it
+  // runs. The updates sharing one must step one at a time; a detector
+  // carries nothing from one call to the next. Must be constructed over
+  // the same tgd vector as the update. Null: the update owns a private one.
   ViolationDetector* detector = nullptr;
   // Shard-admission guard (ccontrol/parallel/): when set, a step whose
   // pending write set would touch a relation outside this per-relation
@@ -154,10 +157,10 @@ class Update {
   size_t violations_repaired() const { return violations_repaired_; }
   size_t attempts() const { return attempts_; }
 
-  // Rows examined by this update's violation detector across all attempts.
-  // Counts the shared detector's whole lifetime when options.detector was
-  // set; exact per-update only with an owned detector (the serial
-  // scheduler's configuration — bench/skew_suite relies on this).
+  // Rows examined by this update's violation detector over its lifetime:
+  // this update's rows, across all attempts, only with an owned detector;
+  // with options.detector set, the rows of every update that shared it (a
+  // Scheduler reports those once, in TotalRowsExamined).
   uint64_t rows_examined() const { return detector_->rows_examined(); }
 
  private:

@@ -40,13 +40,14 @@ Result<int> Youtopia::AddMapping(std::string_view tgd_text) {
 
   // Cooperatively repair any violations the new mapping has over existing
   // data (Section 1.2: mappings are supplied as the repository grows).
-  ViolationDetector detector(&tgds_);
   Snapshot snap(&db_, kReadLatest);
   std::vector<Violation> viols;
-  detector.FindAll(snap, &viols);
+  detector_.FindAll(snap, &viols);
   if (!viols.empty()) {
+    UpdateOptions uopts;
+    uopts.detector = &detector_;
     Update repair = Update::ForViolations(next_number_++, std::move(viols),
-                                          &tgds_);
+                                          &tgds_, uopts);
     repair.RunToCompletion(&db_, agent_.get());
   }
   return id;
@@ -118,6 +119,7 @@ UpdateReport Youtopia::RunSerial(WriteOp op) {
   // generation bump: AddMapping/RebuildQueryPlans recompile against the
   // live database at the moment of change.
   uopts.replan_poller = &replan_poller_;
+  uopts.detector = &detector_;
   Update update(number, std::move(op), &tgds_, uopts);
   update.RunToCompletion(&db_, agent_.get());
   if (pipeline_) {

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/update.h"
+#include "core/violation_detector.h"
 #include "query/query_engine.h"
 #include "relational/database.h"
 #include "tgd/parser.h"
@@ -44,6 +45,14 @@ struct UpdateReport {
 //                 later operations (ReplaceNull, further inserts) can refer
 //                 to the same unknown;
 //   * "_"       — a fresh anonymous labeled null.
+//
+// Threading contract: only the *Async calls may overlap one another (from
+// any number of producer threads). No other call may overlap an *Async
+// call: the serial updates and Queue*/RunQueued resolve values without
+// resolve_mu_, and their chase runs unsynchronized after the quiescing
+// flush; schema and mapping changes, Start, Stop and a Flush that has to
+// start the pipeline replace pipeline_, which SubmitAsync reads without a
+// lock.
 class Youtopia {
  public:
   // `seed` drives the default simulated user (RandomAgent) that answers
@@ -260,6 +269,8 @@ class Youtopia {
 
   Database db_;
   std::vector<Tgd> tgds_;
+  // The serial updates' shared detector (see UpdateOptions::detector).
+  ViolationDetector detector_{&tgds_};
   uint64_t seed_;
   std::unique_ptr<FrontierAgent> agent_;
   std::unordered_map<std::string, Value> named_nulls_;  // see resolve_mu_

@@ -155,20 +155,14 @@ bool AnyDrifted(const std::vector<CostedCardinality>& costed_at,
   return false;
 }
 
-}  // namespace
-
-void Planner::set_sketch_costing(bool on) {
-  g_sketch_costing.store(on, std::memory_order_relaxed);
-}
-
-bool Planner::sketch_costing() {
-  return g_sketch_costing.load(std::memory_order_relaxed);
-}
-
-void Planner::StampCardinalities(const ConjunctiveQuery& cq,
-                                 const Database* db,
-                                 std::vector<CostedCardinality>* out) {
-  const bool value_aware = sketch_costing();
+// Appends one costed_at entry per distinct relation `cq` mentions that
+// `out` does not already hold, stamped with the live visible-row count
+// (zero when `db` is null). The single definition of "what a plan's
+// staleness stamp contains": Compile and CompileTgdPlans both stamp
+// through here.
+void StampCardinalities(const ConjunctiveQuery& cq, const Database* db,
+                        std::vector<CostedCardinality>* out) {
+  const bool value_aware = Planner::sketch_costing();
   for (const Atom& atom : cq.atoms) {
     bool seen = false;
     for (const CostedCardinality& e : *out) seen |= e.rel == atom.rel;
@@ -180,6 +174,16 @@ void Planner::StampCardinalities(const ConjunctiveQuery& cq,
                                                       : 0});
     }
   }
+}
+
+}  // namespace
+
+void Planner::set_sketch_costing(bool on) {
+  g_sketch_costing.store(on, std::memory_order_relaxed);
+}
+
+bool Planner::sketch_costing() {
+  return g_sketch_costing.load(std::memory_order_relaxed);
 }
 
 uint64_t Planner::MaskOf(const std::vector<VarId>& vars) {
@@ -348,8 +352,8 @@ TgdPlans CompileTgdPlans(const ConjunctiveQuery& lhs,
   // Stamp the union of both sides' relations, zeros included when db is
   // null: a complement compiled without statistics must still go stale once
   // data arrives (see TgdPlans::costed_at).
-  Planner::StampCardinalities(lhs, db, &plans.costed_at);
-  Planner::StampCardinalities(rhs, db, &plans.costed_at);
+  StampCardinalities(lhs, db, &plans.costed_at);
+  StampCardinalities(rhs, db, &plans.costed_at);
   return plans;
 }
 

@@ -146,15 +146,6 @@ class Planner {
                            std::optional<size_t> pinned_atom,
                            const Database* db);
 
-  // Appends one costed_at entry per distinct relation `cq` mentions that
-  // `out` does not already hold, stamped with the live visible-row count
-  // (zero when `db` is null). The single definition of "what a plan's
-  // staleness stamp contains": Compile, CompileTgdPlans and PlanCache all
-  // stamp through here.
-  static void StampCardinalities(const ConjunctiveQuery& cq,
-                                 const Database* db,
-                                 std::vector<CostedCardinality>* out);
-
   // Kill switch for the sketch-backed per-value refinement (the skew
   // suite's no-sketch control arms and A/B debugging). Default on. Also
   // gates fingerprint stamping and the hot-set staleness trigger, so a

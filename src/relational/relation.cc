@@ -51,18 +51,6 @@ VersionedRelation::VersionedRelation(size_t arity) : arity_(arity) {
   }
 }
 
-StatsSnapshot VersionedRelation::Stats() const {
-  StatsSnapshot s;
-  s.visible_rows = visible_rows();
-  s.num_versions = num_versions_;
-  s.columns.resize(arity_);
-  for (size_t c = 0; c < arity_; ++c) {
-    s.columns[c].distinct_values = indexes_[c].size();
-    s.columns[c].max_bucket = max_bucket(c);
-  }
-  return s;
-}
-
 RowId VersionedRelation::AppendInsertRow(uint64_t update_number, uint64_t seq,
                                          TupleData data) {
   CHECK_EQ(data.size(), arity_);

@@ -58,22 +58,6 @@ struct TupleVersion {
   TupleData data;  // tuple content; for kDelete, the content being deleted
 };
 
-// Live planner statistics for one relation, assembled in O(arity) from
-// counters the write path and the hash indexes already maintain — no pass
-// over rows or buckets. The per-column numbers describe the exact index
-// state (distinct values carried by some stored content version, see
-// VersionedRelation); `visible_rows` is exact under newest-version
-// visibility at all times.
-struct StatsSnapshot {
-  struct Column {
-    size_t distinct_values = 0;  // buckets in the per-column hash index
-    size_t max_bucket = 0;       // largest tracked sketch count
-  };
-  size_t visible_rows = 0;  // rows whose newest version is not a tombstone
-  size_t num_versions = 0;
-  std::vector<Column> columns;
-};
-
 // Multiversion storage for one relation (paper Section 4.1).
 //
 // Visibility rule: for a reader with update number j, the visible version of
@@ -203,8 +187,6 @@ class VersionedRelation {
   uint64_t hot_fingerprint() const {
     return hot_fingerprint_.load(std::memory_order_relaxed);
   }
-
-  StatsSnapshot Stats() const;
 
   // Creates a new row whose first version is an insert.
   RowId AppendInsertRow(uint64_t update_number, uint64_t seq, TupleData data);

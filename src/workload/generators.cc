@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/update.h"
+#include "core/violation_detector.h"
 #include "query/atom.h"
 
 namespace youtopia {
@@ -303,8 +304,10 @@ InitialDataReport GenerateInitialData(Database* db,
                                       Rng* rng, FrontierAgent* agent,
                                       const InitialDataOptions& options) {
   InitialDataReport report;
+  ViolationDetector detector(tgds);
   UpdateOptions uopts;
   uopts.max_steps = options.max_steps_per_insert;
+  uopts.detector = &detector;
   for (size_t i = 0; i < options.num_tuples; ++i) {
     const RelationId rel =
         static_cast<RelationId>(rng->Uniform(db->num_relations()));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "query/plan.h"
+#include "tgd/parser.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -221,6 +223,102 @@ TEST_F(ConflictTest, PreparedOnceAnswersLikePreparedPerWrite) {
   EXPECT_GT(unbindable, 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_GT(misses, 0u);
+}
+
+// --- Re-planning the memoized residual plans ---------------------------------
+
+PhysicalWrite InsertOf(RelationId rel, TupleData data) {
+  PhysicalWrite w;
+  w.kind = WriteKind::kInsert;
+  w.rel = rel;
+  w.data = std::move(data);
+  return w;
+}
+
+TEST(ConflictReplanTest, StaleResidualPlansRecompileInPlace) {
+  // P(x) & S(y) -> Out(x, y): a query pinned on P(0) leaves the residual
+  // S(y), which its plan under the seed profile scans. S then grows ~100x,
+  // so the sweep recompiles the entry's three plans (pinned at S, the seed
+  // profile alone, seed plus Out's frontier) where they stand, and a query
+  // prepared before the sweep keeps answering through them.
+  Database db;
+  const RelationId p = *db.CreateRelation("P", {"x"});
+  const RelationId s = *db.CreateRelation("S", {"y"});
+  const RelationId out = *db.CreateRelation("Out", {"x", "y"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  tgds.push_back(*parser.ParseTgd("P(x) & S(y) -> Out(x, y)"));
+  auto c = [](uint64_t v) { return Value::Constant(v); };
+  db.Apply(WriteOp::Insert(s, {c(1)}), 0);
+  db.Apply(WriteOp::Insert(s, {c(2)}), 0);
+  db.Apply(WriteOp::Insert(out, {c(0), c(2)}), 0);
+
+  ConflictChecker checker(&tgds);
+  const ReadQueryRecord q = ReadQueryRecord::Violation(
+      /*tgd_id=*/0, /*pinned_on_lhs=*/true, /*atom_index=*/0, {c(0)});
+  ConflictChecker::PreparedQuery prepared = checker.Prepare(q);
+  // Out(0, 1) satisfies the pinned premise's match S(1); Out(0, 9) matches
+  // nothing stored; P(0) itself still has the violating match S(1).
+  const std::vector<PhysicalWrite> writes{InsertOf(out, {c(0), c(1)}),
+                                          InsertOf(out, {c(0), c(9)}),
+                                          InsertOf(p, {c(0)})};
+  const std::vector<bool> want{true, false, true};
+  const Snapshot snap(&db, kReadLatest);
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(checker.Conflicts(snap, writes[i], &prepared), want[i]) << i;
+  }
+  ASSERT_NE(prepared.residual, nullptr);
+
+  for (uint64_t v = 1000; v < 1200; ++v) {
+    db.Apply(WriteOp::Insert(s, {c(v)}), 0);
+  }
+  EXPECT_EQ(checker.MaybeReplan(&db), 3u);
+  EXPECT_EQ(checker.MaybeReplan(&db), 0u);  // fresh again: a no-op
+
+  ConflictChecker fresh(&tgds);
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(checker.Conflicts(snap, writes[i], &prepared), want[i]) << i;
+    EXPECT_EQ(fresh.Conflicts(snap, writes[i], q), want[i]) << i;
+  }
+}
+
+TEST(ConflictReplanTest, SweepRegistersCompositeIndexesOfNewEntries) {
+  // P(x, y) & C(x, y) -> Out(x): a query pinned on P(0, 0) leaves the
+  // residual C(x, y) with both columns bound. Each column alone puts 200
+  // rows behind the value 0, together they single out one row, so the
+  // costed plan probes a composite index. A check compiles the entry with
+  // the database read-only; the next sweep registers the index.
+  Database db;
+  db.CreateRelation("P", {"x", "y"});
+  const RelationId cc = *db.CreateRelation("C", {"x", "y"});
+  db.CreateRelation("Out", {"x"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  tgds.push_back(*parser.ParseTgd("P(x, y) & C(x, y) -> Out(x)"));
+  auto c = [](uint64_t v) { return Value::Constant(v); };
+  for (uint64_t i = 1; i <= 200; ++i) {
+    db.Apply(WriteOp::Insert(cc, {c(0), c(i)}), 0);
+    db.Apply(WriteOp::Insert(cc, {c(i), c(0)}), 0);
+  }
+  db.Apply(WriteOp::Insert(cc, {c(0), c(0)}), 0);
+
+  auto residual = parser.ParseQuery("C(x, y)");
+  ASSERT_TRUE(residual.ok());
+  const uint64_t both =
+      Planner::MaskOf({*residual->VarByName("x"), *residual->VarByName("y")});
+  ASSERT_EQ(Planner::Compile(residual->body, both, std::nullopt, &db)
+                .ToString(db.catalog()),
+            "[0:C idx(0,1)]");
+
+  ConflictChecker checker(&tgds);
+  EXPECT_EQ(checker.MaybeReplan(&db), 0u);  // nothing compiled yet
+  const ReadQueryRecord q = ReadQueryRecord::Violation(
+      /*tgd_id=*/0, /*pinned_on_lhs=*/true, /*atom_index=*/0, {c(0), c(0)});
+  const Snapshot snap(&db, kReadLatest);
+  checker.Conflicts(snap, InsertOf(cc, {c(5), c(5)}), q);
+  EXPECT_FALSE(db.relation(cc).HasCompositeIndex({0, 1}));
+  EXPECT_EQ(checker.MaybeReplan(&db), 0u);
+  EXPECT_TRUE(db.relation(cc).HasCompositeIndex({0, 1}));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "core/standard_chase.h"
 #include "core/youtopia.h"
 #include "query/evaluator.h"
-#include "query/plan_cache.h"
 #include "tgd/parser.h"
 #include "test_util.h"
 
@@ -79,21 +78,6 @@ TEST(PlannerTest, SeedProfileUpgradesAccessPath) {
       Planner::MaskOf({*q->VarByName("l"), *q->VarByName("n")});
   const QueryPlan plan = Planner::Compile(q->body, mask, std::nullopt);
   EXPECT_EQ(plan.ToString(fix.db.catalog()), "[0:A idx(0,1) -> 1:T col(0)]");
-}
-
-TEST(PlannerTest, PlanCacheCompilesEachShapeOnce) {
-  Sigma3 fix;
-  TgdParser parser(&fix.db.catalog(), &fix.db.symbols());
-  auto q = parser.ParseQuery("A(l, n) & T(n, co, s)");
-  ASSERT_TRUE(q.ok());
-  PlanCache cache;
-  const QueryPlan& p1 = cache.Get(q->body, 0, std::nullopt);
-  const QueryPlan& p2 = cache.Get(q->body, 0, std::nullopt);
-  EXPECT_EQ(&p1, &p2);  // same object: no recompilation
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Get(q->body, 0, 0);      // pinned shape is a distinct entry
-  cache.Get(q->body, 1, std::nullopt);  // profile is part of the key
-  EXPECT_EQ(cache.size(), 3u);
 }
 
 // --- Access-path regression bounds -------------------------------------------
@@ -392,24 +376,6 @@ TEST(PlannerStatsTest, CostedPlansCarryCardinalityStamps) {
   }
   EXPECT_TRUE(PlanIsStale(stats_plan, fix.db));
   EXPECT_FALSE(PlanIsStale(static_plan, fix.db));
-}
-
-TEST(PlannerStatsTest, PlanCacheRefreshRecompilesInPlace) {
-  SkewFixture fix;
-  PlanCache cache;
-  const QueryPlan& plan = cache.Get(fix.query, 0, std::nullopt, &fix.db);
-  EXPECT_EQ(plan.ToString(fix.db.catalog()),
-            "[1:Small scan() -> 0:Big col(0)]");
-  // Small grows past Big: the cached plan goes stale; Refresh recompiles it
-  // at the same address (callers memoize the pointer).
-  for (uint64_t i = 0; i < 5000; ++i) {
-    fix.db.Apply(WriteOp::Insert(fix.small, {Value::Constant(1000 + i)}), 0);
-  }
-  EXPECT_EQ(cache.Refresh(&fix.db), 1u);
-  EXPECT_EQ(&cache.Get(fix.query, 0, std::nullopt, &fix.db), &plan);
-  EXPECT_EQ(plan.ToString(fix.db.catalog()),
-            "[0:Big scan() -> 1:Small col(0)]");
-  EXPECT_EQ(cache.Refresh(&fix.db), 0u);  // fresh again: sweep is a no-op
 }
 
 // --- Mid-chase adaptive re-planning ------------------------------------------

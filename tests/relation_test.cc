@@ -340,7 +340,7 @@ TEST(VersionedRelationTest, NewestVersionFastPathMatchesChainWalk) {
 }
 
 // --- Planner statistics under churn ------------------------------------------
-// The incremental counters behind StatsSnapshot must agree with a from-
+// The incremental planner statistics must agree with a from-
 // scratch recount through every mutation the system performs: inserts,
 // tombstones, modifies, aborted-update cleanup (RemoveVersionsOfRow) and
 // experiment rewind (RemoveVersionsAbove).
@@ -395,12 +395,11 @@ TEST(VersionedRelationStatsTest, DistinctAndMaxBucketExactAfterCompaction) {
   for (uint64_t i = 0; i < 40; ++i) {
     rel.AppendInsertRow(1, 1 + i, Row({i % 4, i}));
   }
-  StatsSnapshot s = rel.Stats();
-  EXPECT_EQ(s.visible_rows, 40u);
-  EXPECT_EQ(s.columns[0].distinct_values, 4u);
-  EXPECT_EQ(s.columns[0].max_bucket, 10u);
-  EXPECT_EQ(s.columns[1].distinct_values, 40u);
-  EXPECT_EQ(s.columns[1].max_bucket, 1u);
+  EXPECT_EQ(rel.visible_rows(), 40u);
+  EXPECT_EQ(rel.distinct_values(0), 4u);
+  EXPECT_EQ(rel.max_bucket(0), 10u);
+  EXPECT_EQ(rel.distinct_values(1), 40u);
+  EXPECT_EQ(rel.max_bucket(1), 1u);
 
   // Update 9 piles 60 more rows onto one value of column 0, then aborts.
   // The stats follow every undo down, and end exact (no leftovers from the
@@ -409,21 +408,19 @@ TEST(VersionedRelationStatsTest, DistinctAndMaxBucketExactAfterCompaction) {
   for (uint64_t i = 0; i < 60; ++i) {
     aborted.push_back(rel.AppendInsertRow(9, 100 + i, Row({7, 1000 + i})));
   }
-  EXPECT_EQ(rel.Stats().columns[0].max_bucket, 60u);
-  EXPECT_EQ(rel.Stats().columns[0].distinct_values, 5u);
+  EXPECT_EQ(rel.max_bucket(0), 60u);
+  EXPECT_EQ(rel.distinct_values(0), 5u);
   for (size_t i = 0; i < aborted.size(); ++i) {
     rel.RemoveVersionsOfRow(aborted[i], 9);
-    s = rel.Stats();
-    EXPECT_EQ(s.columns[0].max_bucket, std::max<size_t>(59 - i, 10));
-    EXPECT_EQ(s.columns[0].distinct_values, i + 1 < 60 ? 5u : 4u);
-    EXPECT_EQ(s.columns[1].distinct_values, 40 + 59 - i);
+    EXPECT_EQ(rel.max_bucket(0), std::max<size_t>(59 - i, 10));
+    EXPECT_EQ(rel.distinct_values(0), i + 1 < 60 ? 5u : 4u);
+    EXPECT_EQ(rel.distinct_values(1), 40 + 59 - i);
   }
-  s = rel.Stats();
-  EXPECT_EQ(s.visible_rows, 40u);
-  EXPECT_EQ(s.columns[0].distinct_values, 4u);
-  EXPECT_EQ(s.columns[0].max_bucket, 10u);
-  EXPECT_EQ(s.columns[1].distinct_values, 40u);
-  EXPECT_EQ(s.columns[1].max_bucket, 1u);
+  EXPECT_EQ(rel.visible_rows(), 40u);
+  EXPECT_EQ(rel.distinct_values(0), 4u);
+  EXPECT_EQ(rel.max_bucket(0), 10u);
+  EXPECT_EQ(rel.distinct_values(1), 40u);
+  EXPECT_EQ(rel.max_bucket(1), 1u);
 }
 
 TEST(VersionedRelationStatsTest, SketchRebuiltExactlyByCompaction) {
@@ -468,15 +465,13 @@ TEST(VersionedRelationStatsTest, StatsSurviveRewindPlusExplicitCompaction) {
   for (uint64_t i = 0; i < 5; ++i) {
     rel.AppendInsertRow(3, 100 + i, Row({5}));
   }
-  EXPECT_EQ(rel.Stats().columns[0].distinct_values, 3u);
-  EXPECT_EQ(rel.Stats().columns[0].max_bucket, 10u);
+  EXPECT_EQ(rel.distinct_values(0), 3u);
+  EXPECT_EQ(rel.max_bucket(0), 10u);
   rel.RemoveVersionsAbove(2);  // rewind: update 3's rows vanish
   EXPECT_EQ(rel.visible_rows(), 20u);
   // The rewind leaves the index stats exact at once.
-  StatsSnapshot s = rel.Stats();
-  EXPECT_EQ(s.visible_rows, 20u);
-  EXPECT_EQ(s.columns[0].distinct_values, 2u);
-  EXPECT_EQ(s.columns[0].max_bucket, 10u);
+  EXPECT_EQ(rel.distinct_values(0), 2u);
+  EXPECT_EQ(rel.max_bucket(0), 10u);
 }
 
 TEST(VersionedRelationStatsTest, CompositeBuildsAtBreakEvenNotAtSize) {

@@ -122,6 +122,41 @@ TEST(SchedulerTest, NonConflictingUpdatesDoNotAbort) {
   EXPECT_TRUE(fig.Satisfied());
 }
 
+TEST(SchedulerTest, TotalRowsExaminedCountsTheSharedDetectorOnce) {
+  // Every update of a Scheduler runs on its one violation detector, so each
+  // update's rows_examined() reads the detector's rows and the run's total
+  // counts them once. The two updates chase disjoint mappings, so neither
+  // reads what the other writes and no retroactive check adds rows.
+  Database db;
+  const RelationId a = *db.CreateRelation("A", {"x", "y"});
+  const RelationId b = *db.CreateRelation("B", {"y"});
+  db.CreateRelation("C", {"x"});
+  const RelationId p = *db.CreateRelation("P", {"x", "y"});
+  const RelationId q = *db.CreateRelation("Q", {"y"});
+  db.CreateRelation("W", {"x"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  tgds.push_back(*parser.ParseTgd("A(x, y) & B(y) -> C(x)"));
+  tgds.push_back(*parser.ParseTgd("P(x, y) & Q(y) -> W(x)"));
+  const Value one = Value::Constant(1);
+  const Value two = Value::Constant(2);
+  db.Apply(WriteOp::Insert(b, {two}), 0);
+  db.Apply(WriteOp::Insert(q, {two}), 0);
+
+  ScriptedAgent agent;
+  Scheduler sched(&db, &tgds, &agent, SchedulerOptions{});
+  const uint64_t u1 = sched.Submit(WriteOp::Insert(a, {one, two}));
+  const uint64_t u2 = sched.Submit(WriteOp::Insert(p, {one, two}));
+  sched.RunToCompletion();
+
+  ASSERT_EQ(sched.stats().updates_completed, 2u);
+  EXPECT_EQ(sched.stats().aborts, 0u);
+  const uint64_t rows = sched.TotalRowsExamined();
+  EXPECT_GT(rows, 0u);
+  EXPECT_EQ(sched.FindUpdate(u1)->rows_examined(), rows);
+  EXPECT_EQ(sched.FindUpdate(u2)->rows_examined(), rows);
+}
+
 TEST(SchedulerTest, NaiveCascadesAbortEverythingYounger) {
   Figure2 fig;
   ScriptedAgent agent;
