@@ -27,7 +27,6 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
       // read the pre-seeded relations' owner-only statistics (shard_map.h).
       shard_map_(db->num_relations(), *tgds,
                  std::max<size_t>(options_.num_workers, 1), db),
-      next_number_(options_.first_number),
       cross_inbox_(options_.inbox_capacity) {
   // Metrics plumbing before any thread exists: every stage below records
   // into one registry (the embedder's or a pipeline-owned fallback).
@@ -46,15 +45,14 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   }
   // Setup-time plan registration, single-threaded: recompile every
   // mapping's plan complement against the live database and register its
-  // composite-index demands once. The engine view and the worker plan
-  // views copied below share these compiled complements until their own
-  // adaptive re-planning diverges them; no engine recompiles at
-  // construction again (Scheduler runs with register_plans off).
+  // composite-index demands once. From here on a mapping is re-planned only
+  // under its component's lock (see the class comment); no engine
+  // recompiles at construction again (Scheduler runs with register_plans
+  // off).
   for (const Tgd& tgd : *tgds_) {
     tgd.RecompilePlans(db_);
     EnsureTgdPlanIndexes(db_, tgd.plans());
   }
-  engine_tgds_ = *tgds_;
   engine_agent_ =
       options_.agent_factory
           ? options_.agent_factory(options_.num_workers)
@@ -68,7 +66,7 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   const size_t num_shards = shard_map_.num_shards();
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    auto s = std::make_unique<Shard>(options_.inbox_capacity, *tgds_);
+    auto s = std::make_unique<Shard>(options_.inbox_capacity, tgds_);
     s->inbox.SetMetrics(metrics_, obs::Gauge::kInboxDepth);
     s->agent = options_.agent_factory
                    ? options_.agent_factory(i)
@@ -232,7 +230,7 @@ bool IngestPipeline::RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns) {
   obs::TraceSpan chase_span(obs::TraceName::kChase);
   s->exclusive.store(true, std::memory_order_relaxed);
   MutexLock lock(component_locks_[component]);
-  const uint64_t number = next_number_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t number = db_->TakeNumbers();
   chase_span.set_arg(number);
   s->cur_number.store(number, std::memory_order_relaxed);
 
@@ -245,7 +243,7 @@ bool IngestPipeline::RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns) {
   // admission may hold.
   uopts.allowed_relations = &shard_map_.ComponentRelations(component);
   uopts.replan_poller = &s->poller;
-  Update u(number, std::move(op), &s->tgds, uopts);
+  Update u(number, std::move(op), tgds_, uopts);
 
   s->undo_scratch.clear();
   while (!u.finished()) {
@@ -420,9 +418,9 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
   // order; elsewhere the orders are free, exactly as in the serial proof.
   const uint64_t block =
       ops.size() * (options_.max_attempts_per_update + 2) + 1;
-  sopts.first_number = next_number_.fetch_add(block);
+  sopts.first_number = db_->TakeNumbers(block);
 
-  Scheduler engine(db_, &engine_tgds_, engine_agent_.get(), sopts);
+  Scheduler engine(db_, tgds_, engine_agent_.get(), sopts);
   for (WriteOp& op : ops) engine.Submit(std::move(op));
   {
     obs::TraceSpan engine_span(obs::TraceName::kEngineRun,
@@ -499,13 +497,6 @@ void IngestPipeline::Stop() {
   }
   cross_inbox_.Close();
   if (admission_thread_.joinable()) admission_thread_.join();
-}
-
-void IngestPipeline::AdvanceNumberTo(uint64_t n) {
-  uint64_t cur = next_number_.load(std::memory_order_relaxed);
-  while (cur < n && !next_number_.compare_exchange_weak(
-                        cur, n, std::memory_order_relaxed)) {
-  }
 }
 
 void IngestPipeline::AppendDiagnostics(std::string* out) const {

@@ -37,8 +37,6 @@ struct IngestOptions {
   TrackerKind tracker = TrackerKind::kCoarse;
   size_t max_steps_per_update = 1u << 20;
   size_t max_attempts_per_update = 256;
-  // First update number to assign (continues an external sequence).
-  uint64_t first_number = 1;
   // Per-worker simulated users: shard i's worker gets agent_factory(i)
   // when a factory is given, else a RandomAgent derived from agent_seed and
   // i. Agents with per-call state (RandomAgent's RNG) must never be shared
@@ -118,11 +116,20 @@ enum class SubmitResult {
 //     it was submitted after, without ever waiting on traffic submitted
 //     later (no quiescent point, no livelock under open-loop load).
 //
-// Priority numbers come from one atomic counter, claimed under the
-// respective footprint locks, so number order and execution order agree
-// wherever footprints overlap — the serialization-order guarantee of the
-// serial scheduler (Theorem 4.4) carries over with "priority number"
-// intact; see the proof sketch in RunCrossShardBatch.
+// Priority numbers come from the database's one update-number sequence
+// (Database::TakeNumbers), claimed under the respective footprint locks, so
+// number order and execution order agree wherever footprints overlap — the
+// serialization-order guarantee of the serial scheduler (Theorem 4.4)
+// carries over with "priority number" intact; see the proof sketch in
+// RunCrossShardBatch.
+//
+// Every worker and every cross batch runs on the caller's one tgd vector.
+// A mapping's relations all lie in one component, so its plans follow the
+// relations' ownership rule: they are read and re-planned only by a thread
+// holding that component's lock (a pinned worker re-plans only mappings
+// inside its op's component, see UpdateOptions::allowed_relations; the
+// violation detector reads plans only of mappings over a relation the
+// chase wrote), or at a quiescent point.
 //
 // Threading contract: Submit may be called from any thread, including
 // concurrently. Flush() runs on one thread at a time and must not race
@@ -166,23 +173,6 @@ class IngestPipeline {
 
   const ShardMap& shard_map() const { return shard_map_; }
 
-  // One past the highest priority number assigned; exact at a quiescent
-  // point, a lower bound while traffic is in flight.
-  uint64_t next_number() const {
-    return next_number_.load(std::memory_order_relaxed);
-  }
-
-  // Claims one priority number from the pipeline's sequence — the facade
-  // runs serial (non-pipeline) updates at a quiescent point and keeps the
-  // global numbering shared with the standing pipeline.
-  uint64_t ClaimNumber() {
-    return next_number_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Raises the sequence floor to `n` (monotonic; the facade syncs back
-  // after running an external engine over the same database).
-  void AdvanceNumberTo(uint64_t n);
-
   // Stable worker thread ids — the "Flush must not recreate threads"
   // regression axis.
   std::vector<std::thread::id> WorkerThreadIds() const;
@@ -225,21 +215,17 @@ class IngestPipeline {
 
   // One shard lane: its bounded inbox and the worker thread that drains
   // it, with everything the worker's hot path touches. Between Flush()
-  // barriers only the worker touches `tgds` through `undo_scratch`.
+  // barriers only the worker touches `detector` through `undo_scratch`.
   struct Shard {
-    Shard(size_t capacity, const std::vector<Tgd>& base_tgds)
-        : inbox(capacity), tgds(base_tgds), detector(&tgds) {}
+    Shard(size_t capacity, const std::vector<Tgd>* tgds)
+        : inbox(capacity), detector(tgds) {}
 
     BoundedMpscQueue<PinnedItem> inbox;
-    // The worker's private plan view: adaptive re-planning swaps plans on
-    // this copy, never on a structure another thread reads. Copies share
-    // compiled plans until the worker replans; `poller` keeps its
-    // staleness watermark across flush epochs.
-    std::vector<Tgd> tgds;
     // Its non-reentrant evaluator pair and their scratch amortize across
     // every update the worker runs.
     ViolationDetector detector;
     std::unique_ptr<FrontierAgent> agent;
+    // The re-planning watermark keeps its place across flush epochs.
     ReplanPoller poller;
     SchedulerStats stats;
     std::vector<std::pair<uint64_t, WriteOp>> committed;
@@ -300,7 +286,6 @@ class IngestPipeline {
   // kComponentLock and keyed by that id for the lock-order validator. A
   // deque, so each Mutex is constructed in place and never moves.
   std::deque<Mutex> component_locks_;
-  std::atomic<uint64_t> next_number_;
 
   // The retirement barrier. Both counts below change under retire_mu_,
   // except Submit's increment of in_flight_, which never ends a wait. So a
@@ -325,10 +310,9 @@ class IngestPipeline {
   // re-routing ForcePushes — see BoundedMpscQueue).
   BoundedMpscQueue<CrossItem> cross_inbox_;
 
-  // The cross-shard engine's private plan view, agent and bookkeeping.
-  // The admission thread is their only owner; Flush() reads them after its
-  // barrier, which happens-after the last retirement (see Retire).
-  std::vector<Tgd> engine_tgds_;
+  // The cross-shard engine's agent and bookkeeping. The admission thread
+  // is their only owner; Flush() reads them after its barrier, which
+  // happens-after the last retirement (see Retire).
   std::unique_ptr<FrontierAgent> engine_agent_;
   SchedulerStats engine_stats_;
   std::vector<std::pair<uint64_t, WriteOp>> engine_committed_;

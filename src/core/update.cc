@@ -44,7 +44,6 @@ StepResult Update::Step(Database* db, FrontierAgent* agent) {
 
 bool Update::StepPrepare(Database* db, FrontierAgent* agent, StepResult* res) {
   CHECK(!finished_);
-  started_ = true;
   if (++steps_taken_ > options_.max_steps) {
     // Controlled nontermination: give up on this attempt but leave the
     // database consistent with a valid (incomplete) chase prefix.
@@ -58,7 +57,7 @@ bool Update::StepPrepare(Database* db, FrontierAgent* agent, StepResult* res) {
   if (pos_frontier_.has_value()) {
     ProcessPositiveFrontier(db, agent, res);
   } else if (neg_frontier_.has_value()) {
-    ProcessNegativeFrontier(db, agent, res);
+    ProcessNegativeFrontier(db, agent);
   }
 
   // If the frontier is still open (a group with several tuples resolves one
@@ -77,12 +76,13 @@ void Update::StepApply(Database* db, StepResult* res) {
   // grown relation. The watermark is the facade's persistent one when
   // shared (options.replan_poller), so back-to-back serial updates skip the
   // poll until the database actually moved a stride. Under a shard
-  // admission guard, only the shard's own mappings are polled: replanning a
-  // foreign mapping would read (and re-register indexes on) relations this
-  // thread does not own. The poll lives in the apply phase because a fired
-  // recompilation mutates plan and index-demand state — frontier processing
-  // (StepPrepare) only runs specificity scans, so polling after it is
-  // equivalent to the old step-entry poll.
+  // admission guard, only mappings inside the guard are polled: the engines
+  // share one tgd vector, and replanning a foreign mapping would swap plans
+  // another thread may be executing and read (and re-register indexes on)
+  // relations this thread does not own. The poll lives in the apply phase
+  // because a fired recompilation mutates plan and index-demand state —
+  // frontier processing (StepPrepare) only runs specificity scans, so
+  // polling after it is equivalent to the old step-entry poll.
   ReplanPoller* poller = options_.replan_poller != nullptr
                              ? options_.replan_poller
                              : &replan_poller_;
@@ -173,7 +173,6 @@ void Update::Restart(uint64_t new_number) {
   pos_frontier_.reset();
   neg_frontier_.reset();
   finished_ = false;
-  started_ = false;
   hit_step_cap_ = false;
   escaped_ = false;
   steps_taken_ = 0;
@@ -421,9 +420,7 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
   }
 }
 
-void Update::ProcessNegativeFrontier(Database* db, FrontierAgent* agent,
-                                     StepResult* res) {
-  (void)res;
+void Update::ProcessNegativeFrontier(Database* db, FrontierAgent* agent) {
   CHECK(neg_frontier_.has_value());
   NegativeFrontier& nf = *neg_frontier_;
   Snapshot snap(db, number_);

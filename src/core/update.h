@@ -45,8 +45,9 @@ struct UpdateOptions {
   // bitmap applies nothing — the update finishes with escaped() true and
   // the caller undoes its prior writes and re-routes it to an engine with
   // a wide-enough footprint. Also filters the adaptive re-planning poll to
-  // mappings inside the bitmap, so a pinned worker never touches a foreign
-  // shard's plan or index state. Null: no restriction (serial behavior).
+  // mappings inside the bitmap: engines share one tgd vector, so a mapping's
+  // plans are re-planned only under the lock that covers its relations.
+  // Null: no restriction (serial behavior).
   const std::vector<bool>* allowed_relations = nullptr;
   // Whether to build ReadQueryRecords for the step's reads. Only an engine
   // running concurrency control consumes them (the Scheduler sets it); a
@@ -174,8 +175,7 @@ class Update {
   // Consumes one frontier operation; appends resulting writes to write_set_.
   void ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
                                StepResult* res);
-  void ProcessNegativeFrontier(Database* db, FrontierAgent* agent,
-                               StepResult* res);
+  void ProcessNegativeFrontier(Database* db, FrontierAgent* agent);
 
   // Builds the repair for an LHS-violation: instantiates the RHS with fresh
   // nulls and runs the more-specific correction queries.
@@ -223,7 +223,6 @@ class Update {
   std::optional<PositiveFrontier> pos_frontier_candidate_;
   std::optional<NegativeFrontier> neg_frontier_candidate_;
   bool finished_ = false;
-  bool started_ = false;
   bool hit_step_cap_ = false;
   bool escaped_ = false;
   // Strided adaptive re-planning poll (see Step() and plan.h); superseded

@@ -7,7 +7,10 @@
 namespace youtopia {
 
 Youtopia::Youtopia(uint64_t seed)
-    : seed_(seed), agent_(std::make_unique<RandomAgent>(seed)) {}
+    : agent_(std::make_unique<RandomAgent>(seed)) {
+  pipeline_options_.agent_seed = seed;
+  pipeline_options_.metrics = &metrics_;
+}
 
 Status Youtopia::CreateRelation(std::string name,
                                 std::vector<std::string> attributes) {
@@ -20,9 +23,9 @@ Status Youtopia::CreateRelation(std::string name,
 }
 
 Result<int> Youtopia::AddMapping(std::string_view tgd_text) {
-  // A new mapping changes the tgd-closure components and every plan view;
-  // it may also reallocate tgds_, which the pipeline's workers hold copies
-  // of and the cross-shard engine points into. Quiesce and rebuild.
+  // A new mapping changes the tgd-closure components; it may also
+  // reallocate tgds_, which the pipeline's workers and cross-shard engine
+  // run on. Quiesce and rebuild.
   InvalidatePipeline();
   TgdParser parser(&db_.catalog(), &db_.symbols());
   Result<Tgd> tgd = parser.ParseTgd(tgd_text);
@@ -46,7 +49,7 @@ Result<int> Youtopia::AddMapping(std::string_view tgd_text) {
   if (!viols.empty()) {
     UpdateOptions uopts;
     uopts.detector = &detector_;
-    Update repair = Update::ForViolations(next_number_++, std::move(viols),
+    Update repair = Update::ForViolations(db_.TakeNumbers(), std::move(viols),
                                           &tgds_, uopts);
     repair.RunToCompletion(&db_, agent_.get());
   }
@@ -54,6 +57,9 @@ Result<int> Youtopia::AddMapping(std::string_view tgd_text) {
 }
 
 void Youtopia::RebuildQueryPlans() {
+  // Swaps plans the pipeline's workers read and may build indexes over
+  // relations they write: quiesce first.
+  QuiescePipeline();
   for (Tgd& tgd : tgds_) {
     tgd.RecompilePlans(&db_);
     EnsureTgdPlanIndexes(&db_, tgd.plans());
@@ -107,10 +113,9 @@ Result<TupleData> Youtopia::ResolveValues(
 UpdateReport Youtopia::RunSerial(WriteOp op) {
   // Serial updates run unsynchronized against the database, so they only
   // execute at a pipeline-quiescent point (the public entry points flushed
-  // already; this claim keeps the two paths on one number sequence). The
-  // pipeline stays up: its workers are parked, its threads and plan views
+  // already). The pipeline stays up: its workers are parked, its threads
   // survive for the next async burst.
-  const uint64_t number = pipeline_ ? pipeline_->ClaimNumber() : next_number_++;
+  const uint64_t number = db_.TakeNumbers();
   UpdateOptions uopts;
   // Facade-level generation counter (see ReplanPoller): nothing but chase
   // writes mutate this repository between serial updates, so sharing one
@@ -122,9 +127,6 @@ UpdateReport Youtopia::RunSerial(WriteOp op) {
   uopts.detector = &detector_;
   Update update(number, std::move(op), &tgds_, uopts);
   update.RunToCompletion(&db_, agent_.get());
-  if (pipeline_) {
-    next_number_ = std::max(next_number_, pipeline_->next_number());
-  }
   UpdateReport report;
   report.number = update.number();
   report.steps = update.steps_taken();
@@ -184,6 +186,8 @@ Status Youtopia::QueueInsert(std::string_view relation,
 
 Status Youtopia::QueueDelete(std::string_view relation,
                              const std::vector<std::string>& values) {
+  // The row lookup reads a relation a shard worker may still be writing.
+  QuiescePipeline();
   Result<RelationId> rel = db_.catalog().Find(relation);
   if (!rel.ok()) return rel.status();
   Result<TupleData> data =
@@ -202,44 +206,26 @@ Result<SchedulerStats> Youtopia::RunQueued(TrackerKind tracker) {
   QuiescePipeline();
   SchedulerOptions options;
   options.tracker = tracker;
-  options.first_number = next_number_;
+  options.first_number = db_.next_number();
   options.metrics = &metrics_;
   Scheduler scheduler(&db_, &tgds_, agent_.get(), options);
   for (WriteOp& op : queued_) scheduler.Submit(std::move(op));
   queued_.clear();
   scheduler.RunToCompletion();
-  next_number_ = std::max(next_number_, scheduler.next_number());
-  // The serial engine claimed numbers of its own; keep the standing
-  // pipeline's sequence ahead of them.
-  if (pipeline_) pipeline_->AdvanceNumberTo(next_number_);
+  // The engine numbered its updates and redos itself, from first_number.
+  db_.SkipNumbersTo(scheduler.next_number());
   return scheduler.stats();
 }
 
 // --- The standing ingest pipeline ------------------------------------------
 
-void Youtopia::EnsurePipeline(size_t workers, TrackerKind tracker,
-                              size_t inbox_capacity) {
-  pipeline_workers_ = std::max<size_t>(workers, 1);
-  pipeline_tracker_ = tracker;
-  pipeline_inbox_capacity_ = inbox_capacity;
+void Youtopia::EnsurePipeline() {
   if (pipeline_) return;
-  IngestOptions options;
-  options.num_workers = pipeline_workers_;
-  options.tracker = pipeline_tracker_;
-  options.first_number = next_number_;
-  options.agent_seed = seed_;
-  options.inbox_capacity = pipeline_inbox_capacity_;
-  options.metrics = &metrics_;
-  options.watchdog_deadline_ms = pipeline_watchdog_ms_;
-  options.watchdog_fatal = pipeline_watchdog_fatal_;
-  pipeline_ = std::make_unique<IngestPipeline>(&db_, &tgds_,
-                                               std::move(options));
+  pipeline_ = std::make_unique<IngestPipeline>(&db_, &tgds_, pipeline_options_);
 }
 
 void Youtopia::QuiescePipeline() {
-  if (!pipeline_) return;
-  pipeline_->Flush();
-  next_number_ = std::max(next_number_, pipeline_->next_number());
+  if (pipeline_) pipeline_->Flush();
 }
 
 void Youtopia::InvalidatePipeline() {
@@ -255,12 +241,15 @@ void Youtopia::SubmitBacklog() {
 Status Youtopia::Start(size_t workers, TrackerKind tracker,
                        size_t inbox_capacity) {
   workers = std::max<size_t>(workers, 1);
-  if (pipeline_ && (pipeline_workers_ != workers ||
-                    pipeline_tracker_ != tracker ||
-                    pipeline_inbox_capacity_ != inbox_capacity)) {
+  if (pipeline_ && (pipeline_options_.num_workers != workers ||
+                    pipeline_options_.tracker != tracker ||
+                    pipeline_options_.inbox_capacity != inbox_capacity)) {
     InvalidatePipeline();  // reconfiguration: flush, then rebuild below
   }
-  EnsurePipeline(workers, tracker, inbox_capacity);
+  pipeline_options_.num_workers = workers;
+  pipeline_options_.tracker = tracker;
+  pipeline_options_.inbox_capacity = inbox_capacity;
+  EnsurePipeline();
   SubmitBacklog();
   return Status::Ok();
 }
@@ -271,12 +260,9 @@ Status Youtopia::Stop() {
 }
 
 Result<ParallelStats> Youtopia::Flush() {
-  EnsurePipeline(pipeline_workers_, pipeline_tracker_,
-                 pipeline_inbox_capacity_);
+  EnsurePipeline();
   SubmitBacklog();
-  const ParallelStats stats = pipeline_->Flush();
-  next_number_ = std::max(next_number_, pipeline_->next_number());
-  return stats;
+  return pipeline_->Flush();
 }
 
 Status Youtopia::SubmitAsync(

@@ -52,12 +52,17 @@ struct UpdateReport {
 // resolve_mu_, and their chase runs unsynchronized after the quiescing
 // flush; schema and mapping changes, Start, Stop and a Flush that has to
 // start the pipeline replace pipeline_, which SubmitAsync reads without a
-// lock.
+// lock. An *Async call returns once its op is admitted, and the pipeline's
+// threads go on writing relations and re-planning mappings after it. So
+// Count, Dump, Query, AllMappingsSatisfied, db() and mappings(), which read
+// that live storage without quiescing, need Flush() or Stop() first while
+// *Async ops may be in flight.
 class Youtopia {
  public:
   // `seed` drives the default simulated user (RandomAgent) that answers
-  // frontier requests; call SetAgent to supply a different agent (e.g. a
-  // ScriptedAgent standing in for a real user interface).
+  // frontier requests, and the pipeline workers' agents; call SetAgent to
+  // supply a different agent for the serial paths (e.g. a ScriptedAgent
+  // standing in for a real user interface).
   explicit Youtopia(uint64_t seed = 42);
 
   Youtopia(const Youtopia&) = delete;
@@ -79,7 +84,8 @@ class Youtopia {
   // (re)builds the composite indexes they probe. AddMapping registers the
   // new tgd's plans itself (plans depend only on a tgd's own structure);
   // call this manually after out-of-band mutations of the mapping set or
-  // schema-evolution experiments.
+  // schema-evolution experiments. Like the serial updates, it first flushes
+  // a running pipeline, whose workers run on these plans.
   void RebuildQueryPlans();
 
   // True iff the registered mappings are weakly acyclic (i.e. the classical
@@ -196,12 +202,9 @@ class Youtopia {
   // op/phase and (checked builds) held-lock stacks to stderr; `fatal`
   // additionally aborts, turning a hang into a failing test.
   void SetStallWatchdog(uint64_t deadline_ms, bool fatal = false) {
-    pipeline_watchdog_ms_ = deadline_ms;
-    pipeline_watchdog_fatal_ = fatal;
+    pipeline_options_.watchdog_deadline_ms = deadline_ms;
+    pipeline_options_.watchdog_fatal = fatal;
   }
-
-  // The underlying registry (bench harnesses record custom stages).
-  obs::MetricsRegistry* metrics_registry() { return &metrics_; }
 
   // --- Queries --------------------------------------------------------------
 
@@ -236,9 +239,9 @@ class Youtopia {
   }
   FrontierAgent* agent() { return agent_.get(); }
 
-  uint64_t next_update_number() const {
-    return pipeline_ ? pipeline_->next_number() : next_number_;
-  }
+  // The number the next update will take from the repository's one
+  // sequence (Database::TakeNumbers); exact at a quiescent point.
+  uint64_t next_update_number() const { return db_.next_number(); }
 
   // The facade's persistent re-planning watermark (see UpdateOptions::
   // replan_poller): serial updates share it, so an Insert over a database
@@ -251,14 +254,13 @@ class Youtopia {
                                   const std::vector<std::string>& values,
                                   bool allow_new_nulls);
   UpdateReport RunSerial(WriteOp op);
-  // Creates the pipeline if it is not running (no-op otherwise) and
-  // records the configuration for later lazy restarts.
-  void EnsurePipeline(size_t workers, TrackerKind tracker,
-                      size_t inbox_capacity);
-  // Flushes the pipeline and pulls its number sequence into next_number_.
+  // Creates the pipeline from pipeline_options_ if it is not running.
+  void EnsurePipeline();
+  // Flushes the pipeline, if one runs.
   void QuiescePipeline();
   // QuiescePipeline + tear-down; schema/mapping changes call this because
-  // the shard map and every plan view are compiled against the old state.
+  // the shard map is compiled against the old state, and AddMapping may
+  // reallocate the tgd vector the workers run on.
   void InvalidatePipeline();
   // Routes `op` to the running pipeline (mapping SubmitResult to Status)
   // or buffers it when stopped.
@@ -271,12 +273,10 @@ class Youtopia {
   std::vector<Tgd> tgds_;
   // The serial updates' shared detector (see UpdateOptions::detector).
   ViolationDetector detector_{&tgds_};
-  uint64_t seed_;
   std::unique_ptr<FrontierAgent> agent_;
   std::unordered_map<std::string, Value> named_nulls_;  // see resolve_mu_
   std::vector<WriteOp> queued_;
   std::vector<WriteOp> async_queued_;
-  uint64_t next_number_ = 1;
   ReplanPoller replan_poller_;
 
   // The standing ingest service, alive until Stop()/invalidation. Facade
@@ -287,13 +287,11 @@ class Youtopia {
   // Facade-lifetime metrics registry: pipelines come and go (lazy
   // restarts, reconfiguration), their histograms accumulate here.
   obs::MetricsRegistry metrics_;
-  uint64_t pipeline_watchdog_ms_ = 0;
-  bool pipeline_watchdog_fatal_ = false;
 
+  // The configuration of the next pipeline to start: the most recent
+  // Start's, the agent seed and the facade's metrics registry.
+  IngestOptions pipeline_options_;
   std::unique_ptr<IngestPipeline> pipeline_;
-  size_t pipeline_workers_ = 2;
-  TrackerKind pipeline_tracker_ = TrackerKind::kCoarse;
-  size_t pipeline_inbox_capacity_ = 1024;
   // Leaf lock: never held across pipeline Submit/WithComponentLock (the
   // *Async resolution scopes release it before routing the op).
   Mutex resolve_mu_{LockRank::kLeaf};

@@ -15,12 +15,6 @@ bool MatchAtom(const Atom& atom, const TupleData& data, Binding* binding) {
   return true;
 }
 
-bool AtomMatches(const Atom& atom, const TupleData& data,
-                 const Binding& binding) {
-  Binding scratch = binding;
-  return MatchAtom(atom, data, &scratch);
-}
-
 TupleData InstantiateAtom(const Atom& atom, const Binding& binding) {
   TupleData out;
   out.reserve(atom.terms.size());

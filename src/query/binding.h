@@ -143,11 +143,6 @@ class Binding {
 // only via the caller keeping a copy; on success `binding` is extended.
 bool MatchAtom(const Atom& atom, const TupleData& data, Binding* binding);
 
-// Non-destructive variant: true if `atom` can match `data` under `binding`
-// without modifying it.
-bool AtomMatches(const Atom& atom, const TupleData& data,
-                 const Binding& binding);
-
 // Instantiates `atom` under `binding`; every variable must be bound.
 TupleData InstantiateAtom(const Atom& atom, const Binding& binding);
 

@@ -100,6 +100,13 @@ size_t Database::RemoveVersionsAbove(uint64_t threshold) {
   return removed;
 }
 
+void Database::SkipNumbersTo(uint64_t n) {
+  uint64_t cur = next_number_.load(std::memory_order_relaxed);
+  while (cur < n && !next_number_.compare_exchange_weak(
+                        cur, n, std::memory_order_relaxed)) {
+  }
+}
+
 std::optional<RowId> Database::FindRowWithData(RelationId rel,
                                                const TupleData& data,
                                                uint64_t reader) const {

@@ -38,7 +38,9 @@ namespace youtopia {
 //   * the labeled-null registry is shared and internally synchronized
 //     (nulls are global identities that may span shards);
 //   * next_seq() is a process-wide atomic so writes from any shard advance
-//     the mutation sequence the strided re-planning polls watch.
+//     the mutation sequence the strided re-planning polls watch;
+//   * TakeNumbers() is the one update-number sequence, an atomic that any
+//     engine running updates over this database claims from.
 class Database {
  public:
   Database() = default;
@@ -127,6 +129,27 @@ class Database {
   // is a heuristic watermark, never a synchronization point.
   uint64_t next_seq() const { return next_seq_.load(std::memory_order_relaxed); }
 
+  // --- Update numbers -----------------------------------------------------
+
+  // The repository's one priority-number sequence, starting at 1 (0 is the
+  // pre-existing data's). Theorem 4.4 makes number order the serialization
+  // order, so every engine running updates over this database takes its
+  // numbers here: a pinned shard update under its component lock, a
+  // cross-shard batch a block under its ordered lock set, the facade's
+  // serial updates at quiescent points. The locks order the claims; the
+  // atomic only makes a claim indivisible (relaxed).
+  uint64_t next_number() const {
+    return next_number_.load(std::memory_order_relaxed);
+  }
+  // Claims `count` consecutive numbers and returns the first.
+  uint64_t TakeNumbers(uint64_t count = 1) {
+    return next_number_.fetch_add(count, std::memory_order_relaxed);
+  }
+  // Moves the sequence up to `n`, never down: a standalone Scheduler numbers
+  // its own updates from next_number(), and its caller hands back the
+  // numbers it used.
+  void SkipNumbersTo(uint64_t n);
+
  private:
   void RegisterNullOccurrences(RelationId rel, RowId row,
                                const TupleData& data);
@@ -148,14 +171,16 @@ class Database {
   // goes through Youtopia::InvalidatePipeline). Each element of relations_
   // is then owner-only under the shard protocol (see relation.h); nulls_ is
   // the one internally synchronized member (global identities, own leaf
-  // mutex); next_seq_ is an any-thread relaxed atomic. None of this is
-  // expressible as GUARDED_BY — ownership moves with the footprint locks,
-  // which the lock-order validator and TSan police at runtime instead.
+  // mutex); next_seq_ and next_number_ are any-thread relaxed atomics. None
+  // of this is expressible as GUARDED_BY — ownership moves with the
+  // footprint locks, which the lock-order validator and TSan police at
+  // runtime instead.
   Catalog catalog_;
   std::vector<VersionedRelation> relations_;
   SymbolTable symbols_;
   NullRegistry nulls_;
   std::atomic<uint64_t> next_seq_{1};
+  std::atomic<uint64_t> next_number_{1};
 };
 
 // A read view of the database for one reader (update priority number).

@@ -48,10 +48,6 @@ class NullRegistry {
   // value: see the threading note above.
   std::vector<TupleRef> Occurrences(const Value& null_value) const;
 
-  uint64_t num_allocated() const {
-    return next_id_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<uint64_t> next_id_{0};
   // Leaf of the lock hierarchy: occurrence reads/writes happen inside chase

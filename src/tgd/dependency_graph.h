@@ -29,7 +29,6 @@ class DependencyGraph {
   bool IsWeaklyAcyclic() const;
 
   // Diagnostics.
-  size_t num_nodes() const { return num_nodes_; }
   size_t num_regular_edges() const { return regular_edges_; }
   size_t num_special_edges() const { return special_edges_; }
 

@@ -2,8 +2,6 @@
 #define YOUTOPIA_UTIL_HASH_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 
 namespace youtopia {
 
@@ -11,11 +9,6 @@ namespace youtopia {
 // a 64-bit golden-ratio constant).
 inline void HashCombine(size_t& seed, size_t value) {
   seed ^= value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-}
-
-template <typename T>
-inline void HashCombineValue(size_t& seed, const T& value) {
-  HashCombine(seed, std::hash<T>{}(value));
 }
 
 }  // namespace youtopia

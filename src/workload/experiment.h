@@ -102,7 +102,6 @@ class ExperimentDriver {
   ExperimentResult Run(bool verbose);
 
   const Database& db() const { return db_; }
-  const std::vector<Tgd>& all_mappings() const { return tgds_; }
 
  private:
   void BuildRepository(bool verbose, InitialDataReport* report);

@@ -486,25 +486,34 @@ TEST(IngestPipelineTest, StopWakesBlockedProducerWithShutdown) {
 // --- Numbering across engines -----------------------------------------------
 
 TEST(IngestPipelineTest, ClaimAndAdvanceKeepOneNumberSequence) {
+  // The pipeline keeps no counter of its own: its updates take numbers from
+  // the database's one sequence, wherever that sequence stands.
   Islands fix(2);
+  EXPECT_EQ(fix.db.next_number(), 1u);
+  fix.db.SkipNumbersTo(7);
+  EXPECT_EQ(fix.db.next_number(), 7u);
+  EXPECT_EQ(fix.db.TakeNumbers(), 7u);
+  EXPECT_EQ(fix.db.TakeNumbers(3), 8u);
+  fix.db.SkipNumbersTo(20);
+  fix.db.SkipNumbersTo(5);  // monotonic: never moves backwards
+  EXPECT_EQ(fix.db.next_number(), 20u);
+
   IngestOptions opts;
   opts.num_workers = 2;
-  opts.first_number = 7;
   opts.agent_factory = MinContentFactory;
   IngestPipeline pipeline(&fix.db, &fix.tgds, opts);
-
-  EXPECT_EQ(pipeline.next_number(), 7u);
-  EXPECT_EQ(pipeline.ClaimNumber(), 7u);
-  pipeline.AdvanceNumberTo(20);
-  pipeline.AdvanceNumberTo(5);  // monotonic: never moves backwards
-  EXPECT_EQ(pipeline.next_number(), 20u);
-
   ASSERT_EQ(pipeline.Submit(WriteOp::Insert(fix.A[0], fix.Row({"x", "y"}))),
             SubmitResult::kOk);
   pipeline.Flush();
-  EXPECT_EQ(pipeline.next_number(), 21u);
+  // The pinned insert took number 20.
+  EXPECT_EQ(fix.db.next_number(), 21u);
   const std::vector<WriteOp> committed = pipeline.CommittedOpsInOrder();
   EXPECT_EQ(committed.size(), 1u);
+  // Its version is stamped 20: a reader numbered 19 does not see it.
+  Snapshot before(&fix.db, 19);
+  Snapshot after(&fix.db, 20);
+  EXPECT_FALSE(before.Contains(fix.A[0], fix.Row({"x", "y"})));
+  EXPECT_TRUE(after.Contains(fix.A[0], fix.Row({"x", "y"})));
 }
 
 }  // namespace

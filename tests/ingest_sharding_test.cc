@@ -278,6 +278,83 @@ TEST(IngestPipelineShardingTest, CrossShardReplacementsCommitAndReplay) {
       DatabasesIsomorphic(fix.db, kReadLatest, replay.db, kReadLatest));
 }
 
+// Seeds island 1 of an Islands fixture with `n` chains
+//   A1(N_j, k) -> B1(k, N_j) -> D1(k)
+// over one fresh labeled null N_j each, and returns the nulls. Every
+// occurrence of N_j lies in island 1, so its replacement's footprint is
+// island 1's component alone.
+std::vector<Value> SeedNullChains(Islands* fix, size_t n) {
+  const Value k = fix->db.InternConstant("k");
+  std::vector<Value> nulls;
+  for (size_t j = 0; j < n; ++j) {
+    const Value null = fix->db.FreshNull();
+    fix->db.Apply(WriteOp::Insert(fix->A[1], {null, k}), 0);
+    fix->db.Apply(WriteOp::Insert(fix->B[1], {k, null}), 0);
+    nulls.push_back(null);
+  }
+  fix->Seed(fix->D[1], {"k"});
+  return nulls;
+}
+
+// 200 inserts into island 0, with a replacement of the next island-1 null
+// after every 10th.
+std::vector<WriteOp> InsertsWithReplacements(Islands* fix,
+                                             const std::vector<Value>& nulls) {
+  std::vector<WriteOp> ops;
+  for (size_t j = 0; j < 200; ++j) {
+    ops.push_back(WriteOp::Insert(
+        fix->A[0],
+        fix->Row({"x" + std::to_string(j), "y" + std::to_string(j % 3)})));
+    if (j % 10 == 9) {
+      ops.push_back(WriteOp::NullReplace(
+          nulls[j / 10], fix->db.InternConstant("c" + std::to_string(j))));
+    }
+  }
+  return ops;
+}
+
+TEST(IngestPipelineShardingTest, PinnedReplansRunBesideCrossShardBatches) {
+  // Every engine runs on the one tgd vector. Island 0's inserts grow its
+  // relations far past the staleness floor, so its worker re-plans island
+  // 0's mappings under island 0's lock, while null replacements run as
+  // cross batches under island 1's lock alone and read island 1's plans.
+  Islands fix(2);
+  fix.SeedChains();
+  const std::vector<Value> nulls = SeedNullChains(&fix, 20);
+  const std::vector<WriteOp> ops = InsertsWithReplacements(&fix, nulls);
+  Islands replay(2);  // identical start state, identical interning
+  replay.SeedChains();
+  const std::vector<Value> replay_nulls = SeedNullChains(&replay, 20);
+  ASSERT_EQ(InsertsWithReplacements(&replay, replay_nulls).size(),
+            ops.size());
+
+  IngestOptions popts;
+  popts.num_workers = 2;
+  popts.agent_factory = MinContentFactory;
+  IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
+  ASSERT_NE(pipeline.shard_map().ShardOfRelation(fix.A[0]),
+            pipeline.shard_map().ShardOfRelation(fix.A[1]));
+  for (const WriteOp& op : ops) {
+    ASSERT_EQ(pipeline.Submit(op), SubmitResult::kOk);
+  }
+  const ParallelStats stats = pipeline.Flush();
+  EXPECT_EQ(stats.pinned_updates, 200u);
+  EXPECT_EQ(stats.cross_shard_updates, 20u);
+  EXPECT_EQ(stats.escaped_updates, 0u);
+  EXPECT_EQ(stats.totals.updates_completed, ops.size());
+  EXPECT_GT(fix.tgds[0].replan_count(), 0u);  // A0(x, y) -> B0(y, x)
+  EXPECT_TRUE(Satisfied(fix.db, fix.tgds));
+
+  MinContentAgent agent;
+  uint64_t number = 1;
+  for (const WriteOp& op : pipeline.CommittedOpsInOrder()) {
+    Update u(number++, op, &replay.tgds);
+    u.RunToCompletion(&replay.db, &agent);
+  }
+  EXPECT_TRUE(
+      DatabasesIsomorphic(fix.db, kReadLatest, replay.db, kReadLatest));
+}
+
 // --- Escape re-routing -------------------------------------------------------
 
 // One mapped component {P, Q, R} (P(a,b) & Q(b,c) -> R(a,c)) plus the

@@ -134,13 +134,17 @@ TEST_F(YoutopiaTest, AsyncBatchDrainsInParallelAndStaysConsistent) {
   ASSERT_TRUE(repo_.CreateRelation("P", {"x"}).ok());
   ASSERT_TRUE(repo_.CreateRelation("Q", {"x", "y"}).ok());
   ASSERT_TRUE(repo_.AddMapping("P(x) -> exists y: Q(x, y)").ok());
-  ASSERT_TRUE(repo_.Insert("A", {"Geneva", "Winery"}).ok());
+  auto first = repo_.Insert("A", {"Geneva", "Winery"});
+  ASSERT_TRUE(first.ok());
   for (int i = 0; i < 4; ++i) {
     const std::string n = std::to_string(i);
     ASSERT_TRUE(repo_.InsertAsync("P", {"p" + n}).ok());
     ASSERT_TRUE(
         repo_.InsertAsync("T", {"Winery", "co" + n, "Syracuse"}).ok());
   }
+  // Buffered async ops take no number until the pipeline runs them.
+  const uint64_t async_first = repo_.next_update_number();
+  EXPECT_GT(async_first, first->number);
   ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
   auto stats = repo_.Flush();
   ASSERT_TRUE(stats.ok());
@@ -152,9 +156,20 @@ TEST_F(YoutopiaTest, AsyncBatchDrainsInParallelAndStaysConsistent) {
   EXPECT_EQ(*repo_.Count("Q"), 4u);
   EXPECT_EQ(*repo_.Count("R"), 4u);
   EXPECT_TRUE(repo_.AllMappingsSatisfied());
-  // The facade's numbering continues past the flushed updates, so a serial
-  // insert after the flush gets a fresh number.
-  ASSERT_TRUE(repo_.Insert("A", {"Ithaca", "Gorges"}).ok());
+  // Serial, pinned and queued updates take their numbers from the one
+  // sequence, in the order they ran: the eight pinned inserts (which never
+  // abort) one each, then the serial insert after the flush, then the
+  // queued batch, one per submit plus one per redo.
+  EXPECT_EQ(repo_.next_update_number(), async_first + 8);
+  auto later = repo_.Insert("A", {"Ithaca", "Gorges"});
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->number, async_first + 8);
+  ASSERT_TRUE(repo_.QueueInsert("P", {"p9"}).ok());
+  auto queued = repo_.RunQueued(TrackerKind::kCoarse);
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(queued->updates_completed, 1u);
+  EXPECT_EQ(repo_.next_update_number(),
+            later->number + 1 + queued->updates_submitted + queued->aborts);
   EXPECT_TRUE(repo_.AllMappingsSatisfied());
 }
 
@@ -348,6 +363,64 @@ TEST_F(YoutopiaTest, SerialUpdatesShareTheReplanWatermark) {
   EXPECT_GE(fired, 1u);
   // 60 one-write updates = ~60 mutations = at most a handful of strides.
   EXPECT_LE(fired, 60 / (kReplanPollWriteStride / 2));
+}
+
+TEST_F(YoutopiaTest, PipelineReplansReachTheFacadeMappings) {
+  // The pipeline's workers run on the facade's own mappings: a re-plan a
+  // worker makes under its component lock is the mapping's, not a private
+  // copy's. The pipeline compiles the plans over near-empty relations, so
+  // 200 inserts into T grow it far past the staleness floor.
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  ASSERT_EQ(repo_.mappings()[0].replan_count(), 0u);
+  ASSERT_TRUE(repo_.InsertAsync("A", {"Geneva", "Winery"}).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(repo_.InsertAsync(
+                        "T", {"Winery", "co" + std::to_string(i), "Syracuse"})
+                    .ok());
+  }
+  ASSERT_TRUE(repo_.Flush().ok());
+  EXPECT_GT(repo_.mappings()[0].replan_count(), 0u);
+  EXPECT_EQ(*repo_.Count("R"), 200u);
+  EXPECT_TRUE(repo_.AllMappingsSatisfied());
+}
+
+TEST_F(YoutopiaTest, RebuildQueryPlansQuiescesAsyncInserts) {
+  // RebuildQueryPlans swaps the plans the workers run on and may build
+  // indexes over relations they write, so it waits for the async inserts
+  // in flight first: afterwards every one of them has run.
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  ASSERT_TRUE(repo_.Insert("A", {"Geneva", "Winery"}).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(repo_.InsertAsync(
+                        "T", {"Winery", "co" + std::to_string(i), "Syracuse"})
+                    .ok());
+  }
+  repo_.RebuildQueryPlans();
+  EXPECT_EQ(*repo_.Count("R"), 200u);
+  EXPECT_TRUE(repo_.running());
+  ASSERT_TRUE(repo_.InsertAsync("T", {"Winery", "late", "Syracuse"}).ok());
+  ASSERT_TRUE(repo_.Flush().ok());
+  EXPECT_EQ(*repo_.Count("R"), 201u);
+  EXPECT_TRUE(repo_.AllMappingsSatisfied());
+}
+
+TEST_F(YoutopiaTest, QueueDeleteFindsEarlierAsyncInserts) {
+  // QueueDelete looks the row up by content, a read of a relation a worker
+  // may still be writing, so it waits for the async inserts in flight
+  // first: the last one's row is found.
+  ASSERT_TRUE(repo_.Start(/*workers=*/2).ok());
+  ASSERT_TRUE(repo_.Insert("A", {"Geneva", "Winery"}).ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(repo_.InsertAsync(
+                        "T", {"Winery", "co" + std::to_string(i), "Syracuse"})
+                    .ok());
+  }
+  ASSERT_TRUE(repo_.QueueDelete("T", {"Winery", "co49", "Syracuse"}).ok());
+  auto stats = repo_.RunQueued(TrackerKind::kCoarse);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->updates_completed, 1u);
+  EXPECT_EQ(*repo_.Count("T"), 49u);
+  EXPECT_TRUE(repo_.AllMappingsSatisfied());
 }
 
 TEST_F(YoutopiaTest, DumpIsSortedAndStable) {
