@@ -95,24 +95,19 @@ size_t DependencyTracker::ReadersOf(uint64_t writer, const WriteLog& wlog,
       }
     }
     for (RelationId rel : rels_scratch_) {
-      auto it = marks_.find(rel);
-      if (it == marks_.end()) continue;
+      const Span<const Mark> marks = marks_.Above(rel, writer);
+      if (marks.empty()) continue;
       // The writer's first write to rel; a reader that read rel after it
       // was logged depends on the writer.
       const uint64_t first = wlog.WritesBy(writer, rel)[0].seq;
-      const std::vector<Mark>& marks = it->second;
-      for (auto m = std::partition_point(
-               marks.begin(), marks.end(),
-               [&](const Mark& mark) { return mark.reader <= writer; });
-           m != marks.end(); ++m) {
+      for (const Mark& m : marks) {
         ++scanned;
-        if (m->seq > first) readers->push_back(m->reader);
+        if (m.seq > first) readers->push_back(m.reader);
       }
     }
   }
-  auto it = readers_of_.find(writer);
-  if (it != readers_of_.end()) {
-    readers->insert(readers->end(), it->second.begin(), it->second.end());
+  for (const Edge& e : readers_of_.Above(writer, writer)) {
+    readers->push_back(e.other);
   }
   return scanned;
 }
@@ -121,54 +116,35 @@ void DependencyTracker::EraseUpdate(uint64_t update_number) {
   // As a COARSE reader: drop its marks.
   auto mit = marked_by_reader_.find(update_number);
   if (mit != marked_by_reader_.end()) {
-    for (RelationId rel : mit->second) {
-      auto found = marks_.find(rel);
-      std::vector<Mark>& marks = found->second;
-      marks.erase(std::partition_point(marks.begin(), marks.end(),
-                                       [&](const Mark& m) {
-                                         return m.reader < update_number;
-                                       }));
-      if (marks.empty()) marks_.erase(found);
-    }
+    for (RelationId rel : mit->second) marks_.EraseRun(rel, update_number);
     marked_by_reader_.erase(mit);
   }
-  // As a writer: drop its reader set.
-  auto rit = readers_of_.find(update_number);
-  if (rit != readers_of_.end()) {
-    for (uint64_t reader : rit->second) {
-      auto wit = writers_of_.find(reader);
-      if (wit != writers_of_.end()) wit->second.erase(update_number);
-    }
-    readers_of_.erase(rit);
+  // As a writer: leave its readers' lists, then drop its own.
+  for (const Edge& e : readers_of_.Above(update_number, update_number)) {
+    writers_of_.EraseRun(e.other, update_number);
   }
-  // As a reader: remove it from every writer's reader set.
-  auto wit = writers_of_.find(update_number);
-  if (wit != writers_of_.end()) {
-    for (uint64_t writer : wit->second) {
-      auto r = readers_of_.find(writer);
-      if (r != readers_of_.end()) r->second.erase(update_number);
-    }
-    writers_of_.erase(wit);
+  readers_of_.Drop(update_number);
+  // As a reader: likewise from the other side.
+  for (const Edge& e : writers_of_.Below(update_number, update_number)) {
+    readers_of_.EraseRun(e.other, update_number);
   }
+  writers_of_.Drop(update_number);
 }
 
 void DependencyTracker::AddEdge(uint64_t writer, uint64_t reader) {
-  if (readers_of_[writer].insert(reader).second) {
-    writers_of_[reader].insert(writer);
-  }
+  DCHECK(writer < reader);
+  if (!readers_of_.Run(writer, reader).empty()) return;
+  readers_of_.Add(writer, Edge{reader});
+  writers_of_.Add(reader, Edge{writer});
 }
 
 void DependencyTracker::MarkRead(uint64_t reader, RelationId rel,
                                  uint64_t seq) {
-  std::vector<Mark>& marks = marks_[rel];
-  auto it = std::partition_point(
-      marks.begin(), marks.end(),
-      [&](const Mark& m) { return m.reader < reader; });
-  if (it != marks.end() && it->reader == reader) {
-    it->seq = seq;  // the latest read decides
+  if (Mark* m = marks_.First(rel, reader)) {
+    m->seq = seq;  // the latest read decides
     return;
   }
-  marks.insert(it, Mark{reader, seq});
+  marks_.Add(rel, Mark{reader, seq});
   marked_by_reader_[reader].push_back(rel);
 }
 

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ccontrol/conflict.h"
+#include "ccontrol/numbered_lists.h"
 #include "ccontrol/read_query.h"
 #include "ccontrol/write_log.h"
 #include "relational/database.h"
@@ -68,10 +68,10 @@ class DependencyTracker {
 
   // Fills `readers` with the updates that have a (direct) read dependency
   // on `writer`, whose writes `wlog` must still hold: first the COARSE
-  // readers of the relations `writer` wrote, then the stored edges. A
-  // reader may be named more than once. Returns how many relation marks it
-  // read. Meaningless for kNaive (the scheduler cascades by number
-  // instead).
+  // readers of the relations `writer` wrote, then the stored edges in
+  // ascending order. A reader may be named more than once. Returns how
+  // many relation marks it read. Meaningless for kNaive (the scheduler
+  // cascades by number instead).
   size_t ReadersOf(uint64_t writer, const WriteLog& wlog,
                    std::vector<uint64_t>* readers) const;
 
@@ -83,6 +83,10 @@ class DependencyTracker {
   struct Mark {
     uint64_t reader;
     uint64_t seq;
+  };
+  // A stored edge, listed under one end: the other end's number.
+  struct Edge {
+    uint64_t other;
   };
 
   void AddEdge(uint64_t writer, uint64_t reader);
@@ -96,13 +100,14 @@ class DependencyTracker {
   std::vector<uint64_t> linked_scratch_;
   // ReadersOf's distinct relations of the writer.
   mutable std::vector<RelationId> rels_scratch_;
-  // COARSE marks by relation, ordered by reader, and the relations each
-  // reader marked (EraseUpdate's way back to them).
-  std::unordered_map<RelationId, std::vector<Mark>> marks_;
+  // COARSE marks by relation, and the relations each reader marked
+  // (EraseUpdate's way back to them).
+  NumberedLists<Mark, &Mark::reader> marks_;
   std::unordered_map<uint64_t, std::vector<RelationId>> marked_by_reader_;
-  // Stored edges, both directions.
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> readers_of_;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> writers_of_;
+  // Stored edges, both directions: the readers of each writer (all
+  // numbered above it) and the writers of each reader (all below it).
+  NumberedLists<Edge, &Edge::other> readers_of_;
+  NumberedLists<Edge, &Edge::other> writers_of_;
 };
 
 }  // namespace youtopia

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "ccontrol/numbered_lists.h"
 #include "ccontrol/read_query.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
@@ -123,10 +125,10 @@ class ReadLog {
                                  suffix.end());
     };
     for (const RelRange& r : range_scratch_) {
-      gather(Above(by_relation_, r.rel, writer));
+      gather(by_relation_.Above(r.rel, writer));
     }
     for (const Value& v : nulls_scratch_) {
-      gather(Above(by_null_, v.id(), writer));
+      gather(by_null_.Above(v.id(), writer));
     }
     if (lists > 1) {
       std::sort(candidates_scratch_.begin(), candidates_scratch_.end());
@@ -212,14 +214,7 @@ class ReadLog {
       return reader == o.reader && pos == o.pos;
     }
   };
-  // Index lists by relation id or null id.
-  using Index = std::unordered_map<uint64_t, std::vector<Entry>>;
-
-  // The entries of `index[key]` whose reader is numbered above `writer`.
-  static Span<const Entry> Above(const Index& index, uint64_t key,
-                                 uint64_t writer);
-
-  // Calls fn(index, key) for each list `q` is listed in.
+  // Calls fn(lists, key) for each list `q` is listed in.
   template <typename Fn>
   void ForEachListOf(const ReadQueryRecord& q, Fn&& fn) {
     switch (q.kind) {
@@ -274,17 +269,16 @@ class ReadLog {
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;
   mutable std::vector<Entry> candidates_scratch_;
-  // One update's logged queries, in recording order, with their positions
-  // by fingerprint (Record's dedup).
+  // One update's logged queries, in recording order, with their
+  // (fingerprint, position) pairs in ascending order (Record's dedup).
   struct UpdateLog {
     std::vector<ReadQueryRecord> queries;
-    std::unordered_multimap<uint64_t, size_t> by_fingerprint;
+    std::vector<std::pair<uint64_t, uint32_t>> by_fingerprint;
   };
   std::unordered_map<uint64_t, UpdateLog> logs_;
-  // Emptied lists are dropped (null ids are never reused, so kept null
-  // lists would pile up).
-  Index by_relation_;
-  Index by_null_;
+  // The index lists by relation id and by null id.
+  NumberedLists<Entry, &Entry::reader> by_relation_;
+  NumberedLists<Entry, &Entry::reader> by_null_;
   size_t total_queries_ = 0;
 };
 

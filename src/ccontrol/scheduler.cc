@@ -26,8 +26,9 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
   // costed plans probe, so every chase step and retroactive conflict check
   // in this run executes its planned access paths instead of falling back
   // to single-column probes. Skipped for the ingest pipeline's embedded
-  // cross-shard engines, whose plan view was compiled at pipeline setup
-  // (registration would touch relations outside their footprint locks).
+  // cross-shard engines: the pipeline registered the facade's mappings once,
+  // at its construction, and registration would touch relations outside
+  // their footprint locks.
   if (options_.register_plans) {
     for (const Tgd& tgd : *tgds_) {
       tgd.RecompilePlans(db_);

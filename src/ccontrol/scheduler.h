@@ -41,7 +41,8 @@ struct SchedulerOptions {
   // registers their composite-index demands. The ingest pipeline turns
   // this off for its embedded cross-shard engine: registration touches
   // every relation, but the engine may only touch the relations its
-  // footprint locks cover (its plan view was compiled at setup instead).
+  // footprint locks cover (the pipeline registered the facade's mappings
+  // once, at its construction).
   bool register_plans = true;
   // Optional observability sink: doom-cause counters (which read-query
   // class a conflicting write invalidated), cascade counts and commit

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ccontrol/numbered_lists.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 #include "relational/write.h"
@@ -54,12 +55,14 @@ class WriteLog {
   // The logged writes to `rel` by updates numbered below `before`, by
   // writer number, then log order. Valid until the log next changes.
   Span<const Entry> WritesTo(RelationId rel, uint64_t before) const {
-    return Below(by_relation_, rel, before);
+    return by_relation_.Below(rel, before);
   }
 
   // The logged writes of `writer` to `rel`, in log order (empty when none).
   // Valid until the log next changes.
-  Span<const Entry> WritesBy(uint64_t writer, RelationId rel) const;
+  Span<const Entry> WritesBy(uint64_t writer, RelationId rel) const {
+    return by_relation_.Run(rel, writer);
+  }
 
   // The sequence number the next logged write gets: every write logged so
   // far has a lower one.
@@ -69,7 +72,7 @@ class WriteLog {
   // `null`, by updates numbered below `before`, ordered like WritesTo. A
   // write is listed once however often the null occurs in it.
   Span<const Entry> WritesCarrying(const Value& null, uint64_t before) const {
-    return Below(by_null_, null.id(), before);
+    return by_null_.Below(null.id(), before);
   }
 
   // Drops every write of `update_number` (commit or abort), touching only
@@ -80,22 +83,15 @@ class WriteLog {
   size_t size() const;
 
  private:
-  // Index lists by relation id or null id.
-  using Index = std::unordered_map<uint64_t, std::vector<Entry>>;
-
-  static Span<const Entry> Below(const Index& index, uint64_t key,
-                                 uint64_t before);
-
   // Calls fn(null id) once for each distinct labeled null of w's old and
   // new content.
   template <typename Fn>
   void ForEachDistinctNull(const PhysicalWrite& w, Fn&& fn);
 
   std::unordered_map<uint64_t, std::vector<PhysicalWrite>> writes_by_update_;
-  // Emptied lists are dropped (null ids are never reused, so kept null
-  // lists would pile up).
-  Index by_relation_;
-  Index by_null_;
+  // The index lists by relation id and by null id.
+  NumberedLists<Entry, &Entry::writer> by_relation_;
+  NumberedLists<Entry, &Entry::writer> by_null_;
   // ForEachDistinctNull's dedup scratch.
   std::vector<uint64_t> nulls_scratch_;
   uint64_t next_seq_ = 0;

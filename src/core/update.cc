@@ -185,8 +185,11 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
                                  StepResult* res) {
   if (!write_set_.empty()) return;  // corrective writes already pending
   // Scan the queue for a deterministically repairable violation (Algorithm
-  // 2 prefers those); fall back to the first valid nondeterministic one.
+  // 2 prefers those); fall back to the first valid nondeterministic one,
+  // whose frontier is prepared when it is first seen.
   std::deque<Violation> deferred;
+  std::optional<PositiveFrontier> pos_candidate;
+  std::optional<NegativeFrontier> neg_candidate;
   while (!viol_queue_.empty()) {
     Violation v = std::move(viol_queue_.front());
     viol_queue_.pop_front();
@@ -205,7 +208,7 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
       // Nondeterministic: defer; if nothing deterministic shows up, the
       // first deferred violation's frontier is the one we block on.
       if (deferred.empty()) {
-        pos_frontier_candidate_ = std::move(repair.frontier);
+        pos_candidate = std::move(repair.frontier);
       }
       deferred.push_back(std::move(v));
       continue;
@@ -230,7 +233,7 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
       nf.prov.tgd_id = v.tgd_id;
       nf.prov.witness = v.witness;
       nf.candidates = std::move(candidates);
-      neg_frontier_candidate_ = std::move(nf);
+      neg_candidate = std::move(nf);
     }
     deferred.push_back(std::move(v));
   }
@@ -240,8 +243,6 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
     for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
       viol_queue_.push_front(std::move(*it));
     }
-    pos_frontier_candidate_.reset();
-    neg_frontier_candidate_.reset();
     return;
   }
   if (!deferred.empty()) {
@@ -252,14 +253,12 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
       viol_queue_.push_front(std::move(*it));
     }
     if (first.kind == Violation::Kind::kLhs) {
-      CHECK(pos_frontier_candidate_.has_value());
-      pos_frontier_ = std::move(pos_frontier_candidate_);
+      CHECK(pos_candidate.has_value());
+      pos_frontier_ = std::move(pos_candidate);
     } else {
-      CHECK(neg_frontier_candidate_.has_value());
-      neg_frontier_ = std::move(neg_frontier_candidate_);
+      CHECK(neg_candidate.has_value());
+      neg_frontier_ = std::move(neg_candidate);
     }
-    pos_frontier_candidate_.reset();
-    neg_frontier_candidate_.reset();
   }
 }
 

@@ -218,10 +218,6 @@ class Update {
   std::deque<Violation> viol_queue_;
   std::optional<PositiveFrontier> pos_frontier_;
   std::optional<NegativeFrontier> neg_frontier_;
-  // Prepared-but-not-yet-installed frontiers for the first nondeterministic
-  // violation seen while scanning for a deterministic one.
-  std::optional<PositiveFrontier> pos_frontier_candidate_;
-  std::optional<NegativeFrontier> neg_frontier_candidate_;
   bool finished_ = false;
   bool hit_step_cap_ = false;
   bool escaped_ = false;

@@ -185,8 +185,7 @@ class Youtopia {
   void ResetMetrics() { metrics_.Reset(); }
 
   // Turns process-wide trace-span recording on or off. Off (the default)
-  // costs one relaxed load per span site; compiled out entirely with
-  // -DYOUTOPIA_TRACING=0.
+  // costs one relaxed load per span site.
   void SetTracing(bool on) { obs::Tracer::Global().SetEnabled(on); }
 
   // Writes everything recorded so far as Chrome trace-event JSON —

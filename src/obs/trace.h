@@ -12,11 +12,6 @@
 // std-mutex (the only cross-thread acquirer is Dump/Clear), kept outside
 // the LockOrderValidator hierarchy like every other obs lock, so spans may
 // be recorded under any combination of component and leaf locks.
-//
-// Compile-time kill switch: building with -DYOUTOPIA_TRACING=0 compiles
-// every call-site helper (TraceSpan, TraceInstant) to a true no-op; the
-// Tracer class itself stays (Dump then writes an empty trace), so tooling
-// keeps linking.
 
 #include <cstdint>
 #include <memory>
@@ -27,14 +22,8 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
-#ifndef YOUTOPIA_TRACING
-#define YOUTOPIA_TRACING 1
-#endif
-
 namespace youtopia {
 namespace obs {
-
-inline constexpr bool kTracingCompiledIn = YOUTOPIA_TRACING != 0;
 
 // Event names, fixed at compile time so a ring slot stores one byte.
 enum class TraceName : uint8_t {
@@ -64,9 +53,7 @@ class Tracer {
   void SetEnabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
-  bool enabled() const {
-    return kTracingCompiledIn && enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Records one complete event [start_ns, end_ns] on this thread's ring.
   void RecordSpan(TraceName name, uint64_t start_ns, uint64_t end_ns,
@@ -126,17 +113,12 @@ class Tracer {
 class TraceSpan {
  public:
   explicit TraceSpan(TraceName name, uint64_t arg = 0) {
-#if YOUTOPIA_TRACING
     if (Tracer::Global().enabled()) {
       name_ = name;
       arg_ = arg;
       start_ = MonotonicNs();
       armed_ = true;
     }
-#else
-    (void)name;
-    (void)arg;
-#endif
   }
   ~TraceSpan() { End(); }
 
@@ -144,54 +126,35 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   // Attaches the op number once it is known (claimed mid-span).
-  void set_arg(uint64_t arg) {
-#if YOUTOPIA_TRACING
-    arg_ = arg;
-#else
-    (void)arg;
-#endif
-  }
+  void set_arg(uint64_t arg) { arg_ = arg; }
 
   void End() {
-#if YOUTOPIA_TRACING
     if (armed_) {
       armed_ = false;
       Tracer::Global().RecordSpan(name_, start_, MonotonicNs(), arg_);
     }
-#endif
   }
 
  private:
-#if YOUTOPIA_TRACING
   TraceName name_ = TraceName::kOp;
   uint64_t arg_ = 0;
   uint64_t start_ = 0;
   bool armed_ = false;
-#endif
 };
 
 inline void TraceInstant(TraceName name, uint64_t arg = 0) {
-#if YOUTOPIA_TRACING
   Tracer& t = Tracer::Global();
   if (t.enabled()) t.RecordInstant(name, arg);
-#else
-  (void)name;
-  (void)arg;
-#endif
 }
 
 // Records a commit span for op `number` at the commit point: a minimal-
 // duration complete event whose args.op the trace checker keys coverage on.
 inline void TraceCommit(uint64_t number) {
-#if YOUTOPIA_TRACING
   Tracer& t = Tracer::Global();
   if (t.enabled()) {
     const uint64_t now = MonotonicNs();
     t.RecordSpan(TraceName::kCommit, now, now, number);
   }
-#else
-  (void)number;
-#endif
 }
 
 }  // namespace obs

@@ -60,7 +60,7 @@ double EstimateBoundColumn(const VersionedRelation& rel, const Term& term,
       std::max<double>(1.0, static_cast<double>(rel.distinct_values(c)));
   const double uniform = n / distinct;
   if (!value_aware) return uniform;
-  const TopKSketch<Value, ValueHash>& sketch = rel.sketch(c);
+  const TopKSketch<Value>& sketch = rel.sketch(c);
   if (term.is_constant()) {
     // The probe value is known now: price its bucket. Tracked entries are
     // exact bucket sizes; an untracked value's bucket was at most the

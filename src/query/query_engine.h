@@ -28,11 +28,9 @@ class QueryEngine {
                                   const std::vector<VarId>& head,
                                   QuerySemantics semantics) const;
 
-  // Boolean query: does the body have a match (under the given semantics a
-  // certain yes requires a null-free... — for booleans, any homomorphism is a
-  // best-effort yes; a certain yes requires a match using only constants for
-  // the body's variables? We follow naive evaluation: any match answers yes
-  // under best-effort; certain requires a match whose bindings are null-free).
+  // Boolean query: does the body have a match? Best effort answers yes on
+  // any match; certain answers yes only on a match that binds every body
+  // variable to a constant.
   bool Ask(const ConjunctiveQuery& body, QuerySemantics semantics) const;
 
  private:

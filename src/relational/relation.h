@@ -169,7 +169,7 @@ class VersionedRelation {
   // tracked count equals its bucket size at all times; an untracked value's
   // bucket was at most min_count() when it last changed. Feeds the
   // planner's per-value probe charges.
-  const TopKSketch<Value, ValueHash>& sketch(size_t column) const {
+  const TopKSketch<Value>& sketch(size_t column) const {
     CHECK_LT(column, sketches_.size());
     return sketches_[column];
   }
@@ -404,7 +404,7 @@ class VersionedRelation {
   size_t offers_since_fingerprint_ = 0;
   // Per column: heavy-hitter sketch over indexed values, each tracked count
   // an exact bucket size (see max_bucket()/sketch()).
-  std::vector<TopKSketch<Value, ValueHash>> sketches_;
+  std::vector<TopKSketch<Value>> sketches_;
   std::vector<Row> rows_;
   // One index per column: IndexKey(value) -> rows carrying it (exact
   // buckets).

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.h"
@@ -33,44 +32,35 @@ namespace youtopia {
 //
 // Not thread-safe; ownership follows the containing structure's contract
 // (for relation statistics: owner-thread-only, like distinct_values()).
-template <typename T, typename Hash = std::hash<T>>
+template <typename T>
 class TopKSketch {
  public:
   explicit TopKSketch(size_t capacity) : capacity_(capacity) {
     CHECK(capacity_ > 0);
     entries_.reserve(capacity_);
-    index_.reserve(capacity_ * 2);
   }
 
   // Reports that `value` now occurs exactly `count` times: raises or lowers
   // a tracked entry, drops it at zero, and admits an untracked value while
   // there is room or when it beats the minimum.
   void Set(const T& value, uint64_t count) {
-    auto it = index_.find(value);
-    if (it != index_.end()) {
+    const size_t slot = SlotOf(value);
+    if (slot < entries_.size()) {
       if (count > 0) {
-        entries_[it->second].count = count;
-        return;
-      }
-      // Drop the entry; later slots shift down one, keeping slot order.
-      const size_t slot = it->second;
-      index_.erase(it);
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(slot));
-      for (size_t i = slot; i < entries_.size(); ++i) {
-        index_[entries_[i].value] = i;
+        entries_[slot].count = count;
+      } else {
+        // Drop the entry; later slots shift down one, keeping slot order.
+        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(slot));
       }
       return;
     }
     if (count == 0) return;
     if (entries_.size() < capacity_) {
-      index_.emplace(value, entries_.size());
       entries_.push_back(Entry{value, count});
       return;
     }
     const size_t min_idx = MinIndex();
     if (count > entries_[min_idx].count) {
-      index_.erase(entries_[min_idx].value);
-      index_.emplace(value, min_idx);
       entries_[min_idx] = Entry{value, count};
     }
   }
@@ -79,12 +69,12 @@ class TopKSketch {
   // fit under (min_count at capacity, 0 below it — see the class comment
   // for why this bounds the count only as of the value's last report).
   uint64_t Estimate(const T& value) const {
-    auto it = index_.find(value);
-    if (it != index_.end()) return entries_[it->second].count;
+    const size_t slot = SlotOf(value);
+    if (slot < entries_.size()) return entries_[slot].count;
     return entries_.size() < capacity_ ? 0 : MinCount();
   }
 
-  bool Tracks(const T& value) const { return index_.count(value) > 0; }
+  bool Tracks(const T& value) const { return SlotOf(value) < entries_.size(); }
 
   // The largest tracked count (0 when empty).
   uint64_t max_count() const {
@@ -111,6 +101,13 @@ class TopKSketch {
     uint64_t count = 0;
   };
 
+  // The slot tracking `value`, or size() when it is untracked.
+  size_t SlotOf(const T& value) const {
+    size_t i = 0;
+    while (i < entries_.size() && !(entries_[i].value == value)) ++i;
+    return i;
+  }
+
   size_t MinIndex() const {
     size_t best = 0;
     for (size_t i = 1; i < entries_.size(); ++i) {
@@ -126,7 +123,6 @@ class TopKSketch {
 
   size_t capacity_;
   std::vector<Entry> entries_;
-  std::unordered_map<T, size_t, Hash> index_;
 };
 
 }  // namespace youtopia

@@ -189,6 +189,47 @@ TEST_F(DependencyTrackerTest, EraseUpdateRemovesBothDirections) {
   EXPECT_TRUE(Readers(tracker, 1, wlog_).empty());
 }
 
+TEST_F(DependencyTrackerTest, ErasingEveryUpdateLeavesNoReaderAndNoMark) {
+  // COARSE marks and correction edges in one tracker, PRECISE and
+  // correction edges in the other, over several readers and writers
+  // (update 4 is both). The write log keeps every write, so ReadersOf
+  // still walks each writer's relations after the tracker forgets them.
+  for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    DependencyTracker tracker(kind, &fig_.tgds, &checker_);
+    WriteLog wlog;
+    const Value n = fig_.x1;
+    wlog.Record(1, Insert(fig_.T, fig_.Row({"Geneva Winery", "Q", "S"})));
+    wlog.Record(2, Insert(fig_.C, fig_.Row({"NYC"})));
+    wlog.Record(3, Insert(fig_.T, {fig_.Const("Nowhere"), n,
+                                   fig_.Const("S")}));
+    Snapshot snap(&fig_.db, kReadLatest);
+    const std::vector<ReadQueryRecord> reads{
+        ReadQueryRecord::Violation(2, true, 0,
+                                   fig_.Row({"Geneva", "Geneva Winery"})),
+        ReadQueryRecord::MoreSpecific(fig_.C, {fig_.Const("NYC")}),
+        ReadQueryRecord::NullOccurrence(n)};
+    tracker.OnReads(snap, 4, reads, wlog);
+    wlog.Record(4, Insert(fig_.R, fig_.Row({"XYZ", "Geneva Winery", "Fine"})));
+    tracker.OnReads(snap, 5, reads, wlog);
+    tracker.OnReads(snap, 6, reads, wlog);
+
+    std::vector<uint64_t> readers;
+    size_t marks = 0;
+    for (uint64_t writer = 1; writer <= 4; ++writer) {
+      marks += tracker.ReadersOf(writer, wlog, &readers);
+      EXPECT_FALSE(readers.empty()) << TrackerKindName(kind) << " " << writer;
+    }
+    EXPECT_EQ(marks > 0, kind == TrackerKind::kCoarse);
+
+    for (uint64_t u : {2, 5, 1, 6, 4, 3}) tracker.EraseUpdate(u);
+    for (uint64_t writer = 1; writer <= 4; ++writer) {
+      EXPECT_EQ(tracker.ReadersOf(writer, wlog, &readers), 0u)
+          << TrackerKindName(kind) << " " << writer;
+      EXPECT_TRUE(readers.empty()) << TrackerKindName(kind) << " " << writer;
+    }
+  }
+}
+
 TEST_F(DependencyTrackerTest, CoarseLinksOnlyWritesLoggedBeforeTheRead) {
   // Reader 5 reads sigma3's relations (A, T, R) before update 1 writes T:
   // 5 read nothing 1 wrote, so no edge, until 5 reads the relations again.

@@ -433,7 +433,7 @@ TEST(VersionedRelationStatsTest, SketchRebuiltExactlyByCompaction) {
       rel.AppendInsertRow(1, seq++, Row({v}));
     }
   }
-  const TopKSketch<Value, ValueHash>& sk = rel.sketch(0);
+  const TopKSketch<Value>& sk = rel.sketch(0);
   for (uint64_t v = 0; v < 6; ++v) {
     EXPECT_EQ(sk.Estimate(Value::Constant(v)), 11 + v);
   }
