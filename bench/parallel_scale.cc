@@ -102,7 +102,6 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
         IngestOptions popts;
         popts.num_workers = p.workers;
         popts.max_steps_per_update = config.max_steps_per_update;
-        popts.max_attempts_per_update = config.max_attempts_per_update;
         popts.agent_seed = config.seed + 31 * run;
         popts.metrics = arm_metrics[pi - fx->first_point].get();
         IngestPipeline pipeline(&fx->db, &fx->tgds, popts);

@@ -101,9 +101,7 @@ void RunArm(Database* db, const std::vector<Tgd>* tgds,
 
   IngestOptions popts;
   popts.num_workers = config.workers;
-  popts.tracker = TrackerKind::kCoarse;
   popts.max_steps_per_update = config.max_steps_per_update;
-  popts.max_attempts_per_update = config.max_attempts_per_update;
   popts.agent_factory = MinContentFactory;
   popts.inbox_capacity = 256;
   popts.metrics = &metrics;

@@ -11,9 +11,9 @@ namespace youtopia {
 
 namespace {
 
-// Upper bound on cross-lane items admitted into one engine run: enough to
-// amortize lock acquisition and conflict tracking over a burst, small
-// enough that one batch never holds its footprint locks for long.
+// Upper bound on cross-lane items admitted into one batch: enough to
+// amortize lock acquisition over a burst, small enough that one batch
+// never holds its footprint locks for long.
 constexpr size_t kMaxCrossBatch = 64;
 
 }  // namespace
@@ -27,7 +27,8 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
       // read the pre-seeded relations' owner-only statistics (shard_map.h).
       shard_map_(db->num_relations(), *tgds,
                  std::max<size_t>(options_.num_workers, 1), db),
-      cross_inbox_(options_.inbox_capacity) {
+      cross_inbox_(options_.inbox_capacity),
+      cross_lane_(tgds) {
   // Metrics plumbing before any thread exists: every stage below records
   // into one registry (the embedder's or a pipeline-owned fallback).
   if (options_.metrics != nullptr) {
@@ -46,14 +47,12 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   // Setup-time plan registration, single-threaded: recompile every
   // mapping's plan complement against the live database and register its
   // composite-index demands once. From here on a mapping is re-planned only
-  // under its component's lock (see the class comment); no engine
-  // recompiles at construction again (Scheduler runs with register_plans
-  // off).
+  // under its component's lock (see the class comment).
   for (const Tgd& tgd : *tgds_) {
     tgd.RecompilePlans(db_);
     EnsureTgdPlanIndexes(db_, tgd.plans());
   }
-  engine_agent_ =
+  cross_lane_.agent =
       options_.agent_factory
           ? options_.agent_factory(options_.num_workers)
           : std::make_unique<RandomAgent>(options_.agent_seed ^
@@ -68,7 +67,7 @@ IngestPipeline::IngestPipeline(Database* db, const std::vector<Tgd>* tgds,
   for (size_t i = 0; i < num_shards; ++i) {
     auto s = std::make_unique<Shard>(options_.inbox_capacity, tgds_);
     s->inbox.SetMetrics(metrics_, obs::Gauge::kInboxDepth);
-    s->agent = options_.agent_factory
+    s->lane.agent = options_.agent_factory
                    ? options_.agent_factory(i)
                    : std::make_unique<RandomAgent>(
                          options_.agent_seed + 0x9e3779b97f4a7c15ULL * (i + 1));
@@ -203,11 +202,10 @@ void IngestPipeline::WorkerLoop(Shard* s) {
                               obs::MonotonicNs() - item.enqueue_ns);
     }
     obs::TraceSpan op_span(obs::TraceName::kOp);
-    ++s->stats.updates_submitted;
     const bool retired = RunPinned(s, std::move(item.op), item.enqueue_ns);
     // Idle before the op retires, so a dump taken after Flush() returns
     // shows every worker idle.
-    s->cur_number.store(0, std::memory_order_relaxed);
+    s->lane.cur_number.store(0, std::memory_order_relaxed);
     s->exclusive.store(false, std::memory_order_relaxed);
     // An escaped op counts toward the watermark but stays in flight: its
     // re-run on the cross lane retires it.
@@ -219,71 +217,76 @@ void IngestPipeline::WorkerLoop(Shard* s) {
 bool IngestPipeline::RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns) {
   // Footprint lock: an insert/delete chase stays within one component, so
   // the protocol degenerates to a single uncontended mutex unless a
-  // cross-shard admission currently covers this component. The number is
-  // claimed under the lock: execution order within a component is then
-  // number order, which makes the run serializable with every overlapping
-  // cross-shard batch (MVTO visibility sees exactly the writes of
-  // lower-numbered, already-finished updates). The chase stage starts
-  // before the lock, so a wait behind a cross batch counts as chase time.
+  // cross-shard batch currently covers this component. The chase stage
+  // starts before the lock, so a wait behind a cross batch counts as chase
+  // time.
   const uint32_t component = shard_map_.ComponentOf(op.rel);
   obs::ScopedLatency chase_latency(metrics_, obs::Stage::kChase);
   obs::TraceSpan chase_span(obs::TraceName::kChase);
   s->exclusive.store(true, std::memory_order_relaxed);
   MutexLock lock(component_locks_[component]);
-  const uint64_t number = db_->TakeNumbers();
-  chase_span.set_arg(number);
-  s->cur_number.store(number, std::memory_order_relaxed);
-
-  UpdateOptions uopts;
-  uopts.max_steps = options_.max_steps_per_update;
-  uopts.detector = &s->detector;
   // Admission at COMPONENT granularity — exactly what the held lock
   // covers. A shard-wide bitmap would let a chase write (or replan over) a
   // sibling component of this shard whose lock a concurrent cross-shard
-  // admission may hold.
-  uopts.allowed_relations = &shard_map_.ComponentRelations(component);
-  uopts.replan_poller = &s->poller;
+  // batch may hold.
+  const bool retired =
+      RunOp(&s->lane, std::move(op), &shard_map_.ComponentRelations(component),
+            enqueue_ns);
+  chase_span.set_arg(s->lane.cur_number.load(std::memory_order_relaxed));
+  return retired;
+}
+
+bool IngestPipeline::RunOp(Lane* lane, WriteOp op,
+                           const std::vector<bool>* allowed,
+                           uint64_t enqueue_ns) {
+  // The number is claimed under the caller's locks, just before the op
+  // runs, so within the locked components execution order is number order
+  // (see the class comment).
+  const uint64_t number = db_->TakeNumbers();
+  lane->cur_number.store(number, std::memory_order_relaxed);
+
+  UpdateOptions uopts;
+  uopts.max_steps = options_.max_steps_per_update;
+  uopts.detector = &lane->detector;
+  uopts.allowed_relations = allowed;
+  uopts.replan_poller = &lane->poller;
   Update u(number, std::move(op), tgds_, uopts);
 
-  s->undo_scratch.clear();
+  lane->undo_scratch.clear();
   while (!u.finished()) {
-    StepResult res = u.Step(db_, s->agent.get());
-    ++s->stats.total_steps;
-    s->stats.physical_writes += res.writes.size();
+    StepResult res = u.Step(db_, lane->agent.get());
+    ++lane->stats.total_steps;
+    lane->stats.physical_writes += res.writes.size();
     for (const PhysicalWrite& pw : res.writes) {
-      s->undo_scratch.push_back({pw.rel, pw.row});
+      lane->undo_scratch.push_back({pw.rel, pw.row});
     }
   }
 
   if (u.escaped()) {
-    // The chase reached a null whose occurrences leave this component.
-    // Undo the attempt's writes (all within the locked component, newest
-    // first) and surrender the initial operation to the cross-shard
-    // engine — which re-counts the submission, so retract this worker's
-    // count to keep merged updates_submitted equal to the ops actually
-    // submitted.
-    for (auto it = s->undo_scratch.rbegin(); it != s->undo_scratch.rend();
-         ++it) {
+    // The chase reached a relation outside `allowed`. Undo the attempt's
+    // writes (all inside the held locks, newest first; no other op ran
+    // since, so none read them) and surrender the initial operation to run
+    // escalated. The attempt is not a submission: the re-run counts the op.
+    for (auto it = lane->undo_scratch.rbegin();
+         it != lane->undo_scratch.rend(); ++it) {
       db_->RemoveRowVersions(it->first, it->second, number);
     }
-    --s->stats.updates_submitted;
-    ++s->stats.escaped_updates;
+    ++lane->escaped_updates;
     obs::TraceInstant(obs::TraceName::kEscape, number);
     EnqueueEscape(u.initial_op());
     return false;
   }
+  ++lane->stats.updates_submitted;
   if (u.hit_step_cap()) {
-    ++s->stats.updates_failed;
+    ++lane->stats.updates_failed;
     return true;
   }
-  ++s->stats.updates_completed;
-  s->stats.frontier_ops += u.frontier_ops_performed();
-  s->committed.push_back({number, u.initial_op()});
+  ++lane->stats.updates_completed;
+  lane->stats.frontier_ops += u.frontier_ops_performed();
+  lane->committed.push_back({number, u.initial_op()});
   metrics_->Add(obs::Counter::kCommits);
-  if (enqueue_ns != 0) {
-    metrics_->RecordLatency(obs::Stage::kCommit,
-                            obs::MonotonicNs() - enqueue_ns);
-  }
+  metrics_->RecordLatency(obs::Stage::kCommit,
+                          obs::MonotonicNs() - enqueue_ns);
   obs::TraceCommit(number);
   return true;
 }
@@ -292,8 +295,7 @@ void IngestPipeline::AdmissionLoop() {
   CrossItem first;
   while (cross_inbox_.WaitPop(&first)) {
     // Opportunistic batching: take whatever else is already queued, up to
-    // the cap — one engine run amortizes lock acquisition and conflict
-    // tracking across the batch.
+    // the cap — one lock acquisition covers the whole batch.
     std::vector<CrossItem> items;
     items.push_back(std::move(first));
     CrossItem more;
@@ -327,18 +329,18 @@ void IngestPipeline::ProcessCrossItems(std::vector<CrossItem> items) {
   // Admission latency per op: cross-lane enqueue until its batch starts
   // running (queue residency plus the watermark wait above).
   const uint64_t admitted_ns = obs::MonotonicNs();
-  std::vector<WriteOp> normals, escalated;
+  std::vector<CrossItem> normals, escalated;
   for (CrossItem& i : items) {
     if (i.enqueue_ns != 0 && admitted_ns > i.enqueue_ns) {
       metrics_->RecordLatency(obs::Stage::kAdmission,
                               admitted_ns - i.enqueue_ns);
     }
-    (i.escalated ? escalated : normals).push_back(std::move(i.op));
+    (i.escalated ? escalated : normals).push_back(std::move(i));
   }
   if (!normals.empty()) {
     const size_t n = normals.size();
     // Counted before the retirement below publishes it to Flush.
-    engine_cross_ops_ += n;
+    cross_ops_ += n;
     const size_t escapes = RunCrossShardBatch(std::move(normals),
                                               /*escalated=*/false);
     // Escapes were re-queued (a later loop iteration runs them escalated)
@@ -352,10 +354,10 @@ void IngestPipeline::ProcessCrossItems(std::vector<CrossItem> items) {
   }
 }
 
-size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
+size_t IngestPipeline::RunCrossShardBatch(std::vector<CrossItem> items,
                                           bool escalated) {
   obs::ScopedLatency batch_latency(metrics_, obs::Stage::kCrossBatch);
-  obs::TraceSpan batch_span(obs::TraceName::kCrossBatch, ops.size());
+  obs::TraceSpan batch_span(obs::TraceName::kCrossBatch, items.size());
   // Footprint: the union of the batch's component closures (escalated
   // batches take everything). Component ids ascend with their
   // representative relation ids, so this loop IS the ordered relation-id
@@ -368,8 +370,8 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
       components.push_back(c);
     }
   } else {
-    for (const WriteOp& op : ops) {
-      shard_map_.FootprintOf(op, *db_, &components);
+    for (const CrossItem& item : items) {
+      shard_map_.FootprintOf(item.op, *db_, &components);
     }
     std::sort(components.begin(), components.end());
     components.erase(std::unique(components.begin(), components.end()),
@@ -392,54 +394,16 @@ size_t IngestPipeline::RunCrossShardBatch(std::vector<WriteOp> ops,
   const std::vector<bool> allowed =
       shard_map_.RelationsOfComponents(components);
 
-  SchedulerOptions sopts;
-  sopts.tracker = options_.tracker;
-  sopts.max_steps_per_update = options_.max_steps_per_update;
-  sopts.max_attempts_per_update = options_.max_attempts_per_update;
-  sopts.register_plans = false;
-  sopts.metrics = metrics_;  // doom causes, cascades, commits
-  if (!escalated) sopts.allowed_relations = &allowed;
-  // Reserve a number block large enough for every submit and every
-  // possible abort-redo, claimed under the held locks. The number-order ==
-  // execution-order guarantee (Theorem 4.4) holds while batches run
-  // concurrently with pinned traffic because it never depends on
-  // quiescence, only on the locks: (a) any pinned update overlapping this
-  // footprint either finished before we acquired its component's lock —
-  // its number was claimed under that lock, so it is below this block and
-  // its writes are visible to the engine — or will start after we release,
-  // claiming a number past the block and seeing every batch write; (b) any
-  // other cross batch orders against this one wholesale at its first
-  // shared lock, and its block is disjoint on the same side as its
-  // execution; (c) pinned predecessors of the batch's ops that DON'T share
-  // a component need no number ordering at all — but the watermark wait in
-  // ProcessCrossItems already sequenced the ones the submitter had
-  // observed, so replacement footprints are computed over a registry that
-  // contains them. Wherever footprints overlap, number order is execution
-  // order; elsewhere the orders are free, exactly as in the serial proof.
-  const uint64_t block =
-      ops.size() * (options_.max_attempts_per_update + 2) + 1;
-  sopts.first_number = db_->TakeNumbers(block);
-
-  Scheduler engine(db_, tgds_, engine_agent_.get(), sopts);
-  for (WriteOp& op : ops) engine.Submit(std::move(op));
-  {
-    obs::TraceSpan engine_span(obs::TraceName::kEngineRun,
-                               sopts.first_number);
-    engine.RunToCompletion();
+  size_t escapes = 0;
+  for (CrossItem& item : items) {
+    if (!RunOp(&cross_lane_, std::move(item.op),
+               escalated ? nullptr : &allowed, item.enqueue_ns)) {
+      ++escapes;
+    }
   }
-  CHECK_LE(engine.next_number(), sopts.first_number + block);
-
-  engine_stats_.Merge(engine.stats());
-  // Commit events (kCommits + commit spans) were recorded by the engine's
-  // own TryCommit — sopts.metrics above — so only collect the ops here.
-  for (auto& numbered : engine.CommittedOpsWithNumbers()) {
-    engine_committed_.push_back(std::move(numbered));
-  }
-  std::vector<WriteOp> escapes = engine.TakeEscapedOps();
-  CHECK(!escalated || escapes.empty());  // nothing escapes an escalated run
-  for (WriteOp& op : escapes) EnqueueEscape(std::move(op));
+  cross_lane_.cur_number.store(0, std::memory_order_relaxed);
   metrics_->Add(obs::Counter::kCrossBatches);
-  return escapes.size();
+  return escapes;
 }
 
 ParallelStats IngestPipeline::Flush() {
@@ -456,19 +420,18 @@ ParallelStats IngestPipeline::Flush() {
 
   ParallelStats stats;
   for (const auto& s : shards_) {
-    stats.totals.Merge(s->stats);
-    stats.shard_pinned.push_back(s->stats.updates_completed);
+    stats.totals.Merge(s->lane.stats);
+    stats.escaped_updates += s->lane.escaped_updates;
+    stats.shard_pinned.push_back(s->lane.stats.updates_completed);
     stats.inbox_high_watermark = std::max<uint64_t>(
         stats.inbox_high_watermark, s->inbox.high_watermark());
     stats.admission_stall_seconds += s->inbox.stall_seconds();
   }
   stats.pinned_updates = stats.totals.updates_completed;
-  stats.totals.Merge(engine_stats_);
+  stats.totals.Merge(cross_lane_.stats);
+  stats.escaped_updates += cross_lane_.escaped_updates;
   stats.workers = shards_.size();
-  stats.cross_shard_updates = engine_cross_ops_;
-  // Every worker escape and every engine escape is counted in its
-  // engine's stats and re-routed once through EnqueueEscape.
-  stats.escaped_updates = stats.totals.escaped_updates;
+  stats.cross_shard_updates = cross_ops_;
   stats.flushes = ++flushes_;
   stats.admission_stall_seconds += cross_inbox_.stall_seconds();
   return stats;
@@ -510,6 +473,10 @@ void IngestPipeline::AppendDiagnostics(std::string* out) const {
                pinned_submitted_.load(std::memory_order_acquire)),
            cross_inbox_.size());
   out->append(buf);
+  snprintf(buf, sizeof(buf), "cross lane: op=%llu\n",
+           static_cast<unsigned long long>(
+               cross_lane_.cur_number.load(std::memory_order_relaxed)));
+  out->append(buf);
   for (size_t i = 0; i < shards_.size(); ++i) {
     snprintf(buf, sizeof(buf),
              "shard %zu inbox: depth=%zu high-watermark=%zu\n", i,
@@ -520,7 +487,7 @@ void IngestPipeline::AppendDiagnostics(std::string* out) const {
     const Shard& s = *shards_[i];
     snprintf(buf, sizeof(buf), "shard %zu worker: op=%llu phase=%s\n", i,
              static_cast<unsigned long long>(
-                 s.cur_number.load(std::memory_order_relaxed)),
+                 s.lane.cur_number.load(std::memory_order_relaxed)),
              s.exclusive.load(std::memory_order_relaxed) ? "exclusive"
                                                          : "idle");
     out->append(buf);
@@ -534,9 +501,10 @@ std::vector<std::thread::id> IngestPipeline::WorkerThreadIds() const {
 }
 
 std::vector<WriteOp> IngestPipeline::CommittedOpsInOrder() const {
-  std::vector<std::pair<uint64_t, WriteOp>> numbered = engine_committed_;
+  std::vector<std::pair<uint64_t, WriteOp>> numbered = cross_lane_.committed;
   for (const auto& s : shards_) {
-    numbered.insert(numbered.end(), s->committed.begin(), s->committed.end());
+    numbered.insert(numbered.end(), s->lane.committed.begin(),
+                    s->lane.committed.end());
   }
   std::sort(numbered.begin(), numbered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -32,16 +32,12 @@ namespace youtopia {
 struct IngestOptions {
   // Worker threads requested; effective count is min(this, components).
   size_t num_workers = 2;
-  // Cascading-abort algorithm of the embedded cross-shard engine (pinned
-  // updates never abort, so the tracker only matters across shards).
-  TrackerKind tracker = TrackerKind::kCoarse;
   size_t max_steps_per_update = 1u << 20;
-  size_t max_attempts_per_update = 256;
-  // Per-worker simulated users: shard i's worker gets agent_factory(i)
-  // when a factory is given, else a RandomAgent derived from agent_seed and
-  // i. Agents with per-call state (RandomAgent's RNG) must never be shared
-  // across threads. The cross-shard engine's agent is
-  // agent_factory(num_workers) when a factory is given.
+  // Per-lane simulated users: shard i's worker gets agent_factory(i) when a
+  // factory is given, else a RandomAgent derived from agent_seed and i. The
+  // cross-shard lane's agent is agent_factory(num_workers) when a factory
+  // is given. Agents with per-call state (RandomAgent's RNG) must never be
+  // shared across threads.
   uint64_t agent_seed = 42;
   std::function<std::unique_ptr<FrontierAgent>(size_t)> agent_factory;
   // Credit capacity of every admission inbox (each shard's, and the
@@ -54,7 +50,7 @@ struct IngestOptions {
   // shared and reset, so ParallelStats never reads it.
   obs::MetricsRegistry* metrics = nullptr;
   // Stall watchdog: if no op retires for this many milliseconds while work
-  // is in flight, dump per-shard inbox depths, per-worker op/phase and
+  // is in flight, dump per-shard inbox depths, per-lane op/phase and
   // (checked builds) every thread's held-lock stack to stderr. 0 disables
   // (default: embedders opt in).
   uint64_t watchdog_deadline_ms = 0;
@@ -64,18 +60,20 @@ struct IngestOptions {
 };
 
 // Aggregated report of a pipeline's lifetime so far: SchedulerStats totals
-// merged across every worker and the cross-shard engine, plus admission-
-// and backpressure-level counts. Flush() assembles it from state the
-// pipeline owns (the workers' and the engine's own counts), never from the
-// metrics registry, so resetting or sharing the registry cannot skew it.
+// merged across every lane (each shard worker's and the cross-shard
+// lane's), plus admission- and backpressure-level counts. Flush() assembles
+// it from state the pipeline owns (the lanes' own counts), never from the
+// metrics registry, so resetting or sharing the registry cannot skew it. No
+// lane runs concurrency control, so the totals' read, abort and
+// retroactive-check counts stay 0.
 struct ParallelStats {
   SchedulerStats totals;
   uint64_t workers = 0;
-  uint64_t pinned_updates = 0;       // ran zero-CC on a shard worker
+  uint64_t pinned_updates = 0;       // committed on a shard worker
   uint64_t cross_shard_updates = 0;  // admitted through the footprint-lock
-                                     // protocol into the serial engine
-  uint64_t escaped_updates = 0;      // pinned/batch attempts re-routed
-                                     // (== totals.escaped_updates)
+                                     // protocol into the cross-shard lane
+  uint64_t escaped_updates = 0;      // pinned/cross attempts undone and
+                                     // re-routed to run escalated
   uint64_t flushes = 0;              // Flush() barriers since construction
   // Backpressure observability: deepest any shard inbox ever got (bounded
   // by inbox_capacity unless escapes re-queued past it) and the cumulative
@@ -93,18 +91,19 @@ enum class SubmitResult {
   kShutdown,    // pipeline stopped while (or before) the producer waited
 };
 
-// The standing ingest service: admission control layered over two
-// long-lived execution engines, alive for the owning facade's lifetime.
+// The standing ingest service: admission control layered over long-lived
+// lanes, alive for the owning facade's lifetime. Every lane runs each of
+// its ops the same way (RunOp): to completion, one at a time, with no
+// concurrency control, under component locks its thread holds.
 //
 //   * Single-shard updates (inserts and deletes — their tgd-closure
 //     footprint is exactly one component) are pinned to the worker owning
-//     that component's shard and run to completion with no concurrency
-//     control on the hot path (one thread per shard, parked on the shard's
-//     bounded inbox between ops; see RunPinned).
+//     that component's shard, which runs them under that component's lock
+//     (one thread per shard, parked on the shard's bounded inbox between
+//     ops; see RunPinned).
 //   * Cross-shard updates (null replacements, whose occurrence footprints
 //     span any set of components; plus pinned attempts that escaped their
-//     shard mid-chase) run through the existing serial Scheduler — read
-//     log, retroactive conflict checks, cascading aborts — under the
+//     shard mid-chase) run on the admission thread's lane under the
 //     footprint-lock protocol: each batch acquires its components' locks in
 //     ascending representative-relation-id order, so it excludes exactly
 //     the overlapping shards while disjoint workers keep draining, and two
@@ -117,19 +116,23 @@ enum class SubmitResult {
 //     later (no quiescent point, no livelock under open-loop load).
 //
 // Priority numbers come from the database's one update-number sequence
-// (Database::TakeNumbers), claimed under the respective footprint locks, so
-// number order and execution order agree wherever footprints overlap — the
-// serialization-order guarantee of the serial scheduler (Theorem 4.4)
-// carries over with "priority number" intact; see the proof sketch in
-// RunCrossShardBatch.
+// (Database::TakeNumbers). RunOp claims an op's number under locks that
+// cover its footprint, just before the op runs, so number order and
+// execution order agree wherever footprints overlap: an overlapping op
+// either finished before those locks were taken (a lower number, its
+// writes visible) or starts after they are released (a higher number,
+// seeing every write of this one). Where footprints do not overlap the
+// orders are free. That is serial execution in number order, the reference
+// Theorem 4.4 proves the optimistic protocol equivalent to, so no lane
+// needs the protocol's read log, retroactive checks or aborts.
 //
-// Every worker and every cross batch runs on the caller's one tgd vector.
-// A mapping's relations all lie in one component, so its plans follow the
-// relations' ownership rule: they are read and re-planned only by a thread
-// holding that component's lock (a pinned worker re-plans only mappings
-// inside its op's component, see UpdateOptions::allowed_relations; the
-// violation detector reads plans only of mappings over a relation the
-// chase wrote), or at a quiescent point.
+// Every lane runs on the caller's one tgd vector. A mapping's relations all
+// lie in one component, so its plans follow the relations' ownership rule:
+// they are read and re-planned only by a thread holding that component's
+// lock (a lane re-plans only mappings inside the locks it holds, see
+// UpdateOptions::allowed_relations; the violation detector reads plans
+// only of mappings over a relation the chase wrote), or at a quiescent
+// point.
 //
 // Threading contract: Submit may be called from any thread, including
 // concurrently. Flush() runs on one thread at a time and must not race
@@ -213,28 +216,38 @@ class IngestPipeline {
     uint64_t enqueue_ns = 0;
   };
 
-  // One shard lane: its bounded inbox and the worker thread that drains
-  // it, with everything the worker's hot path touches. Between Flush()
-  // barriers only the worker touches `detector` through `undo_scratch`.
-  struct Shard {
-    Shard(size_t capacity, const std::vector<Tgd>* tgds)
-        : inbox(capacity), detector(tgds) {}
+  // What a thread needs to run ops (see RunOp): each shard's worker owns
+  // one, and the admission thread owns one for the cross-shard lane.
+  // Between Flush() barriers only the owning thread touches it.
+  struct Lane {
+    explicit Lane(const std::vector<Tgd>* tgds) : detector(tgds) {}
 
-    BoundedMpscQueue<PinnedItem> inbox;
     // Its non-reentrant evaluator pair and their scratch amortize across
-    // every update the worker runs.
+    // every update the lane runs.
     ViolationDetector detector;
     std::unique_ptr<FrontierAgent> agent;
     // The re-planning watermark keeps its place across flush epochs.
     ReplanPoller poller;
     SchedulerStats stats;
+    uint64_t escaped_updates = 0;  // attempts undone and re-routed
     std::vector<std::pair<uint64_t, WriteOp>> committed;
     std::vector<std::pair<RelationId, RowId>> undo_scratch;
-    // Watchdog-visible current work, published relaxed on transitions (the
-    // dump tolerates tearing across workers): the number of the op in
-    // flight (0 = none) and whether the worker has asked for its component
-    // lock ("exclusive" with op 0 is a worker waiting on that lock).
+    // Watchdog-visible number of the op in flight (0 = none), published
+    // relaxed on transitions (the dump tolerates tearing across lanes).
     std::atomic<uint64_t> cur_number{0};
+  };
+
+  // One shard: its bounded inbox and the worker thread that drains it
+  // through the shard's lane.
+  struct Shard {
+    Shard(size_t capacity, const std::vector<Tgd>* tgds)
+        : inbox(capacity), lane(tgds) {}
+
+    BoundedMpscQueue<PinnedItem> inbox;
+    Lane lane;
+    // Watchdog-visible phase: whether the worker has asked for its
+    // component lock ("exclusive" with op 0 is a worker waiting on that
+    // lock).
     std::atomic<bool> exclusive{false};
     std::thread thread;  // started after every lane is built
   };
@@ -245,8 +258,9 @@ class IngestPipeline {
     WriteOp op;
     uint64_t barrier = 0;
     bool escalated = false;
-    // Stamped at admission-lane push; measures the admission latency
-    // (queue residency + barrier wait) when its batch starts running.
+    // Stamped at admission-lane push (an escaped op's at its re-route);
+    // measures the admission latency (queue residency + barrier wait) when
+    // its batch starts running, and the op's commit latency.
     uint64_t enqueue_ns = 0;
   };
 
@@ -254,21 +268,28 @@ class IngestPipeline {
   // A shard's worker: runs the inbox's ops one at a time until the inbox
   // is closed and empty.
   void WorkerLoop(Shard* s);
-  // Runs `op` to a terminal state under its component lock with
-  // concurrency control off: commits are recorded, escapes are undone and
-  // re-routed through EnqueueEscape, step-cap failures leave their writes
-  // in place. Returns false iff the op escaped (it stays in flight).
-  // `enqueue_ns` is the op's inbox-entry stamp (0 = unknown).
+  // Runs `op` on the shard's lane under its component lock. Returns false
+  // iff the op escaped (it stays in flight).
   bool RunPinned(Shard* s, WriteOp op, uint64_t enqueue_ns);
+  // Runs `op` to a terminal state on `lane`, under locks the caller holds
+  // over every relation `allowed` admits (null: every lock), with no
+  // concurrency control: claims the op's number, then commits are
+  // recorded, escapes are undone and re-routed through EnqueueEscape, and
+  // step-cap failures leave their writes in place. Returns false iff the op
+  // escaped (it stays in flight). `enqueue_ns` is the op's inbox or
+  // cross-lane stamp, the start of its commit latency.
+  bool RunOp(Lane* lane, WriteOp op, const std::vector<bool>* allowed,
+             uint64_t enqueue_ns);
   void AdmissionLoop();
   // Runs one admission round: `items` split into a normal batch (union
   // footprint locks) and an escalated batch (every lock), in that order.
   void ProcessCrossItems(std::vector<CrossItem> items);
-  // Runs `ops` through an embedded serial Scheduler under the ordered
-  // footprint locks; escalated batches hold every component lock and run
-  // unrestricted (nothing can escape twice). Returns how many ops escaped
-  // (they were re-queued through EnqueueEscape and stay in flight).
-  size_t RunCrossShardBatch(std::vector<WriteOp> ops, bool escalated);
+  // Takes the ordered footprint locks of `items` (escalated batches take
+  // every component lock and run unrestricted, so nothing escapes them),
+  // then runs the items' ops one at a time on the cross-shard lane. Returns
+  // how many ops escaped (they were re-queued through EnqueueEscape and
+  // stay in flight).
+  size_t RunCrossShardBatch(std::vector<CrossItem> items, bool escalated);
   // Re-routes an escaped op to the cross lane. Never blocks: callers may
   // hold component locks.
   void EnqueueEscape(WriteOp op);
@@ -310,14 +331,12 @@ class IngestPipeline {
   // re-routing ForcePushes — see BoundedMpscQueue).
   BoundedMpscQueue<CrossItem> cross_inbox_;
 
-  // The cross-shard engine's agent and bookkeeping. The admission thread
-  // is their only owner; Flush() reads them after its barrier, which
-  // happens-after the last retirement (see Retire).
-  std::unique_ptr<FrontierAgent> engine_agent_;
-  SchedulerStats engine_stats_;
-  std::vector<std::pair<uint64_t, WriteOp>> engine_committed_;
-  uint64_t engine_cross_ops_ = 0;  // non-escalated items admitted
-  uint64_t flushes_ = 0;           // flusher-thread only
+  // The cross-shard lane. The admission thread is its only owner; Flush()
+  // reads it after its barrier, which happens-after the last retirement
+  // (see Retire).
+  Lane cross_lane_;
+  uint64_t cross_ops_ = 0;  // non-escalated items admitted
+  uint64_t flushes_ = 0;    // flusher-thread only
 
   // The registry every stage records into; owned_metrics_ backs it when
   // the embedder passed none.

@@ -25,15 +25,10 @@ Scheduler::Scheduler(Database* db, const std::vector<Tgd>* tgds,
   // time statistics-free plans), then build the composite indexes the
   // costed plans probe, so every chase step and retroactive conflict check
   // in this run executes its planned access paths instead of falling back
-  // to single-column probes. Skipped for the ingest pipeline's embedded
-  // cross-shard engines: the pipeline registered the facade's mappings once,
-  // at its construction, and registration would touch relations outside
-  // their footprint locks.
-  if (options_.register_plans) {
-    for (const Tgd& tgd : *tgds_) {
-      tgd.RecompilePlans(db_);
-      EnsureTgdPlanIndexes(db_, tgd.plans());
-    }
+  // to single-column probes.
+  for (const Tgd& tgd : *tgds_) {
+    tgd.RecompilePlans(db_);
+    EnsureTgdPlanIndexes(db_, tgd.plans());
   }
 }
 
@@ -41,7 +36,6 @@ uint64_t Scheduler::Submit(WriteOp initial_op) {
   const uint64_t number = next_number_++;
   UpdateOptions uopts;
   uopts.max_steps = options_.max_steps_per_update;
-  uopts.allowed_relations = options_.allowed_relations;
   uopts.detector = &detector_;
   // StepOne logs each step's reads and checks later writes against them.
   uopts.log_reads = true;
@@ -91,18 +85,6 @@ void Scheduler::StepOne(size_t slot_idx) {
   ++stats_.total_steps;
   stats_.physical_writes += res.writes.size();
   stats_.read_queries += res.reads.size();
-
-  if (u->escaped()) {
-    // The update's chase left the shard-admission footprint. Undo it like
-    // an abort — including cascades to updates that read its now-retracted
-    // writes — but surrender its initial operation for re-routing instead
-    // of restarting it here (a restart would escape again).
-    slots_[slot_idx].escaped = true;
-    ++stats_.escaped_updates;
-    direct_scratch_.assign(1, number);
-    CascadeFrom(direct_scratch_);
-    return;
-  }
 
   if (u->finished()) {
     if (u->hit_step_cap()) {
@@ -158,12 +140,8 @@ void Scheduler::StepOne(size_t slot_idx) {
   if (!direct.empty()) PerformAborts(direct);
 }
 
-void Scheduler::PerformAborts(const std::vector<uint64_t>& direct) {
-  stats_.direct_conflict_aborts += direct.size();
-  CascadeFrom(direct);
-}
-
-void Scheduler::CascadeFrom(const std::vector<uint64_t>& roots) {
+void Scheduler::PerformAborts(const std::vector<uint64_t>& roots) {
+  stats_.direct_conflict_aborts += roots.size();
   // Consolidate: close the root set under cascading dependencies. Each
   // update requested for abort purely by cascade (not in direct conflict
   // with the just-performed writes) counts once per consolidation — the
@@ -227,14 +205,6 @@ void Scheduler::AbortOne(uint64_t number) {
   slot_by_number_.erase(it);
   active_numbers_.erase(number);
   uncommitted_finished_.erase(number);
-  if (slot.escaped) {
-    // Undone like an abort, but not one: surrender the initial op for
-    // re-routing, leave the abort counters alone, and retract the
-    // submission count — whichever engine re-runs the op counts it again.
-    --stats_.updates_submitted;
-    escaped_ops_.push_back(slot.update->initial_op());
-    return;
-  }
   ++stats_.aborts;
   obs::TraceInstant(obs::TraceName::kAbort, number);
 
@@ -317,10 +287,6 @@ std::vector<std::pair<uint64_t, WriteOp>> Scheduler::CommittedOpsWithNumbers()
   std::sort(numbered.begin(), numbered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return numbered;
-}
-
-std::vector<WriteOp> Scheduler::TakeEscapedOps() {
-  return std::move(escaped_ops_);
 }
 
 size_t Scheduler::num_failed() const {

@@ -31,19 +31,6 @@ struct SchedulerOptions {
   // First update number to assign (lets a caller continue a numbering
   // sequence started outside this scheduler).
   uint64_t first_number = 1;
-  // Shard-admission guard, forwarded to every update (see UpdateOptions).
-  // An update whose chase would write outside the bitmap is aborted —
-  // cascading to its dependents like any abort — and its initial operation
-  // is surrendered through TakeEscapedOps() instead of being restarted.
-  // Null: no restriction (the default serial behavior).
-  const std::vector<bool>* allowed_relations = nullptr;
-  // Whether construction recompiles every mapping's plans against `db` and
-  // registers their composite-index demands. The ingest pipeline turns
-  // this off for its embedded cross-shard engine: registration touches
-  // every relation, but the engine may only touch the relations its
-  // footprint locks cover (the pipeline registered the facade's mappings
-  // once, at its construction).
-  bool register_plans = true;
   // Optional observability sink: doom-cause counters (which read-query
   // class a conflicting write invalidated), cascade counts and commit
   // events. Null = no recording; the engine itself stays serial either
@@ -66,9 +53,6 @@ struct SchedulerStats {
   uint64_t direct_conflict_aborts = 0;   // writer invalidated a logged read
   uint64_t cascading_abort_requests = 0; // requests for updates NOT in
                                          // direct conflict (Section 6)
-  // Updates that left their shard-admission footprint (allowed_relations)
-  // and were surrendered for re-routing; disjoint from aborts.
-  uint64_t escaped_updates = 0;
 
   // Retroactive-check work, deterministic: logged writes the dependency
   // tracker tested against a read query, (query, write) pairs the read-log
@@ -79,8 +63,8 @@ struct SchedulerStats {
   uint64_t read_log_queries_scanned = 0;
   uint64_t cascade_marks_scanned = 0;
 
-  // Pipeline-level merge (the ingest pipeline sums worker-local and
-  // cross-shard engine stats into one report).
+  // Pipeline-level merge (the ingest pipeline sums its lanes' stats into
+  // one report).
   void Merge(const SchedulerStats& other) {
     updates_submitted += other.updates_submitted;
     updates_completed += other.updates_completed;
@@ -92,7 +76,6 @@ struct SchedulerStats {
     aborts += other.aborts;
     direct_conflict_aborts += other.direct_conflict_aborts;
     cascading_abort_requests += other.cascading_abort_requests;
-    escaped_updates += other.escaped_updates;
     tracker_writes_tested += other.tracker_writes_tested;
     read_log_pairs_tested += other.read_log_pairs_tested;
     read_log_queries_scanned += other.read_log_queries_scanned;
@@ -115,12 +98,7 @@ struct SchedulerStats {
 //
 // Threading contract: a Scheduler is a SERIAL engine — no internal locking,
 // no GUARDED_BY annotations, because every member is confined to whichever
-// single thread is driving it. The ingest pipeline embeds one only in its
-// cross-shard lane (shard workers run Update directly) and guarantees
-// exclusivity externally: that engine runs only on the admission thread,
-// while it holds the full ordered component-lock set covering the batch's
-// footprint. Do not share an instance across threads; share the Database
-// under the lock protocol instead.
+// single thread is driving it. Do not share an instance across threads.
 class Scheduler {
  public:
   Scheduler(Database* db, const std::vector<Tgd>* tgds, FrontierAgent* agent,
@@ -157,15 +135,8 @@ class Scheduler {
   // — the serialization order Theorem 4.4 guarantees equivalence with.
   std::vector<WriteOp> CommittedOpsInOrder() const;
 
-  // Initial operations, paired with their final committed numbers (the
-  // ingest pipeline interleaves its engines' committed ops by number to
-  // reconstruct the global serialization order).
+  // Initial operations, paired with their final committed numbers.
   std::vector<std::pair<uint64_t, WriteOp>> CommittedOpsWithNumbers() const;
-
-  // Initial operations of updates that escaped the allowed_relations
-  // footprint (undone and unregistered; the caller re-routes them).
-  // Clears the internal list.
-  std::vector<WriteOp> TakeEscapedOps();
 
   // One past the highest number this run assigned (callers continuing the
   // numbering sequence).
@@ -185,7 +156,6 @@ class Scheduler {
     bool failed = false;
     bool committed = false;
     bool queued = false;
-    bool escaped = false;
     // Restart backoff (Section 5.2 scheduling policy): a restarted update
     // skips this many scheduling rounds, giving the conflicting
     // lower-numbered update time to finish instead of killing the redo
@@ -194,11 +164,9 @@ class Scheduler {
   };
 
   void StepOne(size_t slot_idx);
-  void PerformAborts(const std::vector<uint64_t>& direct);
-  // Closes `roots` (distinct numbers) under cascading dependencies and
-  // aborts the closure, youngest first (shared by direct-conflict aborts and
-  // footprint escapes).
-  void CascadeFrom(const std::vector<uint64_t>& roots);
+  // Closes `roots` (distinct readers in direct conflict) under cascading
+  // dependencies and aborts the closure, youngest first.
+  void PerformAborts(const std::vector<uint64_t>& roots);
   void AbortOne(uint64_t number);
   void TryCommit();
   void EnqueueSlot(size_t slot_idx);
@@ -218,7 +186,7 @@ class Scheduler {
   // Per-step doomed readers (each once), a member so StepOne allocates
   // nothing in steady state.
   std::vector<uint64_t> direct_scratch_;
-  // CascadeFrom's readers of one closure member.
+  // PerformAborts's readers of one closure member.
   std::vector<uint64_t> readers_scratch_;
 
   std::vector<Slot> slots_;
@@ -234,8 +202,6 @@ class Scheduler {
   ReplanPoller replan_poller_;
   // Shared watermark for the updates' own tgd staleness polls (see Submit).
   ReplanPoller update_replan_poller_;
-  // Surrendered initial ops of footprint escapes (see TakeEscapedOps).
-  std::vector<WriteOp> escaped_ops_;
   SchedulerStats stats_;
   // See ProgressTicks().
   std::atomic<uint64_t> progress_ticks_{0};

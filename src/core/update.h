@@ -43,10 +43,11 @@ struct UpdateOptions {
   // Shard-admission guard (ccontrol/parallel/): when set, a step whose
   // pending write set would touch a relation outside this per-relation
   // bitmap applies nothing — the update finishes with escaped() true and
-  // the caller undoes its prior writes and re-routes it to an engine with
-  // a wide-enough footprint. Also filters the adaptive re-planning poll to
-  // mappings inside the bitmap: engines share one tgd vector, so a mapping's
-  // plans are re-planned only under the lock that covers its relations.
+  // the caller undoes its prior writes and re-runs it under locks that
+  // cover a wider footprint. Also filters the adaptive re-planning poll to
+  // mappings inside the bitmap: pipeline lanes share one tgd vector, so a
+  // mapping's plans are re-planned only under the lock that covers its
+  // relations.
   // Null: no restriction (serial behavior).
   const std::vector<bool>* allowed_relations = nullptr;
   // Whether to build ReadQueryRecords for the step's reads. Only an engine

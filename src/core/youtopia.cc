@@ -24,8 +24,8 @@ Status Youtopia::CreateRelation(std::string name,
 
 Result<int> Youtopia::AddMapping(std::string_view tgd_text) {
   // A new mapping changes the tgd-closure components; it may also
-  // reallocate tgds_, which the pipeline's workers and cross-shard engine
-  // run on. Quiesce and rebuild.
+  // reallocate tgds_, which the pipeline's lanes run on. Quiesce and
+  // rebuild.
   InvalidatePipeline();
   TgdParser parser(&db_.catalog(), &db_.symbols());
   Result<Tgd> tgd = parser.ParseTgd(tgd_text);
@@ -238,16 +238,14 @@ void Youtopia::SubmitBacklog() {
   async_queued_.clear();
 }
 
-Status Youtopia::Start(size_t workers, TrackerKind tracker,
+Status Youtopia::Start(size_t workers, TrackerKind /*tracker*/,
                        size_t inbox_capacity) {
   workers = std::max<size_t>(workers, 1);
   if (pipeline_ && (pipeline_options_.num_workers != workers ||
-                    pipeline_options_.tracker != tracker ||
                     pipeline_options_.inbox_capacity != inbox_capacity)) {
     InvalidatePipeline();  // reconfiguration: flush, then rebuild below
   }
   pipeline_options_.num_workers = workers;
-  pipeline_options_.tracker = tracker;
   pipeline_options_.inbox_capacity = inbox_capacity;
   EnsurePipeline();
   SubmitBacklog();

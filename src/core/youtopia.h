@@ -124,9 +124,10 @@ class Youtopia {
   // immediately, subject to the backpressure contract below — and Flush()
   // is the barrier. Starting an already-running pipeline is a no-op if the
   // configuration matches; otherwise the old pipeline flushes and a new one
-  // replaces it. Each shard runs on one pinned thread with zero
-  // concurrency control; `tracker` is the cross-shard engine's
-  // cascading-abort algorithm.
+  // replaces it. Each shard runs on one pinned thread, and cross-shard
+  // batches on the admission thread, all with zero concurrency control.
+  // `tracker` is ignored: no pipeline lane aborts, so none tracks
+  // cascades.
   Status Start(size_t workers = 2, TrackerKind tracker = TrackerKind::kCoarse,
                size_t inbox_capacity = 1024);
 
@@ -162,8 +163,8 @@ class Youtopia {
                      const std::vector<std::string>& values,
                      std::optional<std::chrono::nanoseconds> timeout =
                          std::nullopt);
-  // Null replacements are inherently cross-shard; they run through the
-  // pipeline's footprint-locked serial engine.
+  // Null replacements are inherently cross-shard; they run on the
+  // pipeline's footprint-locked cross-shard lane.
   Status ReplaceNullAsync(std::string_view null_name,
                           std::string_view constant,
                           std::optional<std::chrono::nanoseconds> timeout =

@@ -49,7 +49,8 @@ enum class Stage : uint8_t {
   kAdmissionBarrier,  // pinned-watermark wait inside a cross batch
   kChase,             // one pinned chase, incl. its component-lock wait
   kCommit,            // whole-op latency: inbox/lane enqueue -> commit
-  kCrossBatch,        // cross-shard batch: lock acquisition + engine run
+                      // (an escaped op's from its re-route)
+  kCrossBatch,        // cross-shard batch: lock acquisition + its ops
   kCrossLockHold,     // ordered component-lock set held by a cross batch
   kProducerStall,     // bounded-queue Push() blocked on a full inbox
   kCount,
@@ -59,14 +60,15 @@ const char* StageName(Stage s);
 enum class Counter : uint8_t {
   kSubmitted = 0,     // ops admitted into the pipeline
   kRetired,           // ops retired (committed or failed) — progress axis
-  kCommits,           // commits across every engine (zero-CC workers,
-                      // embedded serial engine)
+  kCommits,           // commits: every pipeline lane's, and a Scheduler's
+                      // when given the registry
   kCrossShardOps,     // ops routed through the cross-shard lane
   kEscapedOps,        // footprint escapes surrendered for re-routing
-  kCrossBatches,      // ordered-lock engine runs
+  kCrossBatches,      // ordered-lock cross-shard batches
   // Doom/abort cause: which read class the invalidating probe hit
   // (ReadQueryKind order), plus cascade victims with no direct conflict.
-  // Recorded by the serial engine's probes.
+  // Recorded by a Scheduler's probes (RunQueued's, on the facade); the
+  // pipeline runs no concurrency control, so it records none.
   kDoomReadViolation,
   kDoomReadMoreSpecific,
   kDoomReadNullOccurrence,

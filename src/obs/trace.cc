@@ -16,7 +16,6 @@ const char* TraceNameStr(TraceName n) {
     case TraceName::kCrossBatch: return "cross_batch";
     case TraceName::kCrossLockHold: return "cross_lock_hold";
     case TraceName::kAdmissionBarrier: return "admission_barrier";
-    case TraceName::kEngineRun: return "engine_run";
     case TraceName::kEscape: return "escape";
     case TraceName::kAbort: return "abort";
     case TraceName::kCount: break;

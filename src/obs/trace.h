@@ -35,7 +35,6 @@ enum class TraceName : uint8_t {
   kCrossBatch,        // one cross-shard admission round
   kCrossLockHold,     // ordered component-lock set held
   kAdmissionBarrier,  // pinned-watermark wait
-  kEngineRun,         // embedded serial engine RunToCompletion
   // Instants ("i").
   kEscape,            // footprint escape surrendered for re-routing
   kAbort,             // serial-engine abort

@@ -33,7 +33,7 @@ namespace youtopia {
 //   * the catalog and symbol table are frozen before concurrent execution
 //     starts (schema DDL and mapping parsing happen at setup time);
 //   * each VersionedRelation is read and written by at most one thread at a
-//     time (the owning shard worker, or a cross-shard engine holding the
+//     time (the owning shard worker, or the cross-shard lane holding the
 //     component's footprint lock);
 //   * the labeled-null registry is shared and internally synchronized
 //     (nulls are global identities that may span shards);
@@ -134,10 +134,10 @@ class Database {
   // The repository's one priority-number sequence, starting at 1 (0 is the
   // pre-existing data's). Theorem 4.4 makes number order the serialization
   // order, so every engine running updates over this database takes its
-  // numbers here: a pinned shard update under its component lock, a
-  // cross-shard batch a block under its ordered lock set, the facade's
-  // serial updates at quiescent points. The locks order the claims; the
-  // atomic only makes a claim indivisible (relaxed).
+  // numbers here: a pipeline op under the locks covering its footprint (a
+  // pinned op's component lock, a cross-shard op's batch lock set), the
+  // facade's serial updates at quiescent points. The locks order the
+  // claims; the atomic only makes a claim indivisible (relaxed).
   uint64_t next_number() const {
     return next_number_.load(std::memory_order_relaxed);
   }

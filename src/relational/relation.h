@@ -99,7 +99,7 @@ struct TupleVersion {
 //
 // Threading — the per-shard write ownership invariant: a relation has at
 // most one owner thread at a time (the shard worker its tgd-closure
-// component is pinned to, or a cross-shard engine holding the component's
+// component is pinned to, or the cross-shard lane holding the component's
 // footprint lock), and every row/index/statistics access except
 // visible_rows() requires ownership. Ownership hand-offs happen only
 // through the footprint mutexes, which provide the happens-before edge.

@@ -240,18 +240,18 @@ TEST(IngestPipelineShardingTest, CommittedOrderReplaysToIsomorphicInstance) {
                                   kReadLatest));
 }
 
-// --- Cross-shard admission through the embedded serial engine ---------------
+// --- Cross-shard admission: one op at a time under the batch's locks --------
 
 TEST(IngestPipelineShardingTest, CrossShardReplacementsCommitAndReplay) {
-  // The fixture's three replacements conflict when they share one engine
-  // batch (SchedulerTest.CrossShardConflictAbortsAndCascades pins that
-  // down). Under continuous admission they may land in one batch or
-  // several, so only the outcome is asserted: all three run through the
-  // cross lane, commit, and serialize in committed number order.
+  // The fixture's three replacements conflict when a Scheduler interleaves
+  // them (SchedulerTest.CrossShardConflictAbortsAndCascades pins that
+  // down). The cross lane runs each to completion before the next starts,
+  // so none aborts, whether they land in one batch or several: all three
+  // run through the cross lane, commit, and serialize in committed number
+  // order.
   CrossShardFixture fix;
   IngestOptions popts;
   popts.num_workers = 2;
-  popts.tracker = TrackerKind::kCoarse;
   popts.agent_factory = MinContentFactory;
   IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
   for (const WriteOp& op : fix.Replacements()) {
@@ -262,6 +262,7 @@ TEST(IngestPipelineShardingTest, CrossShardReplacementsCommitAndReplay) {
   EXPECT_EQ(stats.cross_shard_updates, 3u);
   EXPECT_EQ(stats.pinned_updates, 0u);
   EXPECT_EQ(stats.totals.updates_completed, 3u);
+  EXPECT_EQ(stats.totals.aborts, 0u);
   EXPECT_TRUE(Satisfied(fix.db, fix.tgds));
 
   // Serial replay in committed order reproduces the instance. The replayed
@@ -314,7 +315,7 @@ std::vector<WriteOp> InsertsWithReplacements(Islands* fix,
 }
 
 TEST(IngestPipelineShardingTest, PinnedReplansRunBesideCrossShardBatches) {
-  // Every engine runs on the one tgd vector. Island 0's inserts grow its
+  // Every lane runs on the one tgd vector. Island 0's inserts grow its
   // relations far past the staleness floor, so its worker re-plans island
   // 0's mappings under island 0's lock, while null replacements run as
   // cross batches under island 1's lock alone and read island 1's plans.
@@ -363,8 +364,8 @@ TEST(IngestPipelineShardingTest, PinnedReplansRunBesideCrossShardBatches) {
 // {P,Q,R} worker; its chase binds c = X from Q(k, X), generates the
 // frontier tuple R(m, X), and unifies with the more specific stored
 // R(m, d) — a global null replacement reaching E — so the attempt must
-// escape mid-chase, be undone, and re-run by the escalated cross-shard
-// engine. (An *initial op* referencing X would never get here: submission
+// escape mid-chase, be undone, and re-run in an escalated cross-shard
+// batch. (An *initial op* referencing X would never get here: submission
 // classifies it cross-shard from X's occurrence footprint.)
 struct EscapeFixture {
   Database db;
@@ -402,10 +403,9 @@ TEST(IngestPipelineShardingTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
   // Exactly one escape: the pinned attempt. Its escalated re-run holds
   // every component lock, so it cannot escape again.
   EXPECT_EQ(stats.escaped_updates, 1u);
-  EXPECT_EQ(stats.totals.escaped_updates, 1u);
   EXPECT_EQ(stats.totals.updates_completed, 1u);
-  // The escaped attempt's submission count is retracted when the op is
-  // surrendered: one op submitted, one merged submission.
+  // The escaped attempt is not counted as a submission: one op submitted,
+  // one merged submission.
   EXPECT_EQ(stats.totals.updates_submitted, 1u);
   // The op really did pin first (classification saw a null-free insert).
   EXPECT_EQ(stats.cross_shard_updates, 0u);
@@ -423,6 +423,36 @@ TEST(IngestPipelineShardingTest, EscapedPinnedUpdateIsUndoneAndRerouted) {
       fix.db.FindRowWithData(fix.q, {fix.k, fix.d}, kReadLatest).has_value());
   EXPECT_TRUE(
       fix.db.FindRowWithData(fix.p, {fix.m, fix.k}, kReadLatest).has_value());
+}
+
+TEST(IngestPipelineShardingTest, EscapedCrossBatchOpIsUndoneAndRerunEscalated) {
+  // The cross lane's side of the escape path. A second null Z occurs in P
+  // and in the standalone W, so replacing it by k locks {P,Q,R} and {W}.
+  // The replacement completes P(m, k) & Q(k, X), and the chase unifies
+  // X := d as in the fixture, which reaches E outside the batch's locks:
+  // the op is undone and re-runs in an escalated batch.
+  EscapeFixture fix;
+  const RelationId w = *fix.db.CreateRelation("W", {"v"});
+  const Value z = fix.db.FreshNull();
+  fix.db.Apply(WriteOp::Insert(fix.p, {fix.m, z}), 0);
+  fix.db.Apply(WriteOp::Insert(w, {z}), 0);
+
+  IngestOptions popts;
+  popts.num_workers = 2;
+  popts.agent_factory = MinContentFactory;
+  IngestPipeline pipeline(&fix.db, &fix.tgds, popts);
+  ASSERT_EQ(pipeline.Submit(WriteOp::NullReplace(z, fix.k)),
+            SubmitResult::kOk);
+  const ParallelStats stats = pipeline.Flush();
+
+  EXPECT_EQ(stats.cross_shard_updates, 1u);
+  EXPECT_EQ(stats.escaped_updates, 1u);
+  EXPECT_EQ(stats.totals.aborts, 0u);
+  EXPECT_EQ(stats.totals.updates_submitted, 1u);
+  EXPECT_EQ(stats.totals.updates_completed, 1u);
+  EXPECT_TRUE(fix.db.FindRowWithData(fix.e, {fix.d}, kReadLatest).has_value());
+  EXPECT_TRUE(fix.db.FindRowWithData(w, {fix.k}, kReadLatest).has_value());
+  EXPECT_TRUE(Satisfied(fix.db, fix.tgds));
 }
 
 TEST(IngestPipelineShardingTest,
@@ -497,7 +527,6 @@ TEST(IngestPipelineShardingTest, SiblingComponentOnSameShardStillEscapes) {
   const ParallelStats stats = pipeline.Flush();
   EXPECT_EQ(stats.cross_shard_updates, 0u);
   EXPECT_EQ(stats.escaped_updates, 1u);
-  EXPECT_EQ(stats.totals.escaped_updates, 1u);
   EXPECT_EQ(stats.totals.updates_completed, 1u);
   EXPECT_TRUE(Satisfied(db, tgds));
   EXPECT_TRUE(db.FindRowWithData(q, {k, d}, kReadLatest).has_value());

@@ -77,37 +77,6 @@ TEST(SchedulerTest, Example31SerialOrderMatchesConcurrentOutcome) {
   EXPECT_TRUE(fig.Satisfied());
 }
 
-TEST(SchedulerTest, FootprintEscapeSurrendersOpAndUndoesWrites) {
-  // Restrict the scheduler to every relation except C. Inserting S(a, l, c)
-  // fires sigma2 (S -> C & C): the repair would write C, so the update must
-  // escape — fully undone, op surrendered, no abort counted.
-  Figure2 fig;
-  std::vector<bool> allowed(fig.db.num_relations(), true);
-  allowed[fig.C] = false;
-  ScriptedAgent agent;
-  SchedulerOptions opts;
-  opts.allowed_relations = &allowed;
-  Scheduler sched(&fig.db, &fig.tgds, &agent, opts);
-  const size_t s_before = fig.db.CountVisible(fig.S, kReadLatest);
-  sched.Submit(
-      WriteOp::Insert(fig.S, fig.Row({"ITH", "Ithaca", "Trumansburg"})));
-  sched.RunToCompletion();
-
-  EXPECT_EQ(sched.stats().escaped_updates, 1u);
-  EXPECT_EQ(sched.stats().aborts, 0u);
-  EXPECT_EQ(sched.stats().updates_completed, 0u);
-  // Surrendered ops are no longer this engine's submissions (the engine
-  // that re-runs them counts them), keeping merged submission counts equal
-  // to the ops actually submitted.
-  EXPECT_EQ(sched.stats().updates_submitted, 0u);
-  const std::vector<WriteOp> escaped = sched.TakeEscapedOps();
-  ASSERT_EQ(escaped.size(), 1u);
-  EXPECT_EQ(escaped[0].rel, fig.S);
-  // The partial chase (the S insert itself) was rolled back.
-  EXPECT_EQ(fig.db.CountVisible(fig.S, kReadLatest), s_before);
-  EXPECT_FALSE(fig.Contains(fig.C, {"Trumansburg"}));
-}
-
 TEST(SchedulerTest, NonConflictingUpdatesDoNotAbort) {
   Figure2 fig;
   ScriptedAgent agent;
@@ -333,9 +302,11 @@ TEST(SchedulerTest, FinalDatabaseSatisfiesMappingsUnderContention) {
 
 TEST(SchedulerTest, CrossShardConflictAbortsAndCascades) {
   // The three null replacements the ingest pipeline routes to its
-  // cross-shard engine, run here as one deterministic batch: u1's late Dd
-  // insert retroactively invalidates u2's logged violation query, and the
-  // abort cascades (COARSE) to u3, which read Bb after u2 wrote it.
+  // cross-shard lane, interleaved here as one deterministic batch: u1's
+  // late Dd insert retroactively invalidates u2's logged violation query,
+  // and the abort cascades (COARSE) to u3, which read Bb after u2 wrote it.
+  // The pipeline runs them one at a time and never aborts
+  // (IngestPipelineShardingTest.CrossShardReplacementsCommitAndReplay).
   CrossShardFixture fix;
   MinContentAgent agent;
   SchedulerOptions opts;

@@ -273,6 +273,9 @@ TEST_F(YoutopiaTest, ObservabilitySurfaceOnTheFacade) {
   EXPECT_GT(snap.counter(obs::Counter::kCommits), 0u);
   EXPECT_GT(snap.counter(obs::Counter::kRetired), 0u);
   EXPECT_EQ(snap.counter(obs::Counter::kCrossShardOps), 1u);
+  // Every pipeline commit, pinned or cross-shard, records its latency.
+  EXPECT_EQ(snap.stage(obs::Stage::kCommit).total,
+            snap.counter(obs::Counter::kCommits));
   for (obs::Stage s : {obs::Stage::kSubmit, obs::Stage::kInboxWait,
                        obs::Stage::kAdmission, obs::Stage::kChase,
                        obs::Stage::kCommit}) {
