@@ -98,7 +98,7 @@ void BM_FindMoreSpecificRowsHotLeadingColumn(benchmark::State& state) {
     out.clear();
     const TupleData probe{Value::Constant(0),
                           Value::Constant(1 + rng.Uniform(2 * n)), null};
-    FindMoreSpecificRows(snap, rel, probe, /*exclude_equal=*/false, &out);
+    FindMoreSpecificRows(snap, rel, probe, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }

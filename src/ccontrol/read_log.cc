@@ -1,6 +1,6 @@
 #include "ccontrol/read_log.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/hash.h"
 
@@ -16,12 +16,10 @@ void ReadLog::Record(uint64_t update_number, ReadQueryRecord q) {
   const uint32_t pos = static_cast<uint32_t>(log.queries.size());
   // A fingerprint hit is a duplicate only if the full query matches: a
   // query dropped on a mere collision would never be checked again.
-  auto it = std::lower_bound(log.by_fingerprint.begin(),
-                             log.by_fingerprint.end(), std::make_pair(fp, 0u));
-  for (; it != log.by_fingerprint.end() && it->first == fp; ++it) {
-    if (SameReadQuery(log.queries[it->second], q)) return;  // duplicate
+  for (const uint32_t logged : log.by_fingerprint.Find(fp)) {
+    if (SameReadQuery(log.queries[logged], q)) return;  // duplicate
   }
-  log.by_fingerprint.insert(it, {fp, pos});
+  log.by_fingerprint.Add(fp, pos);
   ++total_queries_;
   const Entry entry{update_number, pos};
   ForEachListOf(q, [&](auto& lists, uint64_t key) { lists.Add(key, entry); });

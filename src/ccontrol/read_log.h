@@ -9,6 +9,7 @@
 
 #include "ccontrol/numbered_lists.h"
 #include "ccontrol/read_query.h"
+#include "relational/row_buckets.h"
 #include "relational/write.h"
 #include "tgd/tgd.h"
 #include "util/span.h"
@@ -269,11 +270,11 @@ class ReadLog {
   mutable std::vector<RelRange> range_scratch_;
   mutable std::vector<uint32_t> null_write_scratch_;
   mutable std::vector<Entry> candidates_scratch_;
-  // One update's logged queries, in recording order, with their
-  // (fingerprint, position) pairs in ascending order (Record's dedup).
+  // One update's logged queries, in recording order, with their positions
+  // listed under their fingerprints (Record's dedup).
   struct UpdateLog {
     std::vector<ReadQueryRecord> queries;
-    std::vector<std::pair<uint64_t, uint32_t>> by_fingerprint;
+    RowBuckets by_fingerprint;
   };
   std::unordered_map<uint64_t, UpdateLog> logs_;
   // The index lists by relation id and by null id.

@@ -27,7 +27,9 @@ struct FrontierTuple {
   RelationId rel = 0;
   TupleData data;  // current content; shared-null substitutions from earlier
                    // decisions in the same group are applied in place
-  std::vector<RowId> more_specific;  // candidate rows at request time
+  // Candidate rows: filled when the frontier is processed, by the full
+  // correction query, just before the agent is asked about this tuple.
+  std::vector<RowId> more_specific;
 };
 
 // All RHS tuples of one tgd firing form one group; they may share fresh

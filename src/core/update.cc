@@ -302,9 +302,14 @@ Update::ForwardRepair Update::GenerateForwardRepair(Database* db,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, ft.data));
     }
-    FindMoreSpecificRows(snap, atom.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific);
-    any_ambiguous |= !ft.more_specific.empty();
+    // Whether the firing is ambiguous is all the repair decides; the
+    // candidate lists are built when the frontier is processed. A ground
+    // tuple's only more specific tuple is itself, which Contains has just
+    // missed, and after one ambiguous tuple the answer is known.
+    if (!any_ambiguous && ContainsAnyNull(ft.data)) {
+      any_ambiguous = HasMoreSpecificRow(snap, atom.rel, ft.data,
+                                         &lookup_rows_examined_);
+    }
     pf.tuples.push_back(std::move(ft));
   }
 
@@ -345,8 +350,8 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(ft.rel, ft.data));
     }
-    FindMoreSpecificRows(snap, ft.rel, ft.data, /*exclude_equal=*/false,
-                         &ft.more_specific);
+    lookup_rows_examined_ +=
+        FindMoreSpecificRows(snap, ft.rel, ft.data, &ft.more_specific);
 
     // An exact copy in the database satisfies this atom outright.
     bool exact = false;

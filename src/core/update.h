@@ -164,6 +164,11 @@ class Update {
   // with options.detector set, the rows of every update that shared it (a
   // Scheduler reports those once, in TotalRowsExamined).
   uint64_t rows_examined() const { return detector_->rows_examined(); }
+  // Rows this update's more-specific correction queries re-verified (the
+  // forward repair's existence checks and the frontier's candidate lists),
+  // across all attempts. Apart from rows_examined(), which counts
+  // evaluator rows only.
+  uint64_t lookup_rows_examined() const { return lookup_rows_examined_; }
 
  private:
   struct ForwardRepair {
@@ -179,7 +184,8 @@ class Update {
   void ProcessNegativeFrontier(Database* db, FrontierAgent* agent);
 
   // Builds the repair for an LHS-violation: instantiates the RHS with fresh
-  // nulls and runs the more-specific correction queries.
+  // nulls and asks the existence form of the more-specific correction query
+  // until one tuple is ambiguous.
   ForwardRepair GenerateForwardRepair(Database* db, const Snapshot& snap,
                                       const Violation& v, StepResult* res);
 
@@ -230,6 +236,7 @@ class Update {
   size_t frontier_ops_ = 0;
   size_t violations_repaired_ = 0;
   size_t attempts_ = 1;
+  uint64_t lookup_rows_examined_ = 0;
 };
 
 }  // namespace youtopia

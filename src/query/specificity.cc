@@ -24,29 +24,56 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
   return true;
 }
 
-void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
-                          const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out) {
-  auto consider = [&](RowId row, const TupleData& stored) {
-    if (exclude_equal && stored == data) return;
-    if (IsMoreSpecific(stored, data)) out->push_back(row);
-  };
+namespace {
+
+// The walk behind both forms of the correction query: calls found(row) on
+// each visible row of `rel` more specific than `data`, in ascending row
+// order, until it returns false. Returns the rows re-verified.
+template <typename Fn>
+size_t WalkMoreSpecificRows(const Snapshot& snap, RelationId rel,
+                            const TupleData& data, Fn&& found) {
+  size_t examined = 0;
   // f is the identity on constants, so every answer agrees with `data` on
   // its constant columns and is listed in each of their buckets.
   const auto bucket = snap.db().relation(rel).SmallestContentBucket(
       data, [&](size_t c) { return data[c].is_constant(); });
   if (!bucket.has_value()) {
     // All-null tuple: every row is a potential match; scan.
-    snap.ForEachVisible(
-        rel, [&](RowId row, const TupleData& stored) { consider(row, stored); });
-    return;
+    snap.ForEachVisible(rel, [&](RowId row, const TupleData& stored) {
+      ++examined;
+      return !IsMoreSpecific(stored, data) || found(row);
+    });
+    return examined;
   }
   // Read in place: the bucket is ascending and lists each row once, so
   // each answer is reported once and in row order.
   for (RowId row : *bucket) {
     const TupleData* stored = snap.VisibleData(rel, row);
-    if (stored != nullptr) consider(row, *stored);
+    if (stored == nullptr) continue;
+    ++examined;
+    if (IsMoreSpecific(*stored, data) && !found(row)) break;
   }
+  return examined;
+}
+
+}  // namespace
+
+size_t FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
+                            const TupleData& data, std::vector<RowId>* out) {
+  return WalkMoreSpecificRows(snap, rel, data, [&](RowId row) {
+    out->push_back(row);
+    return true;
+  });
+}
+
+bool HasMoreSpecificRow(const Snapshot& snap, RelationId rel,
+                        const TupleData& data, uint64_t* rows_examined) {
+  bool any = false;
+  *rows_examined += WalkMoreSpecificRows(snap, rel, data, [&](RowId) {
+    any = true;
+    return false;
+  });
+  return any;
 }
 
 }  // namespace youtopia

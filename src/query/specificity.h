@@ -1,6 +1,8 @@
 #ifndef YOUTOPIA_QUERY_SPECIFICITY_H_
 #define YOUTOPIA_QUERY_SPECIFICITY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "relational/database.h"
@@ -17,13 +19,18 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 
 // The paper's correction query "find any t' in R more specific than t":
 // appends every visible row of `rel` whose content is more specific than
-// `data` (excluding rows whose content is literally equal when
-// `exclude_equal` is set, used when the tuple itself is already stored),
-// in ascending row order, each once. Re-verifies the smallest index bucket
-// among `data`'s constant columns; an all-null `data` scans the relation.
-void FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
-                          const TupleData& data, bool exclude_equal,
-                          std::vector<RowId>* out);
+// `data`, in ascending row order, each once. Re-verifies the smallest index
+// bucket among `data`'s constant columns; an all-null `data` scans the
+// relation. Returns the rows it re-verified.
+size_t FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
+                            const TupleData& data, std::vector<RowId>* out);
+
+// The existence form of the same query: whether any visible row of `rel`
+// is more specific than `data`. Walks what FindMoreSpecificRows walks and
+// stops at the first answer; adds the rows it re-verified to
+// `*rows_examined`.
+bool HasMoreSpecificRow(const Snapshot& snap, RelationId rel,
+                        const TupleData& data, uint64_t* rows_examined);
 
 }  // namespace youtopia
 

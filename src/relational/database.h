@@ -141,9 +141,9 @@ class Database {
   uint64_t next_number() const {
     return next_number_.load(std::memory_order_relaxed);
   }
-  // Claims `count` consecutive numbers and returns the first.
-  uint64_t TakeNumbers(uint64_t count = 1) {
-    return next_number_.fetch_add(count, std::memory_order_relaxed);
+  // Claims the next number and returns it.
+  uint64_t TakeNumbers() {
+    return next_number_.fetch_add(1, std::memory_order_relaxed);
   }
   // Moves the sequence up to `n`, never down: a standalone Scheduler numbers
   // its own updates from next_number(), and its caller hands back the

@@ -305,9 +305,14 @@ InitialDataReport GenerateInitialData(Database* db,
                                       const InitialDataOptions& options) {
   InitialDataReport report;
   ViolationDetector detector(tgds);
+  // One watermark for every seed insert, as the Scheduler and the facade
+  // share theirs: a private one would re-check every mapping's plans on
+  // each insert's first step.
+  ReplanPoller poller;
   UpdateOptions uopts;
   uopts.max_steps = options.max_steps_per_insert;
   uopts.detector = &detector;
+  uopts.replan_poller = &poller;
   for (size_t i = 0; i < options.num_tuples; ++i) {
     const RelationId rel =
         static_cast<RelationId>(rng->Uniform(db->num_relations()));
@@ -325,6 +330,7 @@ InitialDataReport GenerateInitialData(Database* db,
     report.capped_chases += update.hit_step_cap() ? 1 : 0;
   }
   report.total_tuples = db->CountVisible(kReadLatest);
+  report.replan_polls = poller.fired();
   return report;
 }
 

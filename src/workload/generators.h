@@ -108,6 +108,9 @@ struct InitialDataReport {
   size_t chase_steps = 0;
   size_t frontier_ops = 0;
   size_t capped_chases = 0;  // inserts whose chase hit the step cap
+  // Re-planning sweeps the seed chase ran: one shared watermark fires at
+  // most once per kReplanPollWriteStride database writes.
+  uint64_t replan_polls = 0;
 };
 
 // Seeds the database with `num_tuples` random insertions, each propagated by

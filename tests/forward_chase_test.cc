@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/update.h"
 #include "test_util.h"
 #include "tgd/parser.h"
@@ -215,6 +219,90 @@ TEST(ForwardChaseTest, EqualRhsInstantiationsOverDifferentRelationsBothInsert) {
   update.RunToCompletion(&db, &agent);
   EXPECT_TRUE(update.finished());
   EXPECT_EQ(db.CountVisible(t, 1), 1u);
+  EXPECT_EQ(db.CountVisible(u, 1), 1u);
+  EXPECT_TRUE(ViolationDetector(&tgds).SatisfiesAll(Snapshot(&db, 1)));
+}
+
+TEST(ForwardChaseTest, AbsentGroundRhsTupleIsInsertedWithoutLookup) {
+  // S(x, y) -> T(x, y) over a T that lists 20 rows under c in its first
+  // column and 20 under d in its second: the RHS tuple T(c, d) is ground
+  // and absent, so nothing can be more specific than it and the repair
+  // inserts it without re-verifying a row. The correction query is still
+  // logged.
+  Database db;
+  const RelationId s = *db.CreateRelation("S", {"x", "y"});
+  const RelationId t = *db.CreateRelation("T", {"x", "y"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  auto tgd = parser.ParseTgd("S(x, y) -> T(x, y)");
+  ASSERT_TRUE(tgd.ok());
+  tgds.push_back(std::move(tgd).value());
+  const Value c = db.InternConstant("c");
+  const Value d = db.InternConstant("d");
+  for (int i = 0; i < 20; ++i) {
+    const Value other = db.InternConstant("v" + std::to_string(i));
+    db.Apply(WriteOp::Insert(t, {c, other}), 0);
+    db.Apply(WriteOp::Insert(t, {other, d}), 0);
+  }
+  ScriptedAgent agent;  // never consulted: the repair is deterministic
+  UpdateOptions opts;
+  opts.log_reads = true;
+  Update update(1, WriteOp::Insert(s, {c, d}), &tgds, opts);
+  const StepResult first = update.Step(&db, &agent);
+  EXPECT_FALSE(first.awaiting_frontier);
+  const ReadQueryRecord logged = ReadQueryRecord::MoreSpecific(t, {c, d});
+  EXPECT_TRUE(std::any_of(first.reads.begin(), first.reads.end(),
+                          [&](const ReadQueryRecord& q) {
+                            return SameReadQuery(q, logged);
+                          }));
+  update.RunToCompletion(&db, &agent);
+  EXPECT_EQ(update.frontier_ops_performed(), 0u);
+  EXPECT_EQ(update.lookup_rows_examined(), 0u);
+  EXPECT_TRUE(Snapshot(&db, 1).Contains(t, {c, d}));
+}
+
+TEST(ForwardChaseTest, AllNullRhsAtomStopsAtFirstRowUntilTheFrontier) {
+  // S(x) -> exists y: T(y) & U(x, y) over N stored T rows and an empty U:
+  // every T row is more specific than T(y), so the repair stops at the
+  // first, asks nothing about U(x, y) once the firing is ambiguous, and
+  // blocks on a frontier. The agent is then offered all N rows.
+  constexpr size_t kRows = 25;
+  Database db;
+  const RelationId s = *db.CreateRelation("S", {"x"});
+  const RelationId t = *db.CreateRelation("T", {"y"});
+  const RelationId u = *db.CreateRelation("U", {"x", "y"});
+  TgdParser parser(&db.catalog(), &db.symbols());
+  std::vector<Tgd> tgds;
+  auto tgd = parser.ParseTgd("S(x) -> exists y: T(y) & U(x, y)");
+  ASSERT_TRUE(tgd.ok());
+  tgds.push_back(std::move(tgd).value());
+  for (size_t i = 0; i < kRows; ++i) {
+    db.Apply(WriteOp::Insert(t, {db.InternConstant("v" + std::to_string(i))}),
+             0);
+  }
+  class CountingAgent : public FrontierAgent {
+   public:
+    PositiveDecision DecidePositive(const Snapshot&,
+                                    const FrontierTuple& tuple,
+                                    const Provenance&) override {
+      offered = tuple.more_specific.size();
+      return PositiveDecision::Unify(tuple.more_specific[0]);
+    }
+    std::vector<size_t> DecideNegative(const Snapshot&,
+                                       const NegativeFrontier&) override {
+      return {0};
+    }
+    size_t offered = 0;
+  };
+  CountingAgent agent;
+  Update update(1, WriteOp::Insert(s, {db.InternConstant("a")}), &tgds);
+  EXPECT_TRUE(update.Step(&db, &agent).awaiting_frontier);
+  EXPECT_EQ(update.lookup_rows_examined(), 1u);
+  update.RunToCompletion(&db, &agent);
+  EXPECT_EQ(update.frontier_ops_performed(), 1u);
+  EXPECT_EQ(agent.offered, kRows);
+  EXPECT_EQ(update.lookup_rows_examined(), 1u + kRows);
+  EXPECT_EQ(db.CountVisible(t, 1), kRows);
   EXPECT_EQ(db.CountVisible(u, 1), 1u);
   EXPECT_TRUE(ViolationDetector(&tgds).SatisfiesAll(Snapshot(&db, 1)));
 }

@@ -98,6 +98,22 @@ TEST_F(GeneratorsTest, InitialDataSatisfiesAllMappings) {
   EXPECT_TRUE(detector.SatisfiesAll(snap));
 }
 
+TEST_F(GeneratorsTest, SeedInsertsShareOneReplanWatermark) {
+  // The seed chase's inserts share one re-planning watermark, so the
+  // mapping sweep fires at most once per stride of database writes; a
+  // watermark per insert fired on nearly every insert's first step.
+  Build(20, 10, 20);
+  RandomAgent agent(99);
+  InitialDataOptions opts;
+  opts.num_tuples = 500;
+  const InitialDataReport report =
+      GenerateInitialData(&db_, &tgds_, constants_, &rng_, &agent, opts);
+  EXPECT_EQ(report.seed_inserts, 500u);
+  EXPECT_GT(report.replan_polls, 0u);
+  EXPECT_LE(report.replan_polls, db_.next_seq() / kReplanPollWriteStride);
+  EXPECT_LT(report.replan_polls, report.seed_inserts);
+}
+
 TEST_F(GeneratorsTest, WorkloadShapesMatchOptions) {
   Build(20, 10, 10);
   RandomAgent agent(99);

@@ -493,7 +493,7 @@ TEST(IngestPipelineTest, ClaimAndAdvanceKeepOneNumberSequence) {
   fix.db.SkipNumbersTo(7);
   EXPECT_EQ(fix.db.next_number(), 7u);
   EXPECT_EQ(fix.db.TakeNumbers(), 7u);
-  EXPECT_EQ(fix.db.TakeNumbers(3), 8u);
+  EXPECT_EQ(fix.db.TakeNumbers(), 8u);
   fix.db.SkipNumbersTo(20);
   fix.db.SkipNumbersTo(5);  // monotonic: never moves backwards
   EXPECT_EQ(fix.db.next_number(), 20u);

@@ -56,6 +56,20 @@ TEST_F(ReadLogTest, DeduplicatesIdenticalQueries) {
   EXPECT_EQ(log_.total_queries(), 2u);
 }
 
+TEST_F(ReadLogTest, DeduplicatesManyQueriesOfOneUpdate) {
+  // One update's log holds tens of thousands of distinct queries in a
+  // paper-scale round; logging each once more must drop every duplicate.
+  constexpr uint64_t kQueries = 30000;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t i = 0; i < kQueries; ++i) {
+      log_.Record(5, ReadQueryRecord::MoreSpecific(
+                         fig_.C, {Value::Constant(1000 + i)}));
+    }
+  }
+  EXPECT_EQ(log_.total_queries(), kQueries);
+  EXPECT_EQ(log_.QueriesOf(5)->size(), kQueries);
+}
+
 TEST_F(ReadLogTest, CandidatesFilteredByWriterNumber) {
   const ReadQueryRecord q = ReadQueryRecord::Violation(
       2, true, 0, fig_.Row({"Geneva", "Geneva Winery"}));
