@@ -1,12 +1,58 @@
 #include "ccontrol/conflict.h"
 
-#include <algorithm>
-
 #include "query/binding.h"
 #include "query/evaluator.h"
 #include "query/specificity.h"
 
 namespace youtopia {
+
+namespace {
+
+// Whether `content` agrees with `atom` on the atom's constants and on the
+// variables `seed` binds: MatchAtom(atom, content, copy of seed) without
+// the copy and without the atom's repeated unbound variables, so it fails
+// only where that MatchAtom fails.
+bool AgreesUnderSeed(const Atom& atom, const TupleData& content,
+                     const Binding& seed) {
+  if (atom.terms.size() != content.size()) return false;
+  for (size_t i = 0; i < content.size(); ++i) {
+    const Term& t = atom.terms[i];
+    if (t.is_constant() ? t.constant() != content[i]
+                        : seed.IsBound(t.var()) &&
+                              seed.Get(t.var()) != content[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whether `content`, written to `rel`, passes the first test of some
+// branch of ConflictChecker::JoinsWithPin: it agrees with a residual LHS
+// atom or an RHS atom over `rel` on the atom's constants and seed-bound
+// variables, or it is the pinned tuple at an LHS pin's own atom. If not,
+// every JoinsWithPin call on it is false. `p` can bind.
+bool Reaches(const ConflictChecker::PreparedQuery& p, RelationId rel,
+             const TupleData& content) {
+  const Tgd& tgd = *p.tgd;
+  const ReadQueryRecord& q = *p.q;
+  const std::vector<Atom>& lhs = tgd.lhs().atoms;
+  for (size_t a = 0; a < lhs.size(); ++a) {
+    if (lhs[a].rel != rel) continue;
+    if (q.pinned_on_lhs && a == q.atom_index) {
+      if (content == q.pinned) return true;
+    } else if (AgreesUnderSeed(lhs[a], content, p.seed)) {
+      return true;
+    }
+  }
+  // The seed binds LHS variables only, so the ones an RHS atom mentions
+  // are frontier variables, the ones JoinsWithPin unifies.
+  for (const Atom& atom : tgd.rhs().atoms) {
+    if (atom.rel == rel && AgreesUnderSeed(atom, content, p.seed)) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 ConflictChecker::PreparedQuery ConflictChecker::Prepare(
     const ReadQueryRecord& q) const {
@@ -70,20 +116,25 @@ bool ConflictChecker::Conflicts(const Snapshot& snap, const PhysicalWrite& w,
 bool ConflictChecker::ViolationQueryConflicts(const Snapshot& snap,
                                               const PhysicalWrite& w,
                                               PreparedQuery* p) const {
-  const auto& rels = p->tgd->all_relations();
-  if (std::find(rels.begin(), rels.end(), w.rel) == rels.end()) return false;
   if (!p->can_bind) return false;
   // The residual query and its plans are fixed by (tgd, side, atom) and
-  // come from the memo, on the first write that gets this far.
+  // come from the memo, on the first write that gets this far (ahead of
+  // the content test: an entry's plans are costed, and their indexes
+  // registered, when a check first reaches it).
   if (p->residual == nullptr) {
     p->residual = &ResidualFor(*p->tgd, *p->q, &snap.db());
   }
 
   // Contents to test: a modification is conservatively a delete of the old
-  // content followed by an insert of the new one.
-  const bool adds = w.kind == WriteKind::kInsert || w.kind == WriteKind::kModify;
+  // content followed by an insert of the new one. A content that reaches no
+  // branch of JoinsWithPin (a write to no relation of the tgd reaches none)
+  // is settled here, before the evaluators.
+  const bool adds =
+      (w.kind == WriteKind::kInsert || w.kind == WriteKind::kModify) &&
+      Reaches(*p, w.rel, w.data);
   const bool removes =
-      w.kind == WriteKind::kDelete || w.kind == WriteKind::kModify;
+      (w.kind == WriteKind::kDelete || w.kind == WriteKind::kModify) &&
+      Reaches(*p, w.rel, w.old_data);
 
   if (adds) {
     // New LHS tuple: may create a witness — relevant only if the combined

@@ -30,7 +30,9 @@ namespace youtopia {
 // insert can change the answer by creating a new witness (LHS join) or by
 // completing an RHS match that removes one; deletions symmetrically; a
 // modification is conservatively treated as a delete followed by an insert
-// (Section 5).
+// (Section 5). Most writes fail that join's first test, the written atom
+// against the pinned binding, and are rejected from their content alone,
+// before any evaluator runs.
 //
 // A check has a per-query part (Prepare) and a per-write part (Conflicts on
 // the prepared query). Callers that test one query against many writes —

@@ -51,9 +51,10 @@ size_t DependencyTracker::OnReads(const Snapshot& snap, uint64_t reader,
           for (RelationId rel : tgd.all_relations()) {
             MarkRead(reader, rel, wlog.seq());
           }
-        } else {
+        } else if (q.pin_binds) {
           // PRECISE: the retroactive check against each lower-numbered
-          // write to the tgd's relations.
+          // write to the tgd's relations. A query whose pin cannot bind
+          // answers nothing whatever is written, so it tests none.
           ConflictChecker::PreparedQuery prepared = checker_->Prepare(q);
           for (RelationId rel : tgd.all_relations()) {
             link_hits(wlog.WritesTo(rel, reader), [&](const PhysicalWrite& w) {

@@ -18,10 +18,13 @@ namespace youtopia {
 
 // Stores the read queries each live update has performed (Algorithm 4:
 // "store Q for future checks"), indexed so that a write reaches only the
-// queries it might invalidate. Two index lists name every logged query:
+// queries it might invalidate. Two index lists name every logged query a
+// write can change:
 //   * by relation — violation queries under every relation of their tgd,
 //     more-specific queries under their target relation;
 //   * by labeled null — null-occurrence queries under their null.
+// A violation query whose pin cannot bind (ReadQueryRecord::pin_binds)
+// answers nothing in every database; it is logged but listed nowhere.
 // Each list is ordered by reader number, then by the query's position in
 // its reader's log, so the queries of readers numbered above a writer are
 // a suffix of it. Exact duplicates (chases re-pose the same violation
@@ -215,11 +218,13 @@ class ReadLog {
       return reader == o.reader && pos == o.pos;
     }
   };
-  // Calls fn(lists, key) for each list `q` is listed in.
+  // Calls fn(lists, key) for each list `q` is listed in. A violation query
+  // whose pin cannot bind is in none: no write can change its answer.
   template <typename Fn>
   void ForEachListOf(const ReadQueryRecord& q, Fn&& fn) {
     switch (q.kind) {
       case ReadQueryKind::kViolation:
+        if (!q.pin_binds) break;
         for (RelationId r :
              (*tgds_)[static_cast<size_t>(q.tgd_id)].all_relations()) {
           fn(by_relation_, r);

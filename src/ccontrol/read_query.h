@@ -59,6 +59,13 @@ struct ReadQueryRecord {
   // kViolation
   int tgd_id = -1;
   bool pinned_on_lhs = true;  // which side `atom_index` refers to
+  // False when `pinned` cannot match its atom (a constant or a repeated
+  // variable disagrees). Such a query answers nothing in every database,
+  // so no write can change its answer: the read log lists it under no
+  // relation and the PRECISE tracker tests no write against it. The
+  // violation detector decides it while posing the query; hand-built
+  // records keep the conservative default.
+  bool pin_binds = true;
   size_t atom_index = 0;
   TupleData pinned;
 

@@ -350,18 +350,10 @@ void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(ft.rel, ft.data));
     }
-    lookup_rows_examined_ +=
-        FindMoreSpecificRows(snap, ft.rel, ft.data, &ft.more_specific);
-
     // An exact copy in the database satisfies this atom outright.
     bool exact = false;
-    for (RowId row : ft.more_specific) {
-      const TupleData* stored = snap.VisibleData(ft.rel, row);
-      if (stored != nullptr && *stored == ft.data) {
-        exact = true;
-        break;
-      }
-    }
+    lookup_rows_examined_ += FindMoreSpecificRows(snap, ft.rel, ft.data,
+                                                  &ft.more_specific, &exact);
     if (exact) {
       pf.tuples.erase(pf.tuples.begin());
       continue;

@@ -61,6 +61,11 @@ bool ViolationDetector::Pose(const QueryPlan& plan, const PosedQuery& q,
   if (reads != nullptr) {
     reads->push_back(ReadQueryRecord::Violation(q.tgd_id, q.pinned_on_lhs,
                                                 q.atom_index, *q.pinned, fp));
+    const Tgd& tgd = (*tgds_)[static_cast<size_t>(q.tgd_id)];
+    const ConjunctiveQuery& side = q.pinned_on_lhs ? tgd.lhs() : tgd.rhs();
+    Binding binding(tgd.num_vars());
+    reads->back().pin_binds =
+        MatchAtom(side.atoms[q.atom_index], *q.pinned, &binding);
   }
   return true;
 }

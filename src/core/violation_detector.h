@@ -113,7 +113,8 @@ class ViolationDetector {
   // pinned content) already ran for an earlier write of the batch, since
   // its answer and its read record are the same. A fingerprint hit counts
   // only if the full query matches too. A query that runs is logged to
-  // `reads` when that is set.
+  // `reads` when that is set, marked with whether its pinned tuple can
+  // match its atom (ReadQueryRecord::pin_binds), decided once here.
   bool Pose(const QueryPlan& plan, const PosedQuery& q, bool dedup,
             std::vector<ReadQueryRecord>* reads) const;
 

@@ -26,9 +26,10 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general) {
 
 namespace {
 
-// The walk behind both forms of the correction query: calls found(row) on
-// each visible row of `rel` more specific than `data`, in ascending row
-// order, until it returns false. Returns the rows re-verified.
+// The walk behind both forms of the correction query: calls
+// found(row, stored) on each visible row of `rel` more specific than
+// `data`, with its content, in ascending row order, until it returns
+// false. Returns the rows re-verified.
 template <typename Fn>
 size_t WalkMoreSpecificRows(const Snapshot& snap, RelationId rel,
                             const TupleData& data, Fn&& found) {
@@ -41,7 +42,7 @@ size_t WalkMoreSpecificRows(const Snapshot& snap, RelationId rel,
     // All-null tuple: every row is a potential match; scan.
     snap.ForEachVisible(rel, [&](RowId row, const TupleData& stored) {
       ++examined;
-      return !IsMoreSpecific(stored, data) || found(row);
+      return !IsMoreSpecific(stored, data) || found(row, stored);
     });
     return examined;
   }
@@ -51,7 +52,7 @@ size_t WalkMoreSpecificRows(const Snapshot& snap, RelationId rel,
     const TupleData* stored = snap.VisibleData(rel, row);
     if (stored == nullptr) continue;
     ++examined;
-    if (IsMoreSpecific(*stored, data) && !found(row)) break;
+    if (IsMoreSpecific(*stored, data) && !found(row, *stored)) break;
   }
   return examined;
 }
@@ -59,20 +60,25 @@ size_t WalkMoreSpecificRows(const Snapshot& snap, RelationId rel,
 }  // namespace
 
 size_t FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
-                            const TupleData& data, std::vector<RowId>* out) {
-  return WalkMoreSpecificRows(snap, rel, data, [&](RowId row) {
-    out->push_back(row);
-    return true;
-  });
+                            const TupleData& data, std::vector<RowId>* out,
+                            bool* exact) {
+  if (exact != nullptr) *exact = false;
+  return WalkMoreSpecificRows(
+      snap, rel, data, [&](RowId row, const TupleData& stored) {
+        out->push_back(row);
+        if (exact != nullptr && stored == data) *exact = true;
+        return true;
+      });
 }
 
 bool HasMoreSpecificRow(const Snapshot& snap, RelationId rel,
                         const TupleData& data, uint64_t* rows_examined) {
   bool any = false;
-  *rows_examined += WalkMoreSpecificRows(snap, rel, data, [&](RowId) {
-    any = true;
-    return false;
-  });
+  *rows_examined +=
+      WalkMoreSpecificRows(snap, rel, data, [&](RowId, const TupleData&) {
+        any = true;
+        return false;
+      });
   return any;
 }
 

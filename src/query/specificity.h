@@ -19,11 +19,13 @@ bool IsMoreSpecific(const TupleData& specific, const TupleData& general);
 
 // The paper's correction query "find any t' in R more specific than t":
 // appends every visible row of `rel` whose content is more specific than
-// `data`, in ascending row order, each once. Re-verifies the smallest index
-// bucket among `data`'s constant columns; an all-null `data` scans the
-// relation. Returns the rows it re-verified.
+// `data`, in ascending row order, each once, and sets `*exact` (when given)
+// to whether one of them is an exact copy of `data`. Re-verifies the
+// smallest index bucket among `data`'s constant columns; an all-null `data`
+// scans the relation. Returns the rows it re-verified.
 size_t FindMoreSpecificRows(const Snapshot& snap, RelationId rel,
-                            const TupleData& data, std::vector<RowId>* out);
+                            const TupleData& data, std::vector<RowId>* out,
+                            bool* exact = nullptr);
 
 // The existence form of the same query: whether any visible row of `rel`
 // is more specific than `data`. Walks what FindMoreSpecificRows walks and

@@ -9,6 +9,7 @@
 
 #include "query/specificity.h"
 #include "test_util.h"
+#include "tgd/parser.h"
 #include "util/rng.h"
 
 namespace youtopia {
@@ -89,6 +90,39 @@ TEST_F(DependencyTrackerTest, PreciseRequiresActualInfluence) {
                   wlog_);
   EXPECT_EQ(Readers(tracker, 1, wlog_).count(5), 1u);
   EXPECT_EQ(Readers(tracker, 2, wlog_).count(5), 0u);
+}
+
+TEST_F(DependencyTrackerTest, UnbindableViolationQueryLinksOnlyUnderCoarse) {
+  // The detector's query pinned on T(Z, Q, Syracuse) for the new mapping
+  // cannot bind (its atom fixes Toronto), so it answers nothing in any
+  // database: PRECISE tests no logged write against it. COARSE still marks
+  // the mapping's relations read, so a lower-numbered writer of either
+  // one still names the reader.
+  TgdParser parser(&fig_.db.catalog(), &fig_.db.symbols());
+  fig_.tgds.push_back(
+      *parser.ParseTgd("T(n, co, 'Toronto') -> exists r: R(co, n, r)"));
+  const int toronto = static_cast<int>(fig_.tgds.size()) - 1;
+  std::vector<ReadQueryRecord> reads =
+      fig_.ReadsOfInsert(fig_.T, fig_.Row({"Z", "Q", "Syracuse"}), 5);
+  reads.erase(std::remove_if(reads.begin(), reads.end(),
+                             [&](const ReadQueryRecord& q) {
+                               return q.tgd_id != toronto;
+                             }),
+              reads.end());
+  ASSERT_EQ(reads.size(), 1u);
+  ASSERT_FALSE(reads[0].pin_binds);
+
+  wlog_.Record(1, Insert(fig_.T, fig_.Row({"Z", "Q", "Toronto"})));
+  wlog_.Record(2, Insert(fig_.R, fig_.Row({"Q", "Z", "Fine"})));
+  Snapshot snap(&fig_.db, 5);
+  DependencyTracker precise(TrackerKind::kPrecise, &fig_.tgds, &checker_);
+  EXPECT_EQ(precise.OnReads(snap, 5, reads, wlog_), 0u);
+  EXPECT_TRUE(Readers(precise, 1, wlog_).empty());
+  EXPECT_TRUE(Readers(precise, 2, wlog_).empty());
+  DependencyTracker coarse(TrackerKind::kCoarse, &fig_.tgds, &checker_);
+  coarse.OnReads(snap, 5, reads, wlog_);
+  EXPECT_EQ(Readers(coarse, 1, wlog_), std::set<uint64_t>{5});
+  EXPECT_EQ(Readers(coarse, 2, wlog_), std::set<uint64_t>{5});
 }
 
 TEST_F(DependencyTrackerTest, PreciseChecksCountInTheSharedCheckersRows) {

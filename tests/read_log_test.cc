@@ -14,6 +14,7 @@
 #include "ccontrol/conflict.h"
 #include "ccontrol/write_log.h"
 #include "test_util.h"
+#include "tgd/parser.h"
 #include "util/rng.h"
 
 namespace youtopia {
@@ -78,6 +79,43 @@ TEST_F(ReadLogTest, CandidatesFilteredByWriterNumber) {
   EXPECT_EQ(CountCandidates(w, 3), 1u);  // writer 3 < reader 5
   EXPECT_EQ(CountCandidates(w, 5), 0u);  // own writes never conflict
   EXPECT_EQ(CountCandidates(w, 7), 0u);  // writer after reader: reader sees it
+}
+
+TEST_F(ReadLogTest, UnbindableViolationQueryIsOfferedNoWrite) {
+  // T(Z, Q, Syracuse) contradicts the constant of the new mapping's only
+  // LHS atom, so the violation query pinned on it answers nothing in any
+  // database. The detector still poses and logs it, marked unbindable, and
+  // the log lists it under none of the mapping's relations; sigma3's and
+  // sigma4's queries on the same tuple are offered the writes as before.
+  TgdParser parser(&fig_.db.catalog(), &fig_.db.symbols());
+  fig_.tgds.push_back(
+      *parser.ParseTgd("T(n, co, 'Toronto') -> exists r: R(co, n, r)"));
+  const int toronto = static_cast<int>(fig_.tgds.size()) - 1;
+  const std::vector<ReadQueryRecord> reads =
+      fig_.ReadsOfInsert(fig_.T, fig_.Row({"Z", "Q", "Syracuse"}), 5);
+  ASSERT_EQ(reads.size(), 3u);
+  for (const ReadQueryRecord& q : reads) {
+    EXPECT_EQ(q.pin_binds, q.tgd_id != toronto) << q.tgd_id;
+    log_.Record(5, q);
+  }
+  EXPECT_EQ(log_.total_queries(), 3u);
+
+  // Writes to both relations of the new mapping, one of them a Toronto
+  // tour, by a lower-numbered update.
+  const std::vector<PhysicalWrite> batch{
+      Insert(fig_.T, fig_.Row({"Z", "Q", "Toronto"})),
+      Insert(fig_.R, fig_.Row({"Q", "Z", "Fine"}))};
+  std::multiset<int> offered;
+  log_.ForEachCandidateBatch(
+      batch, /*writer=*/1,
+      [&](uint64_t, const ReadQueryRecord& q, const PhysicalWrite&) {
+        offered.insert(q.tgd_id);
+        return false;
+      });
+  // sigma3 (A, T, R) is offered both writes, sigma4 (V, T, E) the T write.
+  EXPECT_EQ(offered, (std::multiset<int>{2, 2, 3}));
+  log_.EraseUpdate(5);
+  EXPECT_EQ(log_.total_queries(), 0u);
 }
 
 TEST_F(ReadLogTest, CandidatesFilteredByRelation) {

@@ -7,6 +7,7 @@
 
 #include "relational/isomorphism.h"
 #include "test_util.h"
+#include "tgd/parser.h"
 
 namespace youtopia {
 namespace {
@@ -262,6 +263,45 @@ TEST(SchedulerTest, RestartNumbersDependOnTheClosureAlone) {
     EXPECT_FALSE(fig.Contains(fig.E, {"Math Conf", "Geneva Winery"}));
     EXPECT_FALSE(fig.Contains(fig.E, {"Bio Conf", "Geneva Winery"}));
     EXPECT_TRUE(fig.Satisfied());
+  }
+}
+
+TEST(SchedulerTest, UnbindableReadCascadesUnderCoarseOnly) {
+  // Example 3.1's u1 dooms u2, whose first write is V(Syracuse, Math
+  // Conf). u3 then inserts Y(Ithaca, Other): its only read of
+  // "Y(c, 'Nowhere') -> exists z: V(c, z)" is the violation query pinned on
+  // that tuple, which contradicts the constant and so answers nothing in
+  // any database. COARSE marks V read after u2 wrote it, and u2's abort
+  // cascades to u3; PRECISE links u3 to no writer, and u3 commits at its
+  // first number.
+  for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    Figure2 fig;
+    const RelationId y = *fig.db.CreateRelation("Y", {"city", "tag"});
+    TgdParser parser(&fig.db.catalog(), &fig.db.symbols());
+    fig.tgds.push_back(
+        *parser.ParseTgd("Y(c, 'Nowhere') -> exists z: V(c, z)"));
+    ScriptedAgent agent;
+    agent.PushNegative({1});
+    SchedulerOptions opts;
+    opts.tracker = kind;
+    Scheduler sched(&fig.db, &fig.tgds, &agent, opts);
+    const RowId review_row = *fig.db.FindRowWithData(
+        fig.R, fig.Row({"XYZ", "Geneva Winery", "Great!"}), 0);
+    sched.Submit(WriteOp::Delete(fig.R, review_row));
+    sched.Submit(WriteOp::Insert(fig.V, fig.Row({"Syracuse", "Math Conf"})));
+    const uint64_t u3 =
+        sched.Submit(WriteOp::Insert(y, fig.Row({"Ithaca", "Other"})));
+    sched.RunToCompletion();
+    const bool coarse = kind == TrackerKind::kCoarse;
+    EXPECT_EQ(sched.stats().direct_conflict_aborts, 1u)
+        << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().cascading_abort_requests, coarse ? 1u : 0u)
+        << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().aborts, coarse ? 2u : 1u) << TrackerKindName(kind);
+    EXPECT_EQ(sched.FindUpdate(u3) == nullptr, coarse)
+        << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().updates_completed, 3u) << TrackerKindName(kind);
+    EXPECT_TRUE(fig.Satisfied()) << TrackerKindName(kind);
   }
 }
 

@@ -218,8 +218,12 @@ TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
               << "seed " << seed;
         }
         std::vector<RowId> out;
-        const size_t listed = FindMoreSpecificRows(snap, rel, probe, &out);
+        bool exact = equal.empty();  // the wrong answer, to be overwritten
+        const size_t listed =
+            FindMoreSpecificRows(snap, rel, probe, &out, &exact);
         EXPECT_EQ(out, more_specific) << "seed " << seed;
+        // Every exact copy is more specific, so the walk sees each one.
+        EXPECT_EQ(exact, !equal.empty()) << "seed " << seed;
         // The existence form answers the same question and re-verifies no
         // more rows than the full list does.
         uint64_t probed = 0;

@@ -85,6 +85,20 @@ struct Figure2 {
   bool Contains(RelationId rel, const std::vector<std::string>& values) {
     return db.FindRowWithData(rel, Row(values), kReadLatest).has_value();
   }
+
+  // Inserts `data` into `rel` as update `number` and returns the read
+  // records the violation detector logs for the insert, as a Scheduler
+  // step collects them.
+  std::vector<ReadQueryRecord> ReadsOfInsert(RelationId rel, TupleData data,
+                                             uint64_t number) {
+    const std::vector<PhysicalWrite> writes =
+        db.Apply(WriteOp::Insert(rel, std::move(data)), number);
+    ViolationDetector detector(&tgds);
+    std::vector<Violation> violations;
+    std::vector<ReadQueryRecord> reads;
+    detector.AfterWrites(Snapshot(&db, number), writes, &violations, &reads);
+    return reads;
+  }
 };
 
 // Two components: {Bb, Cc, Dd} tied by sigma (Bb & Cc -> exists Dd) plus the
