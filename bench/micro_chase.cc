@@ -1,8 +1,13 @@
 // Microbenchmarks for the chase engines: cooperative forward chase
 // throughput, backward cascade cost, comparison against the classical
-// standard chase on a weakly acyclic set, and stratum length vs mapping
-// density (the ablation for the frontier-stopping design of Section 2.2).
+// standard chase on a weakly acyclic set, stratum length vs mapping
+// density (the ablation for the frontier-stopping design of Section 2.2),
+// and the heap allocations of one interactive insert.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/standard_chase.h"
 #include "core/update.h"
@@ -10,6 +15,29 @@
 #include "relational/database.h"
 #include "tgd/parser.h"
 #include "workload/generators.h"
+
+// Every allocation through the global operator new, counted so that
+// BM_InteractiveInsertAllocations can read how many one update makes. This
+// replacement is compiled into micro_chase only.
+namespace {
+std::atomic<uint64_t> heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC cannot see that these frees pair with the malloc above.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace youtopia {
 namespace {
@@ -170,6 +198,55 @@ void BM_StandardVsCooperativeOnAcyclicSet(benchmark::State& state) {
   state.SetLabel(cooperative ? "cooperative" : "standard");
 }
 BENCHMARK(BM_StandardVsCooperativeOnAcyclicSet)->Arg(0)->Arg(1);
+
+void BM_InteractiveInsertAllocations(benchmark::State& state) {
+  // Heap allocations per interactive insert, counted, so the count is
+  // deterministic where the time is not. The repository is ytbench's
+  // interactive-large one: 40 relations, 56 existential-free mappings in 8
+  // islands, 5000 seed inserts chased forward. Each iteration runs one
+  // random insert as that workload does (an Update with its own detector,
+  // sharing one re-planning watermark, run to completion);
+  // heap_allocs_per_update counts the allocations from the update's
+  // construction to the end of its chase. The iteration count is fixed, so
+  // every run chases the same 2000 inserts.
+  Database db;
+  Rng rng(11);
+  SchemaGenOptions so;
+  so.num_relations = 40;
+  (void)GenerateSchema(&db, &rng, so);
+  const auto constants = GenerateConstantPool(&db, &rng, 50);
+  MappingGenOptions mo;
+  mo.count = 56;
+  mo.num_islands = 8;
+  mo.p_frontier = 1.0;
+  mo.p_within_atom_repeat = 1.0;
+  const auto tgds = GenerateMappings(db, constants, &rng, mo);
+  RandomAgent seed_agent(5);
+  InitialDataOptions io;
+  io.num_tuples = 5000;
+  GenerateInitialData(&db, &tgds, constants, &rng, &seed_agent, io);
+  WorkloadOptions wo;
+  wo.num_updates = static_cast<size_t>(state.max_iterations);
+  std::vector<WriteOp> ops = GenerateWorkload(&db, constants, &rng, wo);
+
+  RandomAgent agent(17);
+  ReplanPoller poller;
+  uint64_t number = 1;
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    const uint64_t before = heap_allocs.load(std::memory_order_relaxed);
+    UpdateOptions options;
+    options.replan_poller = &poller;
+    Update update(number, std::move(ops[number - 1]), &tgds, options);
+    update.RunToCompletion(&db, &agent);
+    allocs += heap_allocs.load(std::memory_order_relaxed) - before;
+    ++number;
+    benchmark::DoNotOptimize(update.steps_taken());
+  }
+  state.counters["heap_allocs_per_update"] =
+      static_cast<double>(allocs) / static_cast<double>(number - 1);
+}
+BENCHMARK(BM_InteractiveInsertAllocations)->Iterations(2000);
 
 }  // namespace
 }  // namespace youtopia

@@ -253,8 +253,9 @@ bool IngestPipeline::RunOp(Lane* lane, WriteOp op,
   Update u(number, std::move(op), tgds_, uopts);
 
   lane->undo_scratch.clear();
+  StepResult res;
   while (!u.finished()) {
-    StepResult res = u.Step(db_, lane->agent.get());
+    u.Step(db_, lane->agent.get(), &res);
     ++lane->stats.total_steps;
     lane->stats.physical_writes += res.writes.size();
     for (const PhysicalWrite& pw : res.writes) {

@@ -81,7 +81,8 @@ void Scheduler::StepOne(size_t slot_idx) {
   progress_ticks_.fetch_add(1, std::memory_order_relaxed);
   Update* u = slots_[slot_idx].update.get();
   const uint64_t number = u->number();
-  StepResult res = u->Step(db_, agent_);
+  StepResult& res = step_scratch_;
+  u->Step(db_, agent_, &res);
   ++stats_.total_steps;
   stats_.physical_writes += res.writes.size();
   stats_.read_queries += res.reads.size();

@@ -186,6 +186,9 @@ class Scheduler {
   // Per-step doomed readers (each once), a member so StepOne allocates
   // nothing in steady state.
   std::vector<uint64_t> direct_scratch_;
+  // The step StepOne runs, reused so its write and read vectors keep their
+  // capacity.
+  StepResult step_scratch_;
   // PerformAborts's readers of one closure member.
   std::vector<uint64_t> readers_scratch_;
 

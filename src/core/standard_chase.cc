@@ -50,12 +50,10 @@ Result<StandardChase::Report> StandardChase::Run(uint64_t update_number,
     // in one batched pass (the detector dedups identical pinned queries).
     step_writes.clear();
     for (const Atom& atom : tgd.rhs().atoms) {
-      const WriteOp op = WriteOp::Insert(atom.rel, InstantiateAtom(atom, full));
-      for (PhysicalWrite& w : db_->Apply(op, update_number)) {
-        ++report.tuples_added;
-        step_writes.push_back(std::move(w));
-      }
+      db_->Apply(WriteOp::Insert(atom.rel, InstantiateAtom(atom, full)),
+                 update_number, &step_writes);
     }
+    report.tuples_added += step_writes.size();
     found.clear();
     detector_.AfterWrites(snap, step_writes, &found, nullptr);
     for (Violation& nv : found) queue.push_back(std::move(nv));

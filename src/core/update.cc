@@ -6,6 +6,21 @@
 #include "query/specificity.h"
 
 namespace youtopia {
+namespace {
+
+// True iff atoms `a` and `b` instantiate to the same tuple of the same
+// relation under `binding`, compared term by term.
+bool SameInstantiation(const Atom& a, const Atom& b, const Binding& binding) {
+  if (a.rel != b.rel || a.terms.size() != b.terms.size()) return false;
+  for (size_t i = 0; i < a.terms.size(); ++i) {
+    if (TermValue(a.terms[i], binding) != TermValue(b.terms[i], binding)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 Update::Update(uint64_t number, WriteOp initial_op,
                const std::vector<Tgd>* tgds, UpdateOptions options)
@@ -35,11 +50,19 @@ Update Update::ForViolations(uint64_t number, std::vector<Violation> viols,
 
 StepResult Update::Step(Database* db, FrontierAgent* agent) {
   StepResult res;
-  if (StepPrepare(db, agent, &res)) {
-    StepApply(db, &res);
-    StepFinish(db, &res);
-  }
+  Step(db, agent, &res);
   return res;
+}
+
+void Update::Step(Database* db, FrontierAgent* agent, StepResult* res) {
+  res->writes.clear();
+  res->reads.clear();
+  res->awaiting_frontier = false;
+  res->finished = false;
+  if (StepPrepare(db, agent, res)) {
+    StepApply(db, res);
+    StepFinish(db, res);
+  }
 }
 
 bool Update::StepPrepare(Database* db, FrontierAgent* agent, StepResult* res) {
@@ -105,8 +128,11 @@ void Update::StepApply(Database* db, StepResult* res) {
   // 2. Perform the write set. Set-semantics insertion reads the database
   // (is an equal tuple already visible?); that read is logged so a later
   // lower-numbered delete of the duplicate retroactively conflicts.
-  std::vector<WriteOp> writes = std::move(write_set_);
-  write_set_.clear();
+  // The pending set moves to a scratch vector, and both keep their capacity
+  // from step to step.
+  std::vector<WriteOp>& writes = applying_;
+  writes.clear();
+  writes.swap(write_set_);
   // Shard-admission guard: the whole pending write set is checked before
   // any of it applies, so an escaping attempt leaves no partial step behind
   // (earlier steps' writes are the caller's to undo). Null replacements
@@ -122,7 +148,7 @@ void Update::StepApply(Database* db, StepResult* res) {
     return;
   }
   size_t replace_idx = 0;
-  for (const WriteOp& op : writes) {
+  for (WriteOp& op : writes) {
     if (op.kind == WriteOp::Kind::kInsert && options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(op.rel, op.data));
     }
@@ -131,8 +157,7 @@ void Update::StepApply(Database* db, StepResult* res) {
                 options_.allowed_relations != nullptr
             ? &replace_occs[replace_idx++]
             : nullptr;
-    std::vector<PhysicalWrite> applied = db->Apply(op, number_, occs);
-    for (PhysicalWrite& w : applied) res->writes.push_back(std::move(w));
+    db->Apply(std::move(op), number_, &res->writes, occs);
   }
 }
 
@@ -162,7 +187,8 @@ void Update::StepFinish(Database* db, StepResult* res) {
 }
 
 void Update::RunToCompletion(Database* db, FrontierAgent* agent) {
-  while (!finished_) Step(db, agent);
+  StepResult res;
+  while (!finished_) Step(db, agent, &res);
 }
 
 void Update::Restart(uint64_t new_number) {
@@ -187,7 +213,7 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
   // Scan the queue for a deterministically repairable violation (Algorithm
   // 2 prefers those); fall back to the first valid nondeterministic one,
   // whose frontier is prepared when it is first seen.
-  std::deque<Violation> deferred;
+  std::vector<Violation> deferred;
   std::optional<PositiveFrontier> pos_candidate;
   std::optional<NegativeFrontier> neg_candidate;
   while (!viol_queue_.empty()) {
@@ -198,18 +224,17 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
       continue;  // corrected in the meantime (lazy queue cleanup)
     }
     if (v.kind == Violation::Kind::kLhs) {
-      ForwardRepair repair = GenerateForwardRepair(db, snap, v, res);
-      if (repair.already_satisfied) continue;
-      if (repair.deterministic) {
-        write_set_ = std::move(repair.inserts);
+      // Only the first deferred violation's frontier can be the one the
+      // update blocks on, so only that one is built.
+      const ForwardRepair repair = GenerateForwardRepair(
+          db, snap, v, res, deferred.empty() ? &pos_candidate : nullptr);
+      if (repair == ForwardRepair::kSatisfied) continue;
+      if (repair == ForwardRepair::kDeterministic) {
         ++violations_repaired_;
         break;
       }
       // Nondeterministic: defer; if nothing deterministic shows up, the
       // first deferred violation's frontier is the one we block on.
-      if (deferred.empty()) {
-        pos_candidate = std::move(repair.frontier);
-      }
       deferred.push_back(std::move(v));
       continue;
     }
@@ -247,12 +272,10 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
   }
   if (!deferred.empty()) {
     // Block on the first nondeterministic violation; the rest stay queued.
-    Violation first = std::move(deferred.front());
-    deferred.pop_front();
-    for (auto it = deferred.rbegin(); it != deferred.rend(); ++it) {
-      viol_queue_.push_front(std::move(*it));
+    for (size_t i = deferred.size() - 1; i > 0; --i) {
+      viol_queue_.push_front(std::move(deferred[i]));
     }
-    if (first.kind == Violation::Kind::kLhs) {
+    if (deferred.front().kind == Violation::Kind::kLhs) {
       CHECK(pos_candidate.has_value());
       pos_frontier_ = std::move(pos_candidate);
     } else {
@@ -262,74 +285,74 @@ void Update::ChooseNextViolation(Database* db, const Snapshot& snap,
   }
 }
 
-Update::ForwardRepair Update::GenerateForwardRepair(Database* db,
-                                                    const Snapshot& snap,
-                                                    const Violation& v,
-                                                    StepResult* res) {
+Update::ForwardRepair Update::GenerateForwardRepair(
+    Database* db, const Snapshot& snap, const Violation& v, StepResult* res,
+    std::optional<PositiveFrontier>* frontier) {
   const Tgd& tgd = (*tgds_)[static_cast<size_t>(v.tgd_id)];
-  ForwardRepair repair;
 
   // Instantiate the RHS under the violating assignment, with fresh labeled
   // nulls for the existential variables (shared across the RHS atoms).
   Binding full = v.binding;
   full.EnsureSize(tgd.num_vars());
-  PositiveFrontier& pf = repair.frontier;
-  for (VarId z : tgd.existential_vars()) {
-    const Value null_value = db->FreshNull();
-    full.Set(z, null_value);
-    pf.fresh_null_ids.insert(null_value.id());
-  }
-  pf.prov.tgd_id = v.tgd_id;
-  pf.prov.witness = v.witness;
-  pf.binding = v.binding;
+  for (VarId z : tgd.existential_vars()) full.Set(z, db->FreshNull());
 
   bool any_ambiguous = false;
-  // Dedup within the firing, by (relation, content): equal values over
-  // different relations are different tuples.
-  std::vector<std::pair<RelationId, TupleData>> generated;
-  for (const Atom& atom : tgd.rhs().atoms) {
-    TupleData data = InstantiateAtom(atom, full);
-    if (std::find(generated.begin(), generated.end(),
-                  std::make_pair(atom.rel, data)) != generated.end()) {
+  const std::vector<Atom>& atoms = tgd.rhs().atoms;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    const Atom& atom = atoms[i];
+    // Dedup within the firing, by (relation, content): equal values over
+    // different relations are different tuples.
+    if (std::any_of(atoms.begin(), atoms.begin() + static_cast<ptrdiff_t>(i),
+                    [&](const Atom& earlier) {
+                      return SameInstantiation(earlier, atom, full);
+                    })) {
       continue;  // duplicate RHS atom instantiation
     }
-    generated.emplace_back(atom.rel, data);
+    TupleData data = InstantiateAtom(atom, full);
     // A tuple that exists verbatim already supplies this RHS atom.
     if (snap.Contains(atom.rel, data)) continue;
-    FrontierTuple ft;
-    ft.rel = atom.rel;
-    ft.data = std::move(data);
     if (options_.log_reads) {
-      res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, ft.data));
+      res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, data));
     }
     // Whether the firing is ambiguous is all the repair decides; the
     // candidate lists are built when the frontier is processed. A ground
     // tuple's only more specific tuple is itself, which Contains has just
     // missed, and after one ambiguous tuple the answer is known.
-    if (!any_ambiguous && ContainsAnyNull(ft.data)) {
-      any_ambiguous = HasMoreSpecificRow(snap, atom.rel, ft.data,
-                                         &lookup_rows_examined_);
+    if (!any_ambiguous && ContainsAnyNull(data)) {
+      any_ambiguous =
+          HasMoreSpecificRow(snap, atom.rel, data, &lookup_rows_examined_);
     }
-    pf.tuples.push_back(std::move(ft));
+    write_set_.push_back(WriteOp::Insert(atom.rel, std::move(data)));
   }
 
-  if (pf.tuples.empty()) {
+  if (write_set_.empty()) {
     // Every RHS atom instantiation already exists: nothing to do. (Possible
     // when distinct atoms are satisfied by existing tuples even though no
     // single consistent RHS match existed before — inserting nothing would
     // be wrong, but this branch is only reachable when the RHS has no
     // existentials and all instantiations are present, in which case the
     // RHS *is* satisfied.)
-    repair.already_satisfied = true;
-    return repair;
+    return ForwardRepair::kSatisfied;
   }
-  if (!any_ambiguous) {
-    repair.deterministic = true;
-    for (const FrontierTuple& ft : pf.tuples) {
-      repair.inserts.push_back(WriteOp::Insert(ft.rel, ft.data));
+  if (!any_ambiguous) return ForwardRepair::kDeterministic;
+  // Only a frontier the user will see needs the firing's tuples and
+  // provenance.
+  if (frontier != nullptr) {
+    PositiveFrontier& pf = frontier->emplace();
+    pf.prov.tgd_id = v.tgd_id;
+    pf.prov.witness = v.witness;
+    pf.binding = v.binding;
+    for (VarId z : tgd.existential_vars()) {
+      pf.fresh_null_ids.insert(full.Get(z).id());
+    }
+    for (WriteOp& op : write_set_) {
+      FrontierTuple& ft = pf.tuples.emplace_back();
+      ft.rel = op.rel;
+      ft.data = std::move(op.data);
     }
   }
-  return repair;
+  write_set_.clear();
+  return ForwardRepair::kAmbiguous;
 }
 
 void Update::ProcessPositiveFrontier(Database* db, FrontierAgent* agent,

@@ -119,8 +119,12 @@ class Update {
   // before re-routing the initial operation.
   bool escaped() const { return escaped_; }
 
-  // Executes one chase step against `db` on behalf of this update's number.
-  // `agent` is consulted only when the update is at a frontier.
+  // Executes one chase step against `db` on behalf of this update's number
+  // into `res`, which is reset first: a caller that steps in a loop keeps
+  // one StepResult, and its vectors keep their capacity. `agent` is
+  // consulted only when the update is at a frontier.
+  void Step(Database* db, FrontierAgent* agent, StepResult* res);
+  // The same, returning a fresh StepResult (tests compare several steps').
   StepResult Step(Database* db, FrontierAgent* agent);
 
   // One chase step split at its storage-mutating middle phase, so a caller
@@ -171,11 +175,11 @@ class Update {
   uint64_t lookup_rows_examined() const { return lookup_rows_examined_; }
 
  private:
-  struct ForwardRepair {
-    bool deterministic = false;
-    bool already_satisfied = false;
-    std::vector<WriteOp> inserts;
-    PositiveFrontier frontier;
+  // What GenerateForwardRepair decided for an LHS-violation.
+  enum class ForwardRepair : uint8_t {
+    kSatisfied,      // every RHS tuple exists already
+    kDeterministic,  // its inserts are in write_set_
+    kAmbiguous,      // a frontier, built when the caller asks for it
   };
 
   // Consumes one frontier operation; appends resulting writes to write_set_.
@@ -185,9 +189,12 @@ class Update {
 
   // Builds the repair for an LHS-violation: instantiates the RHS with fresh
   // nulls and asks the existence form of the more-specific correction query
-  // until one tuple is ambiguous.
-  ForwardRepair GenerateForwardRepair(Database* db, const Snapshot& snap,
-                                      const Violation& v, StepResult* res);
+  // until one tuple is ambiguous. Runs with write_set_ empty, and leaves a
+  // deterministic repair's inserts there; an ambiguous repair leaves it
+  // empty and fills `frontier` unless that is null.
+  ForwardRepair GenerateForwardRepair(
+      Database* db, const Snapshot& snap, const Violation& v, StepResult* res,
+      std::optional<PositiveFrontier>* frontier);
 
   // Chooses and prepares the next violation to repair (step 4 above).
   void ChooseNextViolation(Database* db, const Snapshot& snap,
@@ -222,6 +229,8 @@ class Update {
   std::vector<Violation> detect_scratch_;
 
   std::vector<WriteOp> write_set_;
+  // The write set StepApply is applying (scratch that keeps its capacity).
+  std::vector<WriteOp> applying_;
   std::deque<Violation> viol_queue_;
   std::optional<PositiveFrontier> pos_frontier_;
   std::optional<NegativeFrontier> neg_frontier_;

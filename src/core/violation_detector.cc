@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace youtopia {
+namespace {
+
+// True iff `data` equals InstantiateAtom(atom, binding), compared in place.
+bool InstantiatesTo(const Atom& atom, const Binding& binding,
+                    const TupleData& data) {
+  if (atom.terms.size() != data.size()) return false;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (TermValue(atom.terms[i], binding) != data[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 void ViolationDetector::AfterWrites(const Snapshot& snap,
                                     Span<const PhysicalWrite> writes,
@@ -163,7 +176,7 @@ bool ViolationDetector::IsStillViolated(
   for (size_t a = 0; a < v.witness.size(); ++a) {
     const TupleData* data = snap.VisibleData(v.witness[a].rel, v.witness[a].row);
     if (data == nullptr) return false;
-    if (InstantiateAtom(tgd.lhs().atoms[a], v.binding) != *data) return false;
+    if (!InstantiatesTo(tgd.lhs().atoms[a], v.binding, *data)) return false;
   }
   // The revalidation re-reads the violation region; log it against the first
   // witness tuple so later conflicting writes are caught.

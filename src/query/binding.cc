@@ -18,14 +18,7 @@ bool MatchAtom(const Atom& atom, const TupleData& data, Binding* binding) {
 TupleData InstantiateAtom(const Atom& atom, const Binding& binding) {
   TupleData out;
   out.reserve(atom.terms.size());
-  for (const Term& t : atom.terms) {
-    if (t.is_constant()) {
-      out.push_back(t.constant());
-    } else {
-      CHECK(binding.IsBound(t.var()));
-      out.push_back(binding.Get(t.var()));
-    }
-  }
+  for (const Term& t : atom.terms) out.push_back(TermValue(t, binding));
   return out;
 }
 

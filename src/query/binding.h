@@ -143,6 +143,14 @@ class Binding {
 // only via the caller keeping a copy; on success `binding` is extended.
 bool MatchAtom(const Atom& atom, const TupleData& data, Binding* binding);
 
+// The value `term` takes under `binding`: its constant, or its variable's
+// value, which must be bound.
+inline const Value& TermValue(const Term& term, const Binding& binding) {
+  if (term.is_constant()) return term.constant();
+  CHECK(binding.IsBound(term.var()));
+  return binding.Get(term.var());
+}
+
 // Instantiates `atom` under `binding`; every variable must be bound.
 TupleData InstantiateAtom(const Atom& atom, const Binding& binding);
 

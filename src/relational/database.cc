@@ -14,47 +14,44 @@ Result<RelationId> Database::CreateRelation(
   return id;
 }
 
-std::vector<PhysicalWrite> Database::Apply(
-    const WriteOp& op, uint64_t update_number,
-    const std::vector<TupleRef>* replace_occurrences) {
-  std::vector<PhysicalWrite> out;
+void Database::Apply(WriteOp op, uint64_t update_number,
+                     std::vector<PhysicalWrite>* out,
+                     const std::vector<TupleRef>* replace_occurrences) {
   switch (op.kind) {
     case WriteOp::Kind::kInsert: {
       CHECK_LT(op.rel, relations_.size());
       CHECK_EQ(op.data.size(), relations_[op.rel].arity());
       // Set semantics: no-op if the writer already sees an equal tuple.
-      if (FindRowWithData(op.rel, op.data, update_number).has_value()) {
-        return out;
-      }
-      const RowId row = relations_[op.rel].AppendInsertRow(
-          update_number, TakeSeq(), op.data);
-      RegisterNullOccurrences(op.rel, row, op.data);
+      if (FindRowWithData(op.rel, op.data, update_number).has_value()) return;
       PhysicalWrite w;
       w.kind = WriteKind::kInsert;
       w.rel = op.rel;
-      w.row = row;
       w.data = op.data;
-      out.push_back(std::move(w));
-      return out;
+      w.row = relations_[op.rel].AppendInsertRow(update_number, TakeSeq(),
+                                                 std::move(op.data));
+      RegisterNullOccurrences(op.rel, w.row, w.data);
+      out->push_back(std::move(w));
+      return;
     }
     case WriteOp::Kind::kDelete: {
       CHECK_LT(op.rel, relations_.size());
       const TupleData* old = relations_[op.rel].VisibleData(op.row,
                                                             update_number);
-      if (old == nullptr) return out;  // already gone for this writer
-      TupleData old_copy = *old;
-      relations_[op.rel].AppendVersion(op.row, update_number, TakeSeq(),
-                                       WriteKind::kDelete, old_copy);
+      if (old == nullptr) return;  // already gone for this writer
       PhysicalWrite w;
       w.kind = WriteKind::kDelete;
       w.rel = op.rel;
       w.row = op.row;
-      w.old_data = std::move(old_copy);
-      out.push_back(std::move(w));
-      return out;
+      w.old_data = *old;
+      // Appending the tombstone may move `old`, so it is copied first.
+      relations_[op.rel].AppendVersion(op.row, update_number, TakeSeq(),
+                                       WriteKind::kDelete, w.old_data);
+      out->push_back(std::move(w));
+      return;
     }
     case WriteOp::Kind::kNullReplace: {
       CHECK(op.from.is_null());
+      if (op.from == op.to) return;  // degenerate: changes no tuple
       // Snapshot the occurrence list first: modifying rows appends new
       // occurrences (when `to` is itself a null) and must not be re-visited.
       // A caller-validated snapshot is used in place (it was already
@@ -69,26 +66,24 @@ std::vector<PhysicalWrite> Database::Apply(
         const TupleData* cur =
             relations_[ref.rel].VisibleData(ref.row, update_number);
         if (cur == nullptr || !ContainsNull(*cur, op.from)) continue;
-        TupleData next = *cur;
-        for (Value& v : next) {
-          if (v == op.from) v = op.to;
-        }
-        if (next == *cur) continue;  // degenerate replacement (from == to)
         PhysicalWrite w;
         w.kind = WriteKind::kModify;
         w.rel = ref.rel;
         w.row = ref.row;
         w.old_data = *cur;
-        w.data = next;
+        w.data = *cur;
+        for (Value& v : w.data) {
+          if (v == op.from) v = op.to;
+        }
+        // Appending the version may move `cur`; it is not read again.
         relations_[ref.rel].AppendVersion(ref.row, update_number, TakeSeq(),
-                                          WriteKind::kModify, next);
+                                          WriteKind::kModify, w.data);
         RegisterNullOccurrences(ref.rel, ref.row, w.data);
-        out.push_back(std::move(w));
+        out->push_back(std::move(w));
       }
-      return out;
+      return;
     }
   }
-  return out;
 }
 
 size_t Database::RemoveVersionsAbove(uint64_t threshold) {

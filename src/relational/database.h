@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "relational/null_registry.h"
@@ -79,11 +80,12 @@ class Database {
 
   // --- Writes -------------------------------------------------------------
 
-  // Applies `op` on behalf of update `update_number` and returns the
-  // physical writes performed. Set semantics: inserting a tuple that is
-  // already visible to the writer performs no physical write. Deleting an
-  // invisible row performs no physical write. A null replacement modifies
-  // every row whose writer-visible content contains the null.
+  // Applies `op` on behalf of update `update_number` and appends the
+  // physical writes performed to `out` (a chase step's write vector). Set
+  // semantics: inserting a tuple that is already visible to the writer
+  // performs no physical write. Deleting an invisible row performs no
+  // physical write. A null replacement modifies every row whose
+  // writer-visible content contains the null.
   //
   // `replace_occurrences` (kNullReplace only): the occurrence snapshot to
   // apply over, instead of re-reading the registry. Callers that validated
@@ -91,9 +93,16 @@ class Database {
   // guard, Update::WritesStayWithin) MUST pass that same snapshot —
   // re-reading here could see occurrences registered after the check and
   // write to relations the check never saw.
-  std::vector<PhysicalWrite> Apply(
-      const WriteOp& op, uint64_t update_number,
-      const std::vector<TupleRef>* replace_occurrences = nullptr);
+  void Apply(WriteOp op, uint64_t update_number,
+             std::vector<PhysicalWrite>* out,
+             const std::vector<TupleRef>* replace_occurrences = nullptr);
+
+  // The same, returning the physical writes (seeding, tests, benches).
+  std::vector<PhysicalWrite> Apply(WriteOp op, uint64_t update_number) {
+    std::vector<PhysicalWrite> out;
+    Apply(std::move(op), update_number, &out);
+    return out;
+  }
 
   // Abort undo for one row: removes `update_number`'s versions of it.
   // Callers undo row by row over the writes they made (the concurrency

@@ -29,6 +29,25 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
+void VersionList::MoveTo(size_t capacity) {
+  TupleVersion* from = data();
+  const bool from_heap = !is_inline();
+  TupleVersion* to =
+      capacity == 1
+          ? &inline_
+          : static_cast<TupleVersion*>(
+                ::operator new(capacity * sizeof(TupleVersion)));
+  // Moving to the inline slot happens only from the heap, so `to` never
+  // overlaps `from`; heap_ is overwritten only once its value is in `from`.
+  for (uint32_t i = 0; i < size_; ++i) {
+    new (to + i) TupleVersion(std::move(from[i]));
+    from[i].~TupleVersion();
+  }
+  if (from_heap) ::operator delete(from);
+  if (capacity > 1) heap_ = to;
+  capacity_ = static_cast<uint32_t>(capacity);
+}
+
 template <typename ValueAt>
 uint64_t VersionedRelation::CompositeKey(size_t n, ValueAt&& value) {
   uint64_t key = n;
@@ -57,7 +76,7 @@ RowId VersionedRelation::AppendInsertRow(uint64_t update_number, uint64_t seq,
   const RowId row = static_cast<RowId>(rows_.size());
   rows_.emplace_back();
   IndexData(row, data);
-  rows_.back().versions.push_back(
+  rows_.back().versions.Append(
       TupleVersion{update_number, seq, WriteKind::kInsert, std::move(data)});
   rows_.back().newest = 0;
   ++num_versions_;
@@ -74,8 +93,7 @@ void VersionedRelation::AppendVersion(RowId row, uint64_t update_number,
   if (kind == WriteKind::kModify) IndexData(row, data);
   Row& r = rows_[row];
   MutateTrackingLiveness(r, [&] {
-    r.versions.push_back(
-        TupleVersion{update_number, seq, kind, std::move(data)});
+    r.versions.Append(TupleVersion{update_number, seq, kind, std::move(data)});
     const TupleVersion& added = r.versions.back();
     if (r.newest < 0) {
       r.newest = static_cast<int32_t>(r.versions.size()) - 1;
@@ -90,18 +108,10 @@ void VersionedRelation::AppendVersion(RowId row, uint64_t update_number,
   ++num_versions_;
 }
 
-const TupleVersion* VersionedRelation::VisibleVersion(RowId row,
-                                                      uint64_t reader) const {
-  CHECK_LT(row, rows_.size());
-  const Row& r = rows_[row];
-  // Fast path: the globally newest version is visible to this reader, so it
-  // is the maximum over the eligible subset too (no chain walk).
-  if (r.newest >= 0) {
-    const TupleVersion& top = r.versions[static_cast<size_t>(r.newest)];
-    if (top.update_number <= reader) return &top;
-  }
+const TupleVersion* VersionedRelation::OlderVisibleVersion(const Row& row,
+                                                           uint64_t reader) {
   const TupleVersion* best = nullptr;
-  for (const TupleVersion& v : r.versions) {
+  for (const TupleVersion& v : row.versions) {
     if (v.update_number > reader) continue;
     if (best == nullptr || v.update_number > best->update_number ||
         (v.update_number == best->update_number && v.seq > best->seq)) {
@@ -109,13 +119,6 @@ const TupleVersion* VersionedRelation::VisibleVersion(RowId row,
     }
   }
   return best;
-}
-
-const TupleData* VersionedRelation::VisibleData(RowId row,
-                                                uint64_t reader) const {
-  const TupleVersion* v = VisibleVersion(row, reader);
-  if (v == nullptr || v->kind == WriteKind::kDelete) return nullptr;
-  return &v->data;
 }
 
 VersionedRelation::CompositeIndex* VersionedRelation::FindOrRegisterComposite(
@@ -234,7 +237,7 @@ void VersionedRelation::RecomputeHotFingerprint() {
 template <typename Removes>
 size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
   Row& r = rows_[row];
-  std::vector<TupleVersion>& versions = r.versions;
+  VersionList& versions = r.versions;
   size_t removed = 0;
   MutateTrackingLiveness(r, [&] {
     // Stable: the kept versions keep their order and the removed ones their
@@ -249,7 +252,7 @@ size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
     for (auto it = cut; it != versions.end(); ++it) {
       if (it->kind != WriteKind::kDelete) UnindexData(row, it->data, kept);
     }
-    versions.erase(cut, versions.end());
+    versions.Truncate(static_cast<size_t>(cut - versions.begin()));
     RecomputeNewest(r);
   });
   num_versions_ -= removed;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -58,6 +59,72 @@ struct TupleVersion {
   TupleData data;  // tuple content; for kDelete, the content being deleted
 };
 
+// The versions of one row, in append order and contiguous. Most rows only
+// ever hold the version their insert wrote, so the first version is stored
+// inline, in the row itself: reading it costs no load beyond the row's.
+// Appending a second version moves every version to one heap array, which
+// grows by doubling; an undo that leaves at most one version moves it back
+// inline and frees the array.
+class VersionList {
+ public:
+  VersionList() {}
+  VersionList(VersionList&& other) noexcept
+      : size_(other.size_), capacity_(other.capacity_) {
+    if (!other.is_inline()) {
+      heap_ = other.heap_;
+      other.size_ = 0;
+      other.capacity_ = 1;
+    } else if (size_ == 1) {
+      new (&inline_) TupleVersion(std::move(other.inline_));
+    }
+  }
+  VersionList(const VersionList&) = delete;
+  VersionList& operator=(const VersionList&) = delete;
+  VersionList& operator=(VersionList&&) = delete;
+  ~VersionList() {
+    for (TupleVersion& v : *this) v.~TupleVersion();
+    if (!is_inline()) ::operator delete(heap_);
+  }
+
+  size_t size() const { return size_; }
+  const TupleVersion* data() const { return is_inline() ? &inline_ : heap_; }
+  TupleVersion* data() { return is_inline() ? &inline_ : heap_; }
+  const TupleVersion* begin() const { return data(); }
+  const TupleVersion* end() const { return data() + size_; }
+  TupleVersion* begin() { return data(); }
+  TupleVersion* end() { return data() + size_; }
+  const TupleVersion& operator[](size_t i) const { return data()[i]; }
+  const TupleVersion& back() const { return data()[size_ - 1]; }
+
+  void Append(TupleVersion v) {
+    if (size_ == capacity_) MoveTo(capacity_ * 2);
+    new (data() + size_) TupleVersion(std::move(v));
+    ++size_;
+  }
+
+  // Destroys the versions from position n on.
+  void Truncate(size_t n) {
+    for (TupleVersion* v = data() + n; v != end(); ++v) v->~TupleVersion();
+    size_ = static_cast<uint32_t>(n);
+    if (!is_inline() && n <= 1) MoveTo(1);
+  }
+
+ private:
+  bool is_inline() const { return capacity_ == 1; }
+  // Moves the versions to storage for `capacity` of them: the inline slot
+  // for 1, else a fresh heap array.
+  void MoveTo(size_t capacity);
+
+  // The inline slot holds a version while size_ is 1 and capacity_ is 1;
+  // heap_ is live while capacity_ is above 1.
+  union {
+    TupleVersion inline_;
+    TupleVersion* heap_;
+  };
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 1;
+};
+
 // Multiversion storage for one relation (paper Section 4.1).
 //
 // Visibility rule: for a reader with update number j, the visible version of
@@ -69,6 +136,16 @@ struct TupleVersion {
 // update. Each row caches the position of its globally newest version; a
 // reader at or above that version's number (the common no-conflict case)
 // resolves visibility without walking the chain.
+//
+// Storage: the rows are one array, and each row keeps its first version
+// inline (VersionList), so a row that only its insert wrote is read with
+// one load for the row and one for its values. A row's second version
+// spills all of its versions to one heap array; an undo back to one version
+// moves it inline again. Pointer lifetime: a pointer from VisibleVersion or
+// VisibleData is valid only until the relation's next write or undo, since
+// appending a row can move every row and appending or removing a version
+// can move the row's versions. A caller that writes must finish reading, or
+// copy, first.
 //
 // Rows are never physically removed; aborting an update unlinks its versions
 // row by row (RemoveVersionsOfRow). Indexes come in two forms, each one
@@ -197,12 +274,29 @@ class VersionedRelation {
                      WriteKind kind, TupleData data);
 
   // Returns the version visible to `reader`, or nullptr if none exists.
-  // A returned tombstone means the row is deleted for this reader.
-  const TupleVersion* VisibleVersion(RowId row, uint64_t reader) const;
+  // A returned tombstone means the row is deleted for this reader. The
+  // pointer is valid until the relation's next write or undo (see the class
+  // comment).
+  const TupleVersion* VisibleVersion(RowId row, uint64_t reader) const {
+    CHECK_LT(row, rows_.size());
+    const Row& r = rows_[row];
+    // Fast path: the globally newest version is visible to this reader, so
+    // it is the maximum over the eligible subset too (no chain walk).
+    if (r.newest >= 0) {
+      const TupleVersion& top = r.versions[static_cast<size_t>(r.newest)];
+      if (top.update_number <= reader) return &top;
+    }
+    return OlderVisibleVersion(r, reader);
+  }
 
   // Returns the visible tuple content, or nullptr if the row is invisible
-  // (no version <= reader, or deleted).
-  const TupleData* VisibleData(RowId row, uint64_t reader) const;
+  // (no version <= reader, or deleted). Valid as long as VisibleVersion's
+  // pointer is.
+  const TupleData* VisibleData(RowId row, uint64_t reader) const {
+    const TupleVersion* v = VisibleVersion(row, reader);
+    if (v == nullptr || v->kind == WriteKind::kDelete) return nullptr;
+    return &v->data;
+  }
 
   // Invokes fn(row, data) for every row visible to `reader`. A callback
   // returning bool stops the scan by returning false (existence checks must
@@ -313,12 +407,17 @@ class VersionedRelation {
 
  private:
   struct Row {
-    std::vector<TupleVersion> versions;
+    VersionList versions;
     // Position of the version maximizing (update_number, seq), or -1 when
     // the row has no versions. Readers at or above its number short-circuit
     // visibility resolution.
     int32_t newest = -1;
   };
+
+  // VisibleVersion's chain walk, for a reader below the row's newest
+  // version: the eligible version maximizing (update_number, seq).
+  static const TupleVersion* OlderVisibleVersion(const Row& row,
+                                                 uint64_t reader);
 
   struct CompositeIndex {
     std::vector<size_t> columns;  // distinct, ascending

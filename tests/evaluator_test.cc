@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "query/query_engine.h"
 #include "tgd/parser.h"
 #include "test_util.h"
@@ -247,6 +251,63 @@ TEST(EvaluatorTest, DuplicateAndStaleIndexCandidatesYieldOneMatch) {
                       return true;
                     });
   EXPECT_EQ(n, 1u);
+}
+
+TEST(EvaluatorTest, MoveOnlyCallbackStopsAtFirstMatchAndScratchIsReused) {
+  // The callback is a template parameter, so a callable that owns a
+  // std::unique_ptr (which std::function cannot hold) is accepted. Stopping
+  // at the innermost level of a three-atom join ends the whole enumeration.
+  Database db;
+  const RelationId e = *db.CreateRelation("Edge", {"src", "dst"});
+  const size_t nodes = 5;
+  for (uint64_t i = 0; i < nodes; ++i) {
+    for (uint64_t step : {1, 2}) {
+      db.Apply(WriteOp::Insert(e, {Value::Constant(i),
+                                   Value::Constant((i + step) % nodes)}),
+               0);
+    }
+  }
+  TgdParser parser(&db.catalog(), &db.symbols());
+  auto path = parser.ParseQuery("Edge(a, b) & Edge(b, c) & Edge(c, d)");
+  auto cycle = parser.ParseQuery("Edge(a, b) & Edge(b, c) & Edge(c, a)");
+  ASSERT_TRUE(path.ok());
+  ASSERT_TRUE(cycle.ok());
+  Snapshot snap(&db, kReadLatest);
+  Evaluator eval(snap);
+
+  size_t matches = 0;
+  auto stop = [owned = std::make_unique<size_t>(3), &matches](
+                  const Binding&, const std::vector<TupleRef>& rows) {
+    ++matches;
+    EXPECT_EQ(rows.size(), *owned);
+    return false;
+  };
+  EXPECT_FALSE(eval.ForEachMatch(path->body, Binding(), nullptr,
+                                 std::move(stop)));
+  EXPECT_EQ(matches, 1u);
+
+  // The same evaluator, its per-depth scratch left by the stopped run,
+  // answers a different plan: the directed triangles, counted by brute
+  // force over the visible edges.
+  std::vector<TupleData> edges;
+  snap.ForEachVisible(e, [&](RowId, const TupleData& d) { edges.push_back(d); });
+  size_t oracle = 0;
+  for (const TupleData& t1 : edges) {
+    for (const TupleData& t2 : edges) {
+      for (const TupleData& t3 : edges) {
+        if (t1[1] == t2[0] && t2[1] == t3[0] && t3[1] == t1[0]) ++oracle;
+      }
+    }
+  }
+  ASSERT_GT(oracle, 0u);
+  size_t triangles = 0;
+  EXPECT_TRUE(eval.ForEachMatch(
+      cycle->body, Binding(), nullptr,
+      [&](const Binding&, const std::vector<TupleRef>&) {
+        ++triangles;
+        return true;
+      }));
+  EXPECT_EQ(triangles, oracle);
 }
 
 }  // namespace

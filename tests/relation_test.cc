@@ -565,6 +565,45 @@ void ExpectExactIndexes(const VersionedRelation& rel, const Shadow& shadow,
   EXPECT_EQ(rel.IndexEntryCount(), entries);
 }
 
+// The shadow model's visible content of a row's `versions` for `reader`:
+// the version with the largest update number at or below the reader, ties
+// broken by append order (the later one wins), with a tombstone hiding the
+// row.
+const TupleData* ShadowVisible(const std::vector<ShadowVersion>& versions,
+                               uint64_t reader) {
+  const ShadowVersion* best = nullptr;
+  for (const ShadowVersion& v : versions) {
+    if (v.update <= reader && (best == nullptr || v.update >= best->update)) {
+      best = &v;
+    }
+  }
+  if (best == nullptr || best->kind == WriteKind::kDelete) return nullptr;
+  return &best->data;
+}
+
+// Every row's visible content at readers 0-7 and the latest reader, and the
+// version count, agree with the shadow copy. Rows spill past their inline
+// version and shrink back, and the row array moves them as it grows.
+void ExpectShadowVisibility(const VersionedRelation& rel,
+                            const Shadow& shadow) {
+  size_t versions = 0;
+  for (RowId row = 0; row < shadow.size(); ++row) {
+    versions += shadow[row].size();
+    for (uint64_t reader : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{3},
+                            uint64_t{4}, uint64_t{5}, uint64_t{6}, uint64_t{7},
+                            UINT64_MAX}) {
+      const TupleData* want = ShadowVisible(shadow[row], reader);
+      const TupleData* got = rel.VisibleData(row, reader);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "row " << row << " reader " << reader;
+      if (want != nullptr) {
+        EXPECT_EQ(*got, *want) << "row " << row << " reader " << reader;
+      }
+    }
+  }
+  EXPECT_EQ(rel.num_versions(), versions);
+}
+
 TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
   constexpr size_t kArity = 3;
   size_t seeds_with_deferred_build = 0;
@@ -648,6 +687,7 @@ TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
         EXPECT_EQ(rel.RemoveVersionsAbove(update), removed);
       }
       ExpectExactIndexes(rel, shadow, composites);
+      ExpectShadowVisibility(rel, shadow);
       EXPECT_EQ(rel.visible_rows(), CountVisibleRows(rel));
       if (HasFailure()) return;
     }

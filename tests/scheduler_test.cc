@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "relational/isomorphism.h"
 #include "test_util.h"
@@ -338,6 +339,41 @@ TEST(SchedulerTest, FinalDatabaseSatisfiesMappingsUnderContention) {
   sched.RunToCompletion();
   EXPECT_EQ(sched.stats().updates_completed, 20u);
   EXPECT_TRUE(fig.Satisfied());
+}
+
+TEST(SchedulerTest, StepCapExhaustionFailsOnlyTheCappedUpdate) {
+  // E(x, y) -> exists z: E(y, z) never terminates under an always-expand
+  // agent, so the E insert exhausts its step cap and is marked failed. It
+  // keeps its capped prefix, and the two unrelated F inserts numbered after
+  // it still commit: a failed update does not hold back the commit floor.
+  for (TrackerKind kind : {TrackerKind::kCoarse, TrackerKind::kPrecise}) {
+    Database db;
+    const RelationId e = *db.CreateRelation("E", {"src", "dst"});
+    const RelationId f = *db.CreateRelation("F", {"a"});
+    TgdParser parser(&db.catalog(), &db.symbols());
+    std::vector<Tgd> tgds;
+    tgds.push_back(*parser.ParseTgd("E(x, y) -> exists z: E(y, z)"));
+    ExpandAgent agent;
+    SchedulerOptions opts;
+    opts.tracker = kind;
+    opts.max_steps_per_update = 20;
+    Scheduler sched(&db, &tgds, &agent, opts);
+    sched.Submit(WriteOp::Insert(
+        e, {db.InternConstant("a"), db.InternConstant("b")}));
+    const TupleData f1 = {db.InternConstant("f1")};
+    const TupleData f2 = {db.InternConstant("f2")};
+    sched.Submit(WriteOp::Insert(f, f1));
+    sched.Submit(WriteOp::Insert(f, f2));
+    sched.RunToCompletion();
+    EXPECT_EQ(sched.stats().updates_failed, 1u) << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().updates_completed, 2u) << TrackerKindName(kind);
+    EXPECT_EQ(sched.stats().aborts, 0u) << TrackerKindName(kind);
+    EXPECT_TRUE(db.FindRowWithData(f, f1, kReadLatest).has_value())
+        << TrackerKindName(kind);
+    EXPECT_TRUE(db.FindRowWithData(f, f2, kReadLatest).has_value())
+        << TrackerKindName(kind);
+    EXPECT_EQ(db.CountVisible(e, kReadLatest), 20u) << TrackerKindName(kind);
+  }
 }
 
 TEST(SchedulerTest, CrossShardConflictAbortsAndCascades) {
