@@ -207,8 +207,10 @@ void BM_InteractiveInsertAllocations(benchmark::State& state) {
   // random insert as that workload does (an Update with its own detector,
   // sharing one re-planning watermark, run to completion);
   // heap_allocs_per_update counts the allocations from the update's
-  // construction to the end of its chase. The iteration count is fixed, so
-  // every run chases the same 2000 inserts.
+  // construction to the end of its chase, and lookup_rows_per_update the
+  // rows its content lookups re-verified (Update::lookup_rows_examined()).
+  // The iteration count is fixed, so every run chases the same 2000
+  // inserts.
   Database db;
   Rng rng(11);
   SchemaGenOptions so;
@@ -233,6 +235,7 @@ void BM_InteractiveInsertAllocations(benchmark::State& state) {
   ReplanPoller poller;
   uint64_t number = 1;
   uint64_t allocs = 0;
+  uint64_t lookup_rows = 0;
   for (auto _ : state) {
     const uint64_t before = heap_allocs.load(std::memory_order_relaxed);
     UpdateOptions options;
@@ -240,11 +243,15 @@ void BM_InteractiveInsertAllocations(benchmark::State& state) {
     Update update(number, std::move(ops[number - 1]), &tgds, options);
     update.RunToCompletion(&db, &agent);
     allocs += heap_allocs.load(std::memory_order_relaxed) - before;
+    lookup_rows += update.lookup_rows_examined();
     ++number;
     benchmark::DoNotOptimize(update.steps_taken());
   }
+  const double updates = static_cast<double>(number - 1);
   state.counters["heap_allocs_per_update"] =
-      static_cast<double>(allocs) / static_cast<double>(number - 1);
+      static_cast<double>(allocs) / updates;
+  state.counters["lookup_rows_per_update"] =
+      static_cast<double>(lookup_rows) / updates;
 }
 BENCHMARK(BM_InteractiveInsertAllocations)->Iterations(2000);
 

@@ -230,10 +230,10 @@ void BM_IndexFootprint(benchmark::State& state) {
   // composite index over columns 1-2 (nearly every composite bucket lists
   // one row, as on interactive-large). heap_bytes_per_row is the memory in
   // use after the build minus before it, per row; single-threaded, it moves
-  // by well under 1% between runs. The rows alone take 128 bytes each (a
-  // 64-byte row holding its one version inline, and a 64-byte chunk for
-  // its values), plus the row array's growth slack. The time is the
-  // build's.
+  // by well under 1% between runs. The rows alone take 96 bytes each (a
+  // 64-byte row holding its one version inline, and a 32-byte chunk for
+  // its three 8-byte values), plus the row array's growth slack. The time
+  // is the build's.
   const size_t n = static_cast<size_t>(state.range(0));
   double heap_bytes = 0;
   size_t entries = 0;

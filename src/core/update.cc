@@ -157,7 +157,8 @@ void Update::StepApply(Database* db, StepResult* res) {
                 options_.allowed_relations != nullptr
             ? &replace_occs[replace_idx++]
             : nullptr;
-    db->Apply(std::move(op), number_, &res->writes, occs);
+    lookup_rows_examined_ +=
+        db->Apply(std::move(op), number_, &res->writes, occs);
   }
 }
 
@@ -296,6 +297,11 @@ Update::ForwardRepair Update::GenerateForwardRepair(
   full.EnsureSize(tgd.num_vars());
   for (VarId z : tgd.existential_vars()) full.Set(z, db->FreshNull());
 
+  // Each RHS tuple is instantiated into this scratch first: a tuple that
+  // exists verbatim already supplies its atom, and only a missing one is
+  // copied out. An Update lives for one op, so the scratch is per thread; a
+  // member would allocate about as often as the throwaway tuples it saves.
+  thread_local TupleData rhs_scratch;
   bool any_ambiguous = false;
   const std::vector<Atom>& atoms = tgd.rhs().atoms;
   for (size_t i = 0; i < atoms.size(); ++i) {
@@ -308,9 +314,11 @@ Update::ForwardRepair Update::GenerateForwardRepair(
                     })) {
       continue;  // duplicate RHS atom instantiation
     }
-    TupleData data = InstantiateAtom(atom, full);
-    // A tuple that exists verbatim already supplies this RHS atom.
-    if (snap.Contains(atom.rel, data)) continue;
+    TupleData& data = rhs_scratch;
+    data.clear();
+    data.reserve(atom.terms.size());
+    for (const Term& t : atom.terms) data.push_back(TermValue(t, full));
+    if (snap.Contains(atom.rel, data, &lookup_rows_examined_)) continue;
     if (options_.log_reads) {
       res->reads.push_back(ReadQueryRecord::MoreSpecific(atom.rel, data));
     }
@@ -322,7 +330,7 @@ Update::ForwardRepair Update::GenerateForwardRepair(
       any_ambiguous =
           HasMoreSpecificRow(snap, atom.rel, data, &lookup_rows_examined_);
     }
-    write_set_.push_back(WriteOp::Insert(atom.rel, std::move(data)));
+    write_set_.push_back(WriteOp::Insert(atom.rel, data));
   }
 
   if (write_set_.empty()) {

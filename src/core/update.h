@@ -168,10 +168,11 @@ class Update {
   // with options.detector set, the rows of every update that shared it (a
   // Scheduler reports those once, in TotalRowsExamined).
   uint64_t rows_examined() const { return detector_->rows_examined(); }
-  // Rows this update's more-specific correction queries re-verified (the
-  // forward repair's existence checks and the frontier's candidate lists),
-  // across all attempts. Apart from rows_examined(), which counts
-  // evaluator rows only.
+  // Rows this update's content lookups re-verified, across all attempts:
+  // its more-specific correction queries (the forward repair's existence
+  // checks and the frontier's candidate lists) and its exact-match checks
+  // (the forward repair's Contains and the inserts' set semantics). Apart
+  // from rows_examined(), which counts evaluator rows only.
   uint64_t lookup_rows_examined() const { return lookup_rows_examined_; }
 
  private:

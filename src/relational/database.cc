@@ -14,15 +14,19 @@ Result<RelationId> Database::CreateRelation(
   return id;
 }
 
-void Database::Apply(WriteOp op, uint64_t update_number,
-                     std::vector<PhysicalWrite>* out,
-                     const std::vector<TupleRef>* replace_occurrences) {
+uint64_t Database::Apply(WriteOp op, uint64_t update_number,
+                         std::vector<PhysicalWrite>* out,
+                         const std::vector<TupleRef>* replace_occurrences) {
   switch (op.kind) {
     case WriteOp::Kind::kInsert: {
       CHECK_LT(op.rel, relations_.size());
       CHECK_EQ(op.data.size(), relations_[op.rel].arity());
       // Set semantics: no-op if the writer already sees an equal tuple.
-      if (FindRowWithData(op.rel, op.data, update_number).has_value()) return;
+      uint64_t examined = 0;
+      if (FindRowWithData(op.rel, op.data, update_number, &examined)
+              .has_value()) {
+        return examined;
+      }
       PhysicalWrite w;
       w.kind = WriteKind::kInsert;
       w.rel = op.rel;
@@ -31,13 +35,13 @@ void Database::Apply(WriteOp op, uint64_t update_number,
                                                  std::move(op.data));
       RegisterNullOccurrences(op.rel, w.row, w.data);
       out->push_back(std::move(w));
-      return;
+      return examined;
     }
     case WriteOp::Kind::kDelete: {
       CHECK_LT(op.rel, relations_.size());
       const TupleData* old = relations_[op.rel].VisibleData(op.row,
                                                             update_number);
-      if (old == nullptr) return;  // already gone for this writer
+      if (old == nullptr) return 0;  // already gone for this writer
       PhysicalWrite w;
       w.kind = WriteKind::kDelete;
       w.rel = op.rel;
@@ -47,11 +51,11 @@ void Database::Apply(WriteOp op, uint64_t update_number,
       relations_[op.rel].AppendVersion(op.row, update_number, TakeSeq(),
                                        WriteKind::kDelete, w.old_data);
       out->push_back(std::move(w));
-      return;
+      return 0;
     }
     case WriteOp::Kind::kNullReplace: {
       CHECK(op.from.is_null());
-      if (op.from == op.to) return;  // degenerate: changes no tuple
+      if (op.from == op.to) return 0;  // degenerate: changes no tuple
       // Snapshot the occurrence list first: modifying rows appends new
       // occurrences (when `to` is itself a null) and must not be re-visited.
       // A caller-validated snapshot is used in place (it was already
@@ -81,9 +85,10 @@ void Database::Apply(WriteOp op, uint64_t update_number,
         RegisterNullOccurrences(ref.rel, ref.row, w.data);
         out->push_back(std::move(w));
       }
-      return;
+      return 0;
     }
   }
+  return 0;
 }
 
 size_t Database::RemoveVersionsAbove(uint64_t threshold) {
@@ -104,20 +109,30 @@ void Database::SkipNumbersTo(uint64_t n) {
 
 std::optional<RowId> Database::FindRowWithData(RelationId rel,
                                                const TupleData& data,
-                                               uint64_t reader) const {
+                                               uint64_t reader,
+                                               uint64_t* rows_examined) const {
   CHECK_LT(rel, relations_.size());
   CHECK(!data.empty());
   const VersionedRelation& relation = relations_[rel];
   if (data.size() != relation.arity()) return std::nullopt;
-  // An equal tuple carries every value of `data`, so any column's bucket
-  // lists it; walk the smallest, in place.
+  // An equal tuple carries every value of `data`, so every bucket over its
+  // columns lists it; walk the smallest, in place. Buckets are ascending,
+  // so the first equal row met is the lowest-numbered one.
   const Span<const RowId> bucket =
       *relation.SmallestContentBucket(data, [](size_t) { return true; });
+  std::optional<RowId> found;
+  uint64_t examined = 0;
   for (RowId row : bucket) {
     const TupleData* visible = relation.VisibleData(row, reader);
-    if (visible != nullptr && *visible == data) return row;
+    if (visible == nullptr) continue;
+    ++examined;
+    if (*visible == data) {
+      found = row;
+      break;
+    }
   }
-  return std::nullopt;
+  if (rows_examined != nullptr) *rows_examined += examined;
+  return found;
 }
 
 size_t Database::CountVisible(uint64_t reader) const {

@@ -93,9 +93,12 @@ class Database {
   // guard, Update::WritesStayWithin) MUST pass that same snapshot —
   // re-reading here could see occurrences registered after the check and
   // write to relations the check never saw.
-  void Apply(WriteOp op, uint64_t update_number,
-             std::vector<PhysicalWrite>* out,
-             const std::vector<TupleRef>* replace_occurrences = nullptr);
+  //
+  // Returns the rows an insert's set-semantics check re-verified
+  // (FindRowWithData), 0 for the other kinds.
+  uint64_t Apply(WriteOp op, uint64_t update_number,
+                 std::vector<PhysicalWrite>* out,
+                 const std::vector<TupleRef>* replace_occurrences = nullptr);
 
   // The same, returning the physical writes (seeding, tests, benches).
   std::vector<PhysicalWrite> Apply(WriteOp op, uint64_t update_number) {
@@ -119,12 +122,14 @@ class Database {
   // between experiment runs over the same initial database).
   size_t RemoveVersionsAbove(uint64_t threshold);
 
-  // Finds a row whose content visible to `reader` equals `data` exactly.
-  // Walks the smallest of the tuple's per-column index buckets in place and
-  // re-verifies each listed row; an empty bucket answers at once
-  // (VersionedRelation::SmallestContentBucket).
-  std::optional<RowId> FindRowWithData(RelationId rel, const TupleData& data,
-                                       uint64_t reader) const;
+  // Finds the lowest-numbered row whose content visible to `reader` equals
+  // `data` exactly. Walks the smallest index bucket that lists every such
+  // row in place and re-verifies each listed row; an empty bucket answers
+  // at once (VersionedRelation::SmallestContentBucket). Adds the rows whose
+  // visible content it compared to `*rows_examined`, when given.
+  std::optional<RowId> FindRowWithData(
+      RelationId rel, const TupleData& data, uint64_t reader,
+      uint64_t* rows_examined = nullptr) const;
 
   // Total visible tuple count for `reader` (scans; for tests/examples).
   size_t CountVisible(uint64_t reader) const;
@@ -217,8 +222,10 @@ class Snapshot {
     db_->relation(rel).ForEachVisible(reader_, std::forward<Fn>(fn));
   }
 
-  bool Contains(RelationId rel, const TupleData& data) const {
-    return db_->FindRowWithData(rel, data, reader_).has_value();
+  bool Contains(RelationId rel, const TupleData& data,
+                uint64_t* rows_examined = nullptr) const {
+    return db_->FindRowWithData(rel, data, reader_, rows_examined)
+        .has_value();
   }
 
   // Invokes fn(ref, data) for every tuple whose visible content contains the

@@ -1,6 +1,7 @@
 #ifndef YOUTOPIA_RELATIONAL_RELATION_H_
 #define YOUTOPIA_RELATIONAL_RELATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <new>
@@ -150,9 +151,9 @@ class VersionList {
 // Rows are never physically removed; aborting an update unlinks its versions
 // row by row (RemoveVersionsOfRow). Indexes come in two forms, each one
 // open-addressing table from a 64-bit key to a bucket of rows (RowBuckets):
-//   * one per-column index, always present, keyed exactly: the value's id
-//     and kind packed into 64 bits (IndexKey), so distinct values never
-//     share a bucket;
+//   * one per-column index, always present, keyed exactly by the value's
+//     packed 64-bit word (IndexKey), so distinct values never share a
+//     bucket;
 //   * composite indexes over column sets, built lazily on demand
 //     (EnsureCompositeIndex) for the probes compiled query plans ask for,
 //     keyed by a 64-bit hash of the key's values (CompositeKey), so no
@@ -170,9 +171,11 @@ class VersionList {
 // principle list a row whose different key collides, so probes re-verify
 // each row against the version visible to the reader.
 // Content lookups (exact match, more-specific match) carry no plan: they
-// probe whichever per-column bucket of the values they fix is smallest
-// (SmallestContentBucket), so one hot value cannot make them re-verify a
-// large share of the relation.
+// walk the smallest bucket among the per-column buckets of the values they
+// fix and the buckets of the built composite indexes whose columns they all
+// fix (SmallestContentBucket), so one hot value cannot make them re-verify
+// a large share of the relation, and the composites the plans asked for
+// serve them at no upkeep of their own.
 //
 // Threading — the per-shard write ownership invariant: a relation has at
 // most one owner thread at a time (the shard worker its tgd-closure
@@ -334,20 +337,33 @@ class VersionedRelation {
   // hold data[c] in column c, for each column c that `fixed(c)` selects
   // (all columns for an exact match, the constant columns for a
   // more-specific match), finds every answer in each of those columns'
-  // buckets, so it walks the smallest. The sweep stops at an empty bucket,
-  // a definitive miss. Nullopt when `fixed` selects no column. `data` must
-  // have the relation's arity. Valid as long as Bucket's spans are.
+  // buckets and in the bucket of each built composite index over columns
+  // it all fixes, so it walks the smallest. Every bucket is ascending, so a
+  // walk meets the answers in row order whichever bucket it is. The sweep
+  // stops at an empty bucket, a definitive miss. Nullopt when `fixed`
+  // selects no column. `data` must have the relation's arity. Valid as long
+  // as Bucket's spans are.
   template <typename Fixed>
   std::optional<Span<const RowId>> SmallestContentBucket(
       const TupleData& data, Fixed&& fixed) const {
     CHECK_EQ(data.size(), arity_);
     std::optional<Span<const RowId>> best;
+    // Keeps the smaller bucket; false once the best is empty.
+    auto offer = [&best](Span<const RowId> bucket) {
+      if (!best.has_value() || bucket.size() < best->size()) best = bucket;
+      return !best->empty();
+    };
     for (size_t c = 0; c < arity_; ++c) {
-      if (!fixed(c)) continue;
-      const Span<const RowId> bucket = Bucket(c, data[c]);
-      if (!best.has_value() || bucket.size() < best->size()) {
-        best = bucket;
-        if (bucket.empty()) break;
+      if (fixed(c) && !offer(Bucket(c, data[c]))) return best;
+    }
+    if (!best.has_value()) return best;  // nothing fixed, nor any composite
+    for (const CompositeIndex& index : composites_) {
+      if (!index.built ||
+          !std::all_of(index.columns.begin(), index.columns.end(), fixed)) {
+        continue;
+      }
+      if (!offer(index.buckets.Find(CompositeKey(index.columns, data)))) {
+        break;
       }
     }
     return best;
@@ -425,13 +441,10 @@ class VersionedRelation {
     RowBuckets buckets;           // keyed by CompositeKey
   };
 
-  // The exact per-column index key of `value`: its id and kind packed into
-  // 64 bits. Symbol and null ids are counters; an id of 2^63 or more would
-  // alias another value's key, so it is refused.
-  static uint64_t IndexKey(const Value& value) {
-    CHECK_LT(value.id(), uint64_t{1} << 63);
-    return value.id() << 1 | static_cast<uint64_t>(value.kind());
-  }
+  // The exact per-column index key of `value`: its packed word. Distinct
+  // values have distinct words, since the Value factories refuse ids of
+  // 2^63 or more.
+  static uint64_t IndexKey(const Value& value) { return value.bits(); }
   // The composite index key of the values value(0), ..., value(n - 1): a
   // 64-bit hash with each packed value avalanched before it is folded in.
   template <typename ValueAt>

@@ -13,43 +13,56 @@
 namespace youtopia {
 
 // A database value is either a constant or a labeled null (the paper's
-// "variables" x1, x2, ...). Constants are interned symbols; a Value is a
-// small, trivially copyable (kind, id) pair.
+// "variables" x1, x2, ...). Constants are interned symbols, nulls are
+// numbered by the NullRegistry; both ids are counters. A Value packs the id
+// into the low 63 bits of one 64-bit word and the null flag into the top
+// bit, so equality and the (kind, id) order are one integer compare and a
+// tuple of k values is 8k bytes. An id of 2^63 or more would alias a value
+// of the other kind, so the factories refuse it.
 enum class ValueKind : uint8_t { kConstant = 0, kNull = 1 };
 
 class Value {
  public:
+  // Every id stays below this bound.
+  static constexpr uint64_t kIdLimit = uint64_t{1} << 63;
+
   // Default-constructed value is the invalid constant; only useful as a
   // placeholder before assignment.
-  constexpr Value() : id_(0), kind_(ValueKind::kConstant) {}
+  constexpr Value() = default;
 
   static constexpr Value Constant(uint64_t symbol_id) {
-    return Value(ValueKind::kConstant, symbol_id);
+    CHECK_LT(symbol_id, kIdLimit);
+    return Value(symbol_id);
   }
   static constexpr Value Null(uint64_t null_id) {
-    return Value(ValueKind::kNull, null_id);
+    CHECK_LT(null_id, kIdLimit);
+    return Value(kIdLimit | null_id);
   }
 
-  ValueKind kind() const { return kind_; }
-  bool is_constant() const { return kind_ == ValueKind::kConstant; }
-  bool is_null() const { return kind_ == ValueKind::kNull; }
-  uint64_t id() const { return id_; }
+  ValueKind kind() const {
+    return is_null() ? ValueKind::kNull : ValueKind::kConstant;
+  }
+  bool is_constant() const { return bits_ < kIdLimit; }
+  bool is_null() const { return bits_ >= kIdLimit; }
+  uint64_t id() const { return bits_ & (kIdLimit - 1); }
+  // The packed word: distinct values have distinct bits, ordered as the
+  // values are (every constant before every null, then by id).
+  uint64_t bits() const { return bits_; }
 
   friend bool operator==(const Value& a, const Value& b) {
-    return a.kind_ == b.kind_ && a.id_ == b.id_;
+    return a.bits_ == b.bits_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   friend bool operator<(const Value& a, const Value& b) {
-    if (a.kind_ != b.kind_) return a.kind_ < b.kind_;
-    return a.id_ < b.id_;
+    return a.bits_ < b.bits_;
   }
 
  private:
-  constexpr Value(ValueKind kind, uint64_t id) : id_(id), kind_(kind) {}
+  constexpr explicit Value(uint64_t bits) : bits_(bits) {}
 
-  uint64_t id_;
-  ValueKind kind_;
+  uint64_t bits_ = 0;
 };
+static_assert(sizeof(Value) == 8, "a Value is one packed 64-bit word");
 
 struct ValueHash {
   size_t operator()(const Value& v) const {

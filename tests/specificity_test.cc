@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -148,12 +149,24 @@ TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
   // rows answers. The relations have a hot leading column (the old
   // column-0 probe's worst case), labeled nulls, null replacements that
   // make rows equal, tombstones and writers of several numbers, and each
-  // is probed at several reader numbers.
+  // is probed at several reader numbers. Even seeds also build composite
+  // indexes, which the lookups may walk instead: before the writes (kept
+  // up by every write) on seeds divisible by 4, after them (built from the
+  // stored versions) on the others.
+  const std::vector<std::vector<size_t>> composites = {{0, 1}, {1, 2},
+                                                       {0, 1, 2}};
   size_t duplicate_probes = 0;  // probes equal to two or more visible rows
+  size_t composite_walks = 0;   // exact misses that beat every column bucket
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
     Database db;
     const RelationId rel = *db.CreateRelation("R", {"a", "b", "c"});
+    auto build_composites = [&] {
+      for (const std::vector<size_t>& columns : composites) {
+        db.mutable_relation(rel).EnsureCompositeIndex(columns);
+      }
+    };
+    if (seed % 4 == 0) build_composites();
     std::vector<Value> nulls;
     auto constant = [&] { return Value::Constant(1 + rng.Uniform(4)); };
     auto value = [&](size_t column) {
@@ -188,6 +201,9 @@ TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
                  writer);
       }
     }
+    if (seed % 4 == 2) build_composites();
+    ASSERT_EQ(db.relation(rel).num_composite_indexes(),
+              seed % 2 == 0 ? composites.size() : 0u);
 
     // Probes: every stored row's content at the probing reader, plus fresh
     // tuples (some all-null, some over values no row holds).
@@ -209,13 +225,28 @@ TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
           if (IsMoreSpecific(data, probe)) more_specific.push_back(row);
         });
         duplicate_probes += equal.size() > 1 ? 1 : 0;
+        uint64_t examined = 0;
         const std::optional<RowId> found =
-            db.FindRowWithData(rel, probe, reader);
+            db.FindRowWithData(rel, probe, reader, &examined);
         ASSERT_EQ(found.has_value(), !equal.empty()) << "seed " << seed;
+        // The lowest-numbered equal row, whichever bucket was walked: the
+        // row a delete of this content removes.
         if (found.has_value()) {
-          EXPECT_NE(std::find(equal.begin(), equal.end(), *found),
-                    equal.end())
-              << "seed " << seed;
+          EXPECT_EQ(*found, equal.front()) << "seed " << seed;
+        }
+        // A miss re-verifies every visible row of the bucket it walks, so
+        // one below every column bucket's visible rows walked a composite.
+        size_t fewest_in_a_column = SIZE_MAX;
+        for (size_t c = 0; c < 3; ++c) {
+          size_t visible = 0;
+          for (RowId row : db.relation(rel).Bucket(c, probe[c])) {
+            visible += snap.VisibleData(rel, row) != nullptr ? 1 : 0;
+          }
+          fewest_in_a_column = std::min(fewest_in_a_column, visible);
+        }
+        if (!found.has_value() && examined < fewest_in_a_column) {
+          EXPECT_EQ(seed % 2, 0u) << "seed " << seed;
+          ++composite_walks;
         }
         std::vector<RowId> out;
         bool exact = equal.empty();  // the wrong answer, to be overwritten
@@ -234,6 +265,7 @@ TEST(ContentLookupTest, IndexedLookupsMatchBruteForceScan) {
     }
   }
   EXPECT_GT(duplicate_probes, 0u);
+  EXPECT_GT(composite_walks, 0u);
 }
 
 }  // namespace

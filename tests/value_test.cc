@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "relational/tuple.h"
+#include "util/hash.h"
 
 namespace youtopia {
 namespace {
@@ -29,6 +32,57 @@ TEST(ValueTest, HashDistinguishesKinds) {
   ValueHash h;
   EXPECT_NE(h(Value::Constant(7)), h(Value::Null(7)));
   EXPECT_EQ(h(Value::Null(7)), h(Value::Null(7)));
+}
+
+// Ids the packed encoding must carry for both kinds: the ends of the id
+// range and the bit just below the null flag.
+constexpr uint64_t kMaxId = Value::kIdLimit - 1;
+const uint64_t kSampleIds[] = {0, 1, 2, uint64_t{1} << 62, kMaxId - 1, kMaxId};
+
+TEST(ValueTest, PackedIdsRoundTripForBothKinds) {
+  for (uint64_t id : kSampleIds) {
+    const Value c = Value::Constant(id);
+    const Value n = Value::Null(id);
+    EXPECT_EQ(c.kind(), ValueKind::kConstant) << id;
+    EXPECT_TRUE(c.is_constant()) << id;
+    EXPECT_EQ(c.id(), id);
+    EXPECT_EQ(n.kind(), ValueKind::kNull) << id;
+    EXPECT_TRUE(n.is_null()) << id;
+    EXPECT_EQ(n.id(), id);
+    EXPECT_NE(c, n) << id;
+  }
+}
+
+TEST(ValueTest, ConstantsOrderBeforeNullsThenById) {
+  for (uint64_t a : kSampleIds) {
+    for (uint64_t b : kSampleIds) {
+      EXPECT_LT(Value::Constant(a), Value::Null(b)) << a << " " << b;
+      EXPECT_FALSE(Value::Null(b) < Value::Constant(a)) << a << " " << b;
+      EXPECT_EQ(Value::Constant(a) < Value::Constant(b), a < b);
+      EXPECT_EQ(Value::Null(a) < Value::Null(b), a < b);
+      EXPECT_EQ(Value::Constant(a) == Value::Constant(b), a == b);
+      EXPECT_EQ(Value::Null(a) == Value::Null(b), a == b);
+    }
+  }
+}
+
+TEST(ValueTest, HashIsTheKindIdCombine) {
+  // Fingerprints and sketches hash values through ValueHash, so it must not
+  // follow the packed layout: it combines the kind (0 or 1) and the id.
+  for (uint64_t id : kSampleIds) {
+    for (size_t kind : {size_t{0}, size_t{1}}) {
+      size_t expected = kind;
+      HashCombine(expected, static_cast<size_t>(id));
+      const Value v = kind == 0 ? Value::Constant(id) : Value::Null(id);
+      EXPECT_EQ(ValueHash{}(v), expected) << kind << " " << id;
+    }
+  }
+}
+
+TEST(ValueDeathTest, IdAtOrAbove2To63IsRefused) {
+  EXPECT_DEATH(Value::Constant(Value::kIdLimit), "CHECK failed");
+  EXPECT_DEATH(Value::Null(Value::kIdLimit), "CHECK failed");
+  EXPECT_DEATH(Value::Null(UINT64_MAX), "CHECK failed");
 }
 
 TEST(SymbolTableTest, InternIsIdempotent) {
