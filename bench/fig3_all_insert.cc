@@ -12,10 +12,10 @@ int main(int argc, char** argv) {
   youtopia::ExperimentConfig config =
       youtopia::bench::ParseFlags(argc, argv, &verbose);
   config.delete_fraction = 0.0;
-  youtopia::ExperimentDriver driver(config);
-  const youtopia::ExperimentResult result = driver.Run(verbose);
+  const youtopia::ExperimentResult result =
+      youtopia::RunExperiment(config, verbose);
   return youtopia::bench::Report("fig3_all_insert", "Figure 3", "all-insert",
-                                 config, result, driver.db())
+                                 config, result)
              ? 0
              : 1;
 }

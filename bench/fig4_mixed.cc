@@ -8,11 +8,10 @@ int main(int argc, char** argv) {
   youtopia::ExperimentConfig config =
       youtopia::bench::ParseFlags(argc, argv, &verbose);
   config.delete_fraction = 0.2;
-  youtopia::ExperimentDriver driver(config);
-  const youtopia::ExperimentResult result = driver.Run(verbose);
+  const youtopia::ExperimentResult result =
+      youtopia::RunExperiment(config, verbose);
   return youtopia::bench::Report("fig4_mixed", "Figure 4",
-                                 "mixed insert/delete", config, result,
-                                 driver.db())
+                                 "mixed insert/delete", config, result)
              ? 0
              : 1;
 }

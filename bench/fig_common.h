@@ -198,11 +198,7 @@ inline void PrintResult(const char* figure, const char* workload,
   for (size_t i = 0; i < result.mapping_counts.size(); ++i) {
     std::printf("%10zu ", result.mapping_counts[i]);
     for (size_t t = 0; t < 3; ++t) {
-      if (result.cells[i][t].runs == 0) {
-        std::printf("%12s ", "-");
-      } else {
-        std::printf("%12.1f ", result.cells[i][t].aborts);
-      }
+      std::printf("%12.1f ", result.cells[i][t].aborts);
     }
     std::printf("\n");
   }
@@ -213,11 +209,7 @@ inline void PrintResult(const char* figure, const char* workload,
   for (size_t i = 0; i < result.mapping_counts.size(); ++i) {
     std::printf("%10zu ", result.mapping_counts[i]);
     for (size_t t = 0; t < 3; ++t) {
-      if (result.cells[i][t].runs == 0) {
-        std::printf("%12s ", "-");
-      } else {
-        std::printf("%12.1f ", result.cells[i][t].cascading_abort_requests);
-      }
+      std::printf("%12.1f ", result.cells[i][t].cascading_abort_requests);
     }
     std::printf("\n");
   }
@@ -239,9 +231,9 @@ inline void PrintResult(const char* figure, const char* workload,
 // the JSON could not be written, so harness mains can exit nonzero.
 inline bool Report(const char* name, const char* figure, const char* workload,
                    const ExperimentConfig& config,
-                   const ExperimentResult& result, const Database& db) {
+                   const ExperimentResult& result) {
   PrintResult(figure, workload, config, result);
-  return WriteExperimentJson(name, workload, config, result, db);
+  return WriteExperimentJson(name, workload, config, result);
 }
 
 }  // namespace bench

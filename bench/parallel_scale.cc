@@ -45,24 +45,29 @@ double Now() {
       .count();
 }
 
-// One workload graph: a chase-seeded repository plus the arms measured
-// over it. Each arm replays the same per-run op stream from the same
-// initial database (RemoveVersionsAbove(0) rewinds between arms).
-struct Fixture {
-  Database db;
-  std::vector<Value> constants;
-  std::vector<Tgd> tgds;
-  size_t first_point = 0;  // index of the fixture's arms in `points`
+// One workload graph: how its chase-seeded repository is built, and the
+// arms measured over it. Every arm of every run builds its own repository
+// and draws the run's op stream there from one seed, so all arms replay
+// one stream from one initial database.
+struct Graph {
+  const char* name = "";
+  MappingGenOptions mapping_opts;
+  uint64_t rng_seed = 0;
+  uint64_t seed_agent_seed = 0;
+  size_t first_point = 0;  // index of the graph's arms in `points`
   size_t num_points = 0;
 };
 
-// `constants` lives inside the fixture; a free accessor keeps MeasureArms'
-// call site readable.
-const std::vector<Value>& constants_of(const Fixture& fx) {
-  return fx.constants;
+void PrintGraph(const Graph& g, const ExperimentConfig& config,
+                const Repository& repo) {
+  const ShardMap map(repo.db.num_relations(), repo.tgds, config.workers);
+  std::printf(
+      "%s graph: islands=%zu chain=%zu fan=%zu components=%zu initial=%zu\n",
+      g.name, g.mapping_opts.num_islands, g.mapping_opts.chain_length,
+      g.mapping_opts.fan_out, map.num_components(), repo.initial.total_tuples);
 }
 
-void MeasureArms(Fixture* fx, const ExperimentConfig& config,
+void MeasureArms(const Graph& g, const ExperimentConfig& config,
                  std::vector<bench::ParallelScalePoint>* points,
                  bool verbose) {
   // One metrics registry per arm, shared by that arm's schedulers across
@@ -70,29 +75,31 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
   // runs' samples (percentiles over the whole measurement, not the last
   // run). Serial arms record only counters, so their stage block is empty.
   std::vector<std::unique_ptr<obs::MetricsRegistry>> arm_metrics(
-      fx->num_points);
+      g.num_points);
   for (auto& reg : arm_metrics) reg = std::make_unique<obs::MetricsRegistry>();
+  WorkloadOptions wl_opts;
+  wl_opts.num_updates = config.updates_per_run;
+  wl_opts.delete_fraction = config.delete_fraction;
 
   for (size_t run = 0; run < config.runs; ++run) {
-    Rng wl_rng(config.seed + 1000003 + 7919 * (run + 1));
-    WorkloadOptions wl_opts;
-    wl_opts.num_updates = config.updates_per_run;
-    wl_opts.delete_fraction = config.delete_fraction;
-    const std::vector<WriteOp> ops =
-        GenerateWorkload(&fx->db, constants_of(*fx), &wl_rng, wl_opts);
-
-    for (size_t pi = fx->first_point; pi < fx->first_point + fx->num_points;
-         ++pi) {
+    for (size_t pi = g.first_point; pi < g.first_point + g.num_points; ++pi) {
       bench::ParallelScalePoint& p = (*points)[pi];
-      fx->db.RemoveVersionsAbove(0);  // rewind to the initial repository
+      Repository repo;
+      RandomAgent seed_agent(g.seed_agent_seed);
+      BuildRepository(config, g.mapping_opts, g.rng_seed, &seed_agent,
+                      &repo);
+      if (run == 0 && pi == g.first_point) PrintGraph(g, config, repo);
+      Rng wl_rng(config.seed + 1000003 + 7919 * (run + 1));
+      const std::vector<WriteOp> ops =
+          GenerateWorkload(&repo.db, repo.constants, &wl_rng, wl_opts);
       const double start = Now();
       if (p.engine == "serial") {
         RandomAgent agent(config.seed + 31 * run);
         SchedulerOptions sopts;
         sopts.max_steps_per_update = config.max_steps_per_update;
         sopts.max_attempts_per_update = config.max_attempts_per_update;
-        sopts.metrics = arm_metrics[pi - fx->first_point].get();
-        Scheduler scheduler(&fx->db, &fx->tgds, &agent, sopts);
+        sopts.metrics = arm_metrics[pi - g.first_point].get();
+        Scheduler scheduler(&repo.db, &repo.tgds, &agent, sopts);
         for (const WriteOp& op : ops) scheduler.Submit(op);
         scheduler.RunToCompletion();
         p.aborts += static_cast<double>(scheduler.stats().aborts);
@@ -103,8 +110,8 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
         popts.num_workers = p.workers;
         popts.max_steps_per_update = config.max_steps_per_update;
         popts.agent_seed = config.seed + 31 * run;
-        popts.metrics = arm_metrics[pi - fx->first_point].get();
-        IngestPipeline pipeline(&fx->db, &fx->tgds, popts);
+        popts.metrics = arm_metrics[pi - g.first_point].get();
+        IngestPipeline pipeline(&repo.db, &repo.tgds, popts);
         for (const WriteOp& op : ops) {
           CHECK(pipeline.Submit(op) == SubmitResult::kOk);
         }
@@ -122,12 +129,10 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
       }
     }
   }
-  for (size_t pi = fx->first_point; pi < fx->first_point + fx->num_points;
-       ++pi) {
+  for (size_t pi = g.first_point; pi < g.first_point + g.num_points; ++pi) {
     (*points)[pi].stages = bench::SummarizeStages(
-        arm_metrics[pi - fx->first_point]->Snapshot());
+        arm_metrics[pi - g.first_point]->Snapshot());
   }
-  fx->db.RemoveVersionsAbove(0);
 }
 
 int Run(int argc, char** argv) {
@@ -158,36 +163,20 @@ int Run(int argc, char** argv) {
 
   std::vector<bench::ParallelScalePoint> points;
 
+  std::printf(
+      "=== parallel_scale ===\n"
+      "config: relations=%zu mappings=%zu updates/run=%zu runs=%zu "
+      "seed=%llu\n",
+      config.num_relations, config.num_mappings_total, config.updates_per_run,
+      config.runs, static_cast<unsigned long long>(config.seed));
+
   // --- graph="islands": the sharding fixture. ------------------------------
-  Fixture islands;
-  {
-    Rng rng(config.seed);
-    SchemaGenOptions schema_opts;
-    schema_opts.num_relations = config.num_relations;
-    CHECK(GenerateSchema(&islands.db, &rng, schema_opts).ok());
-    islands.constants =
-        GenerateConstantPool(&islands.db, &rng, config.num_constants);
-    MappingGenOptions mapping_opts;
-    mapping_opts.count = config.num_mappings_total;
-    mapping_opts.num_islands = config.islands;
-    islands.tgds = GenerateMappings(islands.db, islands.constants, &rng,
-                                    mapping_opts);
-    InitialDataOptions data_opts;
-    data_opts.num_tuples = config.initial_tuples;
-    data_opts.max_steps_per_insert = config.initial_chase_step_cap;
-    RandomAgent seed_agent(config.seed ^ 0x9e3779b97f4a7c15ULL);
-    const InitialDataReport initial = GenerateInitialData(
-        &islands.db, &islands.tgds, islands.constants, &rng, &seed_agent,
-        data_opts);
-    ShardMap map(islands.db.num_relations(), islands.tgds, config.workers);
-    std::printf(
-        "=== parallel_scale ===\n"
-        "islands graph: relations=%zu mappings=%zu islands=%zu "
-        "components=%zu initial=%zu updates/run=%zu runs=%zu seed=%llu\n",
-        config.num_relations, config.num_mappings_total, config.islands,
-        map.num_components(), initial.total_tuples, config.updates_per_run,
-        config.runs, static_cast<unsigned long long>(config.seed));
-  }
+  Graph islands;
+  islands.name = "islands";
+  islands.mapping_opts.count = config.num_mappings_total;
+  islands.mapping_opts.num_islands = config.islands;
+  islands.rng_seed = config.seed;
+  islands.seed_agent_seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   islands.first_point = points.size();
   {
     bench::ParallelScalePoint serial;
@@ -214,37 +203,15 @@ int Run(int argc, char** argv) {
   // component; the random fill is generated with islands=1 on top, so the
   // graph stays dense. One component = one shard lane, so the worker axis
   // is pinned at 1.
-  Fixture dense;
-  {
-    Rng rng(config.seed ^ 0x5bf03635ULL);
-    SchemaGenOptions schema_opts;
-    schema_opts.num_relations = config.num_relations;
-    CHECK(GenerateSchema(&dense.db, &rng, schema_opts).ok());
-    dense.constants =
-        GenerateConstantPool(&dense.db, &rng, config.num_constants);
-    MappingGenOptions mapping_opts;
-    mapping_opts.count = config.num_mappings_total;
-    mapping_opts.num_islands = 1;
-    mapping_opts.chain_length =
-        config.chain_length > 0 ? config.chain_length : 8;
-    mapping_opts.fan_out = config.fan_out;
-    dense.tgds =
-        GenerateMappings(dense.db, dense.constants, &rng, mapping_opts);
-    InitialDataOptions data_opts;
-    data_opts.num_tuples = config.initial_tuples;
-    data_opts.max_steps_per_insert = config.initial_chase_step_cap;
-    RandomAgent seed_agent(config.seed ^ 0x7f4a7c15ULL);
-    const InitialDataReport initial = GenerateInitialData(
-        &dense.db, &dense.tgds, dense.constants, &rng, &seed_agent,
-        data_opts);
-    ShardMap map(dense.db.num_relations(), dense.tgds, config.workers);
-    std::printf(
-        "dense graph:   relations=%zu mappings=%zu chain=%zu fan=%zu "
-        "components=%zu initial=%zu\n",
-        config.num_relations, config.num_mappings_total,
-        mapping_opts.chain_length, config.fan_out, map.num_components(),
-        initial.total_tuples);
-  }
+  Graph dense;
+  dense.name = "dense";
+  dense.mapping_opts.count = config.num_mappings_total;
+  dense.mapping_opts.num_islands = 1;
+  dense.mapping_opts.chain_length =
+      config.chain_length > 0 ? config.chain_length : 8;
+  dense.mapping_opts.fan_out = config.fan_out;
+  dense.rng_seed = config.seed ^ 0x5bf03635ULL;
+  dense.seed_agent_seed = config.seed ^ 0x7f4a7c15ULL;
   dense.first_point = points.size();
   {
     bench::ParallelScalePoint serial;
@@ -259,8 +226,8 @@ int Run(int argc, char** argv) {
   }
   dense.num_points = points.size() - dense.first_point;
 
-  MeasureArms(&islands, config, &points, verbose);
-  MeasureArms(&dense, config, &points, verbose);
+  MeasureArms(islands, config, &points, verbose);
+  MeasureArms(dense, config, &points, verbose);
 
   for (bench::ParallelScalePoint& p : points) {
     p.seconds_per_run /= static_cast<double>(config.runs);

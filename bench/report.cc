@@ -60,7 +60,7 @@ std::string BenchJsonPath(const std::string& name) {
 
 bool WriteExperimentJson(const std::string& name, const std::string& workload,
                          const ExperimentConfig& config,
-                         const ExperimentResult& result, const Database& db) {
+                         const ExperimentResult& result) {
   const std::string path = BenchJsonPath(name);
   std::ofstream out(path);
   if (!out) {
@@ -96,7 +96,6 @@ bool WriteExperimentJson(const std::string& name, const std::string& workload,
   for (size_t i = 0; i < result.mapping_counts.size(); ++i) {
     for (size_t t = 0; t < 3; ++t) {
       const CellStats& cell = result.cells[i][t];
-      if (cell.runs == 0) continue;
       if (!first) out << ",\n";
       first = false;
       const double updates_per_second =
@@ -120,19 +119,15 @@ bool WriteExperimentJson(const std::string& name, const std::string& workload,
   }
   out << "\n  ],\n";
 
-  // Final storage footprint: the multiversion rows and append-only index
-  // entries accumulated across the whole sweep.
-  size_t rows = 0, versions = 0, index_entries = 0;
-  for (RelationId r = 0; r < db.num_relations(); ++r) {
-    rows += db.relation(r).num_rows();
-    versions += db.relation(r).num_versions();
-    index_entries += db.relation(r).IndexEntryCount();
-  }
+  // Storage footprint of the last cell's repository after its run (every
+  // cell runs on a repository of its own): its seed data plus that one
+  // run's versions, with the rows of its aborted inserts.
+  const StorageFootprint& storage = result.storage;
   out << "  \"storage\": {\n";
-  out << "    \"relations\": " << db.num_relations() << ",\n";
-  out << "    \"rows\": " << rows << ",\n";
-  out << "    \"versions\": " << versions << ",\n";
-  out << "    \"index_entries\": " << index_entries << "\n";
+  out << "    \"relations\": " << storage.relations << ",\n";
+  out << "    \"rows\": " << storage.rows << ",\n";
+  out << "    \"versions\": " << storage.versions << ",\n";
+  out << "    \"index_entries\": " << storage.index_entries << "\n";
   out << "  }\n";
   out << "}\n";
   out.flush();

@@ -23,12 +23,11 @@ std::string BenchJsonPath(const std::string& name);
 // (including the workers/islands engine axes), initial-database report, one
 // record per (mapping count, tracker) cell (aborts, cascading abort
 // requests, per-update seconds plus the derived updates/sec throughput) and
-// the final storage footprint (row, version and index-entry counts — the
-// append-only index cost). Returns false and prints to stderr if the file
-// cannot be written.
+// the last cell's storage footprint (row, version and index-entry counts).
+// Returns false and prints to stderr if the file cannot be written.
 bool WriteExperimentJson(const std::string& name, const std::string& workload,
                          const ExperimentConfig& config,
-                         const ExperimentResult& result, const Database& db);
+                         const ExperimentResult& result);
 
 // One pipeline stage's latency summary, lifted out of an
 // obs::MetricsSnapshot histogram at the end of an arm. Values are

@@ -50,12 +50,10 @@ double Now() {
       .count();
 }
 
-// Seeded repository + mappings for one (graph, theta) fixture. Arms rewind
-// to update number 0 (RemoveVersionsAbove) between runs, so the seed data
-// is shared by every arm.
+// Seeded repository + mappings for one (graph, theta) fixture. Every arm
+// of every run builds its own (BuildFixture), so each starts from the same
+// seed data with plans of its own.
 struct Fixture {
-  std::string graph;
-  double theta = 0;
   Database db;
   std::vector<Value> pool;  // 'K0'..'K49'; rank 0 is the Zipf head
   // Workload draw pool: the K head followed by a long cold tail
@@ -78,8 +76,6 @@ constexpr size_t kWorkloadPool = 500;  // K head + cold 'W' tail (see Fixture)
 void BuildFixture(const std::string& graph, double theta, uint64_t seed,
                   bool verbose, Fixture* out) {
   Fixture& fx = *out;
-  fx.graph = graph;
-  fx.theta = theta;
   Database& db = fx.db;
   CHECK(db.CreateRelation("Hot", {"h", "u"}).ok());
   CHECK(db.CreateRelation("Mid", {"u", "v"}).ok());
@@ -162,42 +158,43 @@ uint64_t TotalReplans(const std::vector<Tgd>& tgds) {
   return n;
 }
 
-void MeasureArms(Fixture* fx, const ExperimentConfig& config,
+void MeasureArms(const std::string& graph, double theta,
+                 const ExperimentConfig& config,
                  std::vector<bench::SkewSuiteArm>* arms, bool verbose) {
   const size_t first = arms->size();
   for (bool sketch : {false, true}) {
     bench::SkewSuiteArm arm;
-    arm.graph = fx->graph;
-    arm.zipf_theta = fx->theta;
+    arm.graph = graph;
+    arm.zipf_theta = theta;
     arm.sketch = sketch;
     arms->push_back(arm);
   }
+  // The hot-prefix collision knob only applies to the skewed fixtures — the
+  // theta-0 fixture is the uniform control and must stay uniform.
+  WorkloadOptions wl_opts;
+  wl_opts.num_updates = config.updates_per_run;
+  wl_opts.delete_fraction = 0.0;
+  wl_opts.p_fresh_value = 0.0;  // pool values only: keep the joins hot
+  wl_opts.zipf_theta = theta;
+  wl_opts.p_hot_value = theta > 0 ? config.p_hot_value : 0.0;
+  wl_opts.hot_pool_ranks = config.hot_pool_ranks;
   for (size_t run = 0; run < config.runs; ++run) {
-    // One op stream per run, replayed identically by both arms. The
-    // hot-prefix collision knob only applies to the skewed fixtures — the
-    // theta-0 fixture is the uniform control and must stay uniform.
-    Rng wl_rng(config.seed + 1000003 + 7919 * (run + 1));
-    WorkloadOptions wl_opts;
-    wl_opts.num_updates = config.updates_per_run;
-    wl_opts.delete_fraction = 0.0;
-    wl_opts.p_fresh_value = 0.0;  // pool values only: keep the joins hot
-    wl_opts.zipf_theta = fx->theta;
-    wl_opts.p_hot_value = fx->theta > 0 ? config.p_hot_value : 0.0;
-    wl_opts.hot_pool_ranks = config.hot_pool_ranks;
-    const std::vector<WriteOp> ops =
-        GenerateWorkload(&fx->db, fx->workload_pool, &wl_rng, wl_opts);
-
     for (size_t a = 0; a < 2; ++a) {
       bench::SkewSuiteArm& arm = (*arms)[first + a];
-      fx->db.RemoveVersionsAbove(0);  // rewind to the seeded repository
+      // One op stream per run, drawn from one seed on each arm's own
+      // fixture, so both arms replay it over the same seeded repository.
+      Fixture fx;
+      BuildFixture(graph, theta, config.seed, verbose, &fx);
+      Rng wl_rng(config.seed + 1000003 + 7919 * (run + 1));
+      const std::vector<WriteOp> ops =
+          GenerateWorkload(&fx.db, fx.workload_pool, &wl_rng, wl_opts);
       Planner::set_sketch_costing(arm.sketch);
-      const uint64_t replans_before = TotalReplans(fx->tgds);
       RandomAgent agent(config.seed + 31 * run);
       SchedulerOptions sopts;
       sopts.max_steps_per_update = config.max_steps_per_update;
       sopts.max_attempts_per_update = config.max_attempts_per_update;
       const double start = Now();
-      Scheduler scheduler(&fx->db, &fx->tgds, &agent, sopts);
+      Scheduler scheduler(&fx.db, &fx.tgds, &agent, sopts);
       // Closed-loop: one update completes before the next is submitted.
       // Batching all ops up front would interleave chase steps across
       // in-flight updates, and the two arms' different re-plan timing then
@@ -209,7 +206,7 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
       }
       arm.seconds += Now() - start;
       arm.rows_examined += scheduler.TotalRowsExamined();
-      arm.replans += TotalReplans(fx->tgds) - replans_before;
+      arm.replans += TotalReplans(fx.tgds);
       arm.committed += scheduler.stats().updates_completed;
       arm.steps += static_cast<double>(scheduler.stats().total_steps);
       if (verbose) {
@@ -222,7 +219,6 @@ void MeasureArms(Fixture* fx, const ExperimentConfig& config,
       }
     }
   }
-  fx->db.RemoveVersionsAbove(0);
   Planner::set_sketch_costing(true);  // leave the process-wide default on
 }
 
@@ -244,9 +240,7 @@ int Run(int argc, char** argv) {
   const double thetas[] = {0.0, 0.6, config.zipf_theta};
   for (const std::string graph : {"chain", "fanout"}) {
     for (double theta : thetas) {
-      Fixture fx;
-      BuildFixture(graph, theta, config.seed, verbose, &fx);
-      MeasureArms(&fx, config, &arms, verbose);
+      MeasureArms(graph, theta, config, &arms, verbose);
     }
   }
 

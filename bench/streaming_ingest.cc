@@ -19,8 +19,8 @@
 // stalls should collapse to routing cost).
 //
 // Correctness rides along: the last arm's committed ops are replayed
-// serially, in final priority-number order, on the rewound repository; the
-// final instances must match byte for byte (mappings are generated with
+// serially, in final priority-number order, on a freshly built copy of the
+// initial repository; the final instances must match byte for byte (mappings are generated with
 // p_frontier = 1 so chases introduce no labeled nulls, and the per-worker
 // agents are MinContentAgents — decisions are pure functions of visible
 // state — so the serialization-order guarantee of Theorem 4.4 makes the
@@ -86,15 +86,39 @@ double PercentileUs(std::vector<double>* sorted_us, double q) {
   return (*sorted_us)[idx];
 }
 
-// Runs one arm: a fresh pipeline over the rewound repository, ops offered
-// at `rate` ops/sec (0 = closed loop). Fills `arm` and, when `committed` is
-// non-null, leaves the arm's committed ops in final number order there.
-void RunArm(Database* db, const std::vector<Tgd>* tgds,
-            const ExperimentConfig& config, const std::vector<WriteOp>& ops,
-            double rate, bench::StreamingIngestArm* arm,
-            std::vector<WriteOp>* committed) {
-  db->RemoveVersionsAbove(0);  // rewind to the initial repository
+// Builds the harness's repository in the empty `*repo` and draws the op
+// stream on it. Every arm and the serial replay build their own, from the
+// same seeds, so each starts from one initial database with one stream.
+std::vector<WriteOp> BuildArmRepository(const ExperimentConfig& config,
+                                        Repository* repo) {
+  MappingGenOptions mapping_opts;
+  mapping_opts.count = config.num_mappings_total;
+  mapping_opts.num_islands = config.islands;
+  mapping_opts.zipf_theta = config.zipf_theta;
+  // No existential RHS positions: chases stay null-free, which is what lets
+  // the serial replay below demand byte equality instead of isomorphism.
+  // p_frontier = 1 alone is not enough — when every LHS variable is already
+  // used in the atom, the generator falls back to a fresh existential, so
+  // within-atom repeats must be allowed unconditionally too.
+  mapping_opts.p_frontier = 1.0;
+  mapping_opts.p_within_atom_repeat = 1.0;
+  MinContentAgent seed_agent;
+  BuildRepository(config, mapping_opts, config.seed, &seed_agent, repo);
 
+  WorkloadOptions wl_opts;
+  wl_opts.num_updates = config.updates_per_run;
+  wl_opts.delete_fraction = config.delete_fraction;
+  wl_opts.zipf_theta = config.zipf_theta;
+  Rng wl_rng(config.seed + 1000003);
+  return GenerateWorkload(&repo->db, repo->constants, &wl_rng, wl_opts);
+}
+
+// Runs one arm: a fresh pipeline over `repo`, ops offered at `rate` ops/sec
+// (0 = closed loop). Fills `arm` and, when `committed` is non-null, leaves
+// the arm's committed ops in final number order there.
+void RunArm(Repository* repo, const ExperimentConfig& config,
+            const std::vector<WriteOp>& ops, double rate,
+            bench::StreamingIngestArm* arm, std::vector<WriteOp>* committed) {
   // Per-arm registry (declared before the pipeline: workers record into it
   // until the pipeline's destructor joins them).
   obs::MetricsRegistry metrics;
@@ -105,7 +129,7 @@ void RunArm(Database* db, const std::vector<Tgd>* tgds,
   popts.agent_factory = MinContentFactory;
   popts.inbox_capacity = 256;
   popts.metrics = &metrics;
-  IngestPipeline pipeline(db, tgds, popts);
+  IngestPipeline pipeline(&repo->db, &repo->tgds, popts);
 
   std::vector<double> stalls_us;
   stalls_us.reserve(ops.size());
@@ -179,80 +203,54 @@ int Run(int argc, char** argv) {
   const char* trace_path = std::getenv("YOUTOPIA_TRACE");
   if (trace_path != nullptr) obs::Tracer::Global().SetEnabled(true);
 
-  Database db;
-  Rng rng(config.seed);
-  SchemaGenOptions schema_opts;
-  schema_opts.num_relations = config.num_relations;
-  CHECK(GenerateSchema(&db, &rng, schema_opts).ok());
-  const std::vector<Value> constants =
-      GenerateConstantPool(&db, &rng, config.num_constants);
-  MappingGenOptions mapping_opts;
-  mapping_opts.count = config.num_mappings_total;
-  mapping_opts.num_islands = config.islands;
-  mapping_opts.zipf_theta = config.zipf_theta;
-  // No existential RHS positions: chases stay null-free, which is what lets
-  // the serial replay below demand byte equality instead of isomorphism.
-  // p_frontier = 1 alone is not enough — when every LHS variable is already
-  // used in the atom, the generator falls back to a fresh existential, so
-  // within-atom repeats must be allowed unconditionally too.
-  mapping_opts.p_frontier = 1.0;
-  mapping_opts.p_within_atom_repeat = 1.0;
-  const std::vector<Tgd> tgds =
-      GenerateMappings(db, constants, &rng, mapping_opts);
-
-  InitialDataOptions data_opts;
-  data_opts.num_tuples = config.initial_tuples;
-  data_opts.max_steps_per_insert = config.initial_chase_step_cap;
-  MinContentAgent seed_agent;
-  const InitialDataReport initial = GenerateInitialData(
-      &db, &tgds, constants, &rng, &seed_agent, data_opts);
-
-  WorkloadOptions wl_opts;
-  wl_opts.num_updates = config.updates_per_run;
-  wl_opts.delete_fraction = config.delete_fraction;
-  wl_opts.zipf_theta = config.zipf_theta;
-  Rng wl_rng(config.seed + 1000003);
-  const std::vector<WriteOp> ops =
-      GenerateWorkload(&db, constants, &wl_rng, wl_opts);
-
-  std::printf(
-      "=== streaming_ingest ===\n"
-      "config: relations=%zu mappings=%zu islands=%zu workers=%zu "
-      "initial=%zu ops=%zu zipf=%.2f seed=%llu\n",
-      config.num_relations, config.num_mappings_total, config.islands,
-      config.workers, initial.total_tuples, ops.size(), config.zipf_theta,
-      static_cast<unsigned long long>(config.seed));
-
   std::vector<bench::StreamingIngestArm> arms(2);
   arms[0].mode = "unbounded";
-  RunArm(&db, &tgds, config, ops, /*rate=*/0, &arms[0], nullptr);
+  {
+    Repository repo;
+    const std::vector<WriteOp> ops = BuildArmRepository(config, &repo);
+    std::printf(
+        "=== streaming_ingest ===\n"
+        "config: relations=%zu mappings=%zu islands=%zu workers=%zu "
+        "initial=%zu ops=%zu zipf=%.2f seed=%llu\n",
+        config.num_relations, config.num_mappings_total, config.islands,
+        config.workers, repo.initial.total_tuples, ops.size(),
+        config.zipf_theta, static_cast<unsigned long long>(config.seed));
+    RunArm(&repo, config, ops, /*rate=*/0, &arms[0], nullptr);
+  }
 
   // The paced arm offers half the measured capacity — the "service below
   // saturation" regime where admission stalls should be routing-only.
   arms[1].mode = "paced";
   std::vector<WriteOp> committed;
-  RunArm(&db, &tgds, config, ops, /*rate=*/arms[0].sustained_rate * 0.5,
-         &arms[1], &committed);
+  std::string streamed_dump;
+  {
+    Repository repo;
+    const std::vector<WriteOp> ops = BuildArmRepository(config, &repo);
+    RunArm(&repo, config, ops, /*rate=*/arms[0].sustained_rate * 0.5,
+           &arms[1], &committed);
+    streamed_dump = DumpAll(repo.db);
+  }
 
   // Committed-op replay check: the paced arm's final instance must equal a
-  // serial re-execution of its committed ops in priority-number order.
-  const std::string streamed_dump = DumpAll(db);
+  // serial re-execution of its committed ops in priority-number order. The
+  // replay's repository draws the stream too, so it interns the stream's
+  // fresh constants under the ids the committed ops carry.
+  Repository replay;
+  const std::vector<WriteOp> ops = BuildArmRepository(config, &replay);
   CHECK_EQ(committed.size(), ops.size());
-  db.RemoveVersionsAbove(0);
   MinContentAgent replay_agent;
   uint64_t number = 1;
   for (const WriteOp& op : committed) {
-    Update u(number++, op, &tgds);
-    u.RunToCompletion(&db, &replay_agent);
+    Update u(number++, op, &replay.tgds);
+    u.RunToCompletion(&replay.db, &replay_agent);
   }
-  const std::string replay_dump = DumpAll(db);
+  const std::string replay_dump = DumpAll(replay.db);
   const bool replay_identical = replay_dump == streamed_dump;
   if (!replay_identical && std::getenv("YOUTOPIA_STREAMING_DEBUG")) {
     std::ofstream("/tmp/streamed.txt") << streamed_dump;
     std::ofstream("/tmp/replayed.txt") << replay_dump;
   }
   CHECK(replay_identical);
-  db.RemoveVersionsAbove(0);
 
   std::printf("%10s %14s %14s %12s %12s %12s %10s\n", "mode", "offered/s",
               "sustained/s", "p50 us", "p99 us", "max us", "inbox hwm");

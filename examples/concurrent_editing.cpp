@@ -6,53 +6,55 @@
 // Build & run:  cmake --build build && ./build/examples/concurrent_editing
 #include <cstdio>
 
-#include "ccontrol/scheduler.h"
-#include "workload/generators.h"
+#include "workload/experiment.h"
 
 using namespace youtopia;
 
-int main() {
-  constexpr uint64_t kSeed = 2009;  // VLDB '09
+namespace {
 
-  // A synthetic community repository: 40 relations, 30 mappings, seeded by
-  // the update-exchange machinery itself.
-  Database db;
-  Rng rng(kSeed);
-  SchemaGenOptions schema_opts;
-  schema_opts.num_relations = 40;
-  (void)GenerateSchema(&db, &rng, schema_opts);
-  const std::vector<Value> constants = GenerateConstantPool(&db, &rng, 25);
+constexpr uint64_t kSeed = 2009;  // VLDB '09
+
+// A synthetic community repository: 40 relations, 30 mappings, seeded by
+// the update-exchange machinery itself, and one workload of 120 concurrent
+// updates (80% inserts / 20% deletes) drawn on it. Each algorithm runs on a
+// repository of its own built from the same seeds, so all three replay the
+// same workload from the same state.
+std::vector<WriteOp> BuildCommunity(Repository* repo) {
+  ExperimentConfig config;
+  config.num_relations = 40;
+  config.num_constants = 25;
+  config.initial_tuples = 800;
+  config.initial_chase_step_cap = InitialDataOptions().max_steps_per_insert;
   MappingGenOptions mapping_opts;
   mapping_opts.count = 30;
-  const std::vector<Tgd> tgds =
-      GenerateMappings(db, constants, &rng, mapping_opts);
-
   RandomAgent seeding_agent(kSeed);
-  InitialDataOptions data_opts;
-  data_opts.num_tuples = 800;
-  const InitialDataReport seeded = GenerateInitialData(
-      &db, &tgds, constants, &rng, &seeding_agent, data_opts);
-  std::printf("repository: %zu relations, %zu mappings, %zu tuples\n\n",
-              db.num_relations(), tgds.size(), seeded.total_tuples);
+  BuildRepository(config, mapping_opts, kSeed, &seeding_agent, repo);
 
-  // One workload of 120 concurrent updates (80%% inserts / 20%% deletes),
-  // replayed identically under each algorithm.
   WorkloadOptions wl;
   wl.num_updates = 120;
   wl.delete_fraction = 0.2;
   Rng wl_rng(kSeed + 1);
-  const std::vector<WriteOp> ops =
-      GenerateWorkload(&db, constants, &wl_rng, wl);
+  return GenerateWorkload(&repo->db, repo->constants, &wl_rng, wl);
+}
 
-  std::printf("%-8s %8s %8s %10s %12s %10s\n", "tracker", "aborts", "direct",
-              "cascading", "steps", "completed");
+}  // namespace
+
+int main() {
   for (TrackerKind kind :
        {TrackerKind::kNaive, TrackerKind::kCoarse, TrackerKind::kPrecise}) {
-    db.RemoveVersionsAbove(0);  // rewind to the seeded repository
+    Repository repo;
+    const std::vector<WriteOp> ops = BuildCommunity(&repo);
+    if (kind == TrackerKind::kNaive) {
+      std::printf("repository: %zu relations, %zu mappings, %zu tuples\n\n",
+                  repo.db.num_relations(), repo.tgds.size(),
+                  repo.initial.total_tuples);
+      std::printf("%-8s %8s %8s %10s %12s %10s\n", "tracker", "aborts",
+                  "direct", "cascading", "steps", "completed");
+    }
     RandomAgent agent(kSeed + 7);
     SchedulerOptions opts;
     opts.tracker = kind;
-    Scheduler sched(&db, &tgds, &agent, opts);
+    Scheduler sched(&repo.db, &repo.tgds, &agent, opts);
     for (const WriteOp& op : ops) sched.Submit(op);
     sched.RunToCompletion();
     const SchedulerStats& s = sched.stats();

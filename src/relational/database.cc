@@ -91,15 +91,6 @@ uint64_t Database::Apply(WriteOp op, uint64_t update_number,
   return 0;
 }
 
-size_t Database::RemoveVersionsAbove(uint64_t threshold) {
-  size_t removed = 0;
-  for (VersionedRelation& rel : relations_) {
-    removed += rel.RemoveVersionsAbove(threshold);
-  }
-  NoteMutation(removed);
-  return removed;
-}
-
 void Database::SkipNumbersTo(uint64_t n) {
   uint64_t cur = next_number_.load(std::memory_order_relaxed);
   while (cur < n && !next_number_.compare_exchange_weak(

@@ -117,11 +117,6 @@ class Database {
     return removed;
   }
 
-  // Removes every version created by updates numbered above `threshold`
-  // across all relations (rewinds the repository to a pre-run state; used
-  // between experiment runs over the same initial database).
-  size_t RemoveVersionsAbove(uint64_t threshold);
-
   // Finds the lowest-numbered row whose content visible to `reader` equals
   // `data` exactly. Walks the smallest index bucket that lists every such
   // row in place and re-verifies each listed row; an empty bucket answers
@@ -136,7 +131,7 @@ class Database {
   size_t CountVisible(RelationId rel, uint64_t reader) const;
 
   // Monotone mutation sequence: advanced by every physical write AND by
-  // version removals (abort undo, rewind). The adaptive re-planning polls
+  // version removals (abort undo). The adaptive re-planning polls
   // stride on it, so "next_seq moved" must mean "cardinalities may have
   // moved" — removals change visible-row counts just like writes do.
   // Atomic (relaxed): concurrent shard workers bump and poll it; the value
@@ -174,8 +169,8 @@ class Database {
 
   // Accounts removed versions in the mutation sequence (one tick per
   // removed version, mirroring one tick per written version) so the
-  // strided staleness polls cannot stay dormant through a bulk abort or
-  // rewind that shifted cardinalities without any new write.
+  // strided staleness polls cannot stay dormant through a bulk abort that
+  // shifted cardinalities without any new write.
   void NoteMutation(size_t removed_versions) {
     next_seq_.fetch_add(removed_versions, std::memory_order_relaxed);
   }

@@ -234,8 +234,9 @@ void VersionedRelation::RecomputeHotFingerprint() {
   hot_fingerprint_.store(fp, std::memory_order_relaxed);
 }
 
-template <typename Removes>
-size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
+size_t VersionedRelation::RemoveVersionsOfRow(RowId row,
+                                              uint64_t update_number) {
+  CHECK_LT(row, rows_.size());
   Row& r = rows_[row];
   VersionList& versions = r.versions;
   size_t removed = 0;
@@ -243,8 +244,9 @@ size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
     // Stable: the kept versions keep their order and the removed ones their
     // content, which names the buckets to unlist the row from.
     const auto cut = std::stable_partition(
-        versions.begin(), versions.end(),
-        [&](const TupleVersion& v) { return !removes(v); });
+        versions.begin(), versions.end(), [&](const TupleVersion& v) {
+          return v.update_number != update_number;
+        });
     removed = static_cast<size_t>(versions.end() - cut);
     if (removed == 0) return;
     const Span<const TupleVersion> kept(
@@ -256,24 +258,6 @@ size_t VersionedRelation::RemoveRowVersionsIf(RowId row, Removes&& removes) {
     RecomputeNewest(r);
   });
   num_versions_ -= removed;
-  return removed;
-}
-
-size_t VersionedRelation::RemoveVersionsOfRow(RowId row,
-                                              uint64_t update_number) {
-  CHECK_LT(row, rows_.size());
-  return RemoveRowVersionsIf(row, [&](const TupleVersion& v) {
-    return v.update_number == update_number;
-  });
-}
-
-size_t VersionedRelation::RemoveVersionsAbove(uint64_t threshold) {
-  size_t removed = 0;
-  for (RowId row = 0; row < rows_.size(); ++row) {
-    removed += RemoveRowVersionsIf(row, [&](const TupleVersion& v) {
-      return v.update_number > threshold;
-    });
-  }
   return removed;
 }
 

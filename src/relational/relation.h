@@ -412,12 +412,6 @@ class VersionedRelation {
   // the number of versions removed.
   size_t RemoveVersionsOfRow(RowId row, uint64_t update_number);
 
-  // Removes every version created by updates numbered above `threshold`
-  // (experiment reset: rewinds the relation to its pre-run state; rows
-  // created by removed versions remain as invisible orphans, unlisted from
-  // every index).
-  size_t RemoveVersionsAbove(uint64_t threshold);
-
   // Total number of versions across all rows.
   size_t num_versions() const { return num_versions_; }
 
@@ -470,11 +464,6 @@ class VersionedRelation {
   // that no version in `kept` carries.
   void UnindexData(RowId row, const TupleData& data,
                    Span<const TupleVersion> kept);
-  // The undo shared by RemoveVersionsOfRow and RemoveVersionsAbove: removes
-  // the row's versions `removes` selects, keeps the indexes exact and
-  // reconciles liveness and `newest`. Returns the number removed.
-  template <typename Removes>
-  size_t RemoveRowVersionsIf(RowId row, Removes&& removes);
   void RecomputeNewest(Row& row);
 
   // Newest-version visibility of a row (the quantity visible_rows_ counts).

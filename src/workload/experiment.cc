@@ -49,94 +49,102 @@ double ExperimentResult::SlowdownOfPrecise(size_t mapping_index) const {
   return precise.per_update_seconds / coarse.per_update_seconds;
 }
 
-ExperimentDriver::ExperimentDriver(ExperimentConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
-  CHECK_EQ(config_.workers, 1u);  // the sweep runs the serial Scheduler
+namespace {
+
+StorageFootprint FootprintOf(const Database& db) {
+  StorageFootprint storage;
+  storage.relations = db.num_relations();
+  for (RelationId r = 0; r < db.num_relations(); ++r) {
+    storage.rows += db.relation(r).num_rows();
+    storage.versions += db.relation(r).num_versions();
+    storage.index_entries += db.relation(r).IndexEntryCount();
+  }
+  return storage;
 }
 
-void ExperimentDriver::BuildRepository(bool verbose,
-                                       InitialDataReport* report) {
+}  // namespace
+
+void BuildRepository(const ExperimentConfig& config,
+                     const MappingGenOptions& mapping_opts, uint64_t rng_seed,
+                     FrontierAgent* seed_agent, Repository* repo) {
+  Rng rng(rng_seed);
   SchemaGenOptions schema_opts;
-  schema_opts.num_relations = config_.num_relations;
-  CHECK(GenerateSchema(&db_, &rng_, schema_opts).ok());
-  constants_ = GenerateConstantPool(&db_, &rng_, config_.num_constants);
-
-  MappingGenOptions mapping_opts;
-  mapping_opts.count = config_.num_mappings_total;
-  mapping_opts.num_islands = config_.islands;
-  mapping_opts.zipf_theta = config_.zipf_theta;
-  mapping_opts.p_hot_constant = config_.p_hot_value;
-  mapping_opts.hot_pool_ranks = config_.hot_pool_ranks;
-  mapping_opts.chain_length = config_.chain_length;
-  mapping_opts.fan_out = config_.fan_out;
-  tgds_ = GenerateMappings(db_, constants_, &rng_, mapping_opts);
-
-  if (verbose) {
-    std::fprintf(stderr,
-                 "[experiment] schema: %zu relations, %zu constants, %zu "
-                 "mappings; seeding %zu tuples...\n",
-                 config_.num_relations, config_.num_constants, tgds_.size(),
-                 config_.initial_tuples);
-  }
+  schema_opts.num_relations = config.num_relations;
+  CHECK(GenerateSchema(&repo->db, &rng, schema_opts).ok());
+  repo->constants =
+      GenerateConstantPool(&repo->db, &rng, config.num_constants);
+  repo->tgds = GenerateMappings(repo->db, repo->constants, &rng, mapping_opts);
   InitialDataOptions data_opts;
-  data_opts.num_tuples = config_.initial_tuples;
-  data_opts.max_steps_per_insert = config_.initial_chase_step_cap;
-  RandomAgent seed_agent(config_.seed ^ 0x9e3779b97f4a7c15ULL);
-  *report = GenerateInitialData(&db_, &tgds_, constants_, &rng_, &seed_agent,
-                                data_opts);
-  if (verbose) {
-    std::fprintf(stderr,
-                 "[experiment] initial database: %zu visible tuples (%zu "
-                 "chase steps, %zu frontier ops, %zu capped)\n",
-                 report->total_tuples, report->chase_steps,
-                 report->frontier_ops, report->capped_chases);
-  }
+  data_opts.num_tuples = config.initial_tuples;
+  data_opts.max_steps_per_insert = config.initial_chase_step_cap;
+  repo->initial = GenerateInitialData(&repo->db, &repo->tgds, repo->constants,
+                                      &rng, seed_agent, data_opts);
 }
 
-ExperimentResult ExperimentDriver::Run(bool verbose) {
+ExperimentResult RunExperiment(const ExperimentConfig& config, bool verbose) {
+  CHECK_EQ(config.workers, 1u);  // the sweep runs the serial Scheduler
+  MappingGenOptions mapping_opts;
+  mapping_opts.count = config.num_mappings_total;
+  mapping_opts.num_islands = config.islands;
+  mapping_opts.zipf_theta = config.zipf_theta;
+  mapping_opts.p_hot_constant = config.p_hot_value;
+  mapping_opts.hot_pool_ranks = config.hot_pool_ranks;
+  mapping_opts.chain_length = config.chain_length;
+  mapping_opts.fan_out = config.fan_out;
+  WorkloadOptions wl_opts;
+  wl_opts.num_updates = config.updates_per_run;
+  wl_opts.delete_fraction = config.delete_fraction;
+  wl_opts.zipf_theta = config.zipf_theta;
+  wl_opts.p_hot_value = config.p_hot_value;
+  wl_opts.hot_pool_ranks = config.hot_pool_ranks;
+
   ExperimentResult result;
-  BuildRepository(verbose, &result.initial);
-  result.mapping_counts = config_.mapping_counts;
-  result.cells.resize(config_.mapping_counts.size());
+  result.mapping_counts = config.mapping_counts;
+  result.cells.resize(config.mapping_counts.size());
 
   constexpr TrackerKind kTrackers[3] = {
       TrackerKind::kNaive, TrackerKind::kCoarse, TrackerKind::kPrecise};
 
-  for (size_t mi = 0; mi < config_.mapping_counts.size(); ++mi) {
-    const size_t mapping_count = config_.mapping_counts[mi];
-    CHECK_LE(mapping_count, tgds_.size());
-    // Monotone prefixes: the run with 40 mappings includes the 20-mapping
-    // set plus 20 more, and so on (Section 6).
-    const std::vector<Tgd> active(tgds_.begin(),
-                                  tgds_.begin() + mapping_count);
-
-    for (size_t run = 0; run < config_.runs; ++run) {
-      // One workload per (density, run), replayed identically under every
-      // tracker from the same initial database state.
-      Rng wl_rng(config_.seed + 1000003 * (mi + 1) + 7919 * (run + 1));
-      WorkloadOptions wl_opts;
-      wl_opts.num_updates = config_.updates_per_run;
-      wl_opts.delete_fraction = config_.delete_fraction;
-      wl_opts.zipf_theta = config_.zipf_theta;
-      wl_opts.p_hot_value = config_.p_hot_value;
-      wl_opts.hot_pool_ranks = config_.hot_pool_ranks;
-      const std::vector<WriteOp> ops =
-          GenerateWorkload(&db_, constants_, &wl_rng, wl_opts);
-
+  for (size_t mi = 0; mi < config.mapping_counts.size(); ++mi) {
+    const size_t mapping_count = config.mapping_counts[mi];
+    for (size_t run = 0; run < config.runs; ++run) {
       for (size_t t = 0; t < 3; ++t) {
-        if (kTrackers[t] == TrackerKind::kNaive &&
-            mapping_count > config_.naive_up_to_mappings) {
-          continue;
+        // Every cell runs on a repository of its own, built from the same
+        // seeds, and draws its workload there from the (density, run)
+        // seed: all three algorithms replay one workload from one initial
+        // database state, and no cell sees what an earlier cell wrote.
+        Repository repo;
+        RandomAgent seed_agent(config.seed ^ 0x9e3779b97f4a7c15ULL);
+        BuildRepository(config, mapping_opts, config.seed, &seed_agent,
+                        &repo);
+        result.initial = repo.initial;
+        if (verbose && mi == 0 && run == 0 && t == 0) {
+          std::fprintf(stderr,
+                       "[experiment] schema: %zu relations, %zu constants, "
+                       "%zu mappings; initial database: %zu visible tuples "
+                       "(%zu chase steps, %zu frontier ops, %zu capped)\n",
+                       config.num_relations, config.num_constants,
+                       repo.tgds.size(), repo.initial.total_tuples,
+                       repo.initial.chase_steps, repo.initial.frontier_ops,
+                       repo.initial.capped_chases);
         }
-        db_.RemoveVersionsAbove(0);  // rewind to the initial database
+        // Monotone prefixes: the run with 40 mappings includes the
+        // 20-mapping set plus 20 more, and so on (Section 6).
+        CHECK_LE(mapping_count, repo.tgds.size());
+        repo.tgds.erase(repo.tgds.begin() + mapping_count, repo.tgds.end());
+
+        Rng wl_rng(config.seed + 1000003 * (mi + 1) + 7919 * (run + 1));
+        const std::vector<WriteOp> ops =
+            GenerateWorkload(&repo.db, repo.constants, &wl_rng, wl_opts);
+
         // Same agent seed across trackers: all three algorithms replay
         // identical workloads with identical simulated-user behavior.
-        RandomAgent agent(config_.seed + 31 * run);
+        RandomAgent agent(config.seed + 31 * run);
         SchedulerOptions sched_opts;
         sched_opts.tracker = kTrackers[t];
-        sched_opts.max_steps_per_update = config_.max_steps_per_update;
-        sched_opts.max_attempts_per_update = config_.max_attempts_per_update;
-        Scheduler scheduler(&db_, &active, &agent, sched_opts);
+        sched_opts.max_steps_per_update = config.max_steps_per_update;
+        sched_opts.max_attempts_per_update = config.max_attempts_per_update;
+        Scheduler scheduler(&repo.db, &repo.tgds, &agent, sched_opts);
         for (const WriteOp& op : ops) scheduler.Submit(op);
 
         const auto start = std::chrono::steady_clock::now();
@@ -157,11 +165,11 @@ ExperimentResult ExperimentDriver::Run(bool verbose) {
                   run_stats.cascading_abort_requests),
               seconds);
         }
+        result.storage = FootprintOf(repo.db);  // the last cell's stays
       }
     }
     for (size_t t = 0; t < 3; ++t) result.cells[mi][t].FinishAveraging();
   }
-  db_.RemoveVersionsAbove(0);
   return result;
 }
 

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ccontrol/scheduler.h"
@@ -13,10 +12,8 @@
 
 namespace youtopia {
 
-// End-to-end driver for the paper's evaluation (Section 6, Figures 3 and 4):
-// builds the shared synthetic repository once, then for every mapping
-// density and every cascading-abort algorithm replays the same workloads and
-// reports aborts, cascading abort requests and per-update execution time.
+// Configuration of the paper's evaluation (Section 6, Figures 3 and 4) and
+// of the synthetic repositories the other harnesses build (BuildRepository).
 struct ExperimentConfig {
   size_t num_relations = 100;
   size_t num_constants = 50;
@@ -41,7 +38,7 @@ struct ExperimentConfig {
   // Shard lanes for the ingest-pipeline harnesses (bench/parallel_scale,
   // bench/streaming_ingest; effective parallelism is bounded by the
   // schema's tgd-closure component count — see islands below and
-  // ccontrol/parallel/). ExperimentDriver always runs the serial Scheduler
+  // ccontrol/parallel/). RunExperiment always runs the serial Scheduler
   // (the paper's setup) and requires 1.
   size_t workers = 1;
   // Partition mappings into this many disjoint relation islands
@@ -53,10 +50,6 @@ struct ExperimentConfig {
   // workload shape (MappingGenOptions::chain_length / fan_out).
   size_t chain_length = 0;
   size_t fan_out = 1;
-
-  // NAIVE is only run up to this mapping count (the paper likewise shows
-  // only its first points; its abort counts dwarf the others).
-  size_t naive_up_to_mappings = SIZE_MAX;
 
   // Safety caps.
   size_t max_steps_per_update = 1u << 14;
@@ -83,35 +76,56 @@ struct CellStats {
   void FinishAveraging();
 };
 
+// Rows, versions and index entries across a repository's relations.
+struct StorageFootprint {
+  size_t relations = 0;
+  size_t rows = 0;
+  size_t versions = 0;
+  size_t index_entries = 0;
+};
+
 struct ExperimentResult {
   std::vector<size_t> mapping_counts;
   // cells[i][t]: mapping_counts[i] under tracker t (kNaive=0, kCoarse=1,
-  // kPrecise=2). NAIVE cells beyond naive_up_to_mappings have runs == 0.
+  // kPrecise=2).
   std::vector<std::array<CellStats, 3>> cells;
+  // The seeding report every cell's repository shares.
   InitialDataReport initial;
+  // The last cell's repository after its run.
+  StorageFootprint storage;
 
   // Figure 3c/4c series: per-update time PRECISE / per-update time COARSE.
   double SlowdownOfPrecise(size_t mapping_index) const;
 };
 
-class ExperimentDriver {
- public:
-  explicit ExperimentDriver(ExperimentConfig config);
-
-  // Runs the full sweep. If `verbose`, prints progress lines to stderr.
-  ExperimentResult Run(bool verbose);
-
-  const Database& db() const { return db_; }
-
- private:
-  void BuildRepository(bool verbose, InitialDataReport* report);
-
-  ExperimentConfig config_;
-  Database db_;
-  std::vector<Value> constants_;
-  std::vector<Tgd> tgds_;
-  Rng rng_;
+// A chase-seeded synthetic repository: the database, its constant pool, its
+// mappings and its seeding report. Database can be neither copied nor
+// moved, so BuildRepository fills one in place.
+struct Repository {
+  Database db;
+  std::vector<Value> constants;
+  std::vector<Tgd> tgds;
+  InitialDataReport initial;
 };
+
+// Fills the empty `*repo` with a schema of config.num_relations relations,
+// a pool of config.num_constants constants and the mappings `mapping_opts`
+// describes, then seeds config.initial_tuples inserts, each chased under
+// `seed_agent` with config.initial_chase_step_cap steps at most. Every
+// draw comes from one Rng seeded with `rng_seed`, so equal arguments (and
+// equally seeded agents) build equal repositories, symbol ids included.
+// Each measured arm builds its own and generates its ops there from one
+// workload seed: a WriteOp's constants are ids in the symbol table of the
+// repository that generated it.
+void BuildRepository(const ExperimentConfig& config,
+                     const MappingGenOptions& mapping_opts, uint64_t rng_seed,
+                     FrontierAgent* seed_agent, Repository* repo);
+
+// The paper's sweep: every (mapping count, run, cascading-abort algorithm)
+// cell builds a repository of its own and replays the (mapping count,
+// run)'s workload there, reporting aborts, cascading abort requests and
+// per-update execution time. If `verbose`, prints progress lines to stderr.
+ExperimentResult RunExperiment(const ExperimentConfig& config, bool verbose);
 
 }  // namespace youtopia
 

@@ -72,18 +72,6 @@ TEST(VersionedRelationTest, RemoveVersionsOfUndoesAbortedUpdate) {
   EXPECT_EQ(rel.VisibleData(r2, 100), nullptr);
 }
 
-TEST(VersionedRelationTest, RemoveVersionsAboveRewindsToThreshold) {
-  VersionedRelation rel(1);
-  const RowId r1 = rel.AppendInsertRow(0, 1, Row({10}));
-  rel.AppendInsertRow(3, 2, Row({30}));
-  rel.AppendVersion(r1, 4, 3, WriteKind::kModify, Row({11}));
-  EXPECT_EQ(rel.RemoveVersionsAbove(0), 2u);
-  EXPECT_EQ(*rel.VisibleData(r1, 100), Row({10}));
-  size_t visible = 0;
-  rel.ForEachVisible(100, [&](RowId, const TupleData&) { ++visible; });
-  EXPECT_EQ(visible, 1u);
-}
-
 TEST(VersionedRelationTest, CandidateRowsFindsByColumn) {
   VersionedRelation rel(2);
   rel.AppendInsertRow(0, 1, Row({1, 2}));
@@ -128,24 +116,12 @@ TEST(VersionedRelationTest, ConstantAndNullOfOneIdNeverShareABucket) {
   EXPECT_EQ(rel.distinct_values(1), 8u);
 }
 
-TEST(VersionedRelationDeathTest, IdAtOrAbove2To63IsRefused) {
-  // An id of 2^63 or more would alias another value's per-column key.
-  const uint64_t too_big = uint64_t{1} << 63;
-  EXPECT_DEATH(
-      {
-        VersionedRelation rel(1);
-        rel.AppendInsertRow(0, 1, {Value::Null(too_big)});
-      },
-      "CHECK failed");
-  EXPECT_DEATH(
-      {
-        VersionedRelation rel(1);
-        rel.Bucket(0, Value::Constant(UINT64_MAX));
-      },
-      "CHECK failed");
+TEST(VersionedRelationTest, LargestIdIsIndexed) {
+  // The largest id a Value holds, 2^63 - 1, keys its own bucket.
+  const uint64_t largest = (uint64_t{1} << 63) - 1;
   VersionedRelation rel(1);
-  rel.AppendInsertRow(0, 1, {Value::Null(too_big - 1)});
-  EXPECT_EQ(Rows(rel.Bucket(0, Value::Null(too_big - 1))),
+  rel.AppendInsertRow(0, 1, {Value::Null(largest)});
+  EXPECT_EQ(Rows(rel.Bucket(0, Value::Null(largest))),
             (std::vector<RowId>{0}));
 }
 
@@ -342,8 +318,7 @@ TEST(VersionedRelationTest, NewestVersionFastPathMatchesChainWalk) {
 // --- Planner statistics under churn ------------------------------------------
 // The incremental planner statistics must agree with a from-
 // scratch recount through every mutation the system performs: inserts,
-// tombstones, modifies, aborted-update cleanup (RemoveVersionsOfRow) and
-// experiment rewind (RemoveVersionsAbove).
+// tombstones, modifies and aborted-update cleanup (RemoveVersionsOfRow).
 
 // Ground truth for visible_rows(): rows whose newest version is live.
 size_t CountVisibleRows(const VersionedRelation& rel) {
@@ -379,12 +354,6 @@ TEST(VersionedRelationStatsTest, VisibleRowsExactAcrossChurn) {
   EXPECT_EQ(rel.visible_rows(), 40u);
   EXPECT_EQ(rel.visible_rows(), CountVisibleRows(rel));
   rel.RemoveVersionsOfRow(rows[20], 6);
-  EXPECT_EQ(rel.visible_rows(), CountVisibleRows(rel));
-
-  // Experiment rewind: every version above update 0 disappears; the rows
-  // remain as invisible orphans and the counter must follow.
-  rel.RemoveVersionsAbove(0);
-  EXPECT_EQ(rel.visible_rows(), 0u);
   EXPECT_EQ(rel.visible_rows(), CountVisibleRows(rel));
 }
 
@@ -438,15 +407,16 @@ TEST(VersionedRelationStatsTest, SketchRebuiltExactlyByCompaction) {
     EXPECT_EQ(sk.Estimate(Value::Constant(v)), 11 + v);
   }
 
-  // Update 7 piles rows onto value 9, then the run is rewound. The rewind
+  // Update 7 piles rows onto value 9, then aborts. Its undo, row by row,
   // lowers value 9's count with its bucket to zero and drops the entry:
   // the sketch follows the bucket both ways, with no compaction pass.
+  std::vector<RowId> aborted;
   for (uint64_t i = 0; i < 50; ++i) {
-    rel.AppendInsertRow(7, 1000 + i, Row({9}));
+    aborted.push_back(rel.AppendInsertRow(7, 1000 + i, Row({9})));
   }
   EXPECT_EQ(sk.Estimate(Value::Constant(9)), 50u);
   EXPECT_EQ(rel.max_bucket(0), 50u);
-  rel.RemoveVersionsAbove(1);
+  for (RowId row : aborted) rel.RemoveVersionsOfRow(row, 7);
   EXPECT_FALSE(sk.Tracks(Value::Constant(9)));
   EXPECT_EQ(sk.Estimate(Value::Constant(9)), 0u) << "below capacity";
   for (uint64_t v = 0; v < 6; ++v) {
@@ -462,14 +432,16 @@ TEST(VersionedRelationStatsTest, StatsSurviveRewindPlusExplicitCompaction) {
   for (uint64_t i = 0; i < 20; ++i) {
     rel.AppendInsertRow(0, 1 + i, Row({i % 2}));
   }
+  std::vector<RowId> aborted;
   for (uint64_t i = 0; i < 5; ++i) {
-    rel.AppendInsertRow(3, 100 + i, Row({5}));
+    aborted.push_back(rel.AppendInsertRow(3, 100 + i, Row({5})));
   }
   EXPECT_EQ(rel.distinct_values(0), 3u);
   EXPECT_EQ(rel.max_bucket(0), 10u);
-  rel.RemoveVersionsAbove(2);  // rewind: update 3's rows vanish
+  // Undo update 3 row by row: its rows vanish.
+  for (RowId row : aborted) rel.RemoveVersionsOfRow(row, 3);
   EXPECT_EQ(rel.visible_rows(), 20u);
-  // The rewind leaves the index stats exact at once.
+  // The undo leaves the index stats exact at once.
   EXPECT_EQ(rel.distinct_values(0), 2u);
   EXPECT_EQ(rel.max_bucket(0), 10u);
 }
@@ -606,6 +578,7 @@ void ExpectShadowVisibility(const VersionedRelation& rel,
 
 TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
   constexpr size_t kArity = 3;
+  constexpr uint64_t kUpdates = 7;  // writers are updates 0..6
   size_t seeds_with_deferred_build = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
@@ -635,7 +608,7 @@ TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
     for (int op = 0; op < 300; ++op) {
       if (op == 40) rel.RequestCompositeIndex(composites[0]);  // deferred
       if (op == 150) rel.EnsureCompositeIndex(composites[1]);
-      const uint64_t update = rng.Uniform(7);
+      const uint64_t update = rng.Uniform(kUpdates);
       const uint64_t pick = rng.Uniform(100);
       if (pick < 35 || shadow.empty()) {
         TupleData data = random_data();
@@ -676,6 +649,8 @@ TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
         versions.erase(kept, versions.end());
         EXPECT_EQ(rel.RemoveVersionsOfRow(row, undone), removed);
       } else {
+        // A cascade: undo every update above `update`, youngest first and
+        // row by row, as the Scheduler's cascading abort does.
         size_t removed = 0;
         for (std::vector<ShadowVersion>& versions : shadow) {
           const auto kept = std::remove_if(
@@ -684,7 +659,13 @@ TEST(VersionedRelationTest, RandomChurnKeepsIndexesExact) {
           removed += static_cast<size_t>(versions.end() - kept);
           versions.erase(kept, versions.end());
         }
-        EXPECT_EQ(rel.RemoveVersionsAbove(update), removed);
+        size_t undone = 0;
+        for (uint64_t aborted = kUpdates - 1; aborted > update; --aborted) {
+          for (RowId row = 0; row < shadow.size(); ++row) {
+            undone += rel.RemoveVersionsOfRow(row, aborted);
+          }
+        }
+        EXPECT_EQ(undone, removed);
       }
       ExpectExactIndexes(rel, shadow, composites);
       ExpectShadowVisibility(rel, shadow);

@@ -79,13 +79,18 @@ struct SerializabilityCase {
   double delete_fraction;
 };
 
-class SerializabilityTest
-    : public ::testing::TestWithParam<SerializabilityCase> {};
-
-TEST_P(SerializabilityTest, ConcurrentEqualsSerialInFinalOrder) {
-  const SerializabilityCase param = GetParam();
-
+// A case's repository (full tgds only, seeded under MinContentAgent) and
+// the workload drawn on it. The concurrent run and the serial replay each
+// build their own from the case's seeds, so both start from one initial
+// database with one stream.
+struct CaseRepository {
   Database db;
+  std::vector<Tgd> tgds;
+  std::vector<WriteOp> ops;
+};
+
+void BuildCase(const SerializabilityCase& param, CaseRepository* repo) {
+  Database& db = repo->db;
   Rng rng(param.seed);
   SchemaGenOptions schema_opts;
   schema_opts.num_relations = 16;
@@ -94,50 +99,61 @@ TEST_P(SerializabilityTest, ConcurrentEqualsSerialInFinalOrder) {
   MappingGenOptions mapping_opts;
   mapping_opts.count = 40;
   mapping_opts.p_frontier = 1.0;  // bias toward full tgds
-  std::vector<Tgd> tgds = FullTgdsOnly(
+  repo->tgds = FullTgdsOnly(
       GenerateMappings(db, constants, &rng, mapping_opts), 12);
-  ASSERT_GE(tgds.size(), 6u);
+  ASSERT_GE(repo->tgds.size(), 6u);
 
   // Seed the repository (ground tuples only; the chase is deterministic).
   MinContentAgent agent;
   InitialDataOptions data_opts;
   data_opts.num_tuples = 120;
-  GenerateInitialData(&db, &tgds, constants, &rng, &agent, data_opts);
+  GenerateInitialData(&db, &repo->tgds, constants, &rng, &agent, data_opts);
 
   WorkloadOptions wl;
   wl.num_updates = 60;
   wl.delete_fraction = param.delete_fraction;
   wl.p_fresh_value = 0.3;
   Rng wl_rng(param.seed * 31 + 1);
-  const std::vector<WriteOp> ops = GenerateWorkload(&db, constants, &wl_rng, wl);
+  repo->ops = GenerateWorkload(&db, constants, &wl_rng, wl);
+}
+
+class SerializabilityTest
+    : public ::testing::TestWithParam<SerializabilityCase> {};
+
+TEST_P(SerializabilityTest, ConcurrentEqualsSerialInFinalOrder) {
+  const SerializabilityCase param = GetParam();
+  MinContentAgent agent;
 
   // --- Concurrent run. -----------------------------------------------------
+  CaseRepository run;
+  ASSERT_NO_FATAL_FAILURE(BuildCase(param, &run));
   SchedulerOptions sched_opts;
   sched_opts.tracker = param.tracker;
-  Scheduler scheduler(&db, &tgds, &agent, sched_opts);
-  for (const WriteOp& op : ops) scheduler.Submit(op);
+  Scheduler scheduler(&run.db, &run.tgds, &agent, sched_opts);
+  for (const WriteOp& op : run.ops) scheduler.Submit(op);
   RunToCompletionArmed(&scheduler, "serializability-sweep");
   ASSERT_EQ(scheduler.num_failed(), 0u);
-  ASSERT_EQ(scheduler.stats().updates_completed, ops.size());
-  const auto concurrent = Contents(db);
+  ASSERT_EQ(scheduler.stats().updates_completed, run.ops.size());
+  const auto concurrent = Contents(run.db);
   const std::vector<WriteOp> serial_order = scheduler.CommittedOpsInOrder();
-  ASSERT_EQ(serial_order.size(), ops.size());
+  ASSERT_EQ(serial_order.size(), run.ops.size());
 
   // --- Serial replay in final priority order. ------------------------------
-  db.RemoveVersionsAbove(0);
+  CaseRepository replay;
+  ASSERT_NO_FATAL_FAILURE(BuildCase(param, &replay));
   uint64_t number = 1;
   for (const WriteOp& op : serial_order) {
-    Update update(number++, op, &tgds);
-    update.RunToCompletion(&db, &agent);
+    Update update(number++, op, &replay.tgds);
+    update.RunToCompletion(&replay.db, &agent);
     ASSERT_TRUE(update.finished());
   }
-  const auto serial = Contents(db);
+  const auto serial = Contents(replay.db);
 
   // --- Equivalence. ---------------------------------------------------------
   ASSERT_EQ(concurrent.size(), serial.size());
   for (const auto& [rel, rows] : serial) {
     EXPECT_EQ(concurrent.at(rel), rows)
-        << "relation " << db.catalog().schema(rel).name
+        << "relation " << replay.db.catalog().schema(rel).name
         << " diverged (tracker=" << TrackerKindName(param.tracker)
         << ", seed=" << param.seed << ")";
   }
